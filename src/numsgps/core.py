@@ -5,7 +5,8 @@ whose complement (the set of gaps) is finite; equivalently it is generated
 by finitely many positive integers with gcd 1.  Everything here is exact
 integer arithmetic: the Apery set with respect to the multiplicity is the
 single derived structure, and membership, Frobenius number, genus, gaps,
-pseudo-Frobenius numbers and factorizations all read off it.
+pseudo-Frobenius numbers and factorizations all read off it.  Only gaps()
+and the membership table and mask cost time that grows with frobenius.
 
 The full semigroup N (generated by 1) is admitted with the conventions
 frobenius = -1, pseudo-Frobenius set {-1}, type 1.
@@ -94,8 +95,8 @@ class NumericalSemigroup:
                 raise TypeError(f"generator {g!r} is not an integer")
             if g <= 0:
                 raise ValueError(f"generator {g} is not positive")
-            if g > GENERATOR_LIMIT:
-                raise GeneratorTooLargeError(f"generator {g} exceeds {GENERATOR_LIMIT}")
+            if g >= GENERATOR_LIMIT:
+                raise GeneratorTooLargeError(f"generator {g} is not below {GENERATOR_LIMIT}")
         if math.gcd(*raw) != 1:
             raise GcdNotOneError(f"gcd of {raw} is {math.gcd(*raw)}, not 1")
 
@@ -190,11 +191,9 @@ class NumericalSemigroup:
         """Membership of [0, window) as a bitmask integer (bit x set
         iff x is an element)."""
         if self._ext_mask is None:
-            mask = 0
-            for x, bit in enumerate(self.member_table()):
-                if bit:
-                    mask |= 1 << x
-            self._ext_mask = mask
+            # bit x is digit x from the right of the table spelled in '0'/'1'
+            digits = self.member_table()[::-1].translate(bytes.maketrans(b"\0\1", b"01"))
+            self._ext_mask = int(digits, 2)
         return self._ext_mask
 
     # ------------------------------------------------------------------
@@ -220,29 +219,30 @@ class NumericalSemigroup:
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Ascending tuple of pseudo-Frobenius numbers: gaps f with
-        f + s in S for every nonzero element s."""
+        f + s in S for every nonzero element s.
+
+        f is pseudo-Frobenius iff w = f + m is maximal in the Apery set
+        under the order induced by S, i.e. iff w + n leaves the Apery set
+        for every generator n; O(m * embedding dimension) lookups.
+        """
         if self._pf is None:
             if self.is_full():
                 self._pf = (-1,)
             else:
-                gens = self.generators
-                self._pf = tuple(
-                    g for g in self.gaps() if all(self.contains(g + n) for n in gens)
-                )
+                m = self.generators[0]
+                apery = self.apery
+                others = self.generators[1:]
+                out = []
+                for w in apery:
+                    for n in others:
+                        x = w + n
+                        if x == apery[x % m]:
+                            break
+                    else:
+                        out.append(w - m)
+                out.sort()
+                self._pf = tuple(out)
         return self._pf
-
-    def _pf_via_apery_maximality(self) -> tuple[int, ...]:
-        """Independent route: f is pseudo-Frobenius iff f + m is maximal
-        in the Apery set under the order induced by S."""
-        m = self.generators[0]
-        apery = self.apery
-        out = [
-            w - m
-            for w in apery
-            if not any(wp != w and self.contains(wp - w) for wp in apery)
-        ]
-        out.sort()
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # factorizations
@@ -308,9 +308,6 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({', '.join(map(str, self.generators))})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
 
     def elements_below(self, bound: int) -> Iterator[int]:
         """Elements of S in [0, bound), ascending."""

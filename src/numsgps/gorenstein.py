@@ -1,5 +1,9 @@
 """Canonical ideal, symmetry predicates, and nearly Gorenstein vectors.
 
+The symmetry predicates, candidate sets and NG-vector test read only the
+pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the type),
+never a window as wide as the Frobenius number.
+
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
 f_i with n_i + f_i - f in S for all pseudo-Frobenius f) and the trace route
@@ -83,27 +87,9 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
-    """True iff the canonical ideal equals S itself."""
-    K = canonical_ideal(S)
-    below = tuple(x for x in range(K.conductor) if S.contains(x))
-    return K.elements_below_conductor == below
-
-
-def pf_shift_mask(S: NumericalSemigroup) -> int:
-    """Bit v set iff v - f lies in S for every pseudo-Frobenius f.
-
-    Valid for v in [0, window); built by intersecting shifted membership
-    masks, one shift per pseudo-Frobenius number.
-    """
-    mask = S.member_mask()
-    w = S.window()
-    # everything at or above the window is a member as far as shifts care
-    mask |= ((1 << w) - 1) << w
-    pf = S.pseudo_frobenius()
-    acc = mask << pf[0]
-    for f in pf[1:]:
-        acc &= mask << f
-    return acc
+    """True iff the canonical ideal equals S itself, i.e. iff the
+    Frobenius number is the only pseudo-Frobenius number."""
+    return S.type == 1
 
 
 def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
@@ -114,11 +100,22 @@ def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
     set is always a subset of {frobenius}.
     """
     _require_proper(S)
-    acc = pf_shift_mask(S)
+    m = S.generators[0]
+    apery = S.apery
     pf = S.pseudo_frobenius()
-    return [
-        frozenset(g for g in pf if (acc >> (n + g)) & 1) for n in S.generators
-    ]
+    out = []
+    for n in S.generators:
+        cands = []
+        for g in pf:
+            base = n + g
+            for f in pf:
+                x = base - f
+                if x < apery[x % m]:
+                    break
+            else:
+                cands.append(g)
+        out.append(frozenset(cands))
+    return out
 
 
 def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
@@ -127,11 +124,9 @@ def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
 
 def is_almost_symmetric(S: NumericalSemigroup) -> bool:
     """True iff n + frobenius - f lies in S for every generator n and every
-    pseudo-Frobenius f."""
+    pseudo-Frobenius f, i.e. iff (frobenius, ..., frobenius) is an NG-vector."""
     _require_proper(S)
-    acc = pf_shift_mask(S)
-    F = S.frobenius
-    return all((acc >> (n + F)) & 1 for n in S.generators)
+    return is_ng_vector(S, (S.frobenius,) * S.embedding_dimension)
 
 
 def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
@@ -229,8 +224,14 @@ def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
     """Membership test for the defining condition, without enumerating."""
     if len(entries) != S.embedding_dimension:
         return False
-    pf = set(S.pseudo_frobenius())
+    pf = S.pseudo_frobenius()
     if any(f not in pf for f in entries):
         return False
-    acc = pf_shift_mask(S)
-    return all((acc >> (n + f)) & 1 for n, f in zip(S.generators, entries))
+    m = S.generators[0]
+    apery = S.apery
+    for n, g in zip(S.generators, entries):
+        for f in pf:
+            x = n + g - f
+            if x < apery[x % m]:
+                return False
+    return True

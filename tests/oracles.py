@@ -12,6 +12,7 @@ import random
 from itertools import product
 from math import gcd
 
+from numsgps.gorenstein import canonical_ideal
 from numsgps.rf import classify_pf
 from numsgps.verify.claims import PASS, ClaimResult, _fail
 
@@ -93,6 +94,61 @@ def brute_ng_candidates(generators, pf, contains):
 
 def brute_nearly_gorenstein(generators, pf, contains):
     return all(brute_ng_candidates(generators, pf, contains))
+
+
+def gap_scan_pseudo_frobenius(S):
+    """Pseudo-Frobenius numbers by scanning every gap f for f + n in S
+    over the generators n."""
+    if S.is_full():
+        return (-1,)
+    gens = S.generators
+    return tuple(g for g in S.gaps() if all(S.contains(g + n) for n in gens))
+
+
+def canonical_ideal_symmetric(S):
+    """Symmetry as K(S) == S, compared below the conductor of K."""
+    K = canonical_ideal(S)
+    below = tuple(x for x in range(K.conductor) if S.contains(x))
+    return K.elements_below_conductor == below
+
+
+def pf_shift_mask(S):
+    """Bit v set iff v - f lies in S for every pseudo-Frobenius f (from the
+    gap scan), for v in [0, window): shifted membership masks intersected."""
+    mask = S.member_mask()
+    w = S.window()
+    # everything at or above the window is a member as far as shifts care
+    mask |= ((1 << w) - 1) << w
+    pf = gap_scan_pseudo_frobenius(S)
+    acc = mask << pf[0]
+    for f in pf[1:]:
+        acc &= mask << f
+    return acc
+
+
+def mask_ng_candidates(S):
+    """Candidate sets read off pf_shift_mask, ascending tuples."""
+    acc = pf_shift_mask(S)
+    pf = gap_scan_pseudo_frobenius(S)
+    return [tuple(g for g in pf if (acc >> (n + g)) & 1) for n in S.generators]
+
+
+def mask_almost_symmetric(S):
+    """n + F - f in S for every generator n and pseudo-Frobenius f, read
+    off pf_shift_mask."""
+    acc = pf_shift_mask(S)
+    F = S.frobenius
+    return all((acc >> (n + F)) & 1 for n in S.generators)
+
+
+def mask_is_ng_vector(S, entries):
+    """The NG-vector condition read off pf_shift_mask."""
+    if len(entries) != S.embedding_dimension:
+        return False
+    if any(f not in gap_scan_pseudo_frobenius(S) for f in entries):
+        return False
+    acc = pf_shift_mask(S)
+    return all((acc >> (n + f)) & 1 for n, f in zip(S.generators, entries))
 
 
 def brute_ng_vectors(generators, pf, contains):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from numsgps import NumericalSemigroup
 from numsgps.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_cases.jsonl"
@@ -186,3 +187,44 @@ def test_construct_tower_levels(capsys):
     assert [lv["embedding_dimension"] for lv in levels] == [3, 6, 12]
     assert [lv["type"] for lv in levels] == [2, 5, 11]
     assert [lv["excess"] for lv in levels] == [-4, -7, -13]
+
+
+def test_info_near_the_generator_limit(capsys):
+    code, lines = run_cli(["info", "3,2147483647"], capsys)
+    assert code == 0
+    payload = json.loads(lines[0])["payload"]
+    assert payload["frobenius"] == 4294967291
+    assert payload["genus"] == 2147483646
+    assert payload["pf"] == [4294967291]
+    code, lines = run_cli(["info", "3,2147483648"], capsys)
+    assert code == 2
+    assert json.loads(lines[0])["payload"]["error"] == "GeneratorTooLarge"
+
+
+def test_info_reads_no_frobenius_sized_window(capsys, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("window materialized")
+
+    for name in ("gaps", "member_table", "member_mask"):
+        monkeypatch.setattr(NumericalSemigroup, name, refuse)
+    for a, b in ((3, 1000003), (7, 123456), (1009, 2**31 - 1)):
+        code, lines = run_cli(["info", f"{a},{b}"], capsys)
+        assert code == 0
+        payload = json.loads(lines[0])["payload"]
+        F = a * b - a - b
+        assert payload["frobenius"] == F
+        assert payload["genus"] == (a - 1) * (b - 1) // 2
+        assert payload["pf"] == [F]
+        assert payload["type"] == 1
+        assert payload["symmetric"] is True
+        assert payload["almost_symmetric"] is True
+        assert payload["nearly_gorenstein"] is True
+    # <5, 5 + d, 5 + 2d> with gcd(5, d) = 1 has Frobenius number 4d + 5
+    d = 10**6 + 1
+    code, lines = run_cli(["info", f"5,{5 + d},{5 + 2 * d}"], capsys)
+    assert code == 0
+    payload = json.loads(lines[0])["payload"]
+    assert payload["frobenius"] == 4 * d + 5
+    assert payload["pf"][-1] == payload["frobenius"]
+    assert payload["type"] == len(payload["pf"])
+    assert payload["symmetric"] == (payload["type"] == 1)

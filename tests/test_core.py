@@ -39,6 +39,8 @@ def test_constructor_rejects_bad_input():
         NumericalSemigroup((0, 5))
     with pytest.raises(GeneratorTooLargeError):
         NumericalSemigroup((2, 2**31 + 1))
+    with pytest.raises(GeneratorTooLargeError):
+        NumericalSemigroup((3, 2**31))
 
 
 def test_trivial_semigroup_conventions():
@@ -104,6 +106,21 @@ def test_member_table_and_mask_agree():
     for x in range(S.window()):
         assert table[x] == S.contains(x)
         assert bool((mask >> x) & 1) == table[x]
+
+
+def test_member_mask_on_a_wide_window():
+    S = NumericalSemigroup((3, 100003))
+    w = S.window()
+    assert w > 10**5
+    mask = S.member_mask()
+    table = S.member_table()
+    assert mask.bit_length() == w
+    assert mask.bit_count() == table.count(1) == w - S.genus
+    rng = random.Random(11)
+    probes = list(range(40)) + list(range(S.frobenius - 40, w))
+    probes += [rng.randrange(w) for _ in range(200)]
+    for x in probes:
+        assert bool((mask >> x) & 1) == S.contains(x)
 
 
 def test_elements_below():

@@ -1,5 +1,6 @@
 """Symmetry classes, canonical ideal, and NG-vector enumeration."""
 
+import math
 import random
 
 import pytest
@@ -23,8 +24,13 @@ from oracles import (
     brute_ng_candidates,
     brute_ng_vectors,
     brute_symmetric,
+    canonical_ideal_symmetric,
+    gap_scan_pseudo_frobenius,
     gaps_to_generators,
     genus_tree_semigroups,
+    mask_almost_symmetric,
+    mask_is_ng_vector,
+    mask_ng_candidates,
     random_generators,
     sieve_invariants,
 )
@@ -168,3 +174,54 @@ def test_max_embedding_dimension_candidate_sizes():
         sizes = [len(c) for c in ng_candidates(S)]
         assert sizes == [min(i, m - 1) for i in range(1, m + 1)]
         assert is_nearly_gorenstein(S)
+
+
+def _sparse_generators(rng):
+    """A seeded system with a small multiplicity and a few large generators,
+    so the Frobenius number reaches a few thousand."""
+    while True:
+        m = rng.randint(3, 30)
+        gens = [m] + [rng.randint(m + 1, 1200) for _ in range(rng.randint(1, 3))]
+        g = 0
+        for n in gens:
+            g = math.gcd(g, n)
+        if g == 1:
+            S = NumericalSemigroup(gens)
+            if S.frobenius <= 6000:
+                return S
+
+
+def _assert_apery_routes_match_window_routes(S, rng):
+    pf = S.pseudo_frobenius()
+    assert pf == gap_scan_pseudo_frobenius(S)
+    assert is_symmetric(S) == canonical_ideal_symmetric(S)
+    assert is_almost_symmetric(S) == mask_almost_symmetric(S)
+    cands = ng_candidates(S)
+    assert [tuple(sorted(c)) for c in cands] == mask_ng_candidates(S)
+    probes = [(S.frobenius,) * S.embedding_dimension, (S.frobenius,)]
+    probes += [tuple(rng.choice(pf) for _ in S.generators) for _ in range(4)]
+    if all(cands):
+        probes.append(tuple(max(c) for c in cands))
+        probes.append(tuple(min(c) for c in cands))
+    for entries in probes:
+        assert is_ng_vector(S, entries) == mask_is_ng_vector(S, entries)
+
+
+def test_apery_routes_agree_with_window_routes():
+    rng = random.Random(3141)
+    count = 0
+    for S in census(12):
+        _assert_apery_routes_match_window_routes(S, rng)
+        count += 1
+    assert count == 1412
+    frobs = []
+    for _ in range(60):
+        S = NumericalSemigroup(random_generators(rng, frobenius_cap=3000))
+        _assert_apery_routes_match_window_routes(S, rng)
+        S = _sparse_generators(rng)
+        _assert_apery_routes_match_window_routes(S, rng)
+        frobs.append(S.frobenius)
+    assert max(frobs) > 2000
+    N = NumericalSemigroup((1,))
+    assert N.pseudo_frobenius() == gap_scan_pseudo_frobenius(N)
+    assert is_symmetric(N) == canonical_ideal_symmetric(N)
