@@ -42,9 +42,9 @@ from .gorenstein import (
 )
 from .rf import (
     classify_pf,
+    matrix_count,
     minus_row_lists,
     plus_row_lists,
-    resolve_matrix_cap,
     rf_minus_iter,
     rf_plus_iter,
 )
@@ -188,42 +188,21 @@ def _select_vector(S: NumericalSemigroup, index: int):
 def _cmd_rf(args) -> int:
     S = NumericalSemigroup(args.generators)
     f = args.f
-    if args.kind == "plus":
-        row_lists = plus_row_lists(S, f)
-        vector = None
-        matrices = lambda: rf_plus_iter(S, f)
-    else:
-        vec = _select_vector(S, args.ng_index)
-        row_lists = minus_row_lists(S, vec, f)
-        vector = list(vec.entries)
-        matrices = lambda: rf_minus_iter(S, vec, f)
-    count = 1
-    for lst in row_lists:
-        count *= len(lst)
+    vec = None if args.kind == "plus" else _select_vector(S, args.ng_index)
+
+    def emit(**fields) -> None:
+        payload = {"f": f, "kind": args.kind, **fields}
+        if vec is not None:
+            payload["vector"] = list(vec.entries)
+        _emit("rf", payload, args.pretty)
+
     if args.count:
-        payload = {
-            "f": f,
-            "kind": args.kind,
-            "count": count,
-            "row_counts": [len(lst) for lst in row_lists],
-        }
-        if vector is not None:
-            payload["vector"] = vector
-        _emit("rf", payload, args.pretty)
+        row_lists = plus_row_lists(S, f) if vec is None else minus_row_lists(S, vec, f)
+        emit(count=matrix_count(row_lists), row_counts=[len(r) for r in row_lists])
         return 0
-    cap = resolve_matrix_cap()
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    for index, M in enumerate(matrices()):
-        payload = {
-            "f": f,
-            "kind": args.kind,
-            "index": index,
-            "rows": [list(row) for row in M.entries],
-        }
-        if vector is not None:
-            payload["vector"] = vector
-        _emit("rf", payload, args.pretty)
+    matrices = rf_plus_iter(S, f) if vec is None else rf_minus_iter(S, vec, f)
+    for index, M in enumerate(matrices):
+        emit(index=index, rows=[list(row) for row in M.entries])
     return 0
 
 
@@ -257,12 +236,7 @@ def _report_payload(report) -> dict:
 
 def _cmd_verify(args) -> int:
     if args.gens is not None:
-        report = check_semigroup(
-            args.gens,
-            claims=args.claims or CLAIM_NAMES,
-            seed=args.seed,
-            coppie_pair_cap=args.coppie_pair_cap,
-        )
+        report = check_semigroup(args.gens, claims=args.claims or CLAIM_NAMES)
         _emit("verify", _report_payload(report), args.pretty)
         return 1 if report.failures else 0
     if args.genus_max is None:
@@ -274,8 +248,6 @@ def _cmd_verify(args) -> int:
             embdim_filter=args.embdim,
             claims=args.claims or CLAIM_NAMES,
             workers=args.workers,
-            seed=args.seed,
-            coppie_pair_cap=args.coppie_pair_cap,
         )
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
@@ -418,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", type=_parse_claims, default=None,
                    help="comma-separated claim names (default: all)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coppie-pair-cap", type=int, default=10_000)
     p.add_argument("--reports", action="store_true",
                    help="stream one record per semigroup (workers 1 only)")
     add_pretty(p)

@@ -8,7 +8,6 @@ instead of returning a semigroup that silently lacks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from math import gcd
 
@@ -313,41 +312,3 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
         )
     return S
 
-
-class Family(Enum):
-    """Named builders reachable from parameter records."""
-
-    BACKELIN = "backelin"
-    DIM6 = "dim6"
-    DUP_TOWER = "tower"
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameter record for a family build; unused fields stay at their
-    defaults (e.g. d, k only matter for DIM6)."""
-
-    family: Family
-    T: int = 0
-    d: int = 0
-    k: int = 0
-    depth: int = 0
-
-
-def build_family(
-    params: FamilyParams,
-    base: NumericalSemigroup | None = None,
-    b_selector=None,
-):
-    """Dispatch a FamilyParams record to its builder.  DUP_TOWER needs the
-    seed semigroup and returns the whole chain; the others return a single
-    semigroup."""
-    if params.family is Family.BACKELIN:
-        return backelin(params.T)
-    if params.family is Family.DIM6:
-        return family_dim6(params.T, params.d, params.k)
-    if params.family is Family.DUP_TOWER:
-        if base is None:
-            raise ValueError("a tower needs a base semigroup")
-        return duplication_tower(base, params.depth, b_selector)
-    raise ValueError(f"unknown family {params.family!r}")

@@ -266,9 +266,15 @@ class NumericalSemigroup:
         self, x: int, support: Sequence[int] | None = None
     ) -> list[tuple[int, ...]]:
         """Like factorizations() but plain coefficient tuples, and without
-        the membership precondition (returns [] when x has none)."""
+        the membership precondition (returns [] when x has none).
+
+        The search fixes the largest generators first and solves for the
+        smallest by division, which visits far fewer partial sums than the
+        ascending order; the result is then sorted into descending order.
+        """
         nu = len(self.generators)
         positions = tuple(range(nu)) if support is None else tuple(sorted(support))
+        positions = positions[::-1]
         out: list[tuple[int, ...]] = []
         coeffs = [0] * nu
         gens = self.generators
@@ -293,6 +299,7 @@ class NumericalSemigroup:
 
         if x >= 0:
             descend(0, x)
+        out.sort(reverse=True)
         return out
 
     # ------------------------------------------------------------------

@@ -67,7 +67,10 @@ def _vector_entries(ng: NGVector | Sequence[int]) -> tuple[int, ...]:
     return tuple(ng)
 
 
-def _rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
+def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
+    """Factorizations of a row value as matrix rows with -1 at position i;
+    the coefficient there vanishes because a nonzero one would place a
+    pseudo-Frobenius difference inside S."""
     rows = []
     for coeffs in factorizations:
         assert coeffs[i] == 0
@@ -80,7 +83,7 @@ def plus_row_lists(S: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]
     if f not in S.pseudo_frobenius():
         raise NotPseudoFrobeniusError(f"{f} is not a pseudo-Frobenius number")
     return [
-        _rows_with_diagonal(S.factorization_tuples(f + n), i)
+        rows_with_diagonal(S.factorization_tuples(f + n), i)
         for i, n in enumerate(S.generators)
     ]
 
@@ -97,69 +100,71 @@ def minus_row_lists(
     if f in entries:
         raise VectorEntryError(f"{f} occurs in the vector {entries}; no subtractive matrix")
     return [
-        _rows_with_diagonal(S.factorization_tuples(n + fi - f), i)
+        rows_with_diagonal(S.factorization_tuples(n + fi - f), i)
         for i, (n, fi) in enumerate(zip(S.generators, entries))
     ]
 
 
-def _count(row_lists: list[list[tuple[int, ...]]]) -> int:
+def matrix_count(row_lists: list[list[tuple[int, ...]]]) -> int:
+    """Number of matrices assembled from independent per-row choices."""
     return math.prod(len(rows) for rows in row_lists)
 
 
-def _iter_matrices(
+def _matrices(
     kind: RFKind,
     f: int,
     generators: tuple[int, ...],
     row_lists: list[list[tuple[int, ...]]],
     ng: tuple[int, ...] | None,
+    cap: int | None,
 ) -> Iterator[RFMatrix]:
-    for combo in itertools.product(*row_lists):
-        yield RFMatrix(kind, f, generators, combo, ng)
-
-
-def rf_plus_count(S: NumericalSemigroup, f: int) -> int:
-    return _count(plus_row_lists(S, f))
-
-
-def rf_minus_count(S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int) -> int:
-    return _count(minus_row_lists(S, ng, f))
-
-
-def rf_plus_iter(S: NumericalSemigroup, f: int) -> Iterator[RFMatrix]:
-    yield from _iter_matrices(RFKind.PLUS, f, S.generators, plus_row_lists(S, f), None)
-
-
-def rf_minus_iter(
-    S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int
-) -> Iterator[RFMatrix]:
-    entries = _vector_entries(ng)
-    yield from _iter_matrices(
-        RFKind.MINUS, f, S.generators, minus_row_lists(S, ng, f), entries
-    )
-
-
-def rf_plus(S: NumericalSemigroup, f: int, cap: int | None = None) -> list[RFMatrix]:
-    """All additive matrices of f, or EnumerationCapError carrying the
-    exact count when there are more than the cap allows."""
-    rows = plus_row_lists(S, f)
-    count = _count(rows)
+    count = matrix_count(row_lists)
     cap = resolve_matrix_cap(cap)
     if count > cap:
         raise EnumerationCapError(count, cap)
-    return list(_iter_matrices(RFKind.PLUS, f, S.generators, rows, None))
+    return (
+        RFMatrix(kind, f, generators, combo, ng)
+        for combo in itertools.product(*row_lists)
+    )
+
+
+def rf_plus_count(S: NumericalSemigroup, f: int) -> int:
+    return matrix_count(plus_row_lists(S, f))
+
+
+def rf_minus_count(S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int) -> int:
+    return matrix_count(minus_row_lists(S, ng, f))
+
+
+def rf_plus_iter(
+    S: NumericalSemigroup, f: int, cap: int | None = None
+) -> Iterator[RFMatrix]:
+    """Lazy stream of the additive matrices of f.  Raises
+    EnumerationCapError carrying the exact count, before any matrix is
+    built, when there are more than the cap allows."""
+    return _matrices(RFKind.PLUS, f, S.generators, plus_row_lists(S, f), None, cap)
+
+
+def rf_minus_iter(
+    S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int, cap: int | None = None
+) -> Iterator[RFMatrix]:
+    """Lazy stream of the subtractive matrices of f for the given vector,
+    cap as above."""
+    entries = _vector_entries(ng)
+    rows = minus_row_lists(S, entries, f)
+    return _matrices(RFKind.MINUS, f, S.generators, rows, entries, cap)
+
+
+def rf_plus(S: NumericalSemigroup, f: int, cap: int | None = None) -> list[RFMatrix]:
+    """All additive matrices of f, cap as in rf_plus_iter."""
+    return list(rf_plus_iter(S, f, cap))
 
 
 def rf_minus(
     S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int, cap: int | None = None
 ) -> list[RFMatrix]:
     """All subtractive matrices of f for the given vector, cap as above."""
-    entries = _vector_entries(ng)
-    rows = minus_row_lists(S, entries, f)
-    count = _count(rows)
-    cap = resolve_matrix_cap(cap)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    return list(_iter_matrices(RFKind.MINUS, f, S.generators, rows, entries))
+    return list(rf_minus_iter(S, ng, f, cap))
 
 
 def check_coppie(A: RFMatrix, B: RFMatrix) -> bool:
@@ -172,10 +177,10 @@ def check_coppie(A: RFMatrix, B: RFMatrix) -> bool:
         raise MismatchedPairError("matrices belong to different semigroups")
     if A.f != B.f:
         raise MismatchedPairError(f"matrices factor different numbers: {A.f} vs {B.f}")
-    nu = len(A.generators)
-    for j in range(nu):
-        for k in range(nu):
-            if j != k and A.entries[j][k] != 0 and B.entries[k][j] != 0:
+    minus = B.entries
+    for j, row in enumerate(A.entries):
+        for k, a in enumerate(row):
+            if a and j != k and minus[k][j]:
                 return False
     return True
 

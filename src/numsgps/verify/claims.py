@@ -20,15 +20,14 @@ of enumeration:
 
 Vectors are enumerated only for five-generated semigroups, where
 THM_3DISTINCT, the PF1/PF2/MU bounds and PF2_TWO_ZEROES read each vector
-and its PF split.  The literal per-vector routes of the other claims are
-kept in the tests as cross-checks of the factored ones.
+and its PF split.  Explicit matrices are built only to fill a failure
+payload.  The literal per-vector and per-matrix routes are kept in the
+tests as cross-checks of the factored ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,14 +42,12 @@ from ..gorenstein import (
 from ..rf import (
     MaxGapTable,
     PFClassification,
-    RFKind,
-    RFMatrix,
-    check_coppie,
     classify_pf,
     max_gap_table,
     minus_row_lists,
     mu_values,
     plus_row_lists,
+    rows_with_diagonal,
 )
 
 PASS = "pass"
@@ -79,15 +76,6 @@ CLAIM_NAMES = (
 # QUESTION_MS is report-only: it never fails, it only flags candidates
 ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
 
-# explicit matrix pairs are assembled and pushed through check_coppie
-# only on small instances; the factored check already covers all pairs
-COPPIE_EXPLICIT_NU = 6
-COPPIE_EXPLICIT_TOTAL = 256
-COPPIE_SAMPLE_PAIRS = 64
-# per semigroup, this many subtractive row lists are rebuilt explicitly
-# to back the membership-level zero checks
-FIRST_ZERO_ROW_CHECKS = 2
-
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -99,20 +87,13 @@ class ClaimContext:
     """Lazy shared computations for one semigroup.
 
     Everything expensive (pseudo-Frobenius set, candidate sets, vectors,
-    factorization lists, per-vector classifications) is computed at most
-    once and reused by all claims.  Factorization lists are memoized by
-    row value, which collapses the per-(position, entry, f) row requests
-    onto the few distinct values below the window.
+    per-vector classifications, the extremal gap table) is computed at
+    most once and reused by all claims.
     """
 
-    def __init__(self, S: NumericalSemigroup, seed: int = 0, coppie_pair_cap: int = 10_000):
+    def __init__(self, S: NumericalSemigroup):
         self.S = S
-        self.seed = seed
-        self.coppie_pair_cap = coppie_pair_cap
         self.vector_error: str | None = None
-        self._facts: dict[int, list[tuple[int, ...]]] = {}
-        self._minus: dict[tuple[tuple[int, ...], int], list] = {}
-        self._tail_ok: dict[tuple[int, int], bool] = {}
 
     @property
     def proper(self) -> bool:
@@ -176,38 +157,6 @@ class ClaimContext:
         if not self.proper:
             return None
         return max_gap_table(self.S)
-
-    def fact(self, value: int) -> list[tuple[int, ...]]:
-        if value not in self._facts:
-            self._facts[value] = self.S.factorization_tuples(value)
-        return self._facts[value]
-
-    def rows_at(self, pos: int, value: int) -> list[tuple[int, ...]]:
-        """Factorizations of `value` as matrix rows with -1 at `pos`;
-        the coefficient there vanishes automatically because a nonzero
-        one would place a pseudo-Frobenius difference inside S."""
-        rows = []
-        for coeffs in self.fact(value):
-            assert coeffs[pos] == 0
-            rows.append(coeffs[:pos] + (-1,) + coeffs[pos + 1 :])
-        return rows
-
-    def minus_lists(self, entries: tuple[int, ...], f: int) -> list:
-        key = (entries, f)
-        if key not in self._minus:
-            self._minus[key] = minus_row_lists(self.S, entries, f)
-        return self._minus[key]
-
-    def tail_factorization_exists(self, f: int, start: int) -> bool:
-        """Whether frobenius - f + n_1 factors over the generator
-        positions start..nu-1 (0-based)."""
-        key = (f, start)
-        if key not in self._tail_ok:
-            S = self.S
-            value = S.frobenius - f + S.generators[0]
-            support = tuple(range(start, S.embedding_dimension))
-            self._tail_ok[key] = bool(S.factorization_tuples(value, support=support))
-        return self._tail_ok[key]
 
     def avoiding_masks(self, excluded: tuple[int, ...]) -> list[int] | None:
         """Per-position candidate masks with the excluded values dropped,
@@ -413,9 +362,10 @@ def claim_coppie(ctx: ClaimContext) -> ClaimResult:
     subtractive) matrix pair multiplies to zero entrywise off the
     diagonal.
 
-    Exact over all pairs via the membership reduction; on small instances
-    explicit pairs are additionally assembled and pushed through
-    check_coppie (exhaustively up to the cap, else a seeded sample).
+    Exact over all pairs via the membership reduction: column k of the
+    additive row at j and column j of the subtractive row at k can both
+    be nonzero iff d = f + n_j - n_k lies in S and some candidate g at
+    position k has g - d in S.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
         return ClaimResult(NA)
@@ -435,9 +385,6 @@ def claim_coppie(ctx: ClaimContext) -> ClaimResult:
                 d = f + gens[j] - gens[k]
                 if S.contains(d) and _entry_possible(ctx, masks[k], d):
                     return _coppie_fail(ctx, f, masks, j, k, d)
-        bad = _coppie_explicit(ctx, f, masks)
-        if bad is not None:
-            return _fail(ctx, f=f, **bad)
     return ClaimResult(PASS) if checked else ClaimResult(NA)
 
 
@@ -448,8 +395,12 @@ def _coppie_fail(
     S = ctx.S
     gens = S.generators
     nu = len(gens)
-    plus_rows = [ctx.rows_at(p, f + gens[p])[0] for p in range(nu)]
-    for row in ctx.rows_at(j, f + gens[j]):
+
+    def rows(p: int, value: int) -> list[tuple[int, ...]]:
+        return rows_with_diagonal(S.factorization_tuples(value), p)
+
+    plus_rows = [rows(p, f + gens[p])[0] for p in range(nu)]
+    for row in rows(j, f + gens[j]):
         if row[k] > 0:
             plus_rows[j] = row
             break
@@ -463,9 +414,9 @@ def _coppie_fail(
                 if S.contains(cand - d):
                     g = cand
                     break
-        row = ctx.rows_at(p, gens[p] + g - f)[0]
+        row = rows(p, gens[p] + g - f)[0]
         if p == k:
-            for cand_row in ctx.rows_at(p, gens[p] + g - f):
+            for cand_row in rows(p, gens[p] + g - f):
                 if cand_row[j] > 0:
                     row = cand_row
                     break
@@ -481,55 +432,6 @@ def _coppie_fail(
     )
 
 
-def _coppie_explicit(ctx: ClaimContext, f: int, masks: list[int]) -> dict | None:
-    """Assemble concrete matrix pairs and run check_coppie on them: all
-    pairs when few, a seeded sample on slightly larger instances, nothing
-    on huge ones (the factored check already decided those)."""
-    S = ctx.S
-    gens = S.generators
-    nu = len(gens)
-    if nu > COPPIE_EXPLICIT_NU:
-        return None
-    if sum(m.bit_count() for m in masks) > 2 * COPPIE_EXPLICIT_NU:
-        return None
-    plus_lists = [ctx.rows_at(p, f + gens[p]) for p in range(nu)]
-    options = [
-        [
-            (row, g)
-            for g in _mask_values(masks[p], reverse=True)
-            for row in ctx.rows_at(p, gens[p] + g - f)
-        ]
-        for p in range(nu)
-    ]
-    total = math.prod(len(x) for x in plus_lists) * math.prod(len(x) for x in options)
-    cap = ctx.coppie_pair_cap
-    if total <= min(cap, COPPIE_EXPLICIT_TOTAL):
-        pairs = itertools.product(
-            itertools.product(*plus_lists), itertools.product(*options)
-        )
-    else:
-        rng = random.Random(f"{ctx.seed}:{gens}:{f}")
-        sample = min(cap, COPPIE_SAMPLE_PAIRS)
-        pairs = (
-            (
-                tuple(rows[rng.randrange(len(rows))] for rows in plus_lists),
-                tuple(opts[rng.randrange(len(opts))] for opts in options),
-            )
-            for _ in range(sample)
-        )
-    for plus_rows, option_rows in pairs:
-        A = RFMatrix(RFKind.PLUS, f, gens, tuple(plus_rows), None)
-        entries = tuple(g for _, g in option_rows)
-        B = RFMatrix(RFKind.MINUS, f, gens, tuple(r for r, _ in option_rows), entries)
-        if not check_coppie(A, B):
-            return {
-                "vector": list(entries),
-                "plus": [list(r) for r in A.entries],
-                "minus": [list(r) for r in B.entries],
-            }
-    return None
-
-
 def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     """With h the first vector position whose entry leaves the Frobenius
     number and ell its companion, every subtractive matrix of every f
@@ -537,8 +439,9 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     and ell-row choices coincide outside those two columns.
 
     Both rows factor the same value F + n_ell - f, so the statements
-    reduce to F - f and f_h - f staying outside S; a bounded number of
-    instances per semigroup additionally rebuild the rows explicitly.
+    reduce to F - f and f_h - f staying outside S: a row factoring that
+    value with a nonzero entry at the other position of the pair would
+    leave one of these differences inside S.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
         return ClaimResult(NA)
@@ -548,7 +451,6 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     nu = len(gens)
     cands = ctx.candidates
     checked = False
-    explicit_budget = FIRST_ZERO_ROW_CHECKS
     for h0 in range(1, nu):
         if any(F not in cands[i] for i in range(h0)):
             break
@@ -572,37 +474,7 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
                         ctx, f=f, h=h0 + 1, ell=ell0 + 1, entry=g,
                         reason="entry (ell, h) can be nonzero",
                     )
-                if explicit_budget > 0:
-                    explicit_budget -= 1
-                    value = F + gens[ell0] - f
-                    rows_h = ctx.rows_at(h0, value)
-                    rows_l = ctx.rows_at(ell0, value)
-                    bad = _first_zero_rows(rows_h, rows_l, h0, ell0)
-                    if bad is not None:
-                        return _fail(
-                            ctx, f=f, h=h0 + 1, ell=ell0 + 1, entry=g, **bad
-                        )
     return ClaimResult(PASS) if checked else ClaimResult(NA)
-
-
-def _first_zero_rows(rows_h, rows_l, h0: int, ell0: int) -> dict | None:
-    for row in rows_h:
-        if row[ell0] != 0:
-            return {"row": list(row), "reason": "explicit h-row nonzero at ell"}
-    for row in rows_l:
-        if row[h0] != 0:
-            return {"row": list(row), "reason": "explicit ell-row nonzero at h"}
-
-    def off(row):
-        return tuple(c for i, c in enumerate(row) if i not in (h0, ell0))
-
-    if {off(r) for r in rows_h} != {off(r) for r in rows_l}:
-        return {
-            "h_rows": [list(r) for r in rows_h],
-            "ell_rows": [list(r) for r in rows_l],
-            "reason": "h-row and ell-row choices differ off the pair",
-        }
-    return None
 
 
 def _two_zero_payload(lists) -> dict | None:
@@ -639,7 +511,7 @@ def claim_pf2_two_zeroes(ctx: ClaimContext) -> ClaimResult:
             bad = _two_zero_payload(plus_row_lists(ctx.S, f))
             if bad is not None:
                 return _fail(ctx, vector=list(vec.entries), f=f, side="plus", **bad)
-            bad = _two_zero_payload(ctx.minus_lists(vec.entries, f))
+            bad = _two_zero_payload(minus_row_lists(ctx.S, vec.entries, f))
             if bad is not None:
                 return _fail(ctx, vector=list(vec.entries), f=f, side="minus", **bad)
     return ClaimResult(PASS) if checked else ClaimResult(NA)
@@ -684,10 +556,9 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
                     g = next(
                         g for g in _mask_values(masks[q - 1]) if S.contains(g - d)
                     )
+                    facts = S.factorization_tuples(gens[q - 1] + g - f)
                     row = next(
-                        r
-                        for r in ctx.rows_at(q - 1, gens[q - 1] + g - f)
-                        if r[p - 1] > 0
+                        r for r in rows_with_diagonal(facts, q - 1) if r[p - 1] > 0
                     )
                     return _fail(
                         ctx, f=f, f_prime=f2, p=p, q=q, s=s, entry=g, row=list(row)
@@ -758,10 +629,11 @@ def _ngv_props_factored(ctx: ClaimContext) -> ClaimResult:
     while imax < nu and forced[imax] in cands[imax]:
         imax += 1
     pinned = set(forced[:imax])
+    tail = tuple(range(imax, nu))
     for f in ctx.pf:
         if f in pinned:
             continue
-        if not ctx.tail_factorization_exists(f, imax):
+        if not S.factorization_tuples(F - f + gens[0], support=tail):
             return _fail(
                 ctx, f=f, prefix_length=imax,
                 reason="no factorization over the later generators",
@@ -852,16 +724,13 @@ CLAIM_FUNCTIONS = {
 
 
 def run_claims(
-    S: NumericalSemigroup,
-    names: tuple[str, ...] = CLAIM_NAMES,
-    seed: int = 0,
-    coppie_pair_cap: int = 10_000,
+    S: NumericalSemigroup, names: tuple[str, ...] = CLAIM_NAMES
 ) -> tuple[dict[str, ClaimResult], ClaimContext]:
     """Evaluate the named claims on one semigroup; returns the result map
     and the context (whose cached facts the caller may reuse)."""
     unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
     if unknown:
         raise ValueError(f"unknown claims: {unknown}")
-    ctx = ClaimContext(S, seed=seed, coppie_pair_cap=coppie_pair_cap)
+    ctx = ClaimContext(S)
     results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}
     return results, ctx

@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
-from numsgps.gorenstein import canonical_ideal
-from numsgps.rf import classify_pf
-from numsgps.verify.claims import PASS, ClaimResult, _fail
+from numsgps.errors import EnumerationCapError
+from numsgps.gorenstein import canonical_ideal, ng_candidates, ng_vectors
+from numsgps.rf import (
+    check_coppie,
+    classify_pf,
+    minus_row_lists,
+    rf_minus,
+    rf_plus,
+)
+from numsgps.verify.claims import FAIL, NA, PASS, ClaimResult, _fail
 
 
 def sieve_membership(generators, bound):
@@ -339,3 +346,80 @@ def literal_classification_variance(S, vectors):
         for f in cls.pf2:
             seen.setdefault(f, set()).add("pf2")
     return [(f, sorted(kinds)) for f, kinds in sorted(seen.items()) if len(kinds) > 1]
+
+
+def _literal_vectors(S, vector_cap):
+    """The NG-vectors of S, [] when S is trivial or not nearly Gorenstein,
+    None when there are more than vector_cap of them."""
+    if S.embedding_dimension < 2:
+        return []
+    cands = ng_candidates(S)
+    if not all(cands):
+        return []
+    if prod(len(c) for c in cands) > vector_cap:
+        return None
+    return ng_vectors(S)
+
+
+def literal_coppie(S, vector_cap=256, pair_cap=10**4):
+    """COPPIE pair by pair: for every NG-vector v and every f in PF outside
+    v, every (additive, subtractive) matrix pair goes through check_coppie.
+
+    Returns (status, instances), instances counting the (v, f) checked, or
+    None when S has more than vector_cap vectors or some (v, f) more than
+    pair_cap pairs."""
+    vectors = _literal_vectors(S, vector_cap)
+    if vectors is None:
+        return None
+    plus = {}
+    instances = 0
+    for v in vectors:
+        for f in S.pseudo_frobenius():
+            if f in v.entries:
+                continue
+            try:
+                if f not in plus:
+                    plus[f] = rf_plus(S, f, cap=pair_cap)
+                minus = rf_minus(S, v, f, cap=pair_cap)
+            except EnumerationCapError:
+                return None
+            if len(plus[f]) * len(minus) > pair_cap:
+                return None
+            instances += 1
+            for A in plus[f]:
+                if not all(check_coppie(A, B) for B in minus):
+                    return FAIL, instances
+    return (PASS if instances else NA), instances
+
+
+def literal_first_zero(S, vector_cap=256):
+    """FIRST_ZERO row list by row list: for every NG-vector v with its
+    divergence positions (h, ell) and every f in PF outside v, each
+    subtractive h-row is zero at ell, each ell-row is zero at h, and the
+    two lists agree outside columns h and ell.
+
+    Returns (status, instances) or None, as literal_coppie."""
+    vectors = _literal_vectors(S, vector_cap)
+    if vectors is None:
+        return None
+    instances = 0
+    for v in vectors:
+        if v.h is None:
+            continue
+        h, ell = v.h - 1, v.ell - 1
+
+        def off(row):
+            return tuple(c for i, c in enumerate(row) if i not in (h, ell))
+
+        for f in S.pseudo_frobenius():
+            if f in v.entries:
+                continue
+            instances += 1
+            lists = minus_row_lists(S, v, f)
+            if (
+                any(row[ell] != 0 for row in lists[h])
+                or any(row[h] != 0 for row in lists[ell])
+                or {off(r) for r in lists[h]} != {off(r) for r in lists[ell]}
+            ):
+                return FAIL, instances
+    return (PASS if instances else NA), instances

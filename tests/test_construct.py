@@ -4,8 +4,6 @@ import pytest
 
 from numsgps import (
     DuplicationSpec,
-    Family,
-    FamilyParams,
     FamilyPreconditionError,
     NotAlmostSymmetricError,
     NotAMemberError,
@@ -15,7 +13,6 @@ from numsgps import (
     ParameterTooSmallError,
     RelativeIdeal,
     backelin,
-    build_family,
     duplication_tower,
     family_dim6,
     ideal_from_generators,
@@ -176,30 +173,6 @@ def test_ideal_from_generators():
             x - 7 >= 0 and S.contains(x - 7)
         )
         assert (x in E) == expected
-
-
-def test_build_family_dispatch():
-    assert build_family(FamilyParams(Family.BACKELIN, T=3)).generators == (
-        124,
-        127,
-        134,
-        135,
-    )
-    assert build_family(FamilyParams(Family.DIM6, T=2, d=4, k=3)).generators == (
-        30,
-        33,
-        34,
-        37,
-        51,
-        55,
-    )
-    chain = build_family(
-        FamilyParams(Family.DUP_TOWER, depth=1),
-        base=NumericalSemigroup((3, 4, 5)),
-    )
-    assert chain[1].generators == (6, 8, 9, 10, 11, 13)
-    with pytest.raises(ValueError):
-        build_family(FamilyParams(Family.DUP_TOWER, depth=1))
 
 
 def test_family_round_trip():
