@@ -31,6 +31,7 @@ from .errors import (
     EnumerationCapError,
     GcdNotOneError,
     GeneratorTooLargeError,
+    InvalidArgumentError,
     SemigroupError,
 )
 from .gorenstein import (
@@ -54,7 +55,12 @@ from .verify.harness import HarnessConfig, check_all, check_semigroup
 SCHEMA_VERSION = "1"
 
 # exceptions that are the caller's fault rather than a mathematical state
-_USAGE_ERRORS = (EmptyGeneratorsError, GcdNotOneError, GeneratorTooLargeError)
+_USAGE_ERRORS = (
+    EmptyGeneratorsError,
+    GcdNotOneError,
+    GeneratorTooLargeError,
+    InvalidArgumentError,
+)
 
 
 def _parse_generators(text: str) -> tuple[int, ...]:
@@ -179,7 +185,7 @@ def _cmd_ng_vectors(args) -> int:
 def _select_vector(S: NumericalSemigroup, index: int):
     vectors = ng_vectors(S)
     if not 0 <= index < len(vectors):
-        raise IndexError(
+        raise InvalidArgumentError(
             f"NG-vector index {index} out of range (the semigroup has {len(vectors)})"
         )
     return vectors[index]
@@ -434,9 +440,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _USAGE_ERRORS as exc:
         _emit(args.record_kind, _error_payload(exc), args.pretty)
-        return 2
-    except IndexError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except SemigroupError as exc:
         _emit(args.record_kind, _error_payload(exc), args.pretty)

@@ -16,6 +16,7 @@ from .errors import (
     EmptyGeneratorsError,
     FamilyPreconditionError,
     FamilyPropertyError,
+    InvalidArgumentError,
     NotAlmostSymmetricError,
     NotAMemberError,
     NotAnIdealError,
@@ -131,7 +132,7 @@ def duplication_tower(
     which fails for it.
     """
     if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+        raise InvalidArgumentError(f"depth must be nonnegative, got {depth}")
     if not (S.is_full() or is_almost_symmetric(S)):
         raise NotAlmostSymmetricError(f"{S!r} is not almost symmetric")
     if b_selector is None:

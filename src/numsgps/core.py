@@ -22,6 +22,7 @@ from .errors import (
     EmptyGeneratorsError,
     GcdNotOneError,
     GeneratorTooLargeError,
+    InvalidArgumentError,
     NotAMemberError,
 )
 
@@ -94,7 +95,7 @@ class NumericalSemigroup:
             if not isinstance(g, int) or isinstance(g, bool):
                 raise TypeError(f"generator {g!r} is not an integer")
             if g <= 0:
-                raise ValueError(f"generator {g} is not positive")
+                raise InvalidArgumentError(f"generator {g} is not positive")
             if g >= GENERATOR_LIMIT:
                 raise GeneratorTooLargeError(f"generator {g} is not below {GENERATOR_LIMIT}")
         if math.gcd(*raw) != 1:

@@ -1,7 +1,8 @@
 """Exception types raised by the library.
 
 Everything derives from SemigroupError so callers can catch domain errors
-in one clause while programming errors (TypeError, ValueError) stay loud.
+in one clause while programming errors (TypeError, ValueError) stay loud;
+InvalidArgumentError is both, for arguments outside an operation's domain.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ class GcdNotOneError(SemigroupError):
 
 class GeneratorTooLargeError(SemigroupError):
     """A generator exceeds the supported magnitude (2**31)."""
+
+
+class InvalidArgumentError(SemigroupError, ValueError):
+    """An argument lies outside what the operation accepts: a generator
+    that is not positive, a negative depth, an unknown claim name, a
+    vector index out of range.  Also a ValueError, which these inputs
+    raised before they had a domain error of their own."""
 
 
 class NotAMemberError(SemigroupError):

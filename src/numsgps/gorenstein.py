@@ -142,9 +142,11 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     full = (1 << (2 * w)) - 1
     mask = S.member_mask() | (full ^ ((1 << w) - 1))
 
-    k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1)
-    for g in S.gaps():
-        k_mask |= 1 << (F - g)
+    # K: everything past F, and x <= F with F - x a gap.  Bit x of the
+    # second part is digit x from the right of the table's first F + 1
+    # cells spelled in '1' (gap) / '0' (element).
+    low = S.member_table()[: F + 1].translate(bytes.maketrans(b"\0\1", b"10"))
+    k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1) | int(low, 2)
 
     # dual: x with x + K inside S; only k <= F constrain, larger k land
     # past the Frobenius number automatically

@@ -219,6 +219,8 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
         raise EmbeddingDimensionError("need at least 2 generators")
     gens = S.generators
     F = S.frobenius
+    m = gens[0]
+    apery = S.apery
     lam: dict[tuple[int, int], int] = {}
     gap: dict[tuple[int, int], int] = {}
     for i, ni in enumerate(gens, start=1):
@@ -226,10 +228,11 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
             if i == j:
                 continue
             k = -((F + ni) // -nj) + 1
-            while k >= 1:
-                if not S.contains(k * nj - ni):
-                    break
+            x = k * nj - ni
+            # step down while x = k * n_j - n_i stays in S
+            while x >= 0 and x >= apery[x % m]:
                 k -= 1
+                x -= nj
             assert k >= 1
             lam[(i, j)] = k
             gap[(i, j)] = k * nj - ni
@@ -277,18 +280,30 @@ def classify_pf(S: NumericalSemigroup, ng: NGVector | Sequence[int]) -> PFClassi
     entries = _vector_entries(ng)
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
+    return classify_vectors(S, [entries])[0]
+
+
+def classify_vectors(
+    S: NumericalSemigroup, vectors: Sequence[Sequence[int]]
+) -> list[PFClassification]:
+    """classify_pf for each of the given vectors, which the caller vouches
+    are NG-vectors of S (they are not re-validated).
+
+    The witnesses of f at position i depend on the vector only through its
+    entry there, so they are computed once per (f, position, entry) and
+    each vector reads its classification off that table.
+    """
     gens = S.generators
-    pf1: list[int] = []
-    pf2: list[int] = []
-    witnesses: dict[int, tuple[Witness, ...]] = {}
-    entry_set = set(entries)
-    for f in S.pseudo_frobenius():
-        if f in entry_set:
-            continue
-        found: list[Witness] = []
-        for i, ni in enumerate(gens, start=1):
+    pf = S.pseudo_frobenius()
+    table: dict[tuple[int, int, int], tuple[Witness, ...]] = {}
+
+    def cell(f: int, i: int, entry: int) -> tuple[Witness, ...]:
+        key = (f, i, entry)
+        if key not in table:
+            ni = gens[i - 1]
             plus_value = f + ni
-            minus_value = ni + entries[i - 1] - f
+            minus_value = ni + entry - f
+            found: list[Witness] = []
             for j, nj in enumerate(gens, start=1):
                 if i == j:
                     continue
@@ -296,9 +311,27 @@ def classify_pf(S: NumericalSemigroup, ng: NGVector | Sequence[int]) -> PFClassi
                     found.append(Witness("plus", i, j, plus_value // nj))
                 if minus_value % nj == 0 and minus_value > 0:
                     found.append(Witness("minus", i, j, minus_value // nj))
-        witnesses[f] = tuple(found)
-        (pf1 if found else pf2).append(f)
-    return PFClassification(entries, tuple(pf1), tuple(pf2), witnesses)
+            table[key] = tuple(found)
+        return table[key]
+
+    out = []
+    for ng in vectors:
+        entries = tuple(ng)
+        pf1: list[int] = []
+        pf2: list[int] = []
+        witnesses: dict[int, tuple[Witness, ...]] = {}
+        for f in pf:
+            if f in entries:
+                continue
+            found = tuple(
+                w
+                for i, entry in enumerate(entries, start=1)
+                for w in cell(f, i, entry)
+            )
+            witnesses[f] = found
+            (pf1 if found else pf2).append(f)
+        out.append(PFClassification(entries, tuple(pf1), tuple(pf2), witnesses))
+    return out
 
 
 @dataclass(frozen=True)
@@ -315,7 +348,12 @@ def mu_values(S: NumericalSemigroup, classification: PFClassification) -> MuBoun
     38 - sum(C(mu_s - 1, 2)) they induce; 5-generated semigroups only."""
     if S.embedding_dimension != 5:
         raise EmbeddingDimensionError("mu bound is specific to 5 generators")
-    table = max_gap_table(S)
+    return mu_bound(max_gap_table(S), classification)
+
+
+def mu_bound(table: MaxGapTable, classification: PFClassification) -> MuBound:
+    """mu_values read off an extremal gap table already built for the
+    (five-generated) semigroup."""
     pf1 = set(classification.pf1)
     mus = tuple(
         sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)

@@ -16,22 +16,33 @@ of enumeration:
   into membership tests and shifted-mask intersections;
 - vector-entry statements (all entries distinct, forced prefix values)
   become distinct-representative questions over the candidate sets,
-  decided by bipartite matching.
+  decided by bipartite matching grown one prefix of positions at a time.
+
+Work shared between claims is done once per semigroup.  The candidate
+masks with a set of pseudo-Frobenius numbers dropped are memoized on the
+context per excluded set (COPPIE, FIRST_ZERO and SAME2 all read them),
+and NGV_PROPS asks whether a number is a combination of the later
+generators through one reachability bitmask instead of enumerating
+factorizations.
 
 Vectors are enumerated only for five-generated semigroups, where
 THM_3DISTINCT, the PF1/PF2/MU bounds and PF2_TWO_ZEROES read each vector
-and its PF split.  Explicit matrices are built only to fill a failure
-payload.  The literal per-vector and per-matrix routes are kept in the
-tests as cross-checks of the factored ones.
+and its PF split (classified from a table per pseudo-Frobenius number,
+position and entry, without re-validating the vectors).  Explicit
+matrices are built only to fill a failure payload.  The literal
+per-vector and per-matrix routes are kept in the tests as cross-checks
+of the factored ones.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 from ..core import NumericalSemigroup
+from ..errors import InvalidArgumentError
 from ..gorenstein import (
     NGVector,
     is_almost_symmetric,
@@ -42,10 +53,10 @@ from ..gorenstein import (
 from ..rf import (
     MaxGapTable,
     PFClassification,
-    classify_pf,
+    classify_vectors,
     max_gap_table,
     minus_row_lists,
-    mu_values,
+    mu_bound,
     plus_row_lists,
     rows_with_diagonal,
 )
@@ -94,6 +105,7 @@ class ClaimContext:
     def __init__(self, S: NumericalSemigroup):
         self.S = S
         self.vector_error: str | None = None
+        self._avoiding: dict[frozenset[int], list[int] | None] = {}
 
     @property
     def proper(self) -> bool:
@@ -150,7 +162,9 @@ class ClaimContext:
     def classifications(self) -> list[tuple[NGVector, PFClassification]] | None:
         if self.vectors is None:
             return None
-        return [(v, classify_pf(self.S, v.entries)) for v in self.vectors]
+        # every vector came from the candidate sets, so none is re-validated
+        classes = classify_vectors(self.S, [v.entries for v in self.vectors])
+        return list(zip(self.vectors, classes))
 
     @cached_property
     def gap_table(self) -> MaxGapTable | None:
@@ -161,16 +175,24 @@ class ClaimContext:
     def avoiding_masks(self, excluded: tuple[int, ...]) -> list[int] | None:
         """Per-position candidate masks with the excluded values dropped,
         or None when some position cannot avoid them (no vector of the
-        semigroup keeps every excluded value outside its entries)."""
+        semigroup keeps every excluded value outside its entries).
+
+        Memoized per excluded set, so (f, f') and (f', f) share one entry.
+        """
+        key = frozenset(excluded)
+        if key in self._avoiding:
+            return self._avoiding[key]
         drop = 0
-        for f in excluded:
+        for f in key:
             drop |= 1 << f
-        out = []
+        out: list[int] | None = []
         for m in self.candidate_masks:
             m &= ~drop
             if m == 0:
-                return None
+                out = None
+                break
             out.append(m)
+        self._avoiding[key] = out
         return out
 
 
@@ -191,28 +213,48 @@ def _mask_values(mask: int, reverse: bool = False) -> list[int]:
     return out
 
 
-def _distinct_choice(sets: list) -> list[int] | None:
-    """A pairwise-distinct choice (one value per set) when one exists,
-    else None; augmenting-path matching, values tried largest first."""
+def _augment(
+    pools: list[list[int]], owner: dict[int, int], i: int, banned: set[int]
+) -> bool:
+    """Give set i a value, moving earlier owners along an augmenting path."""
+    for v in pools[i]:
+        if v in banned:
+            continue
+        banned.add(v)
+        if v not in owner or _augment(pools, owner, owner[v], banned):
+            owner[v] = i
+            return True
+    return False
+
+
+def _prefix_choices(sets: list) -> Iterator[list[int] | None]:
+    """For j = 1, 2, ...: a pairwise-distinct choice (one value per set)
+    for sets[:j], or None for the first prefix that has none, which ends
+    the stream (no longer prefix has one either).
+
+    Augmenting-path matching, values tried largest first, grown one set
+    at a time: the matching of sets[:j] is the first j steps of the
+    matching of any longer prefix, so each choice is the one a matching
+    of that prefix alone would return.
+    """
     pools = [sorted(s, reverse=True) for s in sets]
     owner: dict[int, int] = {}
-
-    def augment(i: int, banned: set[int]) -> bool:
-        for v in pools[i]:
-            if v in banned:
-                continue
-            banned.add(v)
-            if v not in owner or augment(owner[v], banned):
-                owner[v] = i
-                return True
-        return False
-
     for i in range(len(pools)):
-        if not augment(i, set()):
-            return None
-    choice: list[int] = [0] * len(pools)
-    for v, i in owner.items():
-        choice[i] = v
+        if not _augment(pools, owner, i, set()):
+            yield None
+            return
+        choice: list[int] = [0] * (i + 1)
+        for v, k in owner.items():
+            choice[k] = v
+        yield choice
+
+
+def _distinct_choice(sets: list) -> list[int] | None:
+    """A pairwise-distinct choice (one value per set) when one exists,
+    else None."""
+    choice: list[int] | None = []
+    for choice in _prefix_choices(sets):
+        pass
     return choice
 
 
@@ -326,7 +368,7 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
     ):
         return ClaimResult(NA)
     for vec, cls in ctx.classifications:
-        mu = mu_values(ctx.S, cls)
+        mu = mu_bound(ctx.gap_table, cls)
         if len(cls.pf1) > mu.bound:
             return _fail(
                 ctx,
@@ -347,14 +389,9 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
 # would land in S).  A subtractive row at position k built from vector
 # entry g can carry a nonzero entry in column j iff g - d lies in S for
 # the same difference d = f + n_j - n_k.  All-pair statements about
-# matrices therefore reduce to membership tests.
-
-
-def _entry_possible(ctx: ClaimContext, mask: int, d: int) -> bool:
-    """Whether some candidate g surviving in `mask` has g - d in S."""
-    if d >= 0:
-        return mask & (ctx.S.member_mask() << d) != 0
-    return mask & (ctx.S.member_mask() >> -d) != 0
+# matrices therefore reduce to membership tests.  Over a bitmask of
+# candidates g, "some g - d lies in S" is one shifted-mask test against
+# the membership mask: (mask >> d) & member, or mask << -d for d < 0.
 
 
 def claim_coppie(ctx: ClaimContext) -> ClaimResult:
@@ -371,20 +408,26 @@ def claim_coppie(ctx: ClaimContext) -> ClaimResult:
         return ClaimResult(NA)
     S = ctx.S
     gens = S.generators
-    nu = len(gens)
+    m = gens[0]
+    apery = S.apery
+    member = S.member_mask()
+    triples = [
+        (j, k, nj - nk)
+        for j, nj in enumerate(gens)
+        for k, nk in enumerate(gens)
+        if j != k
+    ]
     checked = False
     for f in ctx.pf:
         masks = ctx.avoiding_masks((f,))
         if masks is None:
             continue
         checked = True
-        for j in range(nu):
-            for k in range(nu):
-                if j == k:
-                    continue
-                d = f + gens[j] - gens[k]
-                if S.contains(d) and _entry_possible(ctx, masks[k], d):
-                    return _coppie_fail(ctx, f, masks, j, k, d)
+        for j, k, diff in triples:
+            d = f + diff
+            # d in S, then some candidate g at k with g - d in S
+            if d >= 0 and d >= apery[d % m] and (masks[k] >> d) & member:
+                return _coppie_fail(ctx, f, masks, j, k, d)
     return ClaimResult(PASS) if checked else ClaimResult(NA)
 
 
@@ -450,6 +493,10 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     F = S.frobenius
     nu = len(gens)
     cands = ctx.candidates
+    # f outside some vector: no position is left empty once f is dropped
+    avoidable = [
+        f for f in ctx.pf if f != F and ctx.avoiding_masks((f,)) is not None
+    ]
     checked = False
     for h0 in range(1, nu):
         if any(F not in cands[i] for i in range(h0)):
@@ -458,10 +505,8 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
             ell0 = next((l for l in range(h0) if gens[l] == g - F + gens[h0]), None)
             if ell0 is None:
                 continue
-            for f in ctx.pf:
-                if f == F or f == g:
-                    continue
-                if any(cands[i] <= {f} for i in range(nu)):
+            for f in avoidable:
+                if f == g:
                     continue
                 checked = True
                 if S.contains(F - f):
@@ -534,14 +579,15 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
     S = ctx.S
     gens = S.generators
     nu = len(gens)
-    table = ctx.gap_table
+    member = S.member_mask()
+    gap, lam = ctx.gap_table.gap, ctx.gap_table.lam
     pf_set = set(ctx.pf)
     checked = False
     for s in range(1, nu + 1):
         group = [
-            (p, table.gap[(p, s)], table.lam[(p, s)])
+            (p, gap[(p, s)], lam[(p, s)])
             for p in range(1, nu + 1)
-            if p != s and table.gap[(p, s)] in pf_set
+            if p != s and gap[(p, s)] in pf_set
         ]
         for p, f, lam_p in group:
             for q, f2, lam_q in group:
@@ -551,8 +597,10 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
                 if masks is None:
                     continue
                 checked = True
+                mask = masks[q - 1]
                 d = f + gens[p - 1] - gens[q - 1]
-                if _entry_possible(ctx, masks[q - 1], d):
+                # some candidate g at q with g - d in S
+                if (mask >> d if d >= 0 else mask << -d) & member:
                     g = next(
                         g for g in _mask_values(masks[q - 1]) if S.contains(g - d)
                     )
@@ -585,11 +633,23 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
 
 def _dichotomy_holds(S: NumericalSemigroup, h0: int, h1: int, entry: int) -> bool:
     gens = S.generators
-    F = S.frobenius
-    if any(entry == F - gens[h1] + gens[l] for l in range(h1)):
-        return True
-    delta = entry - F + gens[h1]
-    return delta > 0 and delta % gens[h0] == 0
+    delta = entry - S.frobenius + gens[h1]
+    # entry = F - n_h1 + n_l for an earlier l, or delta a multiple of n_h0
+    return delta in gens[:h1] or (delta > 0 and delta % gens[h0] == 0)
+
+
+def _reachable(gens: tuple[int, ...], bound: int) -> int:
+    """Bit x set, for 0 <= x <= bound, iff x is a nonnegative combination
+    of gens: each generator closes the set under adding it by doubling
+    shifts (multiples 0..2**k - 1 after k of them)."""
+    window = (1 << (bound + 1)) - 1
+    reach = 1
+    for n in gens:
+        step = n
+        while step <= bound:
+            reach = (reach | reach << step) & window
+            step <<= 1
+    return reach
 
 
 def _ngv_props_factored(ctx: ClaimContext) -> ClaimResult:
@@ -605,35 +665,47 @@ def _ngv_props_factored(ctx: ClaimContext) -> ClaimResult:
             reason="first entry is not pinned to F",
         )
 
-    full = _distinct_choice(cands)
+    # choices[j]: a distinct choice for cands[:j], None past the first
+    # prefix without one
+    choices: list[list[int] | None] = [[], *_prefix_choices(cands)]
+    choices += [None] * (nu + 1 - len(choices))
+
+    full = choices[nu]
     if full is not None:
         return _fail(ctx, vector=full, reason="all entries distinct")
 
-    prefix = _distinct_choice(cands[: nu - 1])
+    prefix = choices[nu - 1]
     if prefix is not None and set(ctx.pf) != set(prefix):
         vector = prefix + [max(cands[nu - 1])]
         return _fail(ctx, vector=vector, reason="distinct prefix does not exhaust PF")
 
     forced = [F - n + gens[0] for n in gens]
     for j in range(1, nu):
+        choice = choices[j]
+        if choice is None:
+            break
         for a in sorted(cands[j] - {forced[j]}, reverse=True):
+            # the prefix choice also serves cands[:j] with a removed unless
+            # it uses a; only then is a matching of its own needed
+            if a in choice and _distinct_choice([c - {a} for c in cands[:j]]) is None:
+                continue
+            # the payload is that matching, rebuilt on this failure path
             head = _distinct_choice([c - {a} for c in cands[:j]])
-            if head is not None:
-                vector = head + [a] + [max(c) for c in cands[j + 1 :]]
-                return _fail(
-                    ctx, vector=vector, position=j + 1,
-                    reason="distinct prefix entry off the forced value",
-                )
+            vector = head + [a] + [max(c) for c in cands[j + 1 :]]
+            return _fail(
+                ctx, vector=vector, position=j + 1,
+                reason="distinct prefix entry off the forced value",
+            )
 
     imax = 1
     while imax < nu and forced[imax] in cands[imax]:
         imax += 1
     pinned = set(forced[:imax])
-    tail = tuple(range(imax, nu))
+    reach = _reachable(gens[imax:], F + gens[0])
     for f in ctx.pf:
         if f in pinned:
             continue
-        if not S.factorization_tuples(F - f + gens[0], support=tail):
+        if not reach >> (F - f + gens[0]) & 1:
             return _fail(
                 ctx, f=f, prefix_length=imax,
                 reason="no factorization over the later generators",
@@ -730,7 +802,7 @@ def run_claims(
     and the context (whose cached facts the caller may reuse)."""
     unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
     if unknown:
-        raise ValueError(f"unknown claims: {unknown}")
+        raise InvalidArgumentError(f"unknown claims: {unknown}")
     ctx = ClaimContext(S)
     results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}
     return results, ctx

@@ -16,6 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..core import NumericalSemigroup
+from ..errors import InvalidArgumentError
 from ..rf import resolve_matrix_cap
 from .claims import (
     CLAIM_FUNCTIONS,
@@ -54,7 +55,7 @@ class HarnessConfig:
             raise ValueError(f"workers must be positive, got {self.workers}")
         unknown = [n for n in self.claims if n not in CLAIM_FUNCTIONS]
         if unknown:
-            raise ValueError(f"unknown claims: {unknown}")
+            raise InvalidArgumentError(f"unknown claims: {unknown}")
         # normalize to canonical order with duplicates dropped
         chosen = frozenset(self.claims)
         object.__setattr__(

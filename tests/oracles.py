@@ -15,6 +15,8 @@ from math import gcd, prod
 from numsgps.errors import EnumerationCapError
 from numsgps.gorenstein import canonical_ideal, ng_candidates, ng_vectors
 from numsgps.rf import (
+    PFClassification,
+    Witness,
     check_coppie,
     classify_pf,
     minus_row_lists,
@@ -156,6 +158,34 @@ def mask_is_ng_vector(S, entries):
         return False
     acc = pf_shift_mask(S)
     return all((acc >> (n + f)) & 1 for n, f in zip(S.generators, entries))
+
+
+def gaps_trace_nearly_gorenstein(S):
+    """The trace route with K built gap by gap: K(S) + (S - K(S)) holds
+    every nonzero element, decided on the window [0, frobenius + largest
+    generator + 1], where K is everything past F plus F - g for each gap g."""
+    F = S.frobenius
+    w = S.window()
+    full = (1 << (2 * w)) - 1
+    mask = S.member_mask() | (full ^ ((1 << w) - 1))
+
+    k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1)
+    for g in S.gaps():
+        k_mask |= 1 << (F - g)
+
+    # dual: x with x + k in S for every k of K up to F
+    dual = (1 << w) - 1
+    for k in range(F + 1):
+        if (k_mask >> k) & 1:
+            dual &= mask >> k
+
+    trace = 0
+    for x in range(w):
+        if (dual >> x) & 1:
+            trace |= k_mask << x
+
+    m_bits = (S.member_mask() & ~1) & ((1 << w) - 1)
+    return m_bits & ~trace & ((1 << w) - 1) == 0
 
 
 def brute_ng_vectors(generators, pf, contains):
@@ -348,6 +378,31 @@ def literal_classification_variance(S, vectors):
     return [(f, sorted(kinds)) for f, kinds in sorted(seen.items()) if len(kinds) > 1]
 
 
+def scan_classify_pf(S, entries):
+    """classify_pf by a fresh divisibility scan of this one vector: f goes
+    to the first class iff f + n_i or n_i + f_i - f > 0 is a multiple of
+    another generator n_j, with every such (side, i, j, lambda) recorded
+    in scan order."""
+    gens = S.generators
+    pf1, pf2, witnesses = [], [], {}
+    for f in S.pseudo_frobenius():
+        if f in entries:
+            continue
+        found = []
+        for i, ni in enumerate(gens, start=1):
+            for j, nj in enumerate(gens, start=1):
+                if i == j:
+                    continue
+                if (f + ni) % nj == 0:
+                    found.append(Witness("plus", i, j, (f + ni) // nj))
+                value = ni + entries[i - 1] - f
+                if value > 0 and value % nj == 0:
+                    found.append(Witness("minus", i, j, value // nj))
+        witnesses[f] = tuple(found)
+        (pf1 if found else pf2).append(f)
+    return PFClassification(tuple(entries), tuple(pf1), tuple(pf2), witnesses)
+
+
 def _literal_vectors(S, vector_cap):
     """The NG-vectors of S, [] when S is trivial or not nearly Gorenstein,
     None when there are more than vector_cap of them."""
@@ -389,6 +444,54 @@ def literal_coppie(S, vector_cap=256, pair_cap=10**4):
             for A in plus[f]:
                 if not all(check_coppie(A, B) for B in minus):
                     return FAIL, instances
+    return (PASS if instances else NA), instances
+
+
+def literal_same2(S, vector_cap=256, pair_cap=10**4):
+    """SAME2 matrix by matrix: for generators n_p, n_q, n_s (p, q, s
+    distinct) whose extremal gaps f = M_{p,s} and f' = M_{q,s} (the
+    largest lambda * n_s - n_p, lambda * n_s - n_q outside S, found by the
+    coin-problem sieve) are distinct pseudo-Frobenius numbers with
+    lambda_p >= lambda_q, every NG-vector keeping f and f' outside its
+    entries and every subtractive matrix of f has a zero at (q, p).
+
+    Returns (status, instances), instances counting the (p, q, s, vector)
+    checked, or None as literal_coppie."""
+    vectors = _literal_vectors(S, vector_cap)
+    if vectors is None:
+        return None
+    gens = S.generators
+    _, frobenius, _, pf, contains = sieve_invariants(gens)
+
+    def extremal(i, s):
+        lam = (frobenius + gens[i]) // gens[s] + 1
+        while contains(lam * gens[s] - gens[i]):
+            lam -= 1
+        return lam, lam * gens[s] - gens[i]
+
+    minus = {}
+    instances = 0
+    nu = len(gens)
+    for s in range(nu):
+        for p in range(nu):
+            for q in range(nu):
+                if len({p, q, s}) < 3:
+                    continue
+                (lam_p, f), (lam_q, f2) = extremal(p, s), extremal(q, s)
+                if f == f2 or lam_p < lam_q or f not in pf or f2 not in pf:
+                    continue
+                for v in vectors:
+                    if f in v.entries or f2 in v.entries:
+                        continue
+                    key = (v.entries, f)
+                    try:
+                        if key not in minus:
+                            minus[key] = rf_minus(S, v, f, cap=pair_cap)
+                    except EnumerationCapError:
+                        return None
+                    instances += 1
+                    if any(M.entries[q][p] != 0 for M in minus[key]):
+                        return FAIL, instances
     return (PASS if instances else NA), instances
 
 

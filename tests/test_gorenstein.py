@@ -27,6 +27,7 @@ from oracles import (
     canonical_ideal_symmetric,
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
+    gaps_trace_nearly_gorenstein,
     genus_tree_semigroups,
     mask_almost_symmetric,
     mask_is_ng_vector,
@@ -84,9 +85,28 @@ def test_canonical_ideal_contents():
         assert (x in K) == (x >= 0 and not S.contains(S.frobenius - x))
 
 
+def _assert_trace_routes_agree(S):
+    via_trace = nearly_gorenstein_via_trace(S)
+    assert via_trace == gaps_trace_nearly_gorenstein(S), S.generators
+    assert via_trace == is_nearly_gorenstein(S), S.generators
+
+
 def test_trace_route_agrees_with_candidate_route():
-    for S in census(9):
-        assert nearly_gorenstein_via_trace(S) == is_nearly_gorenstein(S)
+    # and with the trace route that builds K gap by gap
+    count = 0
+    for S in census(12):
+        _assert_trace_routes_agree(S)
+        count += 1
+    assert count == 1412
+    rng = random.Random(2718)
+    frobs = []
+    for _ in range(40):
+        S = NumericalSemigroup(random_generators(rng, frobenius_cap=3000))
+        _assert_trace_routes_agree(S)
+        S = _sparse_generators(rng)
+        _assert_trace_routes_agree(S)
+        frobs.append(S.frobenius)
+    assert max(frobs) > 2000
 
 
 def test_ng_candidates_structure():

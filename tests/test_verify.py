@@ -28,7 +28,9 @@ from oracles import (
     literal_coppie,
     literal_first_zero,
     literal_ngv_props,
+    literal_same2,
     random_generators,
+    scan_classify_pf,
 )
 
 KNOWN_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
@@ -92,6 +94,20 @@ def test_no_failures_up_to_genus_ten():
         assert not bad, (S.generators, bad)
 
 
+def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
+    # the factored routes decide by membership tests and bitmasks alone;
+    # factorizations are built only for a failure payload
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("enumerated")
+
+    for name in ("factorization_tuples", "gaps"):
+        monkeypatch.setattr(NumericalSemigroup, name, refuse)
+    names = ("COPPIE", "FIRST_ZERO", "NGV_PROPS", "TRACE_EQ", "SAME2")
+    for S in semigroups_up_to(10):
+        results, _ = run_claims(S, names=names)
+        assert FAIL not in {r.status for r in results.values()}, S.generators
+
+
 def test_factored_routes_agree_with_literal_enumeration():
     # same semigroup, vectors forced present vs forced absent
     for S in semigroups_up_to(8):
@@ -127,9 +143,30 @@ def test_factored_classification_variance_matches_literal_scan():
         )
 
 
+def test_classification_table_matches_per_vector_scan():
+    # ctx.classifications reads a (f, position, entry) table; the scan
+    # classifies each five-generated vector on its own
+    checked = 0
+    for S in semigroups_up_to(14, embdim={5}):
+        ctx = ClaimContext(S)
+        if not ctx.nearly_gorenstein:
+            continue
+        for vec, cls in ctx.classifications:
+            assert cls == scan_classify_pf(S, vec.entries), S.generators
+            checked += 1
+    assert checked > 2000  # 2,097 vectors today
+
+
+MATRIX_ORACLES = {
+    "COPPIE": literal_coppie,
+    "FIRST_ZERO": literal_first_zero,
+    "SAME2": literal_same2,
+}
+
+
 def _assert_matrix_claims_match_literal_routes(S, checked):
-    results, _ = run_claims(S, names=("COPPIE", "FIRST_ZERO"))
-    for name, oracle in (("COPPIE", literal_coppie), ("FIRST_ZERO", literal_first_zero)):
+    results, _ = run_claims(S, names=tuple(MATRIX_ORACLES))
+    for name, oracle in MATRIX_ORACLES.items():
         literal = oracle(S)
         if literal is not None:
             status, instances = literal
@@ -139,8 +176,9 @@ def _assert_matrix_claims_match_literal_routes(S, checked):
 
 def test_matrix_claims_match_literal_matrix_routes():
     # exhaustive wherever a semigroup has at most 256 vectors and each
-    # (vector, f) at most 10**4 matrix pairs; instances are (vector, f)
-    checked = {"COPPIE": 0, "FIRST_ZERO": 0}
+    # (vector, f) at most 10**4 matrix pairs; instances are (vector, f),
+    # and (p, q, s, vector) for SAME2
+    checked = dict.fromkeys(MATRIX_ORACLES, 0)
     for S in semigroups_up_to(12):
         _assert_matrix_claims_match_literal_routes(S, checked)
     rng = random.Random(20)
@@ -150,6 +188,7 @@ def test_matrix_claims_match_literal_matrix_routes():
         )
     assert checked["COPPIE"] > 25_000
     assert checked["FIRST_ZERO"] > 25_000
+    assert checked["SAME2"] > 100_000  # 101,572 today
 
 
 def test_check_semigroup_report_shape():
