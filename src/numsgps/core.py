@@ -15,7 +15,6 @@ frobenius = -1, pseudo-Frobenius set {-1}, type 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -59,14 +58,22 @@ def _apery_by_relaxation(modulus: int, generators: Sequence[int]) -> list[int]:
     return [int(d) for d in dist]
 
 
-@dataclass(frozen=True, slots=True)
-class FactorizationVector:
-    """One expression of `value` as a nonnegative combination of the
-    minimal generators; `coeffs[k]` multiplies the k-th generator
-    (0-based, generators ascending)."""
-
-    coeffs: tuple[int, ...]
-    value: int
+def _complete(
+    gens: tuple[int, ...], k: int, rest: int, coeffs: list[int], out: list
+) -> None:
+    """Append to out every coefficient tuple that extends coeffs[k + 1:]
+    to a factorization, rest being what positions 0..k still owe."""
+    g = gens[k]
+    if k == 0:
+        if rest % g == 0:
+            coeffs[0] = rest // g
+            out.append(tuple(coeffs))
+            coeffs[0] = 0
+        return
+    for c in range(rest // g, -1, -1):
+        coeffs[k] = c
+        _complete(gens, k - 1, rest - c * g, coeffs, out)
+    coeffs[k] = 0
 
 
 class NumericalSemigroup:
@@ -248,58 +255,20 @@ class NumericalSemigroup:
     # ------------------------------------------------------------------
     # factorizations
 
-    def factorizations(
-        self, x: int, support: Sequence[int] | None = None
-    ) -> list[FactorizationVector]:
+    def factorization_tuples(self, x: int) -> list[tuple[int, ...]]:
         """All expressions of x as nonnegative combinations of the minimal
-        generators, in lexicographically descending coefficient order.
-
-        `support` optionally restricts the usable generator positions
-        (0-based); coefficients outside it are zero.
-        """
-        if not self.contains(x):
-            raise NotAMemberError(f"{x} is not an element of the semigroup")
-        return [
-            FactorizationVector(coeffs, x) for coeffs in self.factorization_tuples(x, support)
-        ]
-
-    def factorization_tuples(
-        self, x: int, support: Sequence[int] | None = None
-    ) -> list[tuple[int, ...]]:
-        """Like factorizations() but plain coefficient tuples, and without
-        the membership precondition (returns [] when x has none).
+        generators, as coefficient tuples (entry k multiplies the k-th
+        generator) in lexicographically descending order; [] when x has
+        none.
 
         The search fixes the largest generators first and solves for the
         smallest by division, which visits far fewer partial sums than the
         ascending order; the result is then sorted into descending order.
         """
-        nu = len(self.generators)
-        positions = tuple(range(nu)) if support is None else tuple(sorted(support))
-        positions = positions[::-1]
         out: list[tuple[int, ...]] = []
-        coeffs = [0] * nu
-        gens = self.generators
-
-        def descend(k: int, rest: int) -> None:
-            if k == len(positions):
-                if rest == 0:
-                    out.append(tuple(coeffs))
-                return
-            pos = positions[k]
-            g = gens[pos]
-            if k == len(positions) - 1:
-                if rest % g == 0:
-                    coeffs[pos] = rest // g
-                    out.append(tuple(coeffs))
-                    coeffs[pos] = 0
-                return
-            for c in range(rest // g, -1, -1):
-                coeffs[pos] = c
-                descend(k + 1, rest - c * g)
-            coeffs[pos] = 0
-
         if x >= 0:
-            descend(0, x)
+            gens = self.generators
+            _complete(gens, len(gens) - 1, x, [0] * len(gens), out)
         out.sort(reverse=True)
         return out
 

@@ -28,6 +28,7 @@ from .core import NumericalSemigroup
 from .errors import (
     EmbeddingDimensionError,
     EnumerationCapError,
+    InvalidArgumentError,
     MismatchedPairError,
     NotPseudoFrobeniusError,
     VectorEntryError,
@@ -56,9 +57,17 @@ class RFMatrix:
 
 
 def resolve_matrix_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(MATRIX_CAP_ENV, DEFAULT_MATRIX_CAP))
+    """The given cap, else the SGP_MATRIX_CAP environment value, else
+    the default; a negative or non-integer cap is an InvalidArgumentError."""
+    if cap is None:
+        text = os.environ.get(MATRIX_CAP_ENV, str(DEFAULT_MATRIX_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise InvalidArgumentError(f"{MATRIX_CAP_ENV}={text!r} is not an integer")
+    if cap < 0:
+        raise InvalidArgumentError(f"matrix cap {cap} is negative")
+    return cap
 
 
 def _vector_entries(ng: NGVector | Sequence[int]) -> tuple[int, ...]:

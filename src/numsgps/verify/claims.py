@@ -9,29 +9,25 @@ the embedding dimension for maximal-embedding-dimension semigroups), so
 the quantified claims are decided through the product structure instead
 of enumeration:
 
-- matrix rows depend on the vector through a single position, so "for
-  every vector, every matrix" statements factor into per-position
-  conditions; a row can carry a nonzero entry at column k iff the row
-  value minus n_k stays in the semigroup, which turns the exact checks
-  into membership tests and shifted-mask intersections;
+- the matrix statements COPPIE, FIRST_ZERO and SAME2 can fail only if a
+  computed pseudo-Frobenius number lies in S, so once one applies it is
+  decided by a single check of the pseudo-Frobenius set per semigroup
+  (ClaimContext.pf_premise); each claim's docstring carries its proof;
 - vector-entry statements (all entries distinct, forced prefix values)
   become distinct-representative questions over the candidate sets,
   decided by bipartite matching grown one prefix of positions at a time.
 
-Work shared between claims is done once per semigroup.  The candidate
-masks with a set of pseudo-Frobenius numbers dropped are memoized on the
-context per excluded set (COPPIE, FIRST_ZERO and SAME2 all read them),
-and NGV_PROPS asks whether a number is a combination of the later
-generators through one reachability bitmask instead of enumerating
-factorizations.
+Work shared between claims is done once per semigroup, and NGV_PROPS
+asks whether a number is a combination of the later generators through
+one reachability bitmask instead of enumerating factorizations.
 
 Vectors are enumerated only for five-generated semigroups, where
 THM_3DISTINCT, the PF1/PF2/MU bounds and PF2_TWO_ZEROES read each vector
 and its PF split (classified from a table per pseudo-Frobenius number,
-position and entry, without re-validating the vectors).  Explicit
-matrices are built only to fill a failure payload.  The literal
-per-vector and per-matrix routes are kept in the tests as cross-checks
-of the factored ones.
+position and entry, without re-validating the vectors).  No explicit
+matrix is built; PF2_TWO_ZEROES reads per-row factorization lists.  The
+literal per-vector and per-matrix routes are kept in the tests as
+cross-checks of the factored ones and of the matrix statements.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from ..rf import (
     minus_row_lists,
     mu_bound,
     plus_row_lists,
-    rows_with_diagonal,
 )
 
 PASS = "pass"
@@ -105,7 +100,6 @@ class ClaimContext:
     def __init__(self, S: NumericalSemigroup):
         self.S = S
         self.vector_error: str | None = None
-        self._avoiding: dict[frozenset[int], list[int] | None] = {}
 
     @property
     def proper(self) -> bool:
@@ -120,10 +114,6 @@ class ClaimContext:
         if not self.proper:
             return None
         return ng_candidates(self.S)
-
-    @cached_property
-    def candidate_masks(self) -> list[int]:
-        return [sum(1 << g for g in c) for c in self.candidates]
 
     @cached_property
     def vector_count(self) -> int:
@@ -172,28 +162,28 @@ class ClaimContext:
             return None
         return max_gap_table(self.S)
 
-    def avoiding_masks(self, excluded: tuple[int, ...]) -> list[int] | None:
-        """Per-position candidate masks with the excluded values dropped,
-        or None when some position cannot avoid them (no vector of the
-        semigroup keeps every excluded value outside its entries).
+    @cached_property
+    def pf_premise(self) -> dict | None:
+        """None when the computed pseudo-Frobenius set passes the textbook
+        test: the Frobenius number and every f in it lie outside S, and
+        f + n_i lies in S for every generator n_i; else the failure
+        payload naming the first offending number.
 
-        Memoized per excluded set, so (f, f') and (f', f) share one entry.
+        The premise puts f + s in S for every nonzero s in S, which is
+        all the matrix claims need (see their docstrings).  It costs
+        (nu + 1) * t + 1 Apery lookups, t the type, and does not reuse
+        the Apery-maximality route that produced the set.
         """
-        key = frozenset(excluded)
-        if key in self._avoiding:
-            return self._avoiding[key]
-        drop = 0
-        for f in key:
-            drop |= 1 << f
-        out: list[int] | None = []
-        for m in self.candidate_masks:
-            m &= ~drop
-            if m == 0:
-                out = None
-                break
-            out.append(m)
-        self._avoiding[key] = out
-        return out
+        S = self.S
+        if S.contains(S.frobenius):
+            return {"f": S.frobenius, "reason": "Frobenius number in S"}
+        for f in self.pf:
+            if S.contains(f):
+                return {"f": f, "reason": "pseudo-Frobenius number in S"}
+            for n in S.generators:
+                if not S.contains(f + n):
+                    return {"f": f, "generator": n, "reason": "f + n not in S"}
+        return None
 
 
 def _fail(ctx: ClaimContext, **payload) -> ClaimResult:
@@ -202,15 +192,9 @@ def _fail(ctx: ClaimContext, **payload) -> ClaimResult:
     return ClaimResult(FAIL, base)
 
 
-def _mask_values(mask: int, reverse: bool = False) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    if reverse:
-        out.reverse()
-    return out
+def _premise_result(ctx: ClaimContext) -> ClaimResult:
+    bad = ctx.pf_premise
+    return ClaimResult(PASS) if bad is None else _fail(ctx, **bad)
 
 
 def _augment(
@@ -381,17 +365,7 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
 
 
 # ----------------------------------------------------------------------
-# matrix structure
-#
-# An additive row at position j can carry a nonzero entry in column k
-# iff f + n_j - n_k lies in S (append one n_k to a factorization of the
-# difference; the coefficient at j stays zero since otherwise f - n_k
-# would land in S).  A subtractive row at position k built from vector
-# entry g can carry a nonzero entry in column j iff g - d lies in S for
-# the same difference d = f + n_j - n_k.  All-pair statements about
-# matrices therefore reduce to membership tests.  Over a bitmask of
-# candidates g, "some g - d lies in S" is one shifted-mask test against
-# the membership mask: (mask >> d) & member, or mask << -d for d < 0.
+# matrix statements
 
 
 def claim_coppie(ctx: ClaimContext) -> ClaimResult:
@@ -399,80 +373,20 @@ def claim_coppie(ctx: ClaimContext) -> ClaimResult:
     subtractive) matrix pair multiplies to zero entrywise off the
     diagonal.
 
-    Exact over all pairs via the membership reduction: column k of the
-    additive row at j and column j of the subtractive row at k can both
-    be nonzero iff d = f + n_j - n_k lies in S and some candidate g at
-    position k has g - d in S.
+    A row entry at column k is nonzero only if the row value minus n_k
+    lies in S.  So column k of the additive row at j and column j of the
+    subtractive row at k (vector entry g) are both nonzero only if
+    d = f + n_j - n_k and g - d both lie in S.  Then g = d + (g - d) lies
+    in S; but g is a candidate, so a pseudo-Frobenius number, which the
+    premise keeps outside S.  Inapplicable when no f lies outside some
+    vector.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
         return ClaimResult(NA)
-    S = ctx.S
-    gens = S.generators
-    m = gens[0]
-    apery = S.apery
-    member = S.member_mask()
-    triples = [
-        (j, k, nj - nk)
-        for j, nj in enumerate(gens)
-        for k, nk in enumerate(gens)
-        if j != k
-    ]
-    checked = False
-    for f in ctx.pf:
-        masks = ctx.avoiding_masks((f,))
-        if masks is None:
-            continue
-        checked = True
-        for j, k, diff in triples:
-            d = f + diff
-            # d in S, then some candidate g at k with g - d in S
-            if d >= 0 and d >= apery[d % m] and (masks[k] >> d) & member:
-                return _coppie_fail(ctx, f, masks, j, k, d)
-    return ClaimResult(PASS) if checked else ClaimResult(NA)
-
-
-def _coppie_fail(
-    ctx: ClaimContext, f: int, masks: list[int], j: int, k: int, d: int
-) -> ClaimResult:
-    """Assemble one concrete offending pair for the payload."""
-    S = ctx.S
-    gens = S.generators
-    nu = len(gens)
-
-    def rows(p: int, value: int) -> list[tuple[int, ...]]:
-        return rows_with_diagonal(S.factorization_tuples(value), p)
-
-    plus_rows = [rows(p, f + gens[p])[0] for p in range(nu)]
-    for row in rows(j, f + gens[j]):
-        if row[k] > 0:
-            plus_rows[j] = row
-            break
-    entries = []
-    minus_rows = []
-    for p in range(nu):
-        options = _mask_values(masks[p], reverse=True)
-        g = options[0]
-        if p == k:
-            for cand in options:
-                if S.contains(cand - d):
-                    g = cand
-                    break
-        row = rows(p, gens[p] + g - f)[0]
-        if p == k:
-            for cand_row in rows(p, gens[p] + g - f):
-                if cand_row[j] > 0:
-                    row = cand_row
-                    break
-        entries.append(g)
-        minus_rows.append(row)
-    return _fail(
-        ctx,
-        f=f,
-        position=[j + 1, k + 1],
-        vector=entries,
-        plus=[list(r) for r in plus_rows],
-        minus=[list(r) for r in minus_rows],
-    )
+    cands = ctx.candidates
+    if any(all(c - {f} for c in cands) for f in ctx.pf):
+        return _premise_result(ctx)
+    return ClaimResult(NA)
 
 
 def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
@@ -481,45 +395,26 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     outside the vector vanishes at (h, ell) and (ell, h), and the h-row
     and ell-row choices coincide outside those two columns.
 
-    Both rows factor the same value F + n_ell - f, so the statements
-    reduce to F - f and f_h - f staying outside S: a row factoring that
-    value with a nonzero entry at the other position of the pair would
-    leave one of these differences inside S.
+    Both rows factor the same value F + n_ell - f, so the statements fail
+    only if F - f or f_h - f lies in S.  F - f in S (nonzero, as f != F)
+    would put F = f + (F - f) in S, and f_h - f in S with f_h != f would
+    put the candidate f_h in S; the premise excludes both.  Inapplicable
+    when no such (h, ell) exists or no f other than F and f_h lies
+    outside some vector.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
         return ClaimResult(NA)
-    S = ctx.S
-    gens = S.generators
-    F = S.frobenius
-    nu = len(gens)
+    gens = ctx.S.generators
+    F = ctx.S.frobenius
     cands = ctx.candidates
-    # f outside some vector: no position is left empty once f is dropped
-    avoidable = [
-        f for f in ctx.pf if f != F and ctx.avoiding_masks((f,)) is not None
-    ]
-    checked = False
-    for h0 in range(1, nu):
-        if any(F not in cands[i] for i in range(h0)):
+    avoidable = [f for f in ctx.pf if f != F and all(c - {f} for c in cands)]
+    for h0 in range(1, len(gens)):
+        if F not in cands[h0 - 1]:
             break
-        for g in sorted(cands[h0] - {F}, reverse=True):
-            ell0 = next((l for l in range(h0) if gens[l] == g - F + gens[h0]), None)
-            if ell0 is None:
-                continue
-            for f in avoidable:
-                if f == g:
-                    continue
-                checked = True
-                if S.contains(F - f):
-                    return _fail(
-                        ctx, f=f, h=h0 + 1, ell=ell0 + 1, entry=g,
-                        reason="entry (h, ell) can be nonzero",
-                    )
-                if S.contains(g - f):
-                    return _fail(
-                        ctx, f=f, h=h0 + 1, ell=ell0 + 1, entry=g,
-                        reason="entry (ell, h) can be nonzero",
-                    )
-    return ClaimResult(PASS) if checked else ClaimResult(NA)
+        for g in cands[h0] - {F}:
+            if g - F + gens[h0] in gens[:h0] and any(f != g for f in avoidable):
+                return _premise_result(ctx)
+    return ClaimResult(NA)
 
 
 def _two_zero_payload(lists) -> dict | None:
@@ -571,47 +466,30 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
 
     Both extremal gaps carry single-generator additive rows, so they land
     in PF1 for every such vector and the hypotheses reduce to the numeric
-    ones; the conclusion reduces to membership via the row-entry
-    criterion.
+    ones.  The q-row (vector entry g) has a nonzero entry at p only if g - d
+    lies in S, d = f + n_p - n_q.  As M_{p,s} = lambda_{ps} * n_s - n_p,
+    d = f' + (lambda_{ps} - lambda_{qs}) * n_s: either d = f', and g - f'
+    is nonzero (g != f'), or d lies in S by the premise.  Either way g
+    lands in S, which the premise excludes for a candidate.  Inapplicable
+    when no such pair is avoided by some vector.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
         return ClaimResult(NA)
-    S = ctx.S
-    gens = S.generators
-    nu = len(gens)
-    member = S.member_mask()
+    nu = ctx.S.embedding_dimension
     gap, lam = ctx.gap_table.gap, ctx.gap_table.lam
     pf_set = set(ctx.pf)
-    checked = False
+    cands = ctx.candidates
     for s in range(1, nu + 1):
         group = [
-            (p, gap[(p, s)], lam[(p, s)])
+            (gap[(p, s)], lam[(p, s)])
             for p in range(1, nu + 1)
             if p != s and gap[(p, s)] in pf_set
         ]
-        for p, f, lam_p in group:
-            for q, f2, lam_q in group:
-                if p == q or f == f2 or lam_p < lam_q:
-                    continue
-                masks = ctx.avoiding_masks((f, f2))
-                if masks is None:
-                    continue
-                checked = True
-                mask = masks[q - 1]
-                d = f + gens[p - 1] - gens[q - 1]
-                # some candidate g at q with g - d in S
-                if (mask >> d if d >= 0 else mask << -d) & member:
-                    g = next(
-                        g for g in _mask_values(masks[q - 1]) if S.contains(g - d)
-                    )
-                    facts = S.factorization_tuples(gens[q - 1] + g - f)
-                    row = next(
-                        r for r in rows_with_diagonal(facts, q - 1) if r[p - 1] > 0
-                    )
-                    return _fail(
-                        ctx, f=f, f_prime=f2, p=p, q=q, s=s, entry=g, row=list(row)
-                    )
-    return ClaimResult(PASS) if checked else ClaimResult(NA)
+        for f, lam_p in group:
+            for f2, lam_q in group:
+                if f != f2 and lam_p >= lam_q and all(c - {f, f2} for c in cands):
+                    return _premise_result(ctx)
+    return ClaimResult(NA)
 
 
 # ----------------------------------------------------------------------

@@ -275,7 +275,7 @@ def _subtree_worker(args: tuple) -> dict:
     return agg
 
 
-def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
+def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
     agg["failures"].sort(key=lambda e: (e["generators"], e["claim"]))
     agg["question_flags"].sort(key=lambda e: e["generators"])
     agg["classification_varies"].sort(key=lambda e: (e["generators"], e["f"]))
@@ -292,7 +292,7 @@ def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
             # read by no computation; kept at its former default so that
             # summaries stay byte-identical
             "coppie_pair_cap": 10_000,
-            "matrix_cap": resolve_matrix_cap(),
+            "matrix_cap": matrix_cap,
         },
         "semigroups": agg["semigroups"],
         "by_genus": {str(g): agg["by_genus"][g] for g in sorted(agg["by_genus"])},
@@ -315,12 +315,14 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     """
     if sink is not None and cfg.workers > 1:
         raise ValueError("per-semigroup reports require workers == 1")
+    # read before the census so that a malformed value fails at once
+    matrix_cap = resolve_matrix_cap()
     agg = _empty_aggregate(cfg.claims)
     root = _root_node(cfg.genus_max)
     if cfg.workers == 1 or cfg.genus_max <= SPLIT_DEPTH:
         for mask, gens, _frob, _genus in _nodes_from(root, cfg.genus_max):
             _consume(agg, cfg, _semigroup_from_node(gens, mask), sink)
-        return _finalize(agg, cfg)
+        return _finalize(agg, cfg, matrix_cap)
     units = []
     for node in _nodes_from(root, SPLIT_DEPTH):
         mask, gens, _frob, genus = node
@@ -332,4 +334,4 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     with ctx.Pool(processes=cfg.workers) as pool:
         for part in pool.imap_unordered(_subtree_worker, units):
             _merge(agg, part)
-    return _finalize(agg, cfg)
+    return _finalize(agg, cfg, matrix_cap)

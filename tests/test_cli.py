@@ -78,6 +78,18 @@ def test_rf_stream_honors_cap(capsys, monkeypatch):
     assert payload["cap"] == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["rf", "5,6,7,8,9", "4"], ["verify", "--genus-max", "2"]], ids=" ".join
+)
+def test_bad_matrix_cap_is_a_usage_error(argv, value, capsys, monkeypatch):
+    monkeypatch.setenv("SGP_MATRIX_CAP", value)
+    code, lines = run_cli(argv, capsys)
+    assert code == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["payload"]["error"] == "InvalidArgument"
+
+
 def test_rf_stream_indices(capsys):
     code, lines = run_cli(["rf", "5,6,7,8,9", "4"], capsys)
     assert code == 0

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from numsgps import NumericalSemigroup, is_nearly_gorenstein, ng_vectors
+from numsgps.errors import InvalidArgumentError
 from numsgps.verify import (
     ASSERTED_CLAIMS,
     CLAIM_NAMES,
@@ -16,6 +17,7 @@ from numsgps.verify import (
     check_all,
     check_semigroup,
     count_by_genus,
+    harness,
     run_claims,
     semigroups_up_to,
 )
@@ -95,8 +97,8 @@ def test_no_failures_up_to_genus_ten():
 
 
 def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
-    # the factored routes decide by membership tests and bitmasks alone;
-    # factorizations are built only for a failure payload
+    # the factored routes decide by membership tests and bitmasks alone,
+    # and none of their failure payloads enumerates factorizations either
     def refuse(self, *args, **kwargs):
         raise AssertionError("enumerated")
 
@@ -189,6 +191,55 @@ def test_matrix_claims_match_literal_matrix_routes():
     assert checked["COPPIE"] > 25_000
     assert checked["FIRST_ZERO"] > 25_000
     assert checked["SAME2"] > 100_000  # 101,572 today
+
+
+def _non_pf_gap(S):
+    pf = S.pseudo_frobenius()
+    return next(x for x in range(1, S.frobenius) if x not in S and x not in pf)
+
+
+WRONG_PF_ENTRIES = {
+    "member": lambda S: S.multiplicity,
+    "gap leaving S": _non_pf_gap,  # some gap + n_i lies outside S
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_PF_ENTRIES)
+def test_matrix_claims_fail_on_a_wrong_pseudo_frobenius_entry(monkeypatch, kind):
+    # a computed PF set with one wrong entry fails each matrix claim
+    # wherever the claim applies, with the premise's payload
+    names = tuple(MATRIX_ORACLES)
+    applies = {name: [] for name in names}
+    for S in semigroups_up_to(9):
+        if S.genus == S.type:
+            continue  # every gap is pseudo-Frobenius
+        results, _ = run_claims(S, names=names)
+        for name in names:
+            if results[name].status == PASS:
+                applies[name].append(S)
+    wrong = WRONG_PF_ENTRIES[kind]
+    monkeypatch.setattr(
+        ClaimContext,
+        "pf",
+        property(lambda ctx: tuple(sorted({*ctx.S.pseudo_frobenius(), wrong(ctx.S)}))),
+    )
+    for name, group in applies.items():
+        assert len(group) > 20, name
+        for S in group:
+            result = run_claims(S, names=(name,))[0][name]
+            assert result.status == FAIL, (S.generators, name)
+            assert result.payload["f"] == wrong(S), (S.generators, name)
+            assert "reason" in result.payload
+
+
+def test_check_all_reads_the_matrix_cap_before_the_census(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census started")
+
+    monkeypatch.setenv("SGP_MATRIX_CAP", "abc")
+    monkeypatch.setattr(harness, "_consume", refuse)
+    with pytest.raises(InvalidArgumentError):
+        check_all(HarnessConfig(genus_max=2))
 
 
 def test_check_semigroup_report_shape():
