@@ -5,8 +5,8 @@ whose complement (the set of gaps) is finite; equivalently it is generated
 by finitely many positive integers with gcd 1.  Everything here is exact
 integer arithmetic: the Apery set with respect to the multiplicity is the
 single derived structure, and membership, Frobenius number, genus, gaps,
-pseudo-Frobenius numbers and factorizations all read off it.  Only gaps()
-and the membership table and mask cost time that grows with frobenius.
+pseudo-Frobenius numbers and factorizations all read off it.  Only
+gaps(), which lists every gap, costs time that grows with frobenius.
 
 The full semigroup N (generated by 1) is admitted with the conventions
 frobenius = -1, pseudo-Frobenius set {-1}, type 1.
@@ -90,8 +90,6 @@ class NumericalSemigroup:
         "frobenius",
         "genus",
         "_pf",
-        "_member_table",
-        "_ext_mask",
     )
 
     def __init__(self, generators: Iterable[int]) -> None:
@@ -134,8 +132,6 @@ class NumericalSemigroup:
         self.frobenius = max(apery) - m
         self.genus = sum(a // m for a in apery)
         self._pf = None
-        self._member_table = None
-        self._ext_mask = None
 
     @classmethod
     def _from_minimal_data(
@@ -167,7 +163,7 @@ class NumericalSemigroup:
         return self.generators == (1,)
 
     # ------------------------------------------------------------------
-    # membership and windows
+    # membership
 
     def contains(self, x: int) -> bool:
         return x >= 0 and x >= self.apery[x % self.generators[0]]
@@ -179,30 +175,9 @@ class NumericalSemigroup:
         return self.contains(y - x)
 
     def window(self) -> int:
-        """Width of the cached membership window [0, window)."""
+        """Width of the window [0, window) that reaches past the Frobenius
+        number by the largest generator."""
         return self.frobenius + self.generators[-1] + 2
-
-    def member_table(self) -> bytearray:
-        """Membership of [0, window) as a bytearray (1 = element)."""
-        if self._member_table is None:
-            w = self.window()
-            table = bytearray(w)
-            m = self.generators[0]
-            apery = self.apery
-            for x in range(w):
-                if x >= apery[x % m]:
-                    table[x] = 1
-            self._member_table = table
-        return self._member_table
-
-    def member_mask(self) -> int:
-        """Membership of [0, window) as a bitmask integer (bit x set
-        iff x is an element)."""
-        if self._ext_mask is None:
-            # bit x is digit x from the right of the table spelled in '0'/'1'
-            digits = self.member_table()[::-1].translate(bytes.maketrans(b"\0\1", b"01"))
-            self._ext_mask = int(digits, 2)
-        return self._ext_mask
 
     # ------------------------------------------------------------------
     # gap structure

@@ -2,7 +2,8 @@
 
 The symmetry predicates, candidate sets and NG-vector test read only the
 pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the type),
-never a window as wide as the Frobenius number.
+and the trace route only the Apery set (m**2 steps, m the multiplicity);
+none builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, sub
 
 from .core import NumericalSemigroup
 from .errors import EmbeddingDimensionError, NotNearlyGorensteinError
@@ -132,44 +134,28 @@ def is_almost_symmetric(S: NumericalSemigroup) -> bool:
 def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     """Independent route: K(S) + (S - K(S)) contains every nonzero element.
 
-    All set arithmetic happens on the finite window [0, frobenius +
-    largest generator + 1]; the containment there decides the infinite
-    statement because both sides are closed under adding elements of S.
+    A relative ideal is fixed by its least element in each residue class
+    mod m, the multiplicity; with a the Apery set and indices mod m:
+    - K: x is in K iff F - x is a gap iff x > F - a[F - x], so its least
+      element in class r is k[r] = F + m - a[F - r];
+    - S - K: K is the union of the k[r] + mN, so x is in S - K iff every
+      x + k[r] is in S, and dual[s] = max over r of a[s + r] - k[r];
+    - the trace is an ideal of S and M the union of the n_i + S, so M lies
+      in the trace iff each n_i has some k[r] + dual[n_i - r] <= n_i.
+    K comes from the Apery set, not as the union of F - f + S over the
+    pseudo-Frobenius f: that would collapse this route into the
+    candidate-set route it is checked against.
     """
     _require_proper(S)
     F = S.frobenius
-    w = S.window()
-    full = (1 << (2 * w)) - 1
-    mask = S.member_mask() | (full ^ ((1 << w) - 1))
-
-    # K: everything past F, and x <= F with F - x a gap.  Bit x of the
-    # second part is digit x from the right of the table's first F + 1
-    # cells spelled in '1' (gap) / '0' (element).
-    low = S.member_table()[: F + 1].translate(bytes.maketrans(b"\0\1", b"10"))
-    k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1) | int(low, 2)
-
-    # dual: x with x + K inside S; only k <= F constrain, larger k land
-    # past the Frobenius number automatically
-    dual = (1 << w) - 1
-    k = k_mask
-    while k:
-        low = k & -k
-        i = low.bit_length() - 1
-        if i > F:
-            break
-        dual &= mask >> i
-        k ^= low
-
-    trace = 0
-    d = dual
-    while d:
-        low = d & -d
-        x = low.bit_length() - 1
-        trace |= k_mask << x
-        d ^= low
-
-    m_bits = (S.member_mask() & ~1) & ((1 << w) - 1)
-    return m_bits & ~trace & ((1 << w) - 1) == 0
+    m = S.generators[0]
+    a = S.apery
+    k = [F + m - a[(F - r) % m] for r in range(m)]
+    aa = a + a
+    dual = [max(map(sub, aa[s : s + m], k)) for s in range(m)]
+    # dd[t + m - r] is dual[(t - r) % m] for r in [0, m)
+    dd = dual + dual
+    return all(min(map(add, k, dd[n % m + m : n % m : -1])) <= n for n in S.generators)
 
 
 @dataclass(frozen=True)

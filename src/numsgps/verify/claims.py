@@ -496,19 +496,6 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
 # NG-vector structure
 
 
-def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
-    """Structural facts holding for every NG-vector: the first entry is
-    the Frobenius number; two entries coincide; a pairwise-distinct
-    prefix forces entry j to F - n_j + n_1 and pushes every other
-    pseudo-Frobenius number to a factorization over the later
-    generators; a fully distinct prefix of length nu - 1 pins down the
-    whole pseudo-Frobenius set; the first entry off F has a companion
-    position, and the second one obeys the two-branch dichotomy."""
-    if not (ctx.proper and ctx.nearly_gorenstein):
-        return ClaimResult(NA)
-    return _ngv_props_factored(ctx)
-
-
 def _dichotomy_holds(S: NumericalSemigroup, h0: int, h1: int, entry: int) -> bool:
     gens = S.generators
     delta = entry - S.frobenius + gens[h1]
@@ -530,7 +517,16 @@ def _reachable(gens: tuple[int, ...], bound: int) -> int:
     return reach
 
 
-def _ngv_props_factored(ctx: ClaimContext) -> ClaimResult:
+def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
+    """Structural facts holding for every NG-vector: the first entry is
+    the Frobenius number; two entries coincide; a pairwise-distinct
+    prefix forces entry j to F - n_j + n_1 and pushes every other
+    pseudo-Frobenius number to a factorization over the later
+    generators; a fully distinct prefix of length nu - 1 pins down the
+    whole pseudo-Frobenius set; the first entry off F has a companion
+    position, and the second one obeys the two-branch dichotomy."""
+    if not (ctx.proper and ctx.nearly_gorenstein):
+        return ClaimResult(NA)
     S = ctx.S
     gens = S.generators
     nu = len(gens)
@@ -578,11 +574,10 @@ def _ngv_props_factored(ctx: ClaimContext) -> ClaimResult:
     imax = 1
     while imax < nu and forced[imax] in cands[imax]:
         imax += 1
-    pinned = set(forced[:imax])
-    reach = _reachable(gens[imax:], F + gens[0])
-    for f in ctx.pf:
-        if f in pinned:
-            continue
+    unpinned = [f for f in ctx.pf if f not in forced[:imax]]
+    # the mask is F bits wide; for nu = 2 every f is pinned and it is never built
+    reach = _reachable(gens[imax:], F + gens[0]) if unpinned else 0
+    for f in unpinned:
         if not reach >> (F - f + gens[0]) & 1:
             return _fail(
                 ctx, f=f, prefix_length=imax,

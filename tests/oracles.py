@@ -121,10 +121,16 @@ def canonical_ideal_symmetric(S):
     return K.elements_below_conductor == below
 
 
+def window_mask(S):
+    """Bit x set iff x lies in S, for x in [0, window)."""
+    bits = "".join("1" if S.contains(x) else "0" for x in reversed(range(S.window())))
+    return int(bits, 2)
+
+
 def pf_shift_mask(S):
     """Bit v set iff v - f lies in S for every pseudo-Frobenius f (from the
     gap scan), for v in [0, window): shifted membership masks intersected."""
-    mask = S.member_mask()
+    mask = window_mask(S)
     w = S.window()
     # everything at or above the window is a member as far as shifts care
     mask |= ((1 << w) - 1) << w
@@ -167,7 +173,8 @@ def gaps_trace_nearly_gorenstein(S):
     F = S.frobenius
     w = S.window()
     full = (1 << (2 * w)) - 1
-    mask = S.member_mask() | (full ^ ((1 << w) - 1))
+    members = window_mask(S)
+    mask = members | (full ^ ((1 << w) - 1))
 
     k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1)
     for g in S.gaps():
@@ -184,7 +191,7 @@ def gaps_trace_nearly_gorenstein(S):
         if (dual >> x) & 1:
             trace |= k_mask << x
 
-    m_bits = (S.member_mask() & ~1) & ((1 << w) - 1)
+    m_bits = (members & ~1) & ((1 << w) - 1)
     return m_bits & ~trace & ((1 << w) - 1) == 0
 
 

@@ -217,8 +217,7 @@ def test_info_reads_no_frobenius_sized_window(capsys, monkeypatch):
     def refuse(self, *args):
         raise AssertionError("window materialized")
 
-    for name in ("gaps", "member_table", "member_mask"):
-        monkeypatch.setattr(NumericalSemigroup, name, refuse)
+    monkeypatch.setattr(NumericalSemigroup, "gaps", refuse)
     for a, b in ((3, 1000003), (7, 123456), (1009, 2**31 - 1)):
         code, lines = run_cli(["info", f"{a},{b}"], capsys)
         assert code == 0
@@ -240,3 +239,19 @@ def test_info_reads_no_frobenius_sized_window(capsys, monkeypatch):
     assert payload["pf"][-1] == payload["frobenius"]
     assert payload["type"] == len(payload["pf"])
     assert payload["symmetric"] == (payload["type"] == 1)
+
+
+def test_verify_reads_no_frobenius_sized_window(capsys, monkeypatch):
+    # every claim, TRACE_EQ included, decides a two-generated semigroup
+    # with F near 2**32 or 2**41 from its Apery set
+    def refuse(self, *args):
+        raise AssertionError("window materialized")
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", refuse)
+    for gens in ("3,2147483647", "1009,2147483647"):
+        code, lines = run_cli(["verify", "--gens", gens], capsys)
+        assert code == 0
+        payload = json.loads(lines[0])["payload"]
+        status = {c["claim"]: c["status"] for c in payload["claims"]}
+        assert "fail" not in status.values()
+        assert status["TRACE_EQ"] == status["AS_IMPLIES_NG"] == "pass"

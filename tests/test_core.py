@@ -100,30 +100,6 @@ def test_invariants_match_sieve_random():
             assert S.contains(x) == contains(x)
 
 
-def test_member_table_and_mask_agree():
-    S = NumericalSemigroup((7, 11, 13))
-    table = S.member_table()
-    mask = S.member_mask()
-    for x in range(S.window()):
-        assert table[x] == S.contains(x)
-        assert bool((mask >> x) & 1) == table[x]
-
-
-def test_member_mask_on_a_wide_window():
-    S = NumericalSemigroup((3, 100003))
-    w = S.window()
-    assert w > 10**5
-    mask = S.member_mask()
-    table = S.member_table()
-    assert mask.bit_length() == w
-    assert mask.bit_count() == table.count(1) == w - S.genus
-    rng = random.Random(11)
-    probes = list(range(40)) + list(range(S.frobenius - 40, w))
-    probes += [rng.randrange(w) for _ in range(200)]
-    for x in probes:
-        assert bool((mask >> x) & 1) == S.contains(x)
-
-
 def test_elements_below():
     S = NumericalSemigroup((5, 7, 9))
     assert list(S.elements_below(15)) == [0, 5, 7, 9, 10, 12, 14]

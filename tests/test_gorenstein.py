@@ -107,6 +107,14 @@ def test_trace_route_agrees_with_candidate_route():
         _assert_trace_routes_agree(S)
         frobs.append(S.frobenius)
     assert max(frobs) > 2000
+    # multiplicities past the census's, where the residue slices of the
+    # Apery-set route are long enough for an off-by-one to show
+    verdicts = []
+    for _ in range(60):
+        S = _wide_generators(rng)
+        _assert_trace_routes_agree(S)
+        verdicts.append(is_nearly_gorenstein(S))
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_ng_candidates_structure():
@@ -209,6 +217,16 @@ def _sparse_generators(rng):
             S = NumericalSemigroup(gens)
             if S.frobenius <= 6000:
                 return S
+
+
+def _wide_generators(rng):
+    """A seeded system of multiplicity 30 to 60 with 1 to 4 more
+    generators below three times the multiplicity."""
+    while True:
+        m = rng.randint(30, 60)
+        gens = [m] + rng.sample(range(m + 1, 3 * m), rng.randint(1, 4))
+        if math.gcd(*gens) == 1:
+            return NumericalSemigroup(gens)
 
 
 def _assert_apery_routes_match_window_routes(S, rng):

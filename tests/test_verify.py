@@ -21,7 +21,7 @@ from numsgps.verify import (
     run_claims,
     semigroups_up_to,
 )
-from numsgps.verify.claims import FAIL, NA, PASS, _ngv_props_factored
+from numsgps.verify.claims import FAIL, NA, PASS, claim_ngv_props
 from numsgps.verify.harness import CLASSIFICATION_VECTOR_CAP, _classification_variance
 from oracles import (
     gaps_to_generators,
@@ -97,8 +97,9 @@ def test_no_failures_up_to_genus_ten():
 
 
 def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
-    # the factored routes decide by membership tests and bitmasks alone,
-    # and none of their failure payloads enumerates factorizations either
+    # the factored routes decide by Apery-set lookups and NGV_PROPS's
+    # reachability bitmask, never listing gaps, and none of their failure
+    # payloads enumerates factorizations either
     def refuse(self, *args, **kwargs):
         raise AssertionError("enumerated")
 
@@ -117,10 +118,8 @@ def test_factored_routes_agree_with_literal_enumeration():
             continue
         lit = ClaimContext(S)
         lit.__dict__["vectors"] = ng_vectors(S)
-        fac = ClaimContext(S)
-        fac.__dict__["vectors"] = None
         a = literal_ngv_props(lit)
-        b = _ngv_props_factored(fac)
+        b = claim_ngv_props(ClaimContext(S))
         assert a.status == b.status == PASS, S.generators
 
 
