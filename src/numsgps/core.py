@@ -26,6 +26,9 @@ from .errors import (
 )
 
 GENERATOR_LIMIT = 2**31
+# the Apery set is a list with one entry per residue class mod the
+# multiplicity; 2**20 entries take about 80 MB while it is built
+MULTIPLICITY_LIMIT = 2**20
 
 _INF = float("inf")
 
@@ -33,28 +36,42 @@ _INF = float("inf")
 def _apery_by_relaxation(modulus: int, generators: Sequence[int]) -> list[int]:
     """Least element of <generators> in each residue class mod `modulus`.
 
-    Shortest-path relaxation on the residue graph: edge r -> (r + g) mod m
-    of weight g for each generator g, relaxed round-robin until a full
-    pass makes no improvement.  Exact because all weights are positive.
+    Shortest paths on the residue graph, edge r -> (r + g) mod m of
+    weight g for each generator g, relaxed one generator at a time in
+    round-robin order (Boecker & Liptak, "A fast and simple algorithm for
+    the money changing problem", Algorithmica 2007): the edges of g split
+    the residues into gcd(g, m) cycles, and one walk around each cycle
+    from its least entry adds every multiple of g.  Exact because all
+    weights are positive; O(m * len(generators)) steps.  A modulus above
+    MULTIPLICITY_LIMIT is a GeneratorTooLargeError, raised before any
+    allocation.
     """
+    if modulus > MULTIPLICITY_LIMIT:
+        raise GeneratorTooLargeError(
+            f"the Apery set mod {modulus} would need {modulus} entries; "
+            f"the limit is {MULTIPLICITY_LIMIT}"
+        )
     dist: list[float] = [_INF] * modulus
     dist[0] = 0
-    steps = [(g, g % modulus) for g in generators if g % modulus != 0]
-    changed = True
-    while changed:
-        changed = False
-        for g, step in steps:
-            for r in range(modulus):
-                d = dist[r]
-                if d is _INF:
-                    continue
-                nr = r + step
-                if nr >= modulus:
-                    nr -= modulus
-                nd = d + g
-                if nd < dist[nr]:
-                    dist[nr] = nd
-                    changed = True
+    for g in generators:
+        step = g % modulus
+        if step == 0:
+            continue
+        cycles = math.gcd(step, modulus)
+        for start in range(cycles):
+            r = min(range(start, modulus, cycles), key=dist.__getitem__)
+            d = dist[r]
+            if d == _INF:
+                continue
+            for _ in range(modulus // cycles - 1):
+                r += step
+                if r >= modulus:
+                    r -= modulus
+                d += g
+                if dist[r] < d:
+                    d = dist[r]
+                else:
+                    dist[r] = d
     return [int(d) for d in dist]
 
 

@@ -21,7 +21,8 @@ class GcdNotOneError(SemigroupError):
 
 
 class GeneratorTooLargeError(SemigroupError):
-    """A generator exceeds the supported magnitude (2**31)."""
+    """A generator exceeds the supported magnitude (2**31), or an Apery
+    set would have more entries than core.MULTIPLICITY_LIMIT (2**20)."""
 
 
 class InvalidArgumentError(SemigroupError, ValueError):

@@ -12,14 +12,20 @@ of enumeration:
 - the matrix statements COPPIE, FIRST_ZERO and SAME2 can fail only if a
   computed pseudo-Frobenius number lies in S, so once one applies it is
   decided by a single check of the pseudo-Frobenius set per semigroup
-  (ClaimContext.pf_premise); each claim's docstring carries its proof;
+  (ClaimContext.pf_premise); each claim's docstring carries its proof.
+  Whether one applies is read off the pseudo-Frobenius numbers some
+  vector keeps outside its entries (ClaimContext.avoidable, one pass per
+  semigroup), and SAME2 reads its extremal gaps off the
+  pseudo-Frobenius set instead of the extremal gap table;
 - vector-entry statements (all entries distinct, forced prefix values)
   become distinct-representative questions over the candidate sets,
   decided by bipartite matching grown one prefix of positions at a time.
 
-Work shared between claims is done once per semigroup, and NGV_PROPS
-asks whether a number is a combination of the later generators through
-one reachability bitmask instead of enumerating factorizations.
+Work shared between claims is done once per semigroup, every pass or
+inapplicable verdict without a payload is one shared ClaimResult, and
+NGV_PROPS asks whether a number is a combination of the later
+generators through one reachability bitmask instead of enumerating
+factorizations.
 
 Vectors are enumerated only for five-generated semigroups, where
 THM_3DISTINCT, the PF1/PF2/MU bounds and PF2_TWO_ZEROES read each vector
@@ -89,21 +95,25 @@ class ClaimResult:
     payload: dict | None = None
 
 
+# every pass or inapplicable verdict without a payload is one of these
+PASSED = ClaimResult(PASS)
+INAPPLICABLE = ClaimResult(NA)
+
+
 class ClaimContext:
     """Lazy shared computations for one semigroup.
 
-    Everything expensive (pseudo-Frobenius set, candidate sets, vectors,
-    per-vector classifications, the extremal gap table) is computed at
-    most once and reused by all claims.
+    Everything expensive (pseudo-Frobenius set, candidate sets, the
+    avoidable pseudo-Frobenius numbers, vectors, per-vector
+    classifications, the extremal gap table) is computed at most once and
+    reused by all claims.
     """
 
     def __init__(self, S: NumericalSemigroup):
         self.S = S
+        self.nu = len(S.generators)
+        self.proper = self.nu >= 2
         self.vector_error: str | None = None
-
-    @property
-    def proper(self) -> bool:
-        return self.S.embedding_dimension >= 2
 
     @cached_property
     def pf(self) -> tuple[int, ...]:
@@ -128,6 +138,16 @@ class ClaimContext:
         return all(self.candidates)
 
     @cached_property
+    def avoidable(self) -> tuple[int, ...]:
+        """The pseudo-Frobenius numbers f that some NG-vector keeps
+        outside its entries: every candidate set has a member other than
+        f.  Empty unless the semigroup is proper and nearly Gorenstein."""
+        if not self.nearly_gorenstein:
+            return ()
+        cands = self.candidates
+        return tuple(f for f in self.pf if all(c - {f} for c in cands))
+
+    @cached_property
     def almost_symmetric(self) -> bool | None:
         if not self.proper:
             return None
@@ -140,7 +160,7 @@ class ClaimContext:
         (every claim there uses the factored route)."""
         if not (self.proper and self.nearly_gorenstein):
             return []
-        if self.S.embedding_dimension != 5:
+        if self.nu != 5:
             return None
         try:
             return ng_vectors(self.S)
@@ -194,7 +214,7 @@ def _fail(ctx: ClaimContext, **payload) -> ClaimResult:
 
 def _premise_result(ctx: ClaimContext) -> ClaimResult:
     bad = ctx.pf_premise
-    return ClaimResult(PASS) if bad is None else _fail(ctx, **bad)
+    return PASSED if bad is None else _fail(ctx, **bad)
 
 
 def _augment(
@@ -248,41 +268,37 @@ def _distinct_choice(sets: list) -> list[int] | None:
 
 def claim_herzog3(ctx: ClaimContext) -> ClaimResult:
     """Three-generated semigroups have type at most 2."""
-    if ctx.S.embedding_dimension != 3:
-        return ClaimResult(NA)
+    if ctx.nu != 3:
+        return INAPPLICABLE
     if len(ctx.pf) <= 2:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, type=len(ctx.pf))
 
 
 def claim_ng4_type3(ctx: ClaimContext) -> ClaimResult:
     """Four-generated nearly Gorenstein semigroups have type at most 3."""
-    if ctx.S.embedding_dimension != 4 or not ctx.nearly_gorenstein:
-        return ClaimResult(NA)
+    if ctx.nu != 4 or not ctx.nearly_gorenstein:
+        return INAPPLICABLE
     if len(ctx.pf) <= 3:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, type=len(ctx.pf))
 
 
 def claim_as4_type3(ctx: ClaimContext) -> ClaimResult:
     """Four-generated almost symmetric semigroups have type at most 3."""
-    if ctx.S.embedding_dimension != 4 or not ctx.almost_symmetric:
-        return ClaimResult(NA)
+    if ctx.nu != 4 or not ctx.almost_symmetric:
+        return INAPPLICABLE
     if len(ctx.pf) <= 3:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, type=len(ctx.pf))
 
 
 def claim_thm_main(ctx: ClaimContext) -> ClaimResult:
     """Five-generated, nearly Gorenstein, not almost symmetric: type <= 40."""
-    if (
-        ctx.S.embedding_dimension != 5
-        or not ctx.nearly_gorenstein
-        or ctx.almost_symmetric
-    ):
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
+        return INAPPLICABLE
     if len(ctx.pf) <= 40:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, type=len(ctx.pf))
 
 
@@ -291,11 +307,11 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     three entries are pairwise distinct: type <= 5 and every
     pseudo-Frobenius number is one of f_1, f_2, f_3 and the two extremal
     gaps between the last two generators."""
-    if ctx.S.embedding_dimension != 5 or not ctx.nearly_gorenstein:
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein:
+        return INAPPLICABLE
     eligible = [v for v in ctx.vectors if len(set(v.entries[:3])) == 3]
     if not eligible:
-        return ClaimResult(NA)
+        return INAPPLICABLE
     table = ctx.gap_table
     allowed_tail = {table.gap[(4, 5)], table.gap[(5, 4)]}
     for vec in eligible:
@@ -307,32 +323,24 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
                 allowed=sorted(allowed),
                 type=len(ctx.pf),
             )
-    return ClaimResult(PASS)
+    return PASSED
 
 
 def claim_pf2_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF2| <= 6 for every NG-vector (nu = 5, NG, not AS)."""
-    if (
-        ctx.S.embedding_dimension != 5
-        or not ctx.nearly_gorenstein
-        or ctx.almost_symmetric
-    ):
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
+        return INAPPLICABLE
     for vec, cls in ctx.classifications:
         if len(cls.pf2) > 6:
             return _fail(ctx, vector=list(vec.entries), pf2=list(cls.pf2))
-    return ClaimResult(PASS)
+    return PASSED
 
 
 def claim_pf1_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF1| <= 31, and <= 30 once the NG-vector has at least two entries
     different from the Frobenius number (nu = 5, NG, not AS)."""
-    if (
-        ctx.S.embedding_dimension != 5
-        or not ctx.nearly_gorenstein
-        or ctx.almost_symmetric
-    ):
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
+        return INAPPLICABLE
     F = ctx.S.frobenius
     for vec, cls in ctx.classifications:
         bound = 30 if sum(1 for e in vec.entries if e != F) >= 2 else 31
@@ -340,17 +348,13 @@ def claim_pf1_bound(ctx: ClaimContext) -> ClaimResult:
             return _fail(
                 ctx, vector=list(vec.entries), pf1=list(cls.pf1), bound=bound
             )
-    return ClaimResult(PASS)
+    return PASSED
 
 
 def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF1| <= 38 - sum C(mu_s - 1, 2) (nu = 5, NG, not AS)."""
-    if (
-        ctx.S.embedding_dimension != 5
-        or not ctx.nearly_gorenstein
-        or ctx.almost_symmetric
-    ):
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
+        return INAPPLICABLE
     for vec, cls in ctx.classifications:
         mu = mu_bound(ctx.gap_table, cls)
         if len(cls.pf1) > mu.bound:
@@ -361,7 +365,7 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
                 mus=list(mu.mus),
                 bound=mu.bound,
             )
-    return ClaimResult(PASS)
+    return PASSED
 
 
 # ----------------------------------------------------------------------
@@ -381,12 +385,7 @@ def claim_coppie(ctx: ClaimContext) -> ClaimResult:
     premise keeps outside S.  Inapplicable when no f lies outside some
     vector.
     """
-    if not (ctx.proper and ctx.nearly_gorenstein):
-        return ClaimResult(NA)
-    cands = ctx.candidates
-    if any(all(c - {f} for c in cands) for f in ctx.pf):
-        return _premise_result(ctx)
-    return ClaimResult(NA)
+    return _premise_result(ctx) if ctx.avoidable else INAPPLICABLE
 
 
 def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
@@ -403,18 +402,19 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     outside some vector.
     """
     if not (ctx.proper and ctx.nearly_gorenstein):
-        return ClaimResult(NA)
+        return INAPPLICABLE
     gens = ctx.S.generators
     F = ctx.S.frobenius
     cands = ctx.candidates
-    avoidable = [f for f in ctx.pf if f != F and all(c - {f} for c in cands)]
     for h0 in range(1, len(gens)):
         if F not in cands[h0 - 1]:
             break
         for g in cands[h0] - {F}:
-            if g - F + gens[h0] in gens[:h0] and any(f != g for f in avoidable):
+            if g - F + gens[h0] in gens[:h0] and any(
+                f != F and f != g for f in ctx.avoidable
+            ):
                 return _premise_result(ctx)
-    return ClaimResult(NA)
+    return INAPPLICABLE
 
 
 def _two_zero_payload(lists) -> dict | None:
@@ -442,8 +442,8 @@ def _two_zero_payload(lists) -> dict | None:
 def claim_pf2_two_zeroes(ctx: ClaimContext) -> ClaimResult:
     """Every matrix of an f in PF2 (nu = 5) has exactly two zeroes in
     each row and each column, on both the additive and subtractive side."""
-    if ctx.S.embedding_dimension != 5 or not ctx.nearly_gorenstein:
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein:
+        return INAPPLICABLE
     checked = False
     for vec, cls in ctx.classifications:
         for f in cls.pf2:
@@ -454,7 +454,7 @@ def claim_pf2_two_zeroes(ctx: ClaimContext) -> ClaimResult:
             bad = _two_zero_payload(minus_row_lists(ctx.S, vec.entries, f))
             if bad is not None:
                 return _fail(ctx, vector=list(vec.entries), f=f, side="minus", **bad)
-    return ClaimResult(PASS) if checked else ClaimResult(NA)
+    return PASSED if checked else INAPPLICABLE
 
 
 def claim_same2(ctx: ClaimContext) -> ClaimResult:
@@ -472,24 +472,38 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
     is nonzero (g != f'), or d lies in S by the premise.  Either way g
     lands in S, which the premise excludes for a candidate.  Inapplicable
     when no such pair is avoided by some vector.
+
+    The extremal gaps that are pseudo-Frobenius numbers are read off the
+    pseudo-Frobenius set, without the gap table.  If f is
+    pseudo-Frobenius and n_s divides f + n_p (p != s), then f = M_{p,s}
+    and lambda_{ps} = (f + n_p) / n_s: f lies outside S, f + k * n_s lies
+    in S for every k >= 1, and lambda_{ps} >= 1 as f > 0.  Conversely an
+    M_{p,s} in the pseudo-Frobenius set is such an f.  Distinct minimal
+    generators are never congruent mod another generator n_s (n_q =
+    n_p + k * n_s would not be minimal), and none is a multiple of it,
+    so at most one p fits each (f, s), found by one lookup of -f mod n_s.
+    Both numbers of a pair must be avoidable, so only those are scanned.
+    A wrong extra entry in the computed set can only add (f, lambda)
+    pairs, so the claim still applies, and the premise then fails it,
+    wherever it applied before.
     """
-    if not (ctx.proper and ctx.nearly_gorenstein):
-        return ClaimResult(NA)
-    nu = ctx.S.embedding_dimension
-    gap, lam = ctx.gap_table.gap, ctx.gap_table.lam
-    pf_set = set(ctx.pf)
+    avoidable = ctx.avoidable
+    if len(avoidable) < 2:
+        return INAPPLICABLE
+    gens = ctx.S.generators
     cands = ctx.candidates
-    for s in range(1, nu + 1):
+    for ns in gens:
+        residues = {n % ns: n for n in gens if n != ns}
         group = [
-            (gap[(p, s)], lam[(p, s)])
-            for p in range(1, nu + 1)
-            if p != s and gap[(p, s)] in pf_set
+            (f, (f + residues[-f % ns]) // ns)
+            for f in avoidable
+            if -f % ns in residues
         ]
         for f, lam_p in group:
             for f2, lam_q in group:
                 if f != f2 and lam_p >= lam_q and all(c - {f, f2} for c in cands):
                     return _premise_result(ctx)
-    return ClaimResult(NA)
+    return INAPPLICABLE
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +540,7 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
     whole pseudo-Frobenius set; the first entry off F has a companion
     position, and the second one obeys the two-branch dichotomy."""
     if not (ctx.proper and ctx.nearly_gorenstein):
-        return ClaimResult(NA)
+        return INAPPLICABLE
     S = ctx.S
     gens = S.generators
     nu = len(gens)
@@ -604,7 +618,7 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
                         )
                 if F not in cands[h1]:
                     break
-    return ClaimResult(PASS)
+    return PASSED
 
 
 # ----------------------------------------------------------------------
@@ -613,19 +627,19 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
 
 def claim_as_implies_ng(ctx: ClaimContext) -> ClaimResult:
     if not ctx.proper or not ctx.almost_symmetric:
-        return ClaimResult(NA)
+        return INAPPLICABLE
     if ctx.nearly_gorenstein:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, reason="almost symmetric but not nearly Gorenstein")
 
 
 def claim_trace_eq(ctx: ClaimContext) -> ClaimResult:
     """The candidate-set route and the trace-ideal route agree."""
     if not ctx.proper:
-        return ClaimResult(NA)
+        return INAPPLICABLE
     via_trace = nearly_gorenstein_via_trace(ctx.S)
     if via_trace == ctx.nearly_gorenstein:
-        return ClaimResult(PASS)
+        return PASSED
     return _fail(ctx, candidates=ctx.nearly_gorenstein, trace=via_trace)
 
 
@@ -633,8 +647,8 @@ def claim_question_ms(ctx: ClaimContext) -> ClaimResult:
     """Report-only: candidates against the open question (five-generated
     nearly Gorenstein with type above 5, or with type exactly 5 while not
     almost symmetric).  Never fails."""
-    if ctx.S.embedding_dimension != 5 or not ctx.nearly_gorenstein:
-        return ClaimResult(NA)
+    if ctx.nu != 5 or not ctx.nearly_gorenstein:
+        return INAPPLICABLE
     t = len(ctx.pf)
     if t > 5 or (t == 5 and not ctx.almost_symmetric):
         return ClaimResult(
@@ -645,7 +659,7 @@ def claim_question_ms(ctx: ClaimContext) -> ClaimResult:
                 "almost_symmetric": bool(ctx.almost_symmetric),
             },
         )
-    return ClaimResult(PASS)
+    return PASSED
 
 
 CLAIM_FUNCTIONS = {

@@ -125,23 +125,21 @@ def _classification_variance(ctx: ClaimContext) -> list[tuple[int, list[str]]]:
     f + n_i or n_i + f_i - f > 0 is a multiple of another generator n_j.
     The first test does not depend on the vector, and the second depends
     only on the entry at position i.  So f varies iff some position has a candidate other than
-    f that is a witness, and every position has one that is not.
+    f that is a witness, and every position has one that is not.  Only
+    the avoidable f (ClaimContext.avoidable) are kept outside some vector.
     """
-    S = ctx.S
-    if not (ctx.proper and ctx.nearly_gorenstein):
+    if ctx.nu != 5 and ctx.vector_count > CLASSIFICATION_VECTOR_CAP:
         return []
-    if S.embedding_dimension != 5 and ctx.vector_count > CLASSIFICATION_VECTOR_CAP:
-        return []
-    gens = S.generators
+    gens = ctx.S.generators
 
     def witness(i: int, value: int) -> bool:
         return value > 0 and any(value % n == 0 for j, n in enumerate(gens) if j != i)
 
     out = []
-    for f in ctx.pf:
-        options = [c - {f} for c in ctx.candidates]
-        if not all(options) or any(witness(i, f + n) for i, n in enumerate(gens)):
+    for f in ctx.avoidable:
+        if any(witness(i, f + n) for i, n in enumerate(gens)):
             continue
+        options = [c - {f} for c in ctx.candidates]
         hits = [
             [witness(i, n + g - f) for g in opts]
             for i, (n, opts) in enumerate(zip(gens, options))
@@ -230,7 +228,7 @@ def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) ->
     results, ctx = run_claims(S, cfg.claims)
     agg["semigroups"] += 1
     agg["by_genus"][S.genus] = agg["by_genus"].get(S.genus, 0) + 1
-    key = _cell_key(S.embedding_dimension, ctx.nearly_gorenstein, ctx.almost_symmetric)
+    key = _cell_key(ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric)
     cell = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
     cell["count"] += 1
     cell["max_type"] = max(cell["max_type"], S.type)
@@ -270,8 +268,8 @@ def _merge(agg: dict, part: dict) -> None:
 def _subtree_worker(args: tuple) -> dict:
     node, cfg = args
     agg = _empty_aggregate(cfg.claims)
-    for mask, gens, _frob, _genus in _nodes_from(node, cfg.genus_max):
-        _consume(agg, cfg, _semigroup_from_node(gens, mask))
+    for child in _nodes_from(node, cfg.genus_max):
+        _consume(agg, cfg, _semigroup_from_node(child))
     return agg
 
 
@@ -320,16 +318,15 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     agg = _empty_aggregate(cfg.claims)
     root = _root_node(cfg.genus_max)
     if cfg.workers == 1 or cfg.genus_max <= SPLIT_DEPTH:
-        for mask, gens, _frob, _genus in _nodes_from(root, cfg.genus_max):
-            _consume(agg, cfg, _semigroup_from_node(gens, mask), sink)
+        for node in _nodes_from(root, cfg.genus_max):
+            _consume(agg, cfg, _semigroup_from_node(node), sink)
         return _finalize(agg, cfg, matrix_cap)
     units = []
     for node in _nodes_from(root, SPLIT_DEPTH):
-        mask, gens, _frob, genus = node
-        if genus == SPLIT_DEPTH:
+        if node[3] == SPLIT_DEPTH:
             units.append((node, cfg))
         else:
-            _consume(agg, cfg, _semigroup_from_node(gens, mask))
+            _consume(agg, cfg, _semigroup_from_node(node))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=cfg.workers) as pool:
         for part in pool.imap_unordered(_subtree_worker, units):

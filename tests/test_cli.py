@@ -213,6 +213,17 @@ def test_info_near_the_generator_limit(capsys):
     assert json.loads(lines[0])["payload"]["error"] == "GeneratorTooLarge"
 
 
+def test_info_refuses_a_multiplicity_above_the_limit(capsys):
+    # refused before the Apery list is allocated, not by running out of memory
+    for gens in ("2147483646,2147483647", f"{2**20 + 1},{2**20 + 2}"):
+        code, lines = run_cli(["info", gens], capsys)
+        assert code == 2
+        assert json.loads(lines[0])["payload"]["error"] == "GeneratorTooLarge"
+    code, lines = run_cli(["info", f"{2**20},{2**20 + 1}"], capsys)
+    assert code == 0
+    assert json.loads(lines[0])["payload"]["multiplicity"] == 2**20
+
+
 def test_info_reads_no_frobenius_sized_window(capsys, monkeypatch):
     def refuse(self, *args):
         raise AssertionError("window materialized")

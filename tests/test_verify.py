@@ -49,9 +49,15 @@ def test_enumeration_matches_backtracking_oracle():
     expected = {
         gaps_to_generators(gaps) for gaps in genus_tree_semigroups(9)
     }
-    got = {S.generators for S in semigroups_up_to(9)}
+    walked = list(semigroups_up_to(9))
+    got = {S.generators for S in walked}
     assert got == expected
     assert len(got) == sum(KNOWN_COUNTS[:10])
+    # the Apery sets carried down the tree (multiplicities 2..10) match
+    # the shortest-path construction from the generators
+    assert {S.multiplicity for S in walked} == set(range(1, 11))
+    for S in walked:
+        assert S.apery == NumericalSemigroup(S.generators).apery, S.generators
 
 
 def test_enumeration_embdim_filter():
