@@ -3,12 +3,13 @@
 Removing a minimal generator larger than the Frobenius number takes a
 semigroup of genus g to one of genus g + 1, and every semigroup arises
 exactly once this way (put the Frobenius number back to recover the
-parent).  A node is (mask, generators, frobenius, genus, apery): the
-membership bitmask, the minimal generators, and the Apery set with
-respect to the multiplicity.  Child generator systems and Apery sets are
-maintained incrementally instead of recomputed: removing a generator
-g != m changes only the Apery entry of g mod m, from g to g + m, and only
-the spine of ordinary semigroups (g = m) rescans the mask.
+parent).  A node is (generators, frobenius, genus, apery): the minimal
+generators and the Apery set with respect to the multiplicity, which is
+the walk's only membership structure.  Each child is built from its
+parent in O(embedding dimension) steps: removing a generator g != m
+changes only the Apery entry of g mod m, from g to g + m, and removing
+g = m steps down the spine of ordinary semigroups, whose child has a
+closed form.
 """
 
 from __future__ import annotations
@@ -17,126 +18,59 @@ from collections.abc import Iterable, Iterator
 
 from ..core import NumericalSemigroup
 
+Node = tuple[tuple[int, ...], int, int, tuple[int, ...]]
 
-def _mask_width(genus_max: int) -> int:
-    # generators stay below 3 * genus and candidate probes below 4 * genus
-    return 4 * genus_max + 8
+# the semigroup N = <1>, with frobenius -1
+_ROOT: Node = ((1,), -1, 0, (0,))
 
 
-def _child_generators(mask: int, gens: tuple[int, ...], g: int) -> tuple[int, ...]:
-    """Minimal generators after removing g, given the child mask.
+def _child(node: Node, g: int) -> Node:
+    """The child that removes the generator g > frobenius.
 
-    Surviving generators keep their minimality.  A new generator must be
-    g + s for a member s between the old and the new multiplicity, which
-    leaves one candidate (g + m) in general and two (2m, m + m') when the
-    multiplicity m itself was removed.
+    For g = m we have m > F, so the node is {0} u [m, oo) and the child
+    {0} u [m + 1, oo): generators m + 1..2m + 1, Apery set
+    (0, m + 2, ..., 2m + 1).  For g != m, g is the Apery element of its
+    class (g - m would make it reducible) and g + m the next member of
+    that class, so one entry changes.  Every other generator stays
+    minimal, and the only new one can be g + m, which joins unless
+    g + m - n is a nonzero member of the child for a kept generator n.
+    Every generator is at most F + m < g + m, so g + m - n > 0 and
+    appending g + m keeps the generators ascending.
     """
+    gens, _, genus, apery = node
     m = gens[0]
     if g == m:
-        mp = m + 1
-        while not (mask >> mp) & 1:
-            mp += 1
-        lo = mp
-        cand = (2 * m, m + mp)
-    else:
-        lo = m
-        cand = (g + m,)
-    kept = [n for n in gens if n != g]
-    for x in cand:
-        if x in kept:
-            continue
-        a = lo
-        reducible = False
-        while 2 * a <= x:
-            if (mask >> a) & 1 and (mask >> (x - a)) & 1:
-                reducible = True
-                break
-            a += 1
-        if not reducible:
-            kept.append(x)
-    kept.sort()
-    return tuple(kept)
-
-
-Node = tuple[int, tuple[int, ...], int, int, tuple[int, ...]]
-
-
-def _apery_from_mask(mask: int, m: int) -> tuple[int, ...]:
-    """Least member of each residue class mod m, by scanning the mask
-    upward from m."""
-    apery = [-1] * m
-    apery[0] = 0
-    found = 1
-    x = m
-    while found < m:
-        if (mask >> x) & 1:
-            r = x % m
-            if apery[r] < 0:
-                apery[r] = x
-                found += 1
-        x += 1
-    return tuple(apery)
-
-
-def _child_apery(
-    mask: int, gens: tuple[int, ...], apery: tuple[int, ...], g: int
-) -> tuple[int, ...]:
-    """Apery set of the child that removes the generator g, given the
-    child mask.
-
-    For g != m, g is the Apery element of its class (g - m would make it
-    reducible) and g + m the next member of that class, so one entry
-    changes.  Removing g = m (then m > F, so the child's multiplicity is
-    m + 1) changes the modulus, and the child's set is rebuilt from the
-    mask.
-    """
-    m = gens[0]
-    if g == m:
-        return _apery_from_mask(mask, m + 1)
+        top = 2 * m + 2
+        return (tuple(range(m + 1, top)), m, genus + 1, (0, *range(m + 2, top)))
     r = g % m
-    return apery[:r] + (g + m,) + apery[r + 1 :]
-
-
-def _root_node(genus_max: int) -> Node:
-    width = _mask_width(genus_max)
-    return ((1 << width) - 1, (1,), -1, 0, (0,))
+    x = g + m
+    apery = apery[:r] + (x,) + apery[r + 1 :]
+    kept = [n for n in gens if n != g]
+    if not any(x - n >= apery[(x - n) % m] for n in kept):
+        kept.append(x)
+    return tuple(kept), g, genus + 1, apery
 
 
 def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
-    """Depth-first stream of (mask, generators, frobenius, genus, apery)
-    nodes in the subtree of `start`, children visited by increasing
-    removed generator.  The start mask must have been built for a width
-    covering genus_max."""
+    """Depth-first stream of the nodes in the subtree of `start` down to
+    genus_max, children visited by increasing removed generator."""
     stack = [start]
     while stack:
         node = stack.pop()
         yield node
-        mask, gens, frob, genus, apery = node
-        if genus >= genus_max:
-            continue
-        children = []
-        for g in gens:
-            if g <= frob:
-                continue
-            child_mask = mask & ~(1 << g)
-            children.append(
-                (
-                    child_mask,
-                    _child_generators(child_mask, gens, g),
-                    g,
-                    genus + 1,
-                    _child_apery(child_mask, gens, apery, g),
-                )
-            )
-        stack.extend(reversed(children))
+        gens, frob, genus, _ = node
+        if genus < genus_max:
+            stack.extend(_child(node, g) for g in reversed(gens) if g > frob)
 
 
 def _nodes(genus_max: int) -> Iterator[Node]:
-    return _nodes_from(_root_node(genus_max), genus_max)
+    if genus_max < 0:
+        raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
+    return _nodes_from(_ROOT, genus_max)
 
 
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:
-    return NumericalSemigroup._from_minimal_data(node[1], node[4])
+    return NumericalSemigroup._from_minimal_data(node[0], node[3])
 
 
 def semigroups_up_to(
@@ -146,11 +80,9 @@ def semigroups_up_to(
     """Every numerical semigroup of genus <= genus_max, exactly once, in a
     deterministic depth-first order.  embdim restricts the yielded (not
     the visited) semigroups to the given embedding dimensions."""
-    if genus_max < 0:
-        raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
     wanted = None if embdim is None else frozenset(embdim)
     for node in _nodes(genus_max):
-        if wanted is None or len(node[1]) in wanted:
+        if wanted is None or len(node[0]) in wanted:
             yield _semigroup_from_node(node)
 
 
@@ -159,5 +91,5 @@ def count_by_genus(genus_max: int) -> list[int]:
     walk only)."""
     counts = [0] * (genus_max + 1)
     for node in _nodes(genus_max):
-        counts[node[3]] += 1
+        counts[node[2]] += 1
     return counts

@@ -26,7 +26,7 @@ from .claims import (
     ClaimResult,
     run_claims,
 )
-from .enumeration import _nodes_from, _root_node, _semigroup_from_node
+from .enumeration import _ROOT, Node, _nodes_from, _semigroup_from_node
 
 SCHEMA_VERSION = "1"
 
@@ -221,9 +221,12 @@ def _empty_aggregate(claims: tuple[str, ...]) -> dict:
     }
 
 
-def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
-    if cfg.embdim_filter is not None and S.embedding_dimension not in cfg.embdim_filter:
+def _consume(agg: dict, cfg: HarnessConfig, node: Node, sink=None) -> None:
+    # the filter reads the node's generator count, so a node it drops is
+    # never built
+    if cfg.embdim_filter is not None and len(node[0]) not in cfg.embdim_filter:
         return
+    S = _semigroup_from_node(node)
     start = time.perf_counter()
     results, ctx = run_claims(S, cfg.claims)
     agg["semigroups"] += 1
@@ -269,7 +272,7 @@ def _subtree_worker(args: tuple) -> dict:
     node, cfg = args
     agg = _empty_aggregate(cfg.claims)
     for child in _nodes_from(node, cfg.genus_max):
-        _consume(agg, cfg, _semigroup_from_node(child))
+        _consume(agg, cfg, child)
     return agg
 
 
@@ -316,17 +319,16 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     # read before the census so that a malformed value fails at once
     matrix_cap = resolve_matrix_cap()
     agg = _empty_aggregate(cfg.claims)
-    root = _root_node(cfg.genus_max)
     if cfg.workers == 1 or cfg.genus_max <= SPLIT_DEPTH:
-        for node in _nodes_from(root, cfg.genus_max):
-            _consume(agg, cfg, _semigroup_from_node(node), sink)
+        for node in _nodes_from(_ROOT, cfg.genus_max):
+            _consume(agg, cfg, node, sink)
         return _finalize(agg, cfg, matrix_cap)
     units = []
-    for node in _nodes_from(root, SPLIT_DEPTH):
-        if node[3] == SPLIT_DEPTH:
+    for node in _nodes_from(_ROOT, SPLIT_DEPTH):
+        if node[2] == SPLIT_DEPTH:
             units.append((node, cfg))
         else:
-            _consume(agg, cfg, _semigroup_from_node(node))
+            _consume(agg, cfg, node)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=cfg.workers) as pool:
         for part in pool.imap_unordered(_subtree_worker, units):

@@ -45,6 +45,12 @@ def test_count_by_genus_matches_census():
     assert [counts[g] for g in range(15)] == KNOWN_COUNTS
 
 
+@pytest.mark.parametrize("genus_max", [-1, -3])
+def test_count_by_genus_rejects_negative_genus(genus_max):
+    with pytest.raises(ValueError, match="genus_max must be nonnegative"):
+        count_by_genus(genus_max)
+
+
 def test_enumeration_matches_backtracking_oracle():
     expected = {
         gaps_to_generators(gaps) for gaps in genus_tree_semigroups(9)
@@ -329,10 +335,24 @@ def test_harness_claims_normalized_to_canonical_order():
 
 def test_workers_summary_identical():
     # genus 8 exceeds the serial cutoff, so workers=2 really forks
-    base = check_all(HarnessConfig(genus_max=8, workers=1))
-    split = check_all(HarnessConfig(genus_max=8, workers=2))
-    assert base == split
-    assert json.dumps(base, sort_keys=True) == json.dumps(split, sort_keys=True)
+    for embdim in (None, frozenset({3})):
+        base = check_all(HarnessConfig(genus_max=8, embdim_filter=embdim, workers=1))
+        split = check_all(HarnessConfig(genus_max=8, embdim_filter=embdim, workers=2))
+        assert base == split
+        assert json.dumps(base, sort_keys=True) == json.dumps(split, sort_keys=True)
+
+
+def test_embdim_filter_drops_nodes_before_building(monkeypatch):
+    built = []
+
+    def counting(node):
+        built.append(node)
+        return build(node)
+
+    build = harness._semigroup_from_node
+    monkeypatch.setattr(harness, "_semigroup_from_node", counting)
+    summary = check_all(HarnessConfig(genus_max=8, embdim_filter=frozenset({3})))
+    assert 0 < len(built) == summary["semigroups"]
 
 
 def test_embdim_filter_summary():
