@@ -2,7 +2,10 @@
 
 Every builder re-proves the properties it promises on the concrete
 instance it returns; a violated property raises FamilyPropertyError
-instead of returning a semigroup that silently lacks it.
+instead of returning a semigroup that silently lacks it.  Ideals are
+RelativeIdeals (least element per residue class mod the multiplicity),
+and the duplication identity is re-proved on Apery sets, so no builder
+walks a window as wide as the Frobenius number.
 """
 
 from __future__ import annotations
@@ -51,44 +54,41 @@ class DuplicationSpec:
             )
 
 
-def ideal_generators(S: NumericalSemigroup, E: RelativeIdeal) -> list[int]:
-    """Minimal generators of an integral ideal: elements e with e - n
-    outside the ideal for every generator n.  Anything at or above
-    conductor + multiplicity is reducible, which bounds the scan."""
-    top = E.conductor + S.multiplicity
-    return [
-        e
-        for e in E.elements_in(E.min_element(), top)
-        if all(not E.contains(e - n) for n in S.generators)
-    ]
-
-
 def numerical_duplication(spec: DuplicationSpec) -> NumericalSemigroup:
     """The semigroup 2*S union (2*E + b) for S = base, E = ideal.
 
     The doubled generators of S together with the shifted doubles of the
-    ideal generators of E generate the union; the constructor prunes them
-    to a minimal system.  The element-level identity (even x: x/2 in S;
-    odd x: (x - b)/2 in E) is then checked on a full window.  When E is
-    the maximal ideal the embedding dimension must double, and when the
-    base is additionally almost symmetric the result must be almost
-    symmetric of type 2 t + 1; both facts are asserted here.  The trivial
-    base N is excluded from those assertions: its duplication is
-    two-generated and symmetric, so the type law genuinely fails there.
+    ideal generators of E (the least elements e of E with no e - n_i in
+    E) generate the union; the constructor prunes them to a minimal
+    system.  The element-level identity (even x: x/2 in S; odd x:
+    (x - b)/2 in E) is then checked on the Apery set mod 2m, m the
+    multiplicity of S: both sides are closed under adding 2m, so they
+    agree iff their least elements per class do, which are 2 a[r/2] for
+    even r and 2 least[(r - b)/2] + b for odd r (a the Apery set of S,
+    indices mod m).  When E is the maximal ideal the embedding
+    dimension must double, and when the base is additionally almost
+    symmetric the result must be almost symmetric of type 2 t + 1; both
+    facts are asserted here.  The trivial base N is excluded from those
+    assertions: its duplication is two-generated and symmetric, so the
+    type law genuinely fails there.
     """
     S, E, b = spec.base, spec.ideal, spec.b
-    raw = {2 * n for n in S.generators} | {2 * e + b for e in ideal_generators(S, E)}
+    m = S.multiplicity
+    gens = S.generators
+    raw = {2 * n for n in gens} | {
+        2 * e + b for e in E.least if not any(e - n in E for n in gens)
+    }
     dup = NumericalSemigroup(sorted(raw))
 
-    for x in range(dup.window()):
-        if x % 2 == 0:
-            expected = S.contains(x // 2)
+    for r, got in enumerate(dup.apery_set(2 * m)):
+        if r % 2 == 0:
+            want = 2 * S.apery[r // 2]
         else:
-            expected = E.contains((x - b) // 2)
-        if dup.contains(x) != expected:
+            want = 2 * E.least[(r - b) // 2 % m] + b
+        if got != want:
             raise FamilyPropertyError(
-                f"duplication identity fails at {x}: constructed semigroup "
-                f"{'contains' if dup.contains(x) else 'misses'} it"
+                f"duplication identity fails mod {2 * m}: the least element "
+                f"congruent to {r} is {got} instead of {want}"
             )
 
     if not S.is_full() and E == RelativeIdeal.maximal_ideal(S):
@@ -239,15 +239,16 @@ def dim6_progression(T: int, d: int, k: int) -> tuple[int, ...]:
 
 def ideal_from_generators(S: NumericalSemigroup, elements) -> RelativeIdeal:
     """The integral ideal generated by the given elements of S:
-    everything of the form element + member."""
-    elems = sorted(set(elements))
+    everything of the form element + member, whose least element in
+    class r mod m is the least e + a[r - e] (a the Apery set, indices
+    mod m)."""
+    elems = set(elements)
     if not elems:
         raise EmptyGeneratorsError("an ideal needs at least one generator")
-    conductor = elems[0] + S.frobenius + 1
-    below = set()
-    for e in elems:
-        below.update(e + s for s in S.elements_below(conductor - e))
-    return RelativeIdeal(tuple(sorted(below)), conductor)
+    m = S.multiplicity
+    a = S.apery
+    least = (min(e + a[(r - e) % m] for e in elems) for r in range(m))
+    return RelativeIdeal(tuple(least))
 
 
 def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:

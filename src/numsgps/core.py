@@ -15,7 +15,7 @@ frobenius = -1, pseudo-Frobenius set {-1}, type 1.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyGeneratorsError,
@@ -191,11 +191,6 @@ class NumericalSemigroup:
         """Order induced by S: x <= y iff y - x lies in S."""
         return self.contains(y - x)
 
-    def window(self) -> int:
-        """Width of the window [0, window) that reaches past the Frobenius
-        number by the largest generator."""
-        return self.frobenius + self.generators[-1] + 2
-
     # ------------------------------------------------------------------
     # gap structure
 
@@ -277,9 +272,3 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({', '.join(map(str, self.generators))})"
-
-    def elements_below(self, bound: int) -> Iterator[int]:
-        """Elements of S in [0, bound), ascending."""
-        for x in range(max(bound, 0)):
-            if self.contains(x):
-                yield x

@@ -1,9 +1,11 @@
 """Canonical ideal, symmetry predicates, and nearly Gorenstein vectors.
 
-The symmetry predicates, candidate sets and NG-vector test read only the
-pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the type),
-and the trace route only the Apery set (m**2 steps, m the multiplicity);
-none builds a window as wide as the Frobenius number.
+A relative ideal is held by its least element in each residue class mod
+the multiplicity m (RelativeIdeal.least), so the canonical and maximal
+ideals cost m Apery lookups and the trace route m**2 steps.  The symmetry
+predicates, candidate sets and NG-vector test read only the
+pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the
+type).  Nothing here builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -24,56 +26,35 @@ from .errors import EmbeddingDimensionError, NotNearlyGorensteinError
 
 @dataclass(frozen=True)
 class RelativeIdeal:
-    """A relative ideal given by its sporadic elements plus a conductor:
-    the ideal is elements_below_conductor together with every integer
-    >= conductor."""
+    """A relative ideal of a semigroup of multiplicity m, given by its
+    least element in each residue class mod m: least[r] is congruent to
+    r, and the ideal is the union of the least[r] + mN."""
 
-    elements_below_conductor: tuple[int, ...]
-    conductor: int
-
-    def __post_init__(self) -> None:
-        kept = tuple(sorted({e for e in self.elements_below_conductor if e < self.conductor}))
-        object.__setattr__(self, "elements_below_conductor", kept)
-        object.__setattr__(self, "_sporadic", frozenset(kept))
+    least: tuple[int, ...]
 
     def contains(self, x: int) -> bool:
-        return x >= self.conductor or x in self._sporadic
+        return x >= self.least[x % len(self.least)]
 
     __contains__ = contains
 
-    def min_element(self) -> int:
-        if self.elements_below_conductor:
-            return self.elements_below_conductor[0]
-        return self.conductor
-
-    def elements_in(self, lo: int, hi: int) -> list[int]:
-        """Elements in [lo, hi), ascending."""
-        out = [e for e in self.elements_below_conductor if lo <= e < hi]
-        out.extend(range(max(self.conductor, lo), hi))
-        return out
-
     def is_ideal_of(self, S: NumericalSemigroup) -> bool:
-        """True iff the set is a nonempty ideal contained in S:
-        closed under adding elements of S."""
-        if self.conductor <= S.frobenius:
-            return False
-        if any(not S.contains(e) for e in self.elements_below_conductor):
-            return False
-        below = set(self.elements_below_conductor)
-        for e in self.elements_below_conductor:
-            for n in S.generators:
-                x = e + n
-                if x < self.conductor and x not in below:
-                    return False
-        return True
+        """True iff the set is a nonempty ideal contained in S: it is
+        given mod the multiplicity of S, each least element lies in S,
+        and least[r] + n stays in the set for every generator n (adding
+        m never leaves it)."""
+        m = S.multiplicity
+        least = self.least
+        return (
+            len(least) == m
+            and all(e % m == r and S.contains(e) for r, e in enumerate(least))
+            and all(e + n >= least[(e + n) % m] for e in least for n in S.generators)
+        )
 
     @classmethod
     def maximal_ideal(cls, S: NumericalSemigroup) -> "RelativeIdeal":
-        """M(S): all nonzero elements."""
-        if S.is_full():
-            return cls((), 1)
-        elems = tuple(x for x in range(1, S.frobenius + 1) if S.contains(x))
-        return cls(elems, S.frobenius + 1)
+        """M(S): all nonzero elements, (m, a[1], ..., a[m - 1]) with a
+        the Apery set."""
+        return cls((S.multiplicity, *S.apery[1:]))
 
 
 def _require_proper(S: NumericalSemigroup) -> None:
@@ -81,11 +62,19 @@ def _require_proper(S: NumericalSemigroup) -> None:
         raise EmbeddingDimensionError("operation needs a proper semigroup (at least 2 generators)")
 
 
-def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """K(S) = {x in N : frobenius - x not in S}."""
+def _canonical_least(S: NumericalSemigroup) -> list[int]:
+    """Least element of K(S) in each residue class mod the multiplicity m:
+    x is in K iff F - x lies outside S iff x > F - a[F - x] (indices mod
+    m, a the Apery set), so k[r] = F + m - a[F - r]."""
     F = S.frobenius
-    elems = tuple(sorted(F - g for g in S.gaps()))
-    return RelativeIdeal(elems, F + 1)
+    m = S.multiplicity
+    a = S.apery
+    return [F + m - a[(F - r) % m] for r in range(m)]
+
+
+def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
+    """K(S) = {x : frobenius - x not in S}."""
+    return RelativeIdeal(tuple(_canonical_least(S)))
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
@@ -136,8 +125,7 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
 
     A relative ideal is fixed by its least element in each residue class
     mod m, the multiplicity; with a the Apery set and indices mod m:
-    - K: x is in K iff F - x is a gap iff x > F - a[F - x], so its least
-      element in class r is k[r] = F + m - a[F - r];
+    - K: k[r] = F + m - a[F - r] (_canonical_least);
     - S - K: K is the union of the k[r] + mN, so x is in S - K iff every
       x + k[r] is in S, and dual[s] = max over r of a[s + r] - k[r];
     - the trace is an ideal of S and M the union of the n_i + S, so M lies
@@ -147,10 +135,9 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     candidate-set route it is checked against.
     """
     _require_proper(S)
-    F = S.frobenius
     m = S.generators[0]
     a = S.apery
-    k = [F + m - a[(F - r) % m] for r in range(m)]
+    k = _canonical_least(S)
     aa = a + a
     dual = [max(map(sub, aa[s : s + m], k)) for s in range(m)]
     # dd[t + m - r] is dual[(t - r) % m] for r in [0, m)

@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
 from .errors import (
@@ -293,7 +293,7 @@ def classify_pf(S: NumericalSemigroup, ng: NGVector | Sequence[int]) -> PFClassi
 
 
 def classify_vectors(
-    S: NumericalSemigroup, vectors: Sequence[Sequence[int]]
+    S: NumericalSemigroup, vectors: Iterable[Sequence[int]]
 ) -> list[PFClassification]:
     """classify_pf for each of the given vectors, which the caller vouches
     are NG-vectors of S (they are not re-validated).

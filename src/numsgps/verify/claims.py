@@ -27,17 +27,20 @@ NGV_PROPS asks whether a number is a combination of the later
 generators through one reachability bitmask instead of enumerating
 factorizations.
 
-Vectors are enumerated only for five-generated semigroups, where
-THM_3DISTINCT, the PF1/PF2/MU bounds and PF2_TWO_ZEROES read each vector
-and its PF split (classified from a table per pseudo-Frobenius number,
-position and entry, without re-validating the vectors).  No explicit
-matrix is built; PF2_TWO_ZEROES reads per-row factorization lists.  The
-literal per-vector and per-matrix routes are kept in the tests as
-cross-checks of the factored ones and of the matrix statements.
+Vectors are enumerated only for five-generated semigroups, as the
+product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
+PF2_TWO_ZEROES read each vector's entries and PF split from
+ClaimContext.classifications (classified from a table per
+pseudo-Frobenius number, position and entry, without re-validating the
+vectors).  No explicit matrix is built; PF2_TWO_ZEROES reads per-row
+factorization lists.  The literal per-vector and per-matrix routes are
+kept in the tests as cross-checks of the factored ones and of the matrix
+statements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,13 +48,7 @@ from functools import cached_property
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
-from ..gorenstein import (
-    NGVector,
-    is_almost_symmetric,
-    nearly_gorenstein_via_trace,
-    ng_candidates,
-    ng_vectors,
-)
+from ..gorenstein import is_almost_symmetric, nearly_gorenstein_via_trace, ng_candidates
 from ..rf import (
     MaxGapTable,
     PFClassification,
@@ -65,29 +62,6 @@ from ..rf import (
 PASS = "pass"
 FAIL = "fail"
 NA = "inapplicable"
-
-CLAIM_NAMES = (
-    "HERZOG3",
-    "NG4_TYPE3",
-    "AS4_TYPE3",
-    "THM_MAIN",
-    "THM_3DISTINCT",
-    "PF2_BOUND",
-    "PF1_BOUND",
-    "MU_BOUND",
-    "COPPIE",
-    "FIRST_ZERO",
-    "NGV_PROPS",
-    "AS_IMPLIES_NG",
-    "TRACE_EQ",
-    "PF2_TWO_ZEROES",
-    "SAME2",
-    "QUESTION_MS",
-)
-
-# QUESTION_MS is report-only: it never fails, it only flags candidates
-ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
-
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -104,16 +78,15 @@ class ClaimContext:
     """Lazy shared computations for one semigroup.
 
     Everything expensive (pseudo-Frobenius set, candidate sets, the
-    avoidable pseudo-Frobenius numbers, vectors, per-vector
-    classifications, the extremal gap table) is computed at most once and
-    reused by all claims.
+    avoidable pseudo-Frobenius numbers, per-vector classifications, the
+    extremal gap table) is computed at most once and reused by all
+    claims.
     """
 
     def __init__(self, S: NumericalSemigroup):
         self.S = S
         self.nu = len(S.generators)
         self.proper = self.nu >= 2
-        self.vector_error: str | None = None
 
     @cached_property
     def pf(self) -> tuple[int, ...]:
@@ -154,27 +127,13 @@ class ClaimContext:
         return is_almost_symmetric(self.S)
 
     @cached_property
-    def vectors(self) -> list[NGVector] | None:
-        """Materialized vector list of a five-generated semigroup, whose
-        per-vector claims read it; None for other embedding dimensions
-        (every claim there uses the factored route)."""
-        if not (self.proper and self.nearly_gorenstein):
-            return []
-        if self.nu != 5:
-            return None
-        try:
-            return ng_vectors(self.S)
-        except RuntimeError as exc:
-            self.vector_error = str(exc)
-            return []
-
-    @cached_property
-    def classifications(self) -> list[tuple[NGVector, PFClassification]] | None:
-        if self.vectors is None:
-            return None
-        # every vector came from the candidate sets, so none is re-validated
-        classes = classify_vectors(self.S, [v.entries for v in self.vectors])
-        return list(zip(self.vectors, classes))
+    def classifications(self) -> list[PFClassification]:
+        """The PF split of every NG-vector, in ng_vectors' order (each
+        position's candidates descending); only the five-generated claims
+        read it.  Every vector comes from the candidate sets, so none is
+        re-validated."""
+        ordered = (sorted(c, reverse=True) for c in self.candidates)
+        return classify_vectors(self.S, itertools.product(*ordered))
 
     @cached_property
     def gap_table(self) -> MaxGapTable | None:
@@ -309,17 +268,19 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     gaps between the last two generators."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein:
         return INAPPLICABLE
-    eligible = [v for v in ctx.vectors if len(set(v.entries[:3])) == 3]
+    eligible = [
+        c.entries for c in ctx.classifications if len(set(c.entries[:3])) == 3
+    ]
     if not eligible:
         return INAPPLICABLE
     table = ctx.gap_table
     allowed_tail = {table.gap[(4, 5)], table.gap[(5, 4)]}
-    for vec in eligible:
-        allowed = set(vec.entries[:3]) | allowed_tail
+    for entries in eligible:
+        allowed = set(entries[:3]) | allowed_tail
         if len(ctx.pf) > 5 or not set(ctx.pf) <= allowed:
             return _fail(
                 ctx,
-                vector=list(vec.entries),
+                vector=list(entries),
                 allowed=sorted(allowed),
                 type=len(ctx.pf),
             )
@@ -330,9 +291,9 @@ def claim_pf2_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF2| <= 6 for every NG-vector (nu = 5, NG, not AS)."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
-    for vec, cls in ctx.classifications:
+    for cls in ctx.classifications:
         if len(cls.pf2) > 6:
-            return _fail(ctx, vector=list(vec.entries), pf2=list(cls.pf2))
+            return _fail(ctx, vector=list(cls.entries), pf2=list(cls.pf2))
     return PASSED
 
 
@@ -342,11 +303,11 @@ def claim_pf1_bound(ctx: ClaimContext) -> ClaimResult:
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
     F = ctx.S.frobenius
-    for vec, cls in ctx.classifications:
-        bound = 30 if sum(1 for e in vec.entries if e != F) >= 2 else 31
+    for cls in ctx.classifications:
+        bound = 30 if sum(1 for e in cls.entries if e != F) >= 2 else 31
         if len(cls.pf1) > bound:
             return _fail(
-                ctx, vector=list(vec.entries), pf1=list(cls.pf1), bound=bound
+                ctx, vector=list(cls.entries), pf1=list(cls.pf1), bound=bound
             )
     return PASSED
 
@@ -355,12 +316,12 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF1| <= 38 - sum C(mu_s - 1, 2) (nu = 5, NG, not AS)."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
-    for vec, cls in ctx.classifications:
+    for cls in ctx.classifications:
         mu = mu_bound(ctx.gap_table, cls)
         if len(cls.pf1) > mu.bound:
             return _fail(
                 ctx,
-                vector=list(vec.entries),
+                vector=list(cls.entries),
                 pf1=list(cls.pf1),
                 mus=list(mu.mus),
                 bound=mu.bound,
@@ -445,15 +406,15 @@ def claim_pf2_two_zeroes(ctx: ClaimContext) -> ClaimResult:
     if ctx.nu != 5 or not ctx.nearly_gorenstein:
         return INAPPLICABLE
     checked = False
-    for vec, cls in ctx.classifications:
+    for cls in ctx.classifications:
         for f in cls.pf2:
             checked = True
             bad = _two_zero_payload(plus_row_lists(ctx.S, f))
             if bad is not None:
-                return _fail(ctx, vector=list(vec.entries), f=f, side="plus", **bad)
-            bad = _two_zero_payload(minus_row_lists(ctx.S, vec.entries, f))
+                return _fail(ctx, vector=list(cls.entries), f=f, side="plus", **bad)
+            bad = _two_zero_payload(minus_row_lists(ctx.S, cls.entries, f))
             if bad is not None:
-                return _fail(ctx, vector=list(vec.entries), f=f, side="minus", **bad)
+                return _fail(ctx, vector=list(cls.entries), f=f, side="minus", **bad)
     return PASSED if checked else INAPPLICABLE
 
 
@@ -569,16 +530,12 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
 
     forced = [F - n + gens[0] for n in gens]
     for j in range(1, nu):
-        choice = choices[j]
-        if choice is None:
+        if choices[j] is None:
             break
         for a in sorted(cands[j] - {forced[j]}, reverse=True):
-            # the prefix choice also serves cands[:j] with a removed unless
-            # it uses a; only then is a matching of its own needed
-            if a in choice and _distinct_choice([c - {a} for c in cands[:j]]) is None:
-                continue
-            # the payload is that matching, rebuilt on this failure path
             head = _distinct_choice([c - {a} for c in cands[:j]])
+            if head is None:
+                continue
             vector = head + [a] + [max(c) for c in cands[j + 1 :]]
             return _fail(
                 ctx, vector=vector, position=j + 1,
@@ -680,6 +637,11 @@ CLAIM_FUNCTIONS = {
     "SAME2": claim_same2,
     "QUESTION_MS": claim_question_ms,
 }
+
+CLAIM_NAMES = tuple(CLAIM_FUNCTIONS)
+
+# QUESTION_MS is report-only: it never fails, it only flags candidates
+ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
 
 
 def run_claims(

@@ -165,8 +165,6 @@ def _build_report(
         notes.append(
             f"classification of {f} varies across NG-vectors: {', '.join(kinds)}"
         )
-    if ctx.vector_error:
-        notes.append(ctx.vector_error)
     return CheckReport(
         generators=S.generators,
         genus=S.genus,

@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd, prod
 
 from numsgps.errors import EnumerationCapError
-from numsgps.gorenstein import canonical_ideal, ng_candidates, ng_vectors
+from numsgps.gorenstein import ng_candidates, ng_vectors
 from numsgps.rf import (
     PFClassification,
     Witness,
@@ -115,15 +115,22 @@ def gap_scan_pseudo_frobenius(S):
 
 
 def canonical_ideal_symmetric(S):
-    """Symmetry as K(S) == S, compared below the conductor of K."""
-    K = canonical_ideal(S)
-    below = tuple(x for x in range(K.conductor) if S.contains(x))
-    return K.elements_below_conductor == below
+    """Symmetry as K(S) == S, with K built gap by gap: below F + 1, K is
+    F - g for the gaps g, and S is its members."""
+    F = S.frobenius
+    K = sorted(F - g for g in S.gaps())
+    return K == [x for x in range(F + 1) if S.contains(x)]
+
+
+def window(S):
+    """Width of the window [0, window) that reaches past the Frobenius
+    number by the largest generator."""
+    return S.frobenius + S.generators[-1] + 2
 
 
 def window_mask(S):
     """Bit x set iff x lies in S, for x in [0, window)."""
-    bits = "".join("1" if S.contains(x) else "0" for x in reversed(range(S.window())))
+    bits = "".join("1" if S.contains(x) else "0" for x in reversed(range(window(S))))
     return int(bits, 2)
 
 
@@ -131,7 +138,7 @@ def pf_shift_mask(S):
     """Bit v set iff v - f lies in S for every pseudo-Frobenius f (from the
     gap scan), for v in [0, window): shifted membership masks intersected."""
     mask = window_mask(S)
-    w = S.window()
+    w = window(S)
     # everything at or above the window is a member as far as shifts care
     mask |= ((1 << w) - 1) << w
     pf = gap_scan_pseudo_frobenius(S)
@@ -171,7 +178,7 @@ def gaps_trace_nearly_gorenstein(S):
     every nonzero element, decided on the window [0, frobenius + largest
     generator + 1], where K is everything past F plus F - g for each gap g."""
     F = S.frobenius
-    w = S.window()
+    w = window(S)
     full = (1 << (2 * w)) - 1
     members = window_mask(S)
     mask = members | (full ^ ((1 << w) - 1))
@@ -322,9 +329,9 @@ def random_generators(rng, frobenius_cap=1500):
 
 
 def literal_ngv_props(ctx):
-    """The NGV_PROPS statements checked vector by vector over the
-    materialized ctx.vectors, with the tail factorizations found by the
-    coin-problem sieve; returns a ClaimResult like the factored route."""
+    """The NGV_PROPS statements checked vector by vector over
+    ng_vectors(S), with the tail factorizations found by the coin-problem
+    sieve; returns a ClaimResult like the factored route."""
     S = ctx.S
     gens = S.generators
     nu = len(gens)
@@ -336,7 +343,7 @@ def literal_ngv_props(ctx):
             tails[start] = sieve_membership(gens[start:], F + gens[0])
         return tails[start][value]
 
-    for vec in ctx.vectors:
+    for vec in ng_vectors(S):
         e = vec.entries
         if e[0] != F:
             return _fail(ctx, vector=list(e), reason="first entry is not F")

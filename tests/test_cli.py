@@ -1,12 +1,17 @@
 """Command-line interface: golden records, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from numsgps import NumericalSemigroup
 from numsgps.cli import main
+from numsgps.verify import CLAIM_NAMES
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_cases.jsonl"
 
@@ -266,3 +271,100 @@ def test_verify_reads_no_frobenius_sized_window(capsys, monkeypatch):
         status = {c["claim"]: c["status"] for c in payload["claims"]}
         assert "fail" not in status.values()
         assert status["TRACE_EQ"] == status["AS_IMPLIES_NG"] == "pass"
+
+
+def test_construct_reads_no_frobenius_sized_window(capsys, monkeypatch):
+    # the duplication identity is checked on Apery sets: a base with F
+    # near 4 * 10**6 answers at once, and one near 2**32 is refused when
+    # its doubled generator passes the limit, before any window is built
+    def refuse(self, *args):
+        raise AssertionError("window materialized")
+
+    monkeypatch.setattr(NumericalSemigroup, "gaps", refuse)
+    code, lines = run_cli(
+        ["construct", "duplication", "--gens", "3,2000003", "--b", "3"], capsys
+    )
+    assert code == 0
+    payload = json.loads(lines[0])["payload"]
+    assert payload["generators"] == [6, 9, 4000006, 4000009]
+    assert payload["frobenius"] == 8000009
+    assert payload["pf"] == [3, 8000006, 8000009]
+    for argv in (
+        ["construct", "duplication", "--gens", "3,2147483647", "--b", "3"],
+        ["construct", "tower", "--gens", "3,2147483647", "--depth", "1"],
+    ):
+        code, lines = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(lines[0])["payload"]["error"] == "GeneratorTooLarge"
+
+
+_GENERATORS = st.lists(st.integers(-2, 60), max_size=6).map(
+    lambda values: ",".join(map(str, values))
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """Bounded argv for every subcommand: generator lists in -2..60, and
+    parameters from just below their valid range to a size that answers
+    in milliseconds."""
+
+    def number(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    gens = draw(_GENERATORS)
+    command = draw(st.sampled_from(
+        ("info", "ng-vectors", "rf", "classify-pf", "verify",
+         "backelin", "dim6", "duplication", "tower")
+    ))
+    if command in ("info", "ng-vectors"):
+        return [command, gens]
+    if command == "rf":
+        kind = draw(st.sampled_from(("plus", "minus")))
+        count = draw(st.sampled_from(([], ["--count"])))
+        return ["rf", gens, number(-3, 300), "--kind", kind,
+                "--ng-index", number(-1, 3), *count]
+    if command == "classify-pf":
+        return [command, gens, "--ng-index", number(-1, 3)]
+    if command == "verify":
+        target = draw(st.sampled_from(
+            (["--gens", gens], ["--genus-max", number(-1, 5)])
+        ))
+        claims = draw(st.lists(st.sampled_from((*CLAIM_NAMES, "NO_SUCH")), max_size=3))
+        extra = ["--claims", ",".join(claims)] if claims else []
+        if draw(st.booleans()):
+            extra += ["--embdim", draw(_GENERATORS)]
+        extra += draw(st.sampled_from(([], ["--reports"])))
+        return ["verify", *target, "--workers", number(-1, 1), *extra]
+    if command == "backelin":
+        return ["construct", "backelin", "--T", number(-1, 6)]
+    if command == "dim6":
+        return ["construct", "dim6", "--T", number(-1, 6),
+                "--d", number(-1, 40), "--k", number(-1, 40)]
+    if command == "duplication":
+        ideal = draw(st.sampled_from(([], ["--ideal", draw(_GENERATORS)])))
+        return ["construct", "duplication", "--gens", gens,
+                "--b", number(-3, 61), *ideal]
+    return ["construct", "tower", "--gens", gens, "--depth", number(-1, 2)]
+
+
+# the fixtures set the same environment for every example
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=500,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argv())
+def test_every_argv_exits_with_a_code_and_records(argv, monkeypatch):
+    monkeypatch.setenv("SGP_MATRIX_CAP", "200")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    for line in out.getvalue().splitlines():
+        assert set(json.loads(line)) == {"schema_version", "kind", "payload"}, argv

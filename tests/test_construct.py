@@ -32,10 +32,14 @@ def test_duplication_spec_validation():
         DuplicationSpec(S, M, 4)
     with pytest.raises(NotAMemberError):
         DuplicationSpec(S, M, 1)
-    bad = RelativeIdeal((0, 1), 5)
-    assert not bad.is_ideal_of(S)
-    with pytest.raises(NotAnIdealError):
-        DuplicationSpec(S, bad, 3)
+    # 1 lies outside S; 4 + 5 = 9 is missing from the classes of 12, 4
+    # and 5; 5 sits in the class of 1; an ideal given mod 4 is not one of
+    # a semigroup of multiplicity 3
+    for least in ((0, 1, 2), (12, 4, 5), (3, 5, 4), (4, 5, 6, 7)):
+        bad = RelativeIdeal(least)
+        assert not bad.is_ideal_of(S)
+        with pytest.raises(NotAnIdealError):
+            DuplicationSpec(S, bad, 3)
 
 
 def test_duplication_example():
@@ -54,7 +58,7 @@ def test_duplication_membership_identity():
     E = ideal_from_generators(S, (7, 10))
     for b in (5, 7, 19):
         D = numerical_duplication(DuplicationSpec(S, E, b))
-        for x in range(D.window()):
+        for x in range(D.frobenius + D.generators[-1] + 2):
             if x % 2 == 0:
                 assert D.contains(x) == S.contains(x // 2)
             else:
@@ -66,7 +70,8 @@ def test_duplication_frobenius_law():
     S = NumericalSemigroup((4, 9, 11))
     for elems in ((4, 9), (9, 11), (8, 13)):
         E = ideal_from_generators(S, elems)
-        gap_top = max(x for x in range(E.conductor) if x not in E)
+        # everything from min(elems) + F + 1 on lies in min(elems) + S
+        gap_top = max(x for x in range(min(elems) + S.frobenius + 1) if x not in E)
         for b in smallest_b_values(S, 2):
             D = numerical_duplication(DuplicationSpec(S, E, b))
             assert D.frobenius == 2 * gap_top + b
@@ -167,7 +172,7 @@ def test_ideal_from_generators():
     S = NumericalSemigroup((3, 4, 5))
     E = ideal_from_generators(S, (4, 7))
     assert E.is_ideal_of(S)
-    assert E.min_element() == 4
+    assert min(E.least) == 4
     for x in range(30):
         expected = (x - 4 >= 0 and S.contains(x - 4)) or (
             x - 7 >= 0 and S.contains(x - 7)

@@ -100,12 +100,6 @@ def test_invariants_match_sieve_random():
             assert S.contains(x) == contains(x)
 
 
-def test_elements_below():
-    S = NumericalSemigroup((5, 7, 9))
-    assert list(S.elements_below(15)) == [0, 5, 7, 9, 10, 12, 14]
-    assert list(S.elements_below(0)) == []
-
-
 def test_factorizations_match_bruteforce():
     S = NumericalSemigroup((5, 7, 9))
     for x in (0, 5, 14, 31, 45, 61):

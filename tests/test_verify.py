@@ -124,13 +124,11 @@ def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
 
 
 def test_factored_routes_agree_with_literal_enumeration():
-    # same semigroup, vectors forced present vs forced absent
+    # same semigroup, every vector enumerated vs the factored route
     for S in semigroups_up_to(8):
         if S.is_full() or not is_nearly_gorenstein(S):
             continue
-        lit = ClaimContext(S)
-        lit.__dict__["vectors"] = ng_vectors(S)
-        a = literal_ngv_props(lit)
+        a = literal_ngv_props(ClaimContext(S))
         b = claim_ngv_props(ClaimContext(S))
         assert a.status == b.status == PASS, S.generators
 
@@ -157,15 +155,18 @@ def test_factored_classification_variance_matches_literal_scan():
 
 
 def test_classification_table_matches_per_vector_scan():
-    # ctx.classifications reads a (f, position, entry) table; the scan
-    # classifies each five-generated vector on its own
+    # ctx.classifications reads a (f, position, entry) table over the
+    # product of the candidate sets; the scan classifies each vector of
+    # ng_vectors on its own, in the same order
     checked = 0
     for S in semigroups_up_to(14, embdim={5}):
         ctx = ClaimContext(S)
         if not ctx.nearly_gorenstein:
             continue
-        for vec, cls in ctx.classifications:
-            assert cls == scan_classify_pf(S, vec.entries), S.generators
+        classes = ctx.classifications
+        assert [c.entries for c in classes] == [v.entries for v in ng_vectors(S)]
+        for cls in classes:
+            assert cls == scan_classify_pf(S, cls.entries), S.generators
             checked += 1
     assert checked > 2000  # 2,097 vectors today
 
