@@ -348,7 +348,7 @@ def cli_argv(draw):
     return ["construct", "tower", "--gens", gens, "--depth", number(-1, 2)]
 
 
-# the fixtures set the same environment for every example
+# monkeypatch sets the same environment for every example
 @settings(
     derandomize=True,
     database=None,
