@@ -12,8 +12,7 @@ from numsgps import (
     NumericalSemigroup,
     duplication_tower,
     is_almost_symmetric,
-    rf_plus,
-    zero_pattern,
+    rf_plus_iter,
 )
 
 GENS = (455, 497, 574, 589, 631, 708)
@@ -35,13 +34,17 @@ def main():
     patterns = set()
     for lam in range(1, 6):
         f = 3521 + 134 * lam
-        matrices = rf_plus(S, f)
+        matrices = list(rf_plus_iter(S, f))
         assert len(matrices) == 1
         M = matrices[0]
-        patterns.add(zero_pattern(M))
+        zeros = frozenset(
+            (i, j) for i, row in enumerate(M) for j, c in enumerate(row)
+            if i != j and c == 0
+        )
+        patterns.add(zeros)
         print(f"unique additive matrix for {f} (lam = {lam}):")
-        width = max(len(str(c)) for row in M.entries for c in row)
-        for row in M.entries:
+        width = max(len(str(c)) for row in M for c in row)
+        for row in M:
             print("    " + "  ".join(f"{c:>{width}d}" for c in row))
     print()
     print(f"distinct zero patterns across the five matrices: {len(patterns)}")

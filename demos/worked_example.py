@@ -14,16 +14,16 @@ from numsgps import (
     is_nearly_gorenstein,
     max_gap_table,
     ng_vectors,
-    rf_minus,
-    rf_plus,
+    rf_minus_iter,
+    rf_plus_iter,
 )
 
 GENS = (13, 45, 72, 79, 99)
 
 
 def show_matrix(M):
-    width = max(len(str(c)) for row in M.entries for c in row)
-    for row in M.entries:
+    width = max(len(str(c)) for row in M for c in row)
+    for row in M:
         print("    " + "  ".join(f"{c:>{width}d}" for c in row))
 
 
@@ -51,17 +51,17 @@ def main():
     print()
 
     f = 59
-    for M in rf_plus(S, f):
+    for M in rf_plus_iter(S, f):
         print(f"additive matrix for {f} (each row dotted with the "
               f"generators gives {f}):")
         show_matrix(M)
     print()
-    for M in rf_minus(S, vec, f):
+    for M in rf_minus_iter(S, vec.entries, f):
         print(f"subtractive matrix for {f} (row i gives entry_i - {f}):")
         show_matrix(M)
     print()
 
-    cls = classify_pf(S, vec)
+    cls = classify_pf(S, vec.entries)
     print(f"classification outside the vector: pf1 = {list(cls.pf1)}, "
           f"pf2 = {list(cls.pf2)}")
     for fval, witnesses in sorted(cls.witnesses.items()):

@@ -56,21 +56,12 @@ from .rf import (
     MaxGapTable,
     MuBound,
     PFClassification,
-    RFKind,
-    RFMatrix,
     Witness,
-    check_coppie,
     classify_pf,
     max_gap_table,
-    mu_values,
     resolve_matrix_cap,
-    rf_minus,
-    rf_minus_count,
     rf_minus_iter,
-    rf_plus,
-    rf_plus_count,
     rf_plus_iter,
-    zero_pattern,
 )
 
 __all__ = [
@@ -85,24 +76,15 @@ __all__ = [
     "ng_candidates",
     "ng_vectors",
     "is_ng_vector",
-    "RFKind",
-    "RFMatrix",
-    "rf_plus",
-    "rf_minus",
-    "rf_plus_count",
-    "rf_minus_count",
     "rf_plus_iter",
     "rf_minus_iter",
     "resolve_matrix_cap",
-    "check_coppie",
-    "zero_pattern",
     "classify_pf",
     "PFClassification",
     "Witness",
     "MaxGapTable",
     "max_gap_table",
     "MuBound",
-    "mu_values",
     "DuplicationSpec",
     "numerical_duplication",
     "smallest_odd_generator",

@@ -203,19 +203,19 @@ def _cmd_rf(args) -> int:
         _emit("rf", payload, args.pretty)
 
     if args.count:
-        row_lists = plus_row_lists(S, f) if vec is None else minus_row_lists(S, vec, f)
+        row_lists = plus_row_lists(S, f) if vec is None else minus_row_lists(S, vec.entries, f)
         emit(count=matrix_count(row_lists), row_counts=[len(r) for r in row_lists])
         return 0
-    matrices = rf_plus_iter(S, f) if vec is None else rf_minus_iter(S, vec, f)
+    matrices = rf_plus_iter(S, f) if vec is None else rf_minus_iter(S, vec.entries, f)
     for index, M in enumerate(matrices):
-        emit(index=index, rows=[list(row) for row in M.entries])
+        emit(index=index, rows=[list(row) for row in M])
     return 0
 
 
 def _cmd_classify_pf(args) -> int:
     S = NumericalSemigroup(args.generators)
     vec = _select_vector(S, args.ng_index)
-    cls = classify_pf(S, vec)
+    cls = classify_pf(S, vec.entries)
     witnesses = [
         {"f": f, "side": w.side, "i": w.i, "j": w.j, "lam": w.lam}
         for f in sorted(cls.witnesses)
@@ -246,21 +246,13 @@ def _cmd_verify(args) -> int:
         _emit("verify", _report_payload(report), args.pretty)
         return 1 if report.failures else 0
     if args.genus_max is None:
-        print("verify: one of --genus-max or --gens is required", file=sys.stderr)
-        return 2
-    try:
-        cfg = HarnessConfig(
-            genus_max=args.genus_max,
-            embdim_filter=args.embdim,
-            claims=args.claims or CLAIM_NAMES,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
-    if args.reports and cfg.workers != 1:
-        print("verify: --reports requires --workers 1", file=sys.stderr)
-        return 2
+        raise InvalidArgumentError("one of --genus-max or --gens is required")
+    cfg = HarnessConfig(
+        genus_max=args.genus_max,
+        embdim_filter=args.embdim,
+        claims=args.claims or CLAIM_NAMES,
+        workers=args.workers,
+    )
     sink = None
     if args.reports:
         sink = lambda report: _emit("verify", _report_payload(report), args.pretty)

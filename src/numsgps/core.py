@@ -4,9 +4,10 @@ A numerical semigroup S is an additive submonoid of the natural numbers
 whose complement (the set of gaps) is finite; equivalently it is generated
 by finitely many positive integers with gcd 1.  Everything here is exact
 integer arithmetic: the Apery set with respect to the multiplicity is the
-single derived structure, and membership, Frobenius number, genus, gaps,
-pseudo-Frobenius numbers and factorizations all read off it.  Only
-gaps(), which lists every gap, costs time that grows with frobenius.
+single derived structure, and membership, Frobenius number, genus,
+pseudo-Frobenius numbers and factorizations all read off it.  Nothing
+here builds a structure that grows with the Frobenius number; the one
+left in the package is the reachability mask of the NGV_PROPS claim.
 
 The full semigroup N (generated by 1) is admitted with the conventions
 frobenius = -1, pseudo-Frobenius set {-1}, type 1.
@@ -187,19 +188,8 @@ class NumericalSemigroup:
 
     __contains__ = contains
 
-    def leq(self, x: int, y: int) -> bool:
-        """Order induced by S: x <= y iff y - x lies in S."""
-        return self.contains(y - x)
-
     # ------------------------------------------------------------------
     # gap structure
-
-    def gaps(self) -> list[int]:
-        """All positive integers outside S, ascending."""
-        m = self.generators[0]
-        out = [x for r, a in enumerate(self.apery) for x in range(r, a, m) if x > 0]
-        out.sort()
-        return out
 
     def apery_set(self, n: int) -> list[int]:
         """The n smallest elements of S, one per residue class mod n.

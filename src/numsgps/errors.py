@@ -50,9 +50,8 @@ class VectorEntryError(SemigroupError):
 
 
 class MismatchedPairError(SemigroupError):
-    """The two matrices do not form a comparable (additive, subtractive)
-    pair: different semigroup, different pseudo-Frobenius number, or
-    wrong kinds."""
+    """The vector paired with the semigroup is not one of its nearly
+    Gorenstein vectors."""
 
 
 class EmbeddingDimensionError(SemigroupError):

@@ -6,13 +6,15 @@ factorization of f + n_i with the diagonal entry replaced by -1, so every
 row evaluates to f.  Given a nearly Gorenstein vector (f_1, ..., f_nu) and
 f outside its entries, a subtractive matrix has row i factoring
 n_i + f_i - f, again with diagonal -1, so row i evaluates to f_i - f.
-Matrices of either kind are Cartesian products of independent row choices;
-enumeration order is row-major over factorization lists, which are
-themselves in descending lexicographic order.
+Matrices of either kind are Cartesian products of independent row choices:
+`plus_row_lists` / `minus_row_lists` give the choices per row,
+`matrix_count` their product, and `rf_plus_iter` / `rf_minus_iter` stream
+the matrices as tuples of rows, row-major over factorization lists that
+are themselves in descending lexicographic order.
 
-Matrix positions inside `entries` are plain 0-based Python indices; the
-index fields of Witness and the keys of MaxGapTable are 1-based generator
-positions, matching the usual n_1 < ... < n_nu notation.
+Row and column positions inside a matrix are plain 0-based Python
+indices; the index fields of Witness and the keys of MaxGapTable are
+1-based generator positions, matching the usual n_1 < ... < n_nu notation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
@@ -33,47 +34,23 @@ from .errors import (
     NotPseudoFrobeniusError,
     VectorEntryError,
 )
-from .gorenstein import NGVector, is_ng_vector
+from .gorenstein import is_ng_vector
 
 DEFAULT_MATRIX_CAP = 10**6
 MATRIX_CAP_ENV = "SGP_MATRIX_CAP"
 
 
-class RFKind(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-@dataclass(frozen=True)
-class RFMatrix:
-    """One row-factorization matrix; `ng` carries the vector entries for
-    the subtractive kind and is None otherwise."""
-
-    kind: RFKind
-    f: int
-    generators: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
-    ng: tuple[int, ...] | None = None
-
-
-def resolve_matrix_cap(cap: int | None = None) -> int:
-    """The given cap, else the SGP_MATRIX_CAP environment value, else
-    the default; a negative or non-integer cap is an InvalidArgumentError."""
-    if cap is None:
-        text = os.environ.get(MATRIX_CAP_ENV, str(DEFAULT_MATRIX_CAP))
-        try:
-            cap = int(text)
-        except ValueError:
-            raise InvalidArgumentError(f"{MATRIX_CAP_ENV}={text!r} is not an integer")
+def resolve_matrix_cap() -> int:
+    """The SGP_MATRIX_CAP environment value, else the default; a negative
+    or non-integer value is an InvalidArgumentError."""
+    text = os.environ.get(MATRIX_CAP_ENV, str(DEFAULT_MATRIX_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"{MATRIX_CAP_ENV}={text!r} is not an integer")
     if cap < 0:
         raise InvalidArgumentError(f"matrix cap {cap} is negative")
     return cap
-
-
-def _vector_entries(ng: NGVector | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(ng, NGVector):
-        return ng.entries
-    return tuple(ng)
 
 
 def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
@@ -98,10 +75,11 @@ def plus_row_lists(S: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]
 
 
 def minus_row_lists(
-    S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int
+    S: NumericalSemigroup, entries: Sequence[int], f: int
 ) -> list[list[tuple[int, ...]]]:
-    """Per-position row choices for the subtractive matrices of f."""
-    entries = _vector_entries(ng)
+    """Per-position row choices for the subtractive matrices of f and the
+    NG-vector with these entries."""
+    entries = tuple(entries)
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
     if f not in S.pseudo_frobenius():
@@ -119,87 +97,31 @@ def matrix_count(row_lists: list[list[tuple[int, ...]]]) -> int:
     return math.prod(len(rows) for rows in row_lists)
 
 
-def _matrices(
-    kind: RFKind,
-    f: int,
-    generators: tuple[int, ...],
+def _capped_product(
     row_lists: list[list[tuple[int, ...]]],
-    ng: tuple[int, ...] | None,
-    cap: int | None,
-) -> Iterator[RFMatrix]:
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     count = matrix_count(row_lists)
-    cap = resolve_matrix_cap(cap)
+    cap = resolve_matrix_cap()
     if count > cap:
         raise EnumerationCapError(count, cap)
-    return (
-        RFMatrix(kind, f, generators, combo, ng)
-        for combo in itertools.product(*row_lists)
-    )
-
-
-def rf_plus_count(S: NumericalSemigroup, f: int) -> int:
-    return matrix_count(plus_row_lists(S, f))
-
-
-def rf_minus_count(S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int) -> int:
-    return matrix_count(minus_row_lists(S, ng, f))
+    return itertools.product(*row_lists)
 
 
 def rf_plus_iter(
-    S: NumericalSemigroup, f: int, cap: int | None = None
-) -> Iterator[RFMatrix]:
-    """Lazy stream of the additive matrices of f.  Raises
-    EnumerationCapError carrying the exact count, before any matrix is
-    built, when there are more than the cap allows."""
-    return _matrices(RFKind.PLUS, f, S.generators, plus_row_lists(S, f), None, cap)
+    S: NumericalSemigroup, f: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Lazy stream of the additive matrices of f, each a tuple of rows.
+    Raises EnumerationCapError carrying the exact count, before any
+    matrix is built, when there are more than SGP_MATRIX_CAP."""
+    return _capped_product(plus_row_lists(S, f))
 
 
 def rf_minus_iter(
-    S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int, cap: int | None = None
-) -> Iterator[RFMatrix]:
-    """Lazy stream of the subtractive matrices of f for the given vector,
-    cap as above."""
-    entries = _vector_entries(ng)
-    rows = minus_row_lists(S, entries, f)
-    return _matrices(RFKind.MINUS, f, S.generators, rows, entries, cap)
-
-
-def rf_plus(S: NumericalSemigroup, f: int, cap: int | None = None) -> list[RFMatrix]:
-    """All additive matrices of f, cap as in rf_plus_iter."""
-    return list(rf_plus_iter(S, f, cap))
-
-
-def rf_minus(
-    S: NumericalSemigroup, ng: NGVector | Sequence[int], f: int, cap: int | None = None
-) -> list[RFMatrix]:
-    """All subtractive matrices of f for the given vector, cap as above."""
-    return list(rf_minus_iter(S, ng, f, cap))
-
-
-def check_coppie(A: RFMatrix, B: RFMatrix) -> bool:
-    """Product-zero compatibility of an (additive, subtractive) pair for
-    the same pseudo-Frobenius number: A[j][k] * B[k][j] = 0 off the
-    diagonal."""
-    if A.kind is not RFKind.PLUS or B.kind is not RFKind.MINUS:
-        raise MismatchedPairError("expected an (additive, subtractive) pair in that order")
-    if A.generators != B.generators:
-        raise MismatchedPairError("matrices belong to different semigroups")
-    if A.f != B.f:
-        raise MismatchedPairError(f"matrices factor different numbers: {A.f} vs {B.f}")
-    minus = B.entries
-    for j, row in enumerate(A.entries):
-        for k, a in enumerate(row):
-            if a and j != k and minus[k][j]:
-                return False
-    return True
-
-
-def zero_pattern(M: RFMatrix) -> tuple[tuple[bool, ...], ...]:
-    """Boolean mask of the zero entries, diagonal excluded."""
-    return tuple(
-        tuple(i != j and M.entries[i][j] == 0 for j in range(len(row)))
-        for i, row in enumerate(M.entries)
-    )
+    S: NumericalSemigroup, entries: Sequence[int], f: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Lazy stream of the subtractive matrices of f for the NG-vector with
+    these entries, capped as rf_plus_iter."""
+    return _capped_product(minus_row_lists(S, entries, f))
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +201,14 @@ class PFClassification:
     witnesses: dict[int, tuple[Witness, ...]]
 
 
-def classify_pf(S: NumericalSemigroup, ng: NGVector | Sequence[int]) -> PFClassification:
+def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassification:
     """Classify every pseudo-Frobenius number outside the vector entries.
 
     A row with nu - 2 zeroes exists iff the row value is an exact multiple
     of a single generator, so the scan is O(nu^2) divisibility checks per
     number and never enumerates matrices.
     """
-    entries = _vector_entries(ng)
+    entries = tuple(entries)
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
     return classify_vectors(S, [entries])[0]
@@ -352,17 +274,10 @@ class MuBound:
     bound: int
 
 
-def mu_values(S: NumericalSemigroup, classification: PFClassification) -> MuBound:
-    """Counts of extremal gaps landing in the first class, and the bound
-    38 - sum(C(mu_s - 1, 2)) they induce; 5-generated semigroups only."""
-    if S.embedding_dimension != 5:
-        raise EmbeddingDimensionError("mu bound is specific to 5 generators")
-    return mu_bound(max_gap_table(S), classification)
-
-
 def mu_bound(table: MaxGapTable, classification: PFClassification) -> MuBound:
-    """mu_values read off an extremal gap table already built for the
-    (five-generated) semigroup."""
+    """Counts of extremal gaps landing in the first class, and the bound
+    38 - sum(C(mu_s - 1, 2)) they induce, read off the extremal gap table
+    of a five-generated semigroup."""
     pf1 = set(classification.pf1)
     mus = tuple(
         sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)

@@ -50,9 +50,9 @@ class HarnessConfig:
 
     def __post_init__(self):
         if self.genus_max < 0:
-            raise ValueError(f"genus_max must be nonnegative, got {self.genus_max}")
+            raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
         if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+            raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
         unknown = [n for n in self.claims if n not in CLAIM_FUNCTIONS]
         if unknown:
             raise InvalidArgumentError(f"unknown claims: {unknown}")
@@ -313,7 +313,7 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     boundaries).
     """
     if sink is not None and cfg.workers > 1:
-        raise ValueError("per-semigroup reports require workers == 1")
+        raise InvalidArgumentError("per-semigroup reports require workers == 1")
     # read before the census so that a malformed value fails at once
     matrix_cap = resolve_matrix_cap()
     agg = _empty_aggregate(cfg.claims)

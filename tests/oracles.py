@@ -12,16 +12,14 @@ import random
 from itertools import product
 from math import gcd, prod
 
-from numsgps.errors import EnumerationCapError
 from numsgps.gorenstein import ng_candidates, ng_vectors
 from numsgps.rf import (
     PFClassification,
     Witness,
-    check_coppie,
     classify_pf,
+    matrix_count,
     minus_row_lists,
-    rf_minus,
-    rf_plus,
+    plus_row_lists,
 )
 from numsgps.verify.claims import FAIL, NA, PASS, ClaimResult, _fail
 
@@ -105,20 +103,27 @@ def brute_nearly_gorenstein(generators, pf, contains):
     return all(brute_ng_candidates(generators, pf, contains))
 
 
+def gaps(S):
+    """All positive integers outside S, ascending, read class by class off
+    the Apery set: in class r they are r, r + m, ... below its Apery entry."""
+    m = S.multiplicity
+    return sorted(x for r, a in enumerate(S.apery) for x in range(r, a, m) if x > 0)
+
+
 def gap_scan_pseudo_frobenius(S):
     """Pseudo-Frobenius numbers by scanning every gap f for f + n in S
     over the generators n."""
     if S.is_full():
         return (-1,)
     gens = S.generators
-    return tuple(g for g in S.gaps() if all(S.contains(g + n) for n in gens))
+    return tuple(g for g in gaps(S) if all(S.contains(g + n) for n in gens))
 
 
 def canonical_ideal_symmetric(S):
     """Symmetry as K(S) == S, with K built gap by gap: below F + 1, K is
     F - g for the gaps g, and S is its members."""
     F = S.frobenius
-    K = sorted(F - g for g in S.gaps())
+    K = sorted(F - g for g in gaps(S))
     return K == [x for x in range(F + 1) if S.contains(x)]
 
 
@@ -184,7 +189,7 @@ def gaps_trace_nearly_gorenstein(S):
     mask = members | (full ^ ((1 << w) - 1))
 
     k_mask = (full ^ ((1 << (F + 1)) - 1)) & ((1 << w) - 1)
-    for g in S.gaps():
+    for g in gaps(S):
         k_mask |= 1 << (F - g)
 
     # dual: x with x + k in S for every k of K up to F
@@ -244,6 +249,31 @@ def brute_rf_minus(generators, vector, f):
                 rows.append(tuple(row))
         rows_per_i.append(rows)
     return [tuple(choice) for choice in product(*rows_per_i)]
+
+
+def off_diagonal_support(M, transpose=False):
+    """The positions (j, k), j != k, with M[j][k] != 0, or with
+    M[k][j] != 0 when transposed."""
+    return frozenset(
+        (k, j) if transpose else (j, k)
+        for j, row in enumerate(M)
+        for k, c in enumerate(row)
+        if c and j != k
+    )
+
+
+def check_coppie(A, B):
+    """Product-zero compatibility of an additive matrix A and a
+    subtractive matrix B for the same pseudo-Frobenius number:
+    A[j][k] * B[k][j] = 0 off the diagonal."""
+    return off_diagonal_support(A).isdisjoint(off_diagonal_support(B, transpose=True))
+
+
+def zero_pattern(M):
+    """Boolean mask of the zero entries of a matrix, diagonal excluded."""
+    return tuple(
+        tuple(i != j and c == 0 for j, c in enumerate(row)) for i, row in enumerate(M)
+    )
 
 
 def gaps_to_generators(gaps):
@@ -432,7 +462,8 @@ def _literal_vectors(S, vector_cap):
 
 def literal_coppie(S, vector_cap=256, pair_cap=10**4):
     """COPPIE pair by pair: for every NG-vector v and every f in PF outside
-    v, every (additive, subtractive) matrix pair goes through check_coppie.
+    v, every (additive, subtractive) matrix pair satisfies check_coppie's
+    predicate, each matrix's support computed once.
 
     Returns (status, instances), instances counting the (v, f) checked, or
     None when S has more than vector_cap vectors or some (v, f) more than
@@ -446,17 +477,18 @@ def literal_coppie(S, vector_cap=256, pair_cap=10**4):
         for f in S.pseudo_frobenius():
             if f in v.entries:
                 continue
-            try:
-                if f not in plus:
-                    plus[f] = rf_plus(S, f, cap=pair_cap)
-                minus = rf_minus(S, v, f, cap=pair_cap)
-            except EnumerationCapError:
+            if f not in plus:
+                rows = plus_row_lists(S, f)
+                if matrix_count(rows) > pair_cap:
+                    return None
+                plus[f] = [off_diagonal_support(A) for A in product(*rows)]
+            rows = minus_row_lists(S, v.entries, f)
+            if len(plus[f]) * matrix_count(rows) > pair_cap:
                 return None
-            if len(plus[f]) * len(minus) > pair_cap:
-                return None
+            minus = [off_diagonal_support(B, transpose=True) for B in product(*rows)]
             instances += 1
-            for A in plus[f]:
-                if not all(check_coppie(A, B) for B in minus):
+            for a in plus[f]:
+                if not all(a.isdisjoint(b) for b in minus):
                     return FAIL, instances
     return (PASS if instances else NA), instances
 
@@ -498,13 +530,13 @@ def literal_same2(S, vector_cap=256, pair_cap=10**4):
                     if f in v.entries or f2 in v.entries:
                         continue
                     key = (v.entries, f)
-                    try:
-                        if key not in minus:
-                            minus[key] = rf_minus(S, v, f, cap=pair_cap)
-                    except EnumerationCapError:
-                        return None
+                    if key not in minus:
+                        rows = minus_row_lists(S, v.entries, f)
+                        if matrix_count(rows) > pair_cap:
+                            return None
+                        minus[key] = list(product(*rows))
                     instances += 1
-                    if any(M.entries[q][p] != 0 for M in minus[key]):
+                    if any(M[q][p] != 0 for M in minus[key]):
                         return FAIL, instances
     return (PASS if instances else NA), instances
 
@@ -532,7 +564,7 @@ def literal_first_zero(S, vector_cap=256):
             if f in v.entries:
                 continue
             instances += 1
-            lists = minus_row_lists(S, v, f)
+            lists = minus_row_lists(S, v.entries, f)
             if (
                 any(row[ell] != 0 for row in lists[h])
                 or any(row[h] != 0 for row in lists[ell])

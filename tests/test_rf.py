@@ -3,34 +3,28 @@
 import pytest
 
 from numsgps import (
-    EmbeddingDimensionError,
     EnumerationCapError,
     MismatchedPairError,
     NotPseudoFrobeniusError,
     NumericalSemigroup,
-    RFKind,
     VectorEntryError,
-    check_coppie,
     classify_pf,
     is_nearly_gorenstein,
     max_gap_table,
-    mu_values,
     ng_vectors,
     resolve_matrix_cap,
-    rf_minus,
-    rf_minus_count,
     rf_minus_iter,
-    rf_plus,
-    rf_plus_count,
     rf_plus_iter,
-    zero_pattern,
 )
+from numsgps.rf import matrix_count, minus_row_lists, mu_bound, plus_row_lists
 from oracles import (
     brute_factorizations,
     brute_rf_minus,
     brute_rf_plus,
+    check_coppie,
     gaps_to_generators,
     genus_tree_semigroups,
+    zero_pattern,
 )
 
 WORKED = (13, 45, 72, 79, 99)
@@ -45,10 +39,8 @@ def census(genus_max):
 def test_rf_plus_row_equations():
     S = NumericalSemigroup(WORKED)
     for f in S.pseudo_frobenius():
-        for M in rf_plus(S, f):
-            assert M.kind is RFKind.PLUS
-            assert M.f == f
-            for i, row in enumerate(M.entries):
+        for M in rf_plus_iter(S, f):
+            for i, row in enumerate(M):
                 assert row[i] == -1
                 assert all(c >= 0 for j, c in enumerate(row) if j != i)
                 assert sum(c * n for c, n in zip(row, WORKED)) == f
@@ -58,10 +50,8 @@ def test_rf_minus_row_equations():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
     f = 59
-    for M in rf_minus(S, vec, f):
-        assert M.kind is RFKind.MINUS
-        assert M.f == f
-        for i, row in enumerate(M.entries):
+    for M in rf_minus_iter(S, vec.entries, f):
+        for i, row in enumerate(M):
             assert row[i] == -1
             assert sum(c * n for c, n in zip(row, WORKED)) == vec.entries[i] - f
 
@@ -70,9 +60,9 @@ def test_rf_plus_matches_bruteforce_census():
     checked = 0
     for S in census(7):
         for f in S.pseudo_frobenius():
-            if rf_plus_count(S, f) > 300:
+            if matrix_count(plus_row_lists(S, f)) > 300:
                 continue
-            got = sorted(M.entries for M in rf_plus(S, f))
+            got = sorted(rf_plus_iter(S, f))
             want = sorted(brute_rf_plus(S.generators, f))
             assert got == want
             checked += 1
@@ -89,9 +79,9 @@ def test_rf_minus_matches_bruteforce_census():
             for f in pf:
                 if f in vec.entries:
                     continue
-                if rf_minus_count(S, vec, f) > 300:
+                if matrix_count(minus_row_lists(S, vec.entries, f)) > 300:
                     continue
-                got = sorted(M.entries for M in rf_minus(S, vec, f))
+                got = sorted(rf_minus_iter(S, vec.entries, f))
                 want = sorted(brute_rf_minus(S.generators, vec.entries, f))
                 assert got == want
                 checked += 1
@@ -102,26 +92,27 @@ def test_counts_match_enumeration():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[0]
     for f in S.pseudo_frobenius():
-        assert rf_plus_count(S, f) == len(rf_plus(S, f))
-        assert rf_plus_count(S, f) == len(list(rf_plus_iter(S, f)))
+        assert matrix_count(plus_row_lists(S, f)) == len(list(rf_plus_iter(S, f)))
         if f not in vec.entries:
-            assert rf_minus_count(S, vec, f) == len(rf_minus(S, vec, f))
+            rows = minus_row_lists(S, vec.entries, f)
+            assert matrix_count(rows) == len(list(rf_minus_iter(S, vec.entries, f)))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     S = NumericalSemigroup((5, 6, 7, 8, 9))
-    count = rf_plus_count(S, 4)
+    count = matrix_count(plus_row_lists(S, 4))
     assert count == 4
+    monkeypatch.setenv("SGP_MATRIX_CAP", "3")
     with pytest.raises(EnumerationCapError) as exc:
-        rf_plus(S, 4, cap=3)
+        rf_plus_iter(S, 4)
     assert exc.value.count == 4
     assert exc.value.cap == 3
-    assert len(rf_plus(S, 4, cap=4)) == 4
+    monkeypatch.setenv("SGP_MATRIX_CAP", "4")
+    assert len(list(rf_plus_iter(S, 4))) == 4
 
 
 def test_matrix_cap_env_override(monkeypatch):
     assert resolve_matrix_cap() == 10**6
-    assert resolve_matrix_cap(55) == 55
     monkeypatch.setenv("SGP_MATRIX_CAP", "123")
     assert resolve_matrix_cap() == 123
 
@@ -129,26 +120,14 @@ def test_matrix_cap_env_override(monkeypatch):
 def test_rf_plus_rejects_non_pf():
     S = NumericalSemigroup(WORKED)
     with pytest.raises(NotPseudoFrobeniusError):
-        rf_plus(S, 60)
+        rf_plus_iter(S, 60)
 
 
 def test_rf_minus_rejects_vector_entry():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[0]
     with pytest.raises(VectorEntryError):
-        rf_minus(S, vec, 244)
-
-
-def test_check_coppie_pair_validation():
-    S = NumericalSemigroup(WORKED)
-    vec = ng_vectors(S)[0]
-    A = rf_plus(S, 59)[0]
-    B = rf_minus(S, vec, 59)[0]
-    assert check_coppie(A, B)
-    with pytest.raises(MismatchedPairError):
-        check_coppie(B, A)
-    with pytest.raises(MismatchedPairError):
-        check_coppie(A, rf_minus(S, vec, 185)[0])
+        rf_minus_iter(S, vec.entries, 244)
 
 
 def test_check_coppie_holds_on_census():
@@ -163,8 +142,8 @@ def test_check_coppie_holds_on_census():
             for f in pf:
                 if f in vec.entries:
                     continue
-                plus = rf_plus(S, f, cap=10**6)
-                minus = rf_minus(S, vec, f, cap=10**6)
+                plus = list(rf_plus_iter(S, f))
+                minus = list(rf_minus_iter(S, vec.entries, f))
                 if len(plus) * len(minus) > 200:
                     continue
                 for A in plus:
@@ -176,9 +155,9 @@ def test_check_coppie_holds_on_census():
 
 def test_zero_pattern():
     S = NumericalSemigroup(WORKED)
-    M = rf_plus(S, 59)[0]
+    M = next(rf_plus_iter(S, 59))
     pattern = zero_pattern(M)
-    for i, row in enumerate(M.entries):
+    for i, row in enumerate(M):
         for j, c in enumerate(row):
             if i == j:
                 assert not pattern[i][j]
@@ -208,7 +187,7 @@ def test_max_gap_table_defining_property():
 def test_classify_pf_worked_example():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
-    cls = classify_pf(S, vec)
+    cls = classify_pf(S, vec.entries)
     assert cls.entries == vec.entries
     assert cls.pf1 == (59,)
     assert cls.pf2 == ()
@@ -239,7 +218,7 @@ def test_classify_pf_matches_row_scan():
             continue
         gens = S.generators
         for vec in ng_vectors(S)[:2]:
-            cls = classify_pf(S, vec)
+            cls = classify_pf(S, vec.entries)
             for f in cls.pf1 + cls.pf2:
                 single = False
                 for i, n in enumerate(gens):
@@ -256,10 +235,10 @@ def test_classify_pf_matches_row_scan():
 def test_mu_values_worked_example():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
-    cls = classify_pf(S, vec)
-    result = mu_values(S, cls)
-    assert len(result.mus) == 5
+    cls = classify_pf(S, vec.entries)
     table = max_gap_table(S)
+    result = mu_bound(table, cls)
+    assert len(result.mus) == 5
     pf1 = set(cls.pf1)
     for s in range(1, 6):
         expect = sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)
@@ -267,9 +246,3 @@ def test_mu_values_worked_example():
     assert result.bound <= 38
     assert len(cls.pf1) <= result.bound
 
-
-def test_mu_values_requires_five_generators():
-    S = NumericalSemigroup((3, 4, 5))
-    vec = ng_vectors(S)[0]
-    with pytest.raises(EmbeddingDimensionError):
-        mu_values(S, classify_pf(S, vec))
