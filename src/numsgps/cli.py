@@ -5,7 +5,9 @@ Every command emits one JSON record per line with the shape
 to an indented human-readable rendering.  Exit codes: 0 on success, 1 on
 a mathematical violation or positive report (non nearly Gorenstein
 input, verification failures, enumeration over the cap), 2 on usage
-errors including malformed generator lists and gcd != 1.
+errors including malformed generator lists and gcd != 1.  A subcommand's
+usage error, argparse's included, is one InvalidArgument record of that
+subcommand's kind.
 """
 
 from __future__ import annotations
@@ -338,8 +340,27 @@ def _cmd_construct(args) -> int:
 # parser
 
 
+class _ArgvError(Exception):
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's malformed argv (a generator list such as 3,x, or
+    -3,5 read as an option) raises _ArgvError with the subcommand's
+    record kind, which main turns into an InvalidArgument record; sgp
+    itself keeps argparse's usage message."""
+
+    def error(self, message):
+        kind = self.get_default("record_kind")
+        if kind is None:
+            super().error(message)
+        raise _ArgvError(kind, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgp",
         description="Numerical semigroup toolkit: invariants, NG-vectors, "
         "row-factorization matrices, verification, constructions.",
@@ -394,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify, record_kind="verify")
 
     p = sub.add_parser("construct", help="named semigroup constructions")
+    p.set_defaults(record_kind="construct")
     fam = p.add_subparsers(dest="family", required=True)
 
     q = fam.add_parser("backelin", help="four-generated family with growing type")
@@ -426,8 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _ArgvError as exc:
+        payload = _error_payload(InvalidArgumentError(str(exc)))
+        _emit(exc.kind, payload, "--pretty" in argv)
+        return 2
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -5,7 +5,9 @@ the multiplicity m (RelativeIdeal.least), so the canonical and maximal
 ideals cost m Apery lookups and the trace route m**2 steps.  The symmetry
 predicates, candidate sets and NG-vector test read only the
 pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the
-type).  Nothing here builds a window as wide as the Frobenius number.
+type).  The candidate sets come one position at a time, so a verdict of
+"not nearly Gorenstein" stops at the first empty one.  Nothing here
+builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -17,6 +19,7 @@ are compared against each other by the verification harness.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -83,18 +86,15 @@ def is_symmetric(S: NumericalSemigroup) -> bool:
     return S.type == 1
 
 
-def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
-    """Per-generator candidate sets: position i holds those pseudo-Frobenius
-    g with n_i + g - f in S for every pseudo-Frobenius f.
-
-    The semigroup is nearly Gorenstein iff every set is nonempty; the first
-    set is always a subset of {frobenius}.
-    """
+def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
+    """Position i's candidate set, yielded in generator order: those
+    pseudo-Frobenius g with n_i + g - f in S for every pseudo-Frobenius f
+    (t**2 Apery lookups, t the type).  A caller that stops at the first
+    empty set pays only for the positions up to it."""
     _require_proper(S)
     m = S.generators[0]
     apery = S.apery
     pf = S.pseudo_frobenius()
-    out = []
     for n in S.generators:
         cands = []
         for g in pf:
@@ -105,12 +105,23 @@ def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
                     break
             else:
                 cands.append(g)
-        out.append(frozenset(cands))
-    return out
+        yield frozenset(cands)
+
+
+def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
+    """Per-generator candidate sets: position i holds those pseudo-Frobenius
+    g with n_i + g - f in S for every pseudo-Frobenius f.
+
+    The semigroup is nearly Gorenstein iff every set is nonempty; the first
+    set is always a subset of {frobenius}.  This is the full list;
+    is_nearly_gorenstein, ng_vectors and the claim context stop at the
+    first empty set.
+    """
+    return list(_candidate_sets(S))
 
 
 def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
-    return all(ng_candidates(S))
+    return all(_candidate_sets(S))
 
 
 def is_almost_symmetric(S: NumericalSemigroup) -> bool:
@@ -181,12 +192,13 @@ def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
 
     Raises NotNearlyGorensteinError when some position admits no entry.
     """
-    cands = ng_candidates(S)
-    for i, c in enumerate(cands):
+    cands = []
+    for n, c in zip(S.generators, _candidate_sets(S)):
         if not c:
             raise NotNearlyGorensteinError(
-                f"no admissible pseudo-Frobenius number for generator {S.generators[i]}"
+                f"no admissible pseudo-Frobenius number for generator {n}"
             )
+        cands.append(c)
     ordered = [sorted(c, reverse=True) for c in cands]
     out = []
     for entries in itertools.product(*ordered):

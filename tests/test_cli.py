@@ -53,9 +53,46 @@ def test_gcd_error_payload_and_exit(capsys):
 
 
 def test_malformed_generators_exit_two(capsys):
+    _assert_one_invalid_argument_record(["info", "4,x"], capsys, kind="info")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "-3,5"],
+        ["info", "3,x"],
+        ["info", "3,x", "--pretty"],
+        ["ng-vectors", "-3,5"],
+        ["rf", "3,x", "4"],
+        ["classify-pf", "-3,5"],
+        ["verify", "--gens", "-3,5"],
+        ["construct", "duplication", "--gens", "3,x", "--b", "1"],
+        ["construct", "tower", "--gens", "-3,5", "--depth", "1"],
+        ["rf", "3,5"],
+        ["verify", "--genus-max", "2", "--workers", "x"],
+        ["construct"],
+    ],
+    ids=" ".join,
+)
+def test_argparse_rejections_are_records(argv, capsys):
+    # -3,5 without "--" reads as an option, so the list is missing
+    kind = {"ng-vectors": "ngvectors", "classify-pf": "classify"}.get(argv[0], argv[0])
+    if "--pretty" in argv:
+        code, lines = run_cli(argv, capsys)
+        assert code == 2
+        assert lines[:2] == [f"[{kind}]", 'error: "InvalidArgument"']
+        assert len(lines) == 3
+    else:
+        _assert_one_invalid_argument_record(argv, capsys, kind=kind)
+
+
+def test_sgp_without_a_subcommand_keeps_the_usage_message(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["info", "4,x"])
+        main(["no-such-command"])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
 
 
 def test_non_ng_vectors_exit_one(capsys):
@@ -137,12 +174,12 @@ def test_verify_single_semigroup(capsys):
     assert status["THM_MAIN"] == "pass"
 
 
-def _assert_one_invalid_argument_record(argv, capsys):
+def _assert_one_invalid_argument_record(argv, capsys, kind="verify"):
     code, lines = run_cli(argv, capsys)
     assert code == 2
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["kind"] == "verify"
+    assert record["kind"] == kind
     assert record["payload"]["error"] == "InvalidArgument"
 
 
@@ -364,10 +401,7 @@ def test_every_argv_exits_with_a_code_and_records(argv, monkeypatch):
     monkeypatch.setenv("SGP_MATRIX_CAP", "200")
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), argv
     for line in out.getvalue().splitlines():
         assert set(json.loads(line)) == {"schema_version", "kind", "payload"}, argv

@@ -18,6 +18,7 @@ from numsgps import (
     ng_candidates,
     ng_vectors,
 )
+from numsgps.verify import ClaimContext
 from oracles import (
     brute_almost_symmetric,
     brute_nearly_gorenstein,
@@ -115,6 +116,32 @@ def test_trace_route_agrees_with_candidate_route():
         _assert_trace_routes_agree(S)
         verdicts.append(is_nearly_gorenstein(S))
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _stopped_candidates_stop_early(S):
+    """ClaimContext's candidate sets against the full list and the brute
+    verdict; True when they stop before the last position."""
+    _, _, _, pf, contains = sieve_invariants(S.generators)
+    ctx = ClaimContext(S)
+    full = ng_candidates(S)
+    assert ctx.nearly_gorenstein == brute_nearly_gorenstein(
+        S.generators, pf, contains
+    ), S.generators
+    if ctx.nearly_gorenstein:
+        assert ctx.candidates == full, S.generators
+        return False
+    stop = next(i for i, c in enumerate(full) if not c)
+    assert ctx.candidates == full[: stop + 1], S.generators
+    return stop + 1 < len(full)
+
+
+def test_claim_context_candidates_stop_at_the_first_empty_set():
+    early = sum(_stopped_candidates_stop_early(S) for S in census(12))
+    assert early > 500
+    rng = random.Random(1618)
+    wide = [_wide_generators(rng) for _ in range(60)]
+    assert sum(_stopped_candidates_stop_early(S) for S in wide) > 0
+    assert 0 < sum(map(is_nearly_gorenstein, wide)) < len(wide)
 
 
 def test_ng_candidates_structure():

@@ -123,13 +123,68 @@ def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
 
 
 def test_factored_routes_agree_with_literal_enumeration():
-    # same semigroup, every vector enumerated vs the factored route
-    for S in semigroups_up_to(8):
+    # same semigroup, every vector enumerated vs the factored route: all
+    # of genus <= 8, and genus 9 and 10 up to 10**4 vectors (this leaves
+    # out six, with 15,120 to 36,288,000 vectors)
+    checked = 0
+    for S in semigroups_up_to(10):
         if S.is_full() or not is_nearly_gorenstein(S):
             continue
-        a = literal_ngv_props(ClaimContext(S))
+        ctx = ClaimContext(S)
+        if S.genus > 8 and ctx.vector_count > 10**4:
+            continue
+        a = literal_ngv_props(ctx)
         b = claim_ngv_props(ClaimContext(S))
         assert a.status == b.status == PASS, S.generators
+        checked += 1
+    assert checked == 289
+
+
+# Hand-set candidate sets (and pf where the semigroup's own would not
+# reach the reason) for every NGV_PROPS failure, with the full payloads.
+# The last two need the matching to move an earlier position (9 from
+# position 2 to 3 and back), and to see that the largest entry off the
+# forced value at position 3 leaves no distinct prefix while the next
+# one does.
+NGV_FAILURES = [
+    ((5, 7, 9), [{11, 13}, {13}, {13}], None,
+     {"candidates": [11, 13], "reason": "first entry is not pinned to F"}),
+    ((5, 7, 9), [{13}, {9}, {11}], (9, 11, 13),
+     {"vector": [13, 9, 11], "reason": "all entries distinct"}),
+    ((5, 7, 9), [{13}, {9}, {13}], None,
+     {"vector": [13, 9, 13], "reason": "distinct prefix does not exhaust PF"}),
+    ((5, 7, 9), [{13}, {9}, {13}], (9, 13),
+     {"vector": [13, 9, 13], "position": 2,
+      "reason": "distinct prefix entry off the forced value"}),
+    ((4, 6, 7, 9), [{5}, {5}, {3}, {4}], (3, 4, 5),
+     {"f": 4, "prefix_length": 1,
+      "reason": "no factorization over the later generators"}),
+    ((4, 6, 7, 9), [{5}, {5}, {3}, {2}], None,
+     {"h": 3, "entry": 3, "reason": "first entry off F has no companion position"}),
+    ((4, 6, 7, 9), [{5}, {3}, {3}, {5}], None,
+     {"h": 2, "h_prime": 3, "entry": 3,
+      "reason": "second entry off F fits neither branch"}),
+    ((5, 7, 9), [{13}, {9, 11}, {9, 11}], (9, 11, 13),
+     {"vector": [13, 9, 11], "reason": "all entries distinct"}),
+    ((5, 6, 7, 8, 9), [{4}, {3}, {1, 4}, {1}, {2}], None,
+     {"vector": [4, 3, 1, 1, 2], "position": 3,
+      "reason": "distinct prefix entry off the forced value"}),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, cands, pf, payload", NGV_FAILURES,
+    ids=[f"{i}-{case[3]['reason']}" for i, case in enumerate(NGV_FAILURES)],
+)
+def test_ngv_props_failure_payloads(gens, cands, pf, payload):
+    S = NumericalSemigroup(gens)
+    ctx = ClaimContext(S)
+    ctx.candidates = [frozenset(c) for c in cands]
+    if pf is not None:
+        ctx.pf = pf
+    result = claim_ngv_props(ctx)
+    assert result.status == FAIL
+    assert result.payload == {"generators": list(gens), "pf": list(ctx.pf), **payload}
 
 
 def _assert_variance_matches_literal_scan(S):
