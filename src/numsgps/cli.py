@@ -75,15 +75,6 @@ def _parse_generators(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_int_set(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-
-
 def _parse_claims(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
@@ -404,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus-max", type=int, default=None)
     p.add_argument("--gens", type=_parse_generators, default=None,
                    help="check one semigroup instead of a genus range")
-    p.add_argument("--embdim", type=_parse_int_set, default=None,
+    p.add_argument("--embdim", type=_parse_generators, default=None,
                    help="restrict to these embedding dimensions")
     p.add_argument("--claims", type=_parse_claims, default=None,
                    help="comma-separated claim names (default: all)")

@@ -18,11 +18,11 @@ of enumeration:
   semigroup), and SAME2 reads its extremal gaps off the
   pseudo-Frobenius set instead of the extremal gap table;
 - vector-entry statements (all entries distinct, forced prefix values)
-  become distinct-representative questions over the candidate sets,
-  decided by one bipartite matching grown one position at a time: before
-  position j joins, one augmenting path on a copy of the matching decides
-  whether entry j can leave its forced value.  Only a failure payload
-  matches again, once per candidate of the failing position.
+  become distinct-representative questions over the candidate sets.
+  While no position j admits an entry outside the forced values
+  F - n_k + n_1 for k <= j, the forced prefix is the only distinct
+  choice, so each question is a set test on it (see claim_ngv_props).
+  Only a failure payload runs a bipartite matching.
 
 Work shared between claims is done once per semigroup, every pass or
 inapplicable verdict without a payload is one shared ClaimResult, and
@@ -203,14 +203,6 @@ def _augment(
     return False
 
 
-def _choice(owner: dict[int, int], length: int) -> list[int]:
-    """The value each of the first length sets holds in a matching."""
-    choice = [0] * length
-    for v, k in owner.items():
-        choice[k] = v
-    return choice
-
-
 def _distinct_choice(sets: list) -> list[int] | None:
     """A pairwise-distinct choice (one value per set) when one exists,
     else None: augmenting-path matching, one set at a time, values tried
@@ -220,7 +212,10 @@ def _distinct_choice(sets: list) -> list[int] | None:
     for i in range(len(pools)):
         if not _augment(pools, owner, i, set()):
             return None
-    return _choice(owner, len(pools))
+    choice = [0] * len(pools)
+    for v, i in owner.items():
+        choice[i] = v
+    return choice
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +359,7 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     when no such (h, ell) exists or no f other than F and f_h lies
     outside some vector.
     """
-    if not (ctx.proper and ctx.nearly_gorenstein):
+    if not ctx.nearly_gorenstein:
         return INAPPLICABLE
     gens = ctx.S.generators
     F = ctx.S.frobenius
@@ -487,6 +482,32 @@ def _reachable(gens: tuple[int, ...], bound: int) -> int:
     return reach
 
 
+def _matching_failure(ctx: ClaimContext, forced: list[int]) -> ClaimResult:
+    """The first of NGV_PROPS's distinct-choice statements to fail, with
+    its payload: no full distinct choice, a distinct prefix of length
+    nu - 1 exhausts PF, no distinct prefix entry leaves its forced value.
+    Called only when one of them fails."""
+    cands = ctx.candidates
+    nu = len(cands)
+    full = _distinct_choice(cands)
+    if full is not None:
+        return _fail(ctx, vector=full, reason="all entries distinct")
+    prefix = _distinct_choice(cands[: nu - 1])
+    if prefix is not None and set(ctx.pf) != set(prefix):
+        vector = prefix + [max(cands[nu - 1])]
+        return _fail(ctx, vector=vector, reason="distinct prefix does not exhaust PF")
+    for j in range(1, nu):
+        for a in sorted(cands[j] - {forced[j]}, reverse=True):
+            head = _distinct_choice([c - {a} for c in cands[:j]])
+            if head is not None:
+                vector = head + [a] + [max(c) for c in cands[j + 1 :]]
+                return _fail(
+                    ctx, vector=vector, position=j + 1,
+                    reason="distinct prefix entry off the forced value",
+                )
+    raise AssertionError("no distinct-choice statement fails")
+
+
 def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
     """Structural facts holding for every NG-vector: the first entry is
     the Frobenius number; two entries coincide; a pairwise-distinct
@@ -495,7 +516,7 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
     generators; a fully distinct prefix of length nu - 1 pins down the
     whole pseudo-Frobenius set; the first entry off F has a companion
     position, and the second one obeys the two-branch dichotomy."""
-    if not (ctx.proper and ctx.nearly_gorenstein):
+    if not ctx.nearly_gorenstein:
         return INAPPLICABLE
     S = ctx.S
     gens = S.generators
@@ -509,51 +530,24 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
             reason="first entry is not pinned to F",
         )
 
-    # Grow a distinct choice for cands[:j] one position at a time.  Before
-    # position j joins, the forced-entry rule asks whether some entry a of
-    # cands[j] other than forced[j] leaves a distinct choice for cands[:j].
-    # That is whether cands[:j] + [cands[j] - {forced[j]}] has one: one
-    # augmenting path from the matching of cands[:j], run on a copy so the
-    # matching itself only ever holds cands.
+    # forced[0] = F is cands[0].  If every position k < j has
+    # cands[k] <= {forced[0], ..., forced[k]}, the only distinct choice of
+    # cands[:j] is forced[:j] (none once j > imax).  So the forced-entry
+    # rule first fails at the first j <= imax with an entry outside
+    # forced[:j + 1]; without one, a full distinct choice exists iff
+    # imax == nu, and one of cands[:nu - 1] iff imax >= nu - 1, where it
+    # is forced[:nu - 1].
     forced = [F - n + gens[0] for n in gens]
-    pools = [sorted(c, reverse=True) for c in cands]
-    owner: dict[int, int] = {}
-    off_forced = None  # the first position j where the rule fails
-    prefix = full = None
-    for j in range(nu):
-        if off_forced is None and j:
-            trial = [*pools[:j], [v for v in pools[j] if v != forced[j]]]
-            if _augment(trial, dict(owner), j, set()):
-                off_forced = j
-        if not _augment(pools, owner, j, set()):
-            break
-        if j == nu - 2:
-            prefix = _choice(owner, nu - 1)
-    else:
-        full = _choice(owner, nu)
-
-    if full is not None:
-        return _fail(ctx, vector=full, reason="all entries distinct")
-
-    if prefix is not None and set(ctx.pf) != set(prefix):
-        vector = prefix + [max(cands[nu - 1])]
-        return _fail(ctx, vector=vector, reason="distinct prefix does not exhaust PF")
-
-    if off_forced is not None:
-        j = off_forced
-        for a in sorted(cands[j] - {forced[j]}, reverse=True):
-            head = _distinct_choice([c - {a} for c in cands[:j]])
-            if head is None:
-                continue
-            vector = head + [a] + [max(c) for c in cands[j + 1 :]]
-            return _fail(
-                ctx, vector=vector, position=j + 1,
-                reason="distinct prefix entry off the forced value",
-            )
-
     imax = 1
     while imax < nu and forced[imax] in cands[imax]:
         imax += 1
+    if (
+        imax == nu
+        or any(cands[j].difference(forced[: j + 1]) for j in range(1, imax + 1))
+        or (imax == nu - 1 and set(ctx.pf) != set(forced[:imax]))
+    ):
+        return _matching_failure(ctx, forced)
+
     unpinned = [f for f in ctx.pf if f not in forced[:imax]]
     # the mask is F bits wide; for nu = 2 every f is pinned and it is never built
     reach = _reachable(gens[imax:], F + gens[0]) if unpinned else 0

@@ -174,7 +174,7 @@ def _build_report(
         type=t,
         nearly_gorenstein=ctx.nearly_gorenstein,
         almost_symmetric=ctx.almost_symmetric,
-        vector_count=ctx.vector_count if ctx.nearly_gorenstein else 0,
+        vector_count=ctx.vector_count,
         claims=tuple(
             ClaimRecord(n, results[n].status, results[n].payload) for n in results
         ),

@@ -359,9 +359,11 @@ def random_generators(rng, frobenius_cap=1500):
 
 
 def literal_ngv_props(ctx):
-    """The NGV_PROPS statements checked vector by vector over
-    ng_vectors(S), with the tail factorizations found by the coin-problem
-    sieve; returns a ClaimResult like the factored route."""
+    """The NGV_PROPS statements checked vector by vector over the product
+    of ctx.candidates, each position's values descending (ng_vectors(S)'s
+    order), with the tail factorizations found by the coin-problem sieve;
+    returns a ClaimResult like the factored route.  The vectors come from
+    ctx.candidates alone, so hand-set candidate sets are judged too."""
     S = ctx.S
     gens = S.generators
     nu = len(gens)
@@ -373,8 +375,8 @@ def literal_ngv_props(ctx):
             tails[start] = sieve_membership(gens[start:], F + gens[0])
         return tails[start][value]
 
-    for vec in ng_vectors(S):
-        e = vec.entries
+    ordered = [sorted(c, reverse=True) for c in ctx.candidates]
+    for e in product(*ordered):
         if e[0] != F:
             return _fail(ctx, vector=list(e), reason="first entry is not F")
         if len(set(e)) == nu:
@@ -397,6 +399,13 @@ def literal_ngv_props(ctx):
                     reason="no factorization over the later generators",
                 )
         divergent = [i for i in range(nu) if e[i] != F]
+        if divergent:
+            h0 = divergent[0]
+            if e[h0] - F + gens[h0] not in gens[:h0]:
+                return _fail(
+                    ctx, vector=list(e), h=h0 + 1,
+                    reason="first entry off F has no companion position",
+                )
         if len(divergent) >= 2:
             h0, h1 = divergent[0], divergent[1]
             delta = e[h1] - F + gens[h1]

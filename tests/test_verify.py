@@ -140,12 +140,57 @@ def test_factored_routes_agree_with_literal_enumeration():
     assert checked == 289
 
 
+def _hand_set_families(count, seed):
+    """Seeded candidate families on the semigroups of genus <= 9 with
+    2 <= nu <= 6: cands[0] = {F}, and each later position holds its forced
+    value F - n_j + n_1 with probability 0.7 plus up to two values drawn
+    from the forced values and PF."""
+    pool_s = [S for S in semigroups_up_to(9) if 2 <= S.embedding_dimension <= 6]
+    rng = random.Random(seed)
+    for _ in range(count):
+        S = rng.choice(pool_s)
+        gens, F = S.generators, S.frobenius
+        forced = [F - n + gens[0] for n in gens]
+        values = sorted(set(forced) | set(S.pseudo_frobenius()))
+        cands = [frozenset({F})]
+        for j in range(1, len(gens)):
+            c = {forced[j]} if rng.random() < 0.7 else set()
+            for _ in range(rng.randint(0 if c else 1, 2)):
+                c.add(rng.choice(values))
+            cands.append(frozenset(c))
+        yield S, cands
+
+
+def test_ngv_props_set_tests_match_literal_route_on_hand_set_families():
+    statuses = set()
+    for S, cands in _hand_set_families(2000, 14):
+        ctx = ClaimContext(S)
+        ctx.candidates = cands
+        a = literal_ngv_props(ctx).status
+        b = claim_ngv_props(ctx).status
+        assert a == b, (S.generators, cands)
+        statuses.add(b)
+    assert statuses == {PASS, FAIL}
+
+
+def test_ngv_props_passes_without_a_matching(monkeypatch):
+    # a passing input is decided by set tests on the forced prefix alone
+    def refuse(*args):
+        raise AssertionError("matched")
+
+    monkeypatch.setattr("numsgps.verify.claims._augment", refuse)
+    for S in semigroups_up_to(12):
+        results, ctx = run_claims(S, names=("NGV_PROPS",))
+        expected = PASS if ctx.nearly_gorenstein else NA
+        assert results["NGV_PROPS"].status == expected, S.generators
+
+
 # Hand-set candidate sets (and pf where the semigroup's own would not
 # reach the reason) for every NGV_PROPS failure, with the full payloads.
-# The last two need the matching to move an earlier position (9 from
-# position 2 to 3 and back), and to see that the largest entry off the
-# forced value at position 3 leaves no distinct prefix while the next
-# one does.
+# Only these payloads run a matching.  The last two need it to move an
+# earlier position (9 from position 2 to 3 and back), and to see that
+# the largest entry off the forced value at position 3 leaves no
+# distinct prefix while the next one does.
 NGV_FAILURES = [
     ((5, 7, 9), [{11, 13}, {13}, {13}], None,
      {"candidates": [11, 13], "reason": "first entry is not pinned to F"}),
