@@ -441,10 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
     except _ArgvError as exc:
         payload = _error_payload(InvalidArgumentError(str(exc)))
         _emit(exc.kind, payload, "--pretty" in argv)
+        return 2
+    if extra:
+        # parse_known_args reached a subcommand, so its record kind is set
+        message = f"unrecognized arguments: {' '.join(extra)}"
+        _emit(args.record_kind, _error_payload(InvalidArgumentError(message)), args.pretty)
         return 2
     try:
         return args.func(args)

@@ -2,7 +2,8 @@
 
 A relative ideal is held by its least element in each residue class mod
 the multiplicity m (RelativeIdeal.least), so the canonical and maximal
-ideals cost m Apery lookups and the trace route m**2 steps.  The symmetry
+ideals cost m Apery lookups.  The trace route is one max-plus
+convolution of the Apery set with itself, m**2 steps.  The symmetry
 predicates, candidate sets and NG-vector test read only the
 pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the
 type).  The candidate sets come one position at a time, so a verdict of
@@ -65,19 +66,14 @@ def _require_proper(S: NumericalSemigroup) -> None:
         raise EmbeddingDimensionError("operation needs a proper semigroup (at least 2 generators)")
 
 
-def _canonical_least(S: NumericalSemigroup) -> list[int]:
-    """Least element of K(S) in each residue class mod the multiplicity m:
-    x is in K iff F - x lies outside S iff x > F - a[F - x] (indices mod
-    m, a the Apery set), so k[r] = F + m - a[F - r]."""
+def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
+    """K(S) = {x : frobenius - x not in S}.  Its least element in class
+    r mod the multiplicity m: x is in K iff F - x lies outside S iff
+    x > F - a[F - x] (indices mod m, a the Apery set), so
+    k[r] = F + m - a[F - r]."""
     F = S.frobenius
     m = S.multiplicity
-    a = S.apery
-    return [F + m - a[(F - r) % m] for r in range(m)]
-
-
-def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """K(S) = {x : frobenius - x not in S}."""
-    return RelativeIdeal(tuple(_canonical_least(S)))
+    return RelativeIdeal(tuple(F + m - S.apery[(F - r) % m] for r in range(m)))
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
@@ -136,11 +132,15 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
 
     A relative ideal is fixed by its least element in each residue class
     mod m, the multiplicity; with a the Apery set and indices mod m:
-    - K: k[r] = F + m - a[F - r] (_canonical_least);
+    - K: k[r] = F + m - a[F - r] (canonical_ideal);
     - S - K: K is the union of the k[r] + mN, so x is in S - K iff every
       x + k[r] is in S, and dual[s] = max over r of a[s + r] - k[r];
     - the trace is an ideal of S and M the union of the n_i + S, so M lies
       in the trace iff each n_i has some k[r] + dual[n_i - r] <= n_i.
+    Substituting k gives dual[s] = c[F + s] - F - m, with c[j] = max over
+    u of a[u] + a[j - u] (a max-plus convolution), and then
+    k[r] + dual[n - r] = c[n + v] - a[v] with v = F - r.  So n lies in the
+    trace iff min over v of c[n + v] - a[v] <= n; k and dual are never built.
     K comes from the Apery set, not as the union of F - f + S over the
     pseudo-Frobenius f: that would collapse this route into the
     candidate-set route it is checked against.
@@ -148,12 +148,12 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     _require_proper(S)
     m = S.generators[0]
     a = S.apery
-    k = _canonical_least(S)
+    # aa[j + m - u] is a[(j - u) % m] for u in [0, m)
     aa = a + a
-    dual = [max(map(sub, aa[s : s + m], k)) for s in range(m)]
-    # dd[t + m - r] is dual[(t - r) % m] for r in [0, m)
-    dd = dual + dual
-    return all(min(map(add, k, dd[n % m + m : n % m : -1])) <= n for n in S.generators)
+    c = [max(map(add, a, aa[j + m : j : -1])) for j in range(m)]
+    # cc[n % m + v] is c[(n + v) % m] for v in [0, m)
+    cc = c + c
+    return all(min(map(sub, cc[n % m : n % m + m], a)) <= n for n in S.generators)
 
 
 @dataclass(frozen=True)

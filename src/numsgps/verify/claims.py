@@ -14,9 +14,10 @@ of enumeration:
   decided by a single check of the pseudo-Frobenius set per semigroup
   (ClaimContext.pf_premise); each claim's docstring carries its proof.
   Whether one applies is read off the pseudo-Frobenius numbers some
-  vector keeps outside its entries (ClaimContext.avoidable, one pass per
-  semigroup), and SAME2 reads its extremal gaps off the
-  pseudo-Frobenius set instead of the extremal gap table;
+  vector keeps outside its entries (ClaimContext.avoidable: those no
+  candidate set holds alone, nu + t steps), and SAME2 reads its
+  extremal gaps off the pseudo-Frobenius set instead of the extremal
+  gap table;
 - vector-entry statements (all entries distinct, forced prefix values)
   become distinct-representative questions over the candidate sets.
   While no position j admits an entry outside the forced values
@@ -24,11 +25,12 @@ of enumeration:
   choice, so each question is a set test on it (see claim_ngv_props).
   Only a failure payload runs a bipartite matching.
 
-Work shared between claims is done once per semigroup, every pass or
-inapplicable verdict without a payload is one shared ClaimResult, and
-NGV_PROPS asks whether a number is a combination of the later
-generators through one reachability bitmask instead of enumerating
-factorizations.
+Work shared between claims is done once per semigroup (a context field
+is computed on its first access, without a lock, and then read from the
+instance dict), every pass or inapplicable verdict without a payload is
+one shared ClaimResult, and NGV_PROPS asks whether a number is a
+combination of the later generators through one reachability bitmask
+instead of enumerating factorizations.
 
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
@@ -76,6 +78,17 @@ PASSED = ClaimResult(PASS)
 INAPPLICABLE = ClaimResult(NA)
 
 
+class _field(cached_property):
+    """cached_property without the RLock Python 3.11 takes on every first
+    access; a context is used by one thread only."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class ClaimContext:
     """Lazy shared computations for one semigroup.
 
@@ -90,11 +103,11 @@ class ClaimContext:
         self.nu = len(S.generators)
         self.proper = self.nu >= 2
 
-    @cached_property
+    @_field
     def pf(self) -> tuple[int, ...]:
         return self.S.pseudo_frobenius()
 
-    @cached_property
+    @_field
     def candidates(self) -> list[frozenset[int]] | None:
         """The candidate sets up to and including the first empty one: all
         of them (ng_candidates) when the semigroup is nearly Gorenstein.
@@ -111,35 +124,37 @@ class ClaimContext:
                 break
         return out
 
-    @cached_property
+    @_field
     def vector_count(self) -> int:
         if self.candidates is None:
             return 0
         return math.prod(len(c) for c in self.candidates)
 
-    @cached_property
+    @_field
     def nearly_gorenstein(self) -> bool | None:
         if not self.proper:
             return None
         return all(self.candidates)
 
-    @cached_property
+    @_field
     def avoidable(self) -> tuple[int, ...]:
         """The pseudo-Frobenius numbers f that some NG-vector keeps
         outside its entries: every candidate set has a member other than
-        f.  Empty unless the semigroup is proper and nearly Gorenstein."""
+        f.  Empty unless the semigroup is proper and nearly Gorenstein.
+        Then every set is nonempty, so c - {f} is empty iff c == {f}: the
+        avoidable f are those no set holds alone."""
         if not self.nearly_gorenstein:
             return ()
-        cands = self.candidates
-        return tuple(f for f in self.pf if all(c - {f} for c in cands))
+        sole = {f for c in self.candidates if len(c) == 1 for f in c}
+        return tuple(f for f in self.pf if f not in sole)
 
-    @cached_property
+    @_field
     def almost_symmetric(self) -> bool | None:
         if not self.proper:
             return None
         return is_almost_symmetric(self.S)
 
-    @cached_property
+    @_field
     def classifications(self) -> list[PFClassification]:
         """The PF split of every NG-vector, in ng_vectors' order (each
         position's candidates descending); only the five-generated claims
@@ -148,13 +163,13 @@ class ClaimContext:
         ordered = (sorted(c, reverse=True) for c in self.candidates)
         return classify_vectors(self.S, itertools.product(*ordered))
 
-    @cached_property
+    @_field
     def gap_table(self) -> MaxGapTable | None:
         if not self.proper:
             return None
         return max_gap_table(self.S)
 
-    @cached_property
+    @_field
     def pf_premise(self) -> dict | None:
         """None when the computed pseudo-Frobenius set passes the textbook
         test: the Frobenius number and every f in it lie outside S, and
@@ -164,16 +179,19 @@ class ClaimContext:
         The premise puts f + s in S for every nonzero s in S, which is
         all the matrix claims need (see their docstrings).  It costs
         (nu + 1) * t + 1 Apery lookups, t the type, and does not reuse
-        the Apery-maximality route that produced the set.
+        the Apery-maximality route that produced the set.  x is in S iff
+        x >= a[x % m], a the Apery set (no negative x passes).
         """
         S = self.S
-        if S.contains(S.frobenius):
-            return {"f": S.frobenius, "reason": "Frobenius number in S"}
+        a, m, F = S.apery, S.generators[0], S.frobenius
+        if F >= a[F % m]:
+            return {"f": F, "reason": "Frobenius number in S"}
         for f in self.pf:
-            if S.contains(f):
+            if f >= a[f % m]:
                 return {"f": f, "reason": "pseudo-Frobenius number in S"}
             for n in S.generators:
-                if not S.contains(f + n):
+                x = f + n
+                if x < a[x % m]:
                     return {"f": f, "generator": n, "reason": "f + n not in S"}
         return None
 
@@ -659,8 +677,8 @@ def run_claims(
 ) -> tuple[dict[str, ClaimResult], ClaimContext]:
     """Evaluate the named claims on one semigroup; returns the result map
     and the context (whose cached facts the caller may reuse)."""
-    unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
-    if unknown:
+    if not all(map(CLAIM_FUNCTIONS.__contains__, names)):
+        unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
         raise InvalidArgumentError(f"unknown claims: {unknown}")
     ctx = ClaimContext(S)
     results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}

@@ -3,7 +3,8 @@ genus bound, or over ad-hoc generator systems.
 
 The summary it produces is deterministic for a given configuration,
 independent of the worker count: work units are genus-subtrees of the
-enumeration, partial aggregates combine by sums and maxima, and all
+enumeration, partial aggregates combine by sums and maxima (they count
+each tuple of claim statuses, expanded into per-claim counts once), and all
 collected lists are sorted by generator tuple before the summary is
 assembled.  Timing lives on individual reports, never in the summary.
 """
@@ -128,7 +129,7 @@ def _classification_variance(ctx: ClaimContext) -> list[tuple[int, list[str]]]:
     f that is a witness, and every position has one that is not.  Only
     the avoidable f (ClaimContext.avoidable) are kept outside some vector.
     """
-    if ctx.nu != 5 and ctx.vector_count > CLASSIFICATION_VECTOR_CAP:
+    if not ctx.avoidable or ctx.nu != 5 and ctx.vector_count > CLASSIFICATION_VECTOR_CAP:
         return []
     gens = ctx.S.generators
 
@@ -207,11 +208,12 @@ def _cell_key(nu: int, ng: bool | None, asym: bool | None) -> str:
     return f"nu={nu}|ng={render(ng)}|as={render(asym)}"
 
 
-def _empty_aggregate(claims: tuple[str, ...]) -> dict:
+def _empty_aggregate() -> dict:
     return {
         "semigroups": 0,
         "by_genus": {},
-        "claims": {n: {"pass": 0, "fail": 0, "inapplicable": 0} for n in claims},
+        # tuple of the claims' statuses, in the configured order -> count
+        "tally": {},
         "cells": {},
         "failures": [],
         "question_flags": [],
@@ -233,17 +235,19 @@ def _consume(agg: dict, cfg: HarnessConfig, node: Node, sink=None) -> None:
     cell = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
     cell["count"] += 1
     cell["max_type"] = max(cell["max_type"], S.type)
-    gens = list(S.generators)
-    for name, res in results.items():
-        agg["claims"][name][res.status] += 1
-        if res.status == FAIL:
-            agg["failures"].append({"claim": name, **res.payload})
-        elif name == "QUESTION_MS" and res.payload is not None:
-            agg["question_flags"].append(res.payload)
+    statuses = tuple([res.status for res in results.values()])
+    agg["tally"][statuses] = agg["tally"].get(statuses, 0) + 1
+    if FAIL in statuses:
+        for name, res in results.items():
+            if res.status == FAIL:
+                agg["failures"].append({"claim": name, **res.payload})
+    flag = results.get("QUESTION_MS")
+    if flag is not None and flag.payload is not None and flag.status != FAIL:
+        agg["question_flags"].append(flag.payload)
     variance = _classification_variance(ctx)
     for f, kinds in variance:
         agg["classification_varies"].append(
-            {"generators": gens, "f": f, "classes": kinds}
+            {"generators": list(S.generators), "f": f, "classes": kinds}
         )
     if sink is not None:
         sink(_build_report(S, results, ctx, variance, time.perf_counter() - start))
@@ -253,10 +257,8 @@ def _merge(agg: dict, part: dict) -> None:
     agg["semigroups"] += part["semigroups"]
     for g, n in part["by_genus"].items():
         agg["by_genus"][g] = agg["by_genus"].get(g, 0) + n
-    for name, counts in part["claims"].items():
-        dst = agg["claims"][name]
-        for k, v in counts.items():
-            dst[k] += v
+    for statuses, n in part["tally"].items():
+        agg["tally"][statuses] = agg["tally"].get(statuses, 0) + n
     for key, cell in part["cells"].items():
         dst = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
         dst["count"] += cell["count"]
@@ -268,7 +270,7 @@ def _merge(agg: dict, part: dict) -> None:
 
 def _subtree_worker(args: tuple) -> dict:
     node, cfg = args
-    agg = _empty_aggregate(cfg.claims)
+    agg = _empty_aggregate()
     for child in _nodes_from(node, cfg.genus_max):
         _consume(agg, cfg, child)
     return agg
@@ -278,6 +280,10 @@ def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
     agg["failures"].sort(key=lambda e: (e["generators"], e["claim"]))
     agg["question_flags"].sort(key=lambda e: e["generators"])
     agg["classification_varies"].sort(key=lambda e: (e["generators"], e["f"]))
+    claims = {n: {"pass": 0, "fail": 0, "inapplicable": 0} for n in cfg.claims}
+    for statuses, n in agg["tally"].items():
+        for name, status in zip(cfg.claims, statuses):
+            claims[name][status] += n
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verify-summary",
@@ -295,7 +301,7 @@ def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
         },
         "semigroups": agg["semigroups"],
         "by_genus": {str(g): agg["by_genus"][g] for g in sorted(agg["by_genus"])},
-        "claims": agg["claims"],
+        "claims": claims,
         "cells": {k: agg["cells"][k] for k in sorted(agg["cells"])},
         "total_failures": len(agg["failures"]),
         "failures": agg["failures"],
@@ -316,7 +322,7 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
         raise InvalidArgumentError("per-semigroup reports require workers == 1")
     # read before the census so that a malformed value fails at once
     matrix_cap = resolve_matrix_cap()
-    agg = _empty_aggregate(cfg.claims)
+    agg = _empty_aggregate()
     if cfg.workers == 1 or cfg.genus_max <= SPLIT_DEPTH:
         for node in _nodes_from(_ROOT, cfg.genus_max):
             _consume(agg, cfg, node, sink)

@@ -71,6 +71,12 @@ def test_malformed_generators_exit_two(capsys):
         ["rf", "3,5"],
         ["verify", "--genus-max", "2", "--workers", "x"],
         ["construct"],
+        # arguments the subcommand does not take
+        ["info", "3,5", "--bogus"],
+        ["info", "3,5", "--bogus", "--pretty"],
+        ["ng-vectors", "3,5", "7"],
+        ["verify", "--genus-max", "3", "extra"],
+        ["rf", "3,5", "7", "--minus", "7,7"],
     ],
     ids=" ".join,
 )
@@ -93,6 +99,12 @@ def test_sgp_without_a_subcommand_keeps_the_usage_message(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sgp")
 
 
 def test_non_ng_vectors_exit_one(capsys):

@@ -118,6 +118,20 @@ def test_trace_route_agrees_with_candidate_route():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_trace_route_reads_neither_pf_nor_candidate_sets(monkeypatch):
+    # TRACE_EQ checks the candidate-set route against this one
+    rng = random.Random(2718)
+    systems = [*census(10), *(_wide_generators(rng) for _ in range(60))]
+    expected = [is_nearly_gorenstein(S) for S in systems]
+
+    def refuse(*args):
+        raise AssertionError("the trace route read PF or the candidate sets")
+
+    monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", refuse)
+    monkeypatch.setattr("numsgps.gorenstein._candidate_sets", refuse)
+    assert [nearly_gorenstein_via_trace(S) for S in systems] == expected
+
+
 def _stopped_candidates_stop_early(S):
     """ClaimContext's candidate sets against the full list and the brute
     verdict; True when they stop before the last position."""

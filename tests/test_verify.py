@@ -21,7 +21,15 @@ from numsgps.verify import (
     run_claims,
     semigroups_up_to,
 )
-from numsgps.verify.claims import FAIL, NA, PASS, claim_ngv_props
+from numsgps.verify.claims import (
+    CLAIM_FUNCTIONS,
+    FAIL,
+    INAPPLICABLE,
+    NA,
+    PASS,
+    ClaimResult,
+    claim_ngv_props,
+)
 from numsgps.verify.harness import CLASSIFICATION_VECTOR_CAP, _classification_variance
 from oracles import (
     gaps_to_generators,
@@ -171,6 +179,32 @@ def test_ngv_props_set_tests_match_literal_route_on_hand_set_families():
         assert a == b, (S.generators, cands)
         statuses.add(b)
     assert statuses == {PASS, FAIL}
+
+
+def _literal_avoidable(ctx):
+    # the definition: some set has a member other than f
+    if not ctx.nearly_gorenstein:
+        return ()
+    return tuple(f for f in ctx.pf if all(c - {f} for c in ctx.candidates))
+
+
+def test_avoidable_matches_the_set_difference_definition():
+    kept = dropped = 0
+    for S in semigroups_up_to(12):
+        ctx = ClaimContext(S)
+        assert ctx.avoidable == _literal_avoidable(ctx), S.generators
+        kept += len(ctx.avoidable)
+        dropped += bool(ctx.nearly_gorenstein) and len(ctx.pf) - len(ctx.avoidable)
+    assert kept > 0 and dropped > 0
+    families = 0
+    for S, cands in _hand_set_families(2000, 14):
+        if not all(cands):
+            continue
+        ctx = ClaimContext(S)
+        ctx.candidates = cands
+        assert ctx.avoidable == _literal_avoidable(ctx), (S.generators, cands)
+        families += 1
+    assert families > 1000
 
 
 def test_ngv_props_passes_without_a_matching(monkeypatch):
@@ -400,6 +434,34 @@ def test_genus_twelve_summary_bytes_are_pinned(monkeypatch):
     assert hashlib.sha256(body).hexdigest() == (
         "bef995d089ab227adf7422ea8594babb2b86659f111b1198748ead0434292022"
     )
+
+
+def test_failures_are_counted_and_listed_like_the_reports(monkeypatch):
+    # the census fails no claim, so HERZOG3 is made to fail on nu = 3
+    def failing(ctx):
+        if ctx.nu != 3:
+            return INAPPLICABLE
+        return ClaimResult(FAIL, {"generators": list(ctx.S.generators), "type": len(ctx.pf)})
+
+    monkeypatch.setitem(CLAIM_FUNCTIONS, "HERZOG3", failing)
+    reports = []
+    summary = check_all(HarnessConfig(genus_max=8), sink=reports.append)
+    counts = {name: {PASS: 0, FAIL: 0, NA: 0} for name in CLAIM_NAMES}
+    failures = []
+    for report in reports:
+        for record in report.claims:
+            counts[record.claim][record.status] += 1
+            if record.status == FAIL:
+                failures.append({"claim": record.claim, **record.payload})
+    failures.sort(key=lambda e: (e["generators"], e["claim"]))
+    assert summary["claims"] == counts
+    assert summary["failures"] == failures
+    assert summary["total_failures"] == len(failures)
+    assert counts["HERZOG3"][FAIL] == sum(
+        1 for S in semigroups_up_to(8) if S.embedding_dimension == 3
+    ) > 0
+    split = check_all(HarnessConfig(genus_max=8, workers=2))
+    assert json.dumps(summary, sort_keys=True) == json.dumps(split, sort_keys=True)
 
 
 def test_check_all_sink_streams_reports():
