@@ -4,10 +4,13 @@ A numerical semigroup S is an additive submonoid of the natural numbers
 whose complement (the set of gaps) is finite; equivalently it is generated
 by finitely many positive integers with gcd 1.  Everything here is exact
 integer arithmetic: the Apery set with respect to the multiplicity is the
-single derived structure, and membership, Frobenius number, genus,
-pseudo-Frobenius numbers and factorizations all read off it.  Nothing
-here builds a structure that grows with the Frobenius number; the one
-left in the package is the reachability mask of the NGV_PROPS claim.
+structure everything else derives from.  Membership, Frobenius number,
+genus, pseudo-Frobenius numbers and factorizations read off it, and so
+does its max-plus self-convolution (apery_convolution, cached like the
+pseudo-Frobenius set), which the genus-tree walk carries from parent to
+child along with the Apery set.  Nothing here builds a structure that
+grows with the Frobenius number; the one left in the package is the
+reachability mask of the NGV_PROPS claim.
 
 The full semigroup N (generated by 1) is admitted with the conventions
 frobenius = -1, pseudo-Frobenius set {-1}, type 1.
@@ -16,6 +19,7 @@ frobenius = -1, pseudo-Frobenius set {-1}, type 1.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -76,6 +80,15 @@ def _apery_by_relaxation(modulus: int, generators: Sequence[int]) -> list[int]:
     return [int(d) for d in dist]
 
 
+def _apery_convolution(a: tuple[int, ...]) -> list[int]:
+    """c[j] = max over u of a[u] + a[(j - u) mod m], m = len(a), in m**2
+    steps."""
+    m = len(a)
+    # aa[j + m - u] is a[(j - u) % m] for u in [0, m)
+    aa = a + a
+    return [max(map(add, a, aa[j + m : j : -1])) for j in range(m)]
+
+
 def _complete(
     gens: tuple[int, ...], k: int, rest: int, coeffs: list[int], out: list
 ) -> None:
@@ -108,6 +121,7 @@ class NumericalSemigroup:
         "frobenius",
         "genus",
         "_pf",
+        "_conv",
     )
 
     def __init__(self, generators: Iterable[int]) -> None:
@@ -150,15 +164,21 @@ class NumericalSemigroup:
         self.frobenius = max(apery) - m
         self.genus = sum(a // m for a in apery)
         self._pf = None
+        self._conv = None
 
     @classmethod
     def _from_minimal_data(
-        cls, generators: tuple[int, ...], apery: tuple[int, ...]
+        cls,
+        generators: tuple[int, ...],
+        apery: tuple[int, ...],
+        convolution: list[int],
     ) -> "NumericalSemigroup":
         """Trusted fast path: `generators` already minimal and ascending,
-        `apery` the Apery set with respect to generators[0]."""
+        `apery` the Apery set with respect to generators[0], and
+        `convolution` its apery_convolution."""
         self = object.__new__(cls)
         self._init_parts(generators, apery)
+        self._conv = convolution
         return self
 
     # ------------------------------------------------------------------
@@ -228,6 +248,16 @@ class NumericalSemigroup:
                 out.sort()
                 self._pf = tuple(out)
         return self._pf
+
+    def apery_convolution(self) -> list[int]:
+        """The max-plus self-convolution of the Apery set a: entry j is
+        the max over u of a[u] + a[(j - u) mod m], m the multiplicity.
+        The trace route reads it.  Computed once in m**2 steps unless the
+        constructor was given it; the caller must not mutate the list.
+        """
+        if self._conv is None:
+            self._conv = _apery_convolution(self.apery)
+        return self._conv
 
     # ------------------------------------------------------------------
     # factorizations

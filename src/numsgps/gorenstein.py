@@ -2,13 +2,16 @@
 
 A relative ideal is held by its least element in each residue class mod
 the multiplicity m (RelativeIdeal.least), so the canonical and maximal
-ideals cost m Apery lookups.  The trace route is one max-plus
-convolution of the Apery set with itself, m**2 steps.  The symmetry
-predicates, candidate sets and NG-vector test read only the
-pseudo-Frobenius set and Apery-set lookups (at most nu * t**2, t the
-type).  The candidate sets come one position at a time, so a verdict of
-"not nearly Gorenstein" stops at the first empty one.  Nothing here
-builds a window as wide as the Frobenius number.
+ideals cost m Apery lookups.  The trace route reads the max-plus
+convolution of the Apery set with itself (apery_convolution: m**2 steps
+from scratch, O(m) when the genus-tree walk carries it from the parent)
+and tests each generator in m steps.  Almost symmetry is Nari's identity
+2 * genus == frobenius + type.  Symmetry, the candidate sets and the
+NG-vector test read only the pseudo-Frobenius set and Apery-set lookups
+(at most nu * t**2, t the type).  The candidate sets come one position
+at a time, so a verdict of "not nearly Gorenstein" stops at the first
+empty one.  Nothing here builds a window as wide as the Frobenius
+number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 from .core import NumericalSemigroup
 from .errors import EmbeddingDimensionError, NotNearlyGorensteinError
@@ -122,9 +125,15 @@ def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
 
 def is_almost_symmetric(S: NumericalSemigroup) -> bool:
     """True iff n + frobenius - f lies in S for every generator n and every
-    pseudo-Frobenius f, i.e. iff (frobenius, ..., frobenius) is an NG-vector."""
+    pseudo-Frobenius f, i.e. iff (frobenius, ..., frobenius) is an
+    NG-vector.  Decided instead by Nari's identity: every numerical
+    semigroup has 2 * genus >= frobenius + type, with equality iff it is
+    almost symmetric (H. Nari, "Symmetries on almost symmetric numerical
+    semigroups", Semigroup Forum 86, 2013).  O(1) once the type is known,
+    and it reads no candidate set, so AS_IMPLIES_NG checks a theorem
+    against the candidate sets."""
     _require_proper(S)
-    return is_ng_vector(S, (S.frobenius,) * S.embedding_dimension)
+    return 2 * S.genus == S.frobenius + S.type
 
 
 def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
@@ -138,19 +147,19 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     - the trace is an ideal of S and M the union of the n_i + S, so M lies
       in the trace iff each n_i has some k[r] + dual[n_i - r] <= n_i.
     Substituting k gives dual[s] = c[F + s] - F - m, with c[j] = max over
-    u of a[u] + a[j - u] (a max-plus convolution), and then
+    u of a[u] + a[j - u] (S.apery_convolution), and then
     k[r] + dual[n - r] = c[n + v] - a[v] with v = F - r.  So n lies in the
     trace iff min over v of c[n + v] - a[v] <= n; k and dual are never built.
     K comes from the Apery set, not as the union of F - f + S over the
-    pseudo-Frobenius f: that would collapse this route into the
-    candidate-set route it is checked against.
+    pseudo-Frobenius f, and c comes from the Apery set alone (built here,
+    or carried down the genus tree from the parent's): reading PF or the
+    candidate sets would collapse this route into the candidate-set route
+    it is checked against.
     """
     _require_proper(S)
     m = S.generators[0]
     a = S.apery
-    # aa[j + m - u] is a[(j - u) % m] for u in [0, m)
-    aa = a + a
-    c = [max(map(add, a, aa[j + m : j : -1])) for j in range(m)]
+    c = S.apery_convolution()
     # cc[n % m + v] is c[(n + v) % m] for v in [0, m)
     cc = c + c
     return all(min(map(sub, cc[n % m : n % m + m], a)) <= n for n in S.generators)

@@ -3,25 +3,33 @@
 Removing a minimal generator larger than the Frobenius number takes a
 semigroup of genus g to one of genus g + 1, and every semigroup arises
 exactly once this way (put the Frobenius number back to recover the
-parent).  A node is (generators, frobenius, genus, apery): the minimal
-generators and the Apery set with respect to the multiplicity, which is
-the walk's only membership structure.  Each child is built from its
-parent in O(embedding dimension) steps: removing a generator g != m
-changes only the Apery entry of g mod m, from g to g + m, and removing
-g = m steps down the spine of ordinary semigroups, whose child has a
-closed form.
+parent).  A node is (generators, frobenius, genus, apery, conv): the
+minimal generators, the Apery set with respect to the multiplicity,
+which is the walk's only membership structure, and a cell that yields
+the Apery set's max-plus self-convolution on demand.  Each child is
+built from its parent in O(embedding dimension) steps: removing a
+generator g != m changes only the Apery entry of g mod m, from g to
+g + m, and removing g = m steps down the spine of ordinary semigroups,
+whose child has a closed form.  The convolution follows the same single
+entry in O(m) steps, but only for a node that is built into a
+semigroup: a walk that only counts or filters nodes never pays for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
-from ..core import NumericalSemigroup
+from ..core import NumericalSemigroup, _apery_convolution
 
-Node = tuple[tuple[int, ...], int, int, tuple[int, ...]]
+# conv is [] (not yet computed; the spine children start so),
+# [parent, r, x] (the parent's, with Apery entry r raised to x) or [c]
+# (computed); see _convolution
+Node = tuple[tuple[int, ...], int, int, tuple[int, ...], list]
 
-# the semigroup N = <1>, with frobenius -1
-_ROOT: Node = ((1,), -1, 0, (0,))
+# the semigroup N = <1>, with frobenius -1; its cell is already resolved,
+# so no walk mutates this shared node
+_ROOT: Node = ((1,), -1, 0, (0,), [[0]])
 
 
 def _child(node: Node, g: int) -> Node:
@@ -37,18 +45,49 @@ def _child(node: Node, g: int) -> Node:
     Every generator is at most F + m < g + m, so g + m - n > 0 and
     appending g + m keeps the generators ascending.
     """
-    gens, _, genus, apery = node
+    gens, _, genus, apery, _ = node
     m = gens[0]
     if g == m:
         top = 2 * m + 2
-        return (tuple(range(m + 1, top)), m, genus + 1, (0, *range(m + 2, top)))
+        return (tuple(range(m + 1, top)), m, genus + 1, (0, *range(m + 2, top)), [])
     r = g % m
     x = g + m
     apery = apery[:r] + (x,) + apery[r + 1 :]
     kept = [n for n in gens if n != g]
     if not any(x - n >= apery[(x - n) % m] for n in kept):
         kept.append(x)
-    return tuple(kept), g, genus + 1, apery
+    return tuple(kept), g, genus + 1, apery, [node, r, x]
+
+
+def _convolution(node: Node) -> list[int]:
+    """The node's Apery convolution c[j] = max over u of a[u] + a[j - u]
+    (indices mod m), resolved in place in its cell and in every cell on
+    the way up.
+
+    A child that removes g != m raises only a[r], r = g mod m, to x, so
+    every term of its convolution that avoids index r is the parent's,
+    and the terms through r are x + a'[j - r]; since the parent's terms
+    through r are no larger, c'[j] = max(c[j], x + a'[j - r]), O(m) steps
+    from the parent's c.  The spine children compute theirs from scratch.
+    """
+    pending = []
+    cell = node[4]
+    while len(cell) == 3:
+        pending.append(node)
+        node = cell[0]
+        cell = node[4]
+    if not cell:
+        cell.append(_apery_convolution(node[3]))
+    c = cell[0]
+    for node in reversed(pending):
+        cell = node[4]
+        _, r, x = cell
+        a = node[3]
+        # a[s:] + a[:s] is a'[(j - r) % m] for j in [0, m)
+        s = len(a) - r
+        c = list(map(max, c, map(x.__add__, chain(islice(a, s, None), islice(a, s)))))
+        cell[:] = (c,)
+    return c
 
 
 def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
@@ -58,7 +97,7 @@ def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        gens, frob, genus, _ = node
+        gens, frob, genus, _, _ = node
         if genus < genus_max:
             stack.extend(_child(node, g) for g in reversed(gens) if g > frob)
 
@@ -70,7 +109,7 @@ def _nodes(genus_max: int) -> Iterator[Node]:
 
 
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:
-    return NumericalSemigroup._from_minimal_data(node[0], node[3])
+    return NumericalSemigroup._from_minimal_data(node[0], node[3], _convolution(node))
 
 
 def semigroups_up_to(

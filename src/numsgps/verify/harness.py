@@ -33,9 +33,6 @@ SCHEMA_VERSION = "1"
 
 # genus at which the enumeration tree is cut into per-worker subtrees
 SPLIT_DEPTH = 6
-# the cross-vector classification comparison covers semigroups with at
-# most this many vectors (five-generated semigroups always qualify)
-CLASSIFICATION_VECTOR_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,10 @@ def _classification_variance(ctx: ClaimContext) -> list[tuple[int, list[str]]]:
     only on the entry at position i.  So f varies iff some position has a candidate other than
     f that is a witness, and every position has one that is not.  Only
     the avoidable f (ClaimContext.avoidable) are kept outside some vector.
+    No vector is enumerated, so the scan covers every semigroup, however
+    many vectors it has.
     """
-    if not ctx.avoidable or ctx.nu != 5 and ctx.vector_count > CLASSIFICATION_VECTOR_CAP:
+    if not ctx.avoidable:
         return []
     gens = ctx.S.generators
 

@@ -178,6 +178,12 @@ def mask_is_ng_vector(S, entries):
     return all((acc >> (n + f)) & 1 for n, f in zip(S.generators, entries))
 
 
+def literal_apery_convolution(apery):
+    """c[j] = max over u of apery[u] + apery[(j - u) mod m], term by term."""
+    m = len(apery)
+    return [max(apery[u] + apery[(j - u) % m] for u in range(m)) for j in range(m)]
+
+
 def gaps_trace_nearly_gorenstein(S):
     """The trace route with K built gap by gap: K(S) + (S - K(S)) holds
     every nonzero element, decided on the window [0, frobenius + largest

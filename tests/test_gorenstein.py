@@ -18,7 +18,7 @@ from numsgps import (
     ng_candidates,
     ng_vectors,
 )
-from numsgps.verify import ClaimContext
+from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
     brute_nearly_gorenstein,
@@ -38,6 +38,10 @@ from oracles import (
 )
 
 WORKED = (13, 45, 72, 79, 99)
+
+
+def _proper_walk(genus_max):
+    return [S for S in semigroups_up_to(genus_max) if not S.is_full()]
 
 
 def census(genus_max):
@@ -74,9 +78,11 @@ def test_symmetric_iff_type_one():
 
 
 def test_almost_symmetric_iff_gap_count_identity():
-    # 2 * genus == frobenius + type characterizes almost symmetry
-    for S in census(9):
-        assert is_almost_symmetric(S) == (2 * S.genus == S.frobenius + S.type)
+    # is_almost_symmetric decides by 2 * genus == frobenius + type; by
+    # definition, S is almost symmetric iff (F, ..., F) is an NG-vector
+    for S in _proper_walk(12):
+        F = S.frobenius
+        assert is_almost_symmetric(S) == is_ng_vector(S, (F,) * S.embedding_dimension)
 
 
 def test_canonical_ideal_contents():
@@ -119,17 +125,40 @@ def test_trace_route_agrees_with_candidate_route():
 
 
 def test_trace_route_reads_neither_pf_nor_candidate_sets(monkeypatch):
-    # TRACE_EQ checks the candidate-set route against this one
+    # TRACE_EQ checks the candidate-set route against this one.  A
+    # semigroup built from generators computes its Apery convolution
+    # afresh; one built by the genus-tree walk carries it from its parent
     rng = random.Random(2718)
-    systems = [*census(10), *(_wide_generators(rng) for _ in range(60))]
-    expected = [is_nearly_gorenstein(S) for S in systems]
+    fresh = [*census(10), *(_wide_generators(rng) for _ in range(60))]
+    expected = [is_nearly_gorenstein(S) for S in [*fresh, *_proper_walk(10)]]
 
     def refuse(*args):
         raise AssertionError("the trace route read PF or the candidate sets")
 
     monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", refuse)
     monkeypatch.setattr("numsgps.gorenstein._candidate_sets", refuse)
+    systems = [*fresh, *_proper_walk(10)]
     assert [nearly_gorenstein_via_trace(S) for S in systems] == expected
+
+
+def test_almost_symmetry_reads_neither_ng_vectors_nor_candidate_sets(monkeypatch):
+    # AS_IMPLIES_NG checks Nari's identity against the candidate-set route
+    rng = random.Random(1729)
+    systems = [*census(10), *(_wide_generators(rng) for _ in range(60))]
+    expected = []
+    for S in systems:
+        _, frob, _, pf, contains = sieve_invariants(S.generators)
+        expected.append(brute_almost_symmetric(frob, contains, pf))
+    assert 0 < sum(expected) < len(expected)
+
+    def refuse(*args):
+        raise AssertionError("almost symmetry read an NG-vector test or the candidate sets")
+
+    monkeypatch.setattr("numsgps.gorenstein.is_ng_vector", refuse)
+    monkeypatch.setattr("numsgps.gorenstein._candidate_sets", refuse)
+    monkeypatch.setattr("numsgps.verify.claims._candidate_sets", refuse)
+    assert [is_almost_symmetric(S) for S in systems] == expected
+    assert [ClaimContext(S).almost_symmetric for S in systems] == expected
 
 
 def _stopped_candidates_stop_early(S):

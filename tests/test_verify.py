@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from numsgps import NumericalSemigroup, is_nearly_gorenstein, ng_vectors
+from numsgps import NumericalSemigroup, core, is_nearly_gorenstein, ng_vectors
 from numsgps.errors import InvalidArgumentError
 from numsgps.verify import (
     ASSERTED_CLAIMS,
@@ -17,6 +17,7 @@ from numsgps.verify import (
     check_all,
     check_semigroup,
     count_by_genus,
+    enumeration,
     harness,
     run_claims,
     semigroups_up_to,
@@ -30,10 +31,11 @@ from numsgps.verify.claims import (
     ClaimResult,
     claim_ngv_props,
 )
-from numsgps.verify.harness import CLASSIFICATION_VECTOR_CAP, _classification_variance
+from numsgps.verify.harness import _classification_variance
 from oracles import (
     gaps_to_generators,
     genus_tree_semigroups,
+    literal_apery_convolution,
     literal_classification_variance,
     literal_coppie,
     literal_first_zero,
@@ -81,6 +83,50 @@ def test_enumeration_embdim_filter():
         S.generators for S in all_gens if S.embedding_dimension == 3
     }
     assert all(S.embedding_dimension == 3 for S in filtered)
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_carried_convolution_matches_a_literal_one(monkeypatch):
+    # every node of genus <= 12, spine children included: only the 12
+    # spine children compute theirs from scratch, every other node
+    # updates its parent's in O(m)
+    fresh = []
+    _count_calls(monkeypatch, enumeration, "_apery_convolution", fresh)
+    _count_calls(monkeypatch, core, "_apery_convolution", fresh)
+    walked = list(semigroups_up_to(12))
+    assert len(walked) == sum(KNOWN_COUNTS[:13])
+    ordinary = [
+        S for S in walked if S.generators == tuple(range(S.multiplicity, 2 * S.multiplicity))
+    ]
+    assert len(fresh) == len(ordinary) - 1 == 12
+    for S in walked:
+        assert S.apery_convolution() == literal_apery_convolution(S.apery), S.generators
+    assert len(fresh) == 12
+    # a filtered walk resolves the convolution through ancestors it never built
+    fresh.clear()
+    for S in semigroups_up_to(12, embdim={4}):
+        assert S.apery_convolution() == literal_apery_convolution(S.apery), S.generators
+    assert 0 < len(fresh) <= 12
+
+
+def test_walk_only_runs_compute_no_convolution(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, enumeration, "_convolution", calls)
+    _count_calls(monkeypatch, enumeration, "_apery_convolution", calls)
+    _count_calls(monkeypatch, core, "_apery_convolution", calls)
+    assert count_by_genus(12) == KNOWN_COUNTS[:13]
+    assert calls == []
+    # the same helpers see every node that is built
+    assert len(list(semigroups_up_to(12))) == calls.count("_convolution") > 0
 
 
 def test_run_claims_rejects_unknown_name():
@@ -266,20 +312,29 @@ def test_ngv_props_failure_payloads(gens, cands, pf, payload):
     assert result.payload == {"generators": list(gens), "pf": list(ctx.pf), **payload}
 
 
+# the literal scan classifies every vector, so it runs only up to this
+# many; above it no semigroup checked here has a varying classification
+LITERAL_VARIANCE_VECTORS = 128
+
+
 def _assert_variance_matches_literal_scan(S):
     ctx = ClaimContext(S)
     expected = []
-    if ctx.nearly_gorenstein and (
-        S.embedding_dimension == 5 or ctx.vector_count <= CLASSIFICATION_VECTOR_CAP
-    ):
+    if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
         expected = literal_classification_variance(S, ng_vectors(S))
     assert _classification_variance(ctx) == expected, S.generators
+    return ctx.vector_count > LITERAL_VARIANCE_VECTORS
 
 
 def test_factored_classification_variance_matches_literal_scan():
-    for S in semigroups_up_to(12):
-        if not S.is_full():
-            _assert_variance_matches_literal_scan(S)
+    above = sum(
+        _assert_variance_matches_literal_scan(S)
+        for S in semigroups_up_to(12)
+        if not S.is_full()
+    )
+    # the production scan has no vector cap: 137 of these have more
+    # vectors than the literal scan takes
+    assert above == 137
     rng = random.Random(20)
     for _ in range(200):
         _assert_variance_matches_literal_scan(
