@@ -275,56 +275,56 @@ def _family_payload(family: str, params: dict, S: NumericalSemigroup) -> dict:
     }
 
 
-def _cmd_construct(args) -> int:
-    if args.family == "backelin":
-        S = backelin(args.T)
-        _emit("construct", _family_payload("backelin", {"T": args.T}, S), args.pretty)
-        return 0
-    if args.family == "dim6":
-        S = family_dim6(args.T, args.d, args.k)
-        payload = _family_payload(
-            "dim6", {"T": args.T, "d": args.d, "k": args.k}, S
-        )
-        payload["generators_constructed"] = list(
-            dim6_raw_generators(args.T, args.d, args.k)
-        )
-        payload["progression"] = list(dim6_progression(args.T, args.d, args.k))
-        _emit("construct", payload, args.pretty)
-        return 0
-    if args.family == "duplication":
-        S = NumericalSemigroup(args.gens)
-        if args.ideal is None:
-            E = RelativeIdeal.maximal_ideal(S)
-        else:
-            E = ideal_from_generators(S, args.ideal)
-        D = numerical_duplication(DuplicationSpec(S, E, args.b))
-        payload = _family_payload(
-            "duplication",
-            {"base": list(S.generators), "b": args.b,
-             "ideal": None if args.ideal is None else sorted(args.ideal)},
-            D,
-        )
-        _emit("construct", payload, args.pretty)
-        return 0
-    if args.family == "tower":
-        seed = NumericalSemigroup(args.gens)
-        chain = duplication_tower(seed, args.depth)
-        payload = {
-            "family": "tower",
-            "params": {"base": list(seed.generators), "depth": args.depth},
-            "levels": [
-                {
-                    "generators": list(level.generators),
-                    "embedding_dimension": level.embedding_dimension,
-                    "type": level.type,
-                    "excess": level.type - 2 * level.embedding_dimension,
-                }
-                for level in chain
-            ],
-        }
-        _emit("construct", payload, args.pretty)
-        return 0
-    raise AssertionError(f"unhandled family {args.family}")
+def _construct_backelin(args) -> int:
+    S = backelin(args.T)
+    _emit("construct", _family_payload("backelin", {"T": args.T}, S), args.pretty)
+    return 0
+
+
+def _construct_dim6(args) -> int:
+    S = family_dim6(args.T, args.d, args.k)
+    payload = _family_payload("dim6", {"T": args.T, "d": args.d, "k": args.k}, S)
+    payload["generators_constructed"] = list(dim6_raw_generators(args.T, args.d, args.k))
+    payload["progression"] = list(dim6_progression(args.T, args.d, args.k))
+    _emit("construct", payload, args.pretty)
+    return 0
+
+
+def _construct_duplication(args) -> int:
+    S = NumericalSemigroup(args.gens)
+    if args.ideal is None:
+        E = RelativeIdeal.maximal_ideal(S)
+    else:
+        E = ideal_from_generators(S, args.ideal)
+    D = numerical_duplication(DuplicationSpec(S, E, args.b))
+    payload = _family_payload(
+        "duplication",
+        {"base": list(S.generators), "b": args.b,
+         "ideal": None if args.ideal is None else sorted(args.ideal)},
+        D,
+    )
+    _emit("construct", payload, args.pretty)
+    return 0
+
+
+def _construct_tower(args) -> int:
+    seed = NumericalSemigroup(args.gens)
+    chain = duplication_tower(seed, args.depth)
+    payload = {
+        "family": "tower",
+        "params": {"base": list(seed.generators), "depth": args.depth},
+        "levels": [
+            {
+                "generators": list(level.generators),
+                "embedding_dimension": level.embedding_dimension,
+                "type": level.type,
+                "excess": level.type - 2 * level.embedding_dimension,
+            }
+            for level in chain
+        ],
+    }
+    _emit("construct", payload, args.pretty)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = fam.add_parser("backelin", help="four-generated family with growing type")
     q.add_argument("--T", type=int, required=True)
     add_pretty(q)
-    q.set_defaults(func=_cmd_construct, record_kind="construct")
+    q.set_defaults(func=_construct_backelin, record_kind="construct")
 
     q = fam.add_parser("dim6", help="six-generated family with a PF progression")
     q.add_argument("--T", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     add_pretty(q)
-    q.set_defaults(func=_cmd_construct, record_kind="construct")
+    q.set_defaults(func=_construct_dim6, record_kind="construct")
 
     q = fam.add_parser("duplication", help="numerical duplication 2S u (2E+b)")
     q.add_argument("--gens", type=_parse_generators, required=True)
@@ -427,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ideal", type=_parse_generators, default=None,
                    help="ideal generators (default: the maximal ideal)")
     add_pretty(q)
-    q.set_defaults(func=_cmd_construct, record_kind="construct")
+    q.set_defaults(func=_construct_duplication, record_kind="construct")
 
     q = fam.add_parser("tower", help="iterated maximal-ideal duplication")
     q.add_argument("--gens", type=_parse_generators, required=True)
     q.add_argument("--depth", type=int, required=True)
     add_pretty(q)
-    q.set_defaults(func=_cmd_construct, record_kind="construct")
+    q.set_defaults(func=_construct_tower, record_kind="construct")
 
     return parser
 

@@ -117,16 +117,12 @@ def smallest_odd_generator(S: NumericalSemigroup) -> int:
     raise FamilyPropertyError("no odd generator found")
 
 
-def duplication_tower(
-    S: NumericalSemigroup,
-    depth: int,
-    b_selector=None,
-) -> list[NumericalSemigroup]:
+def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigroup]:
     """Iterated maximal-ideal duplication [S, S_1, ..., S_depth].
 
-    Each level S_i duplicates S_{i-1} with E = M(S_{i-1}) and b chosen by
-    b_selector (default: the smallest odd generator).  Almost symmetry is
-    asserted at every level, and for a proper seed the excess follows
+    Each level S_i duplicates S_{i-1} with E = M(S_{i-1}) and b its
+    smallest odd generator.  Almost symmetry is asserted at every level,
+    and for a proper seed the excess follows
     type(S_i) - 2 nu(S_i) = 2^i (type(S) - 2 nu(S)) + 2^i - 1, asserted
     as well.  The trivial seed N is accepted but skips the excess law,
     which fails for it.
@@ -135,13 +131,13 @@ def duplication_tower(
         raise InvalidArgumentError(f"depth must be nonnegative, got {depth}")
     if not (S.is_full() or is_almost_symmetric(S)):
         raise NotAlmostSymmetricError(f"{S!r} is not almost symmetric")
-    if b_selector is None:
-        b_selector = smallest_odd_generator
     chain = [S]
     excess = S.type - 2 * S.embedding_dimension
     for level in range(1, depth + 1):
         prev = chain[-1]
-        spec = DuplicationSpec(prev, RelativeIdeal.maximal_ideal(prev), b_selector(prev))
+        spec = DuplicationSpec(
+            prev, RelativeIdeal.maximal_ideal(prev), smallest_odd_generator(prev)
+        )
         nxt = numerical_duplication(spec)
         if not is_almost_symmetric(nxt):
             raise FamilyPropertyError(
@@ -158,10 +154,6 @@ def duplication_tower(
     return chain
 
 
-def _zero_shape(rows) -> tuple:
-    return tuple(tuple(c == 0 for c in row) for row in rows)
-
-
 def _require_rows(S: NumericalSemigroup, target: int, rows, label: str) -> None:
     lists = plus_row_lists(S, target)
     for i, row in enumerate(rows):
@@ -170,6 +162,28 @@ def _require_rows(S: NumericalSemigroup, target: int, rows, label: str) -> None:
                 f"{label}: predicted row {row} for generator "
                 f"{S.generators[i]} is not a factorization of {target} + it"
             )
+
+
+def _require_matrices(S: NumericalSemigroup, T: int, cases, params: str, label: str) -> None:
+    """A family's certificate: for each (lam, target, formula, rows) of
+    cases, target is pseudo-Frobenius and owns the predicted additive
+    rows, whose zero pattern is constant on the interior lambda range
+    (the boundary values turn single entries to zero).  formula, params
+    and label only word the errors."""
+    pf = set(S.pseudo_frobenius())
+    patterns = []
+    for lam, target, formula, rows in cases:
+        if target not in pf:
+            raise FamilyPropertyError(
+                f"{target} = {formula} is not pseudo-Frobenius for {params}"
+            )
+        _require_rows(S, target, rows, f"{label} lambda={lam}")
+        patterns.append(tuple(tuple(c == 0 for c in row) for row in rows))
+    interior = patterns[1:-1]
+    if interior and any(p != interior[0] for p in interior[1:]):
+        raise FamilyPropertyError(
+            f"zero pattern varies on the interior lambda range for T = {T}"
+        )
 
 
 def backelin(T: int) -> NumericalSemigroup:
@@ -197,28 +211,18 @@ def backelin(T: int) -> NumericalSemigroup:
         raise FamilyPropertyError(
             f"formula generators {gens} are not a minimal system"
         )
-    f = (3 * T + 3) * gens[3] - gens[0]
-    pf = set(S.pseudo_frobenius())
-    patterns = []
-    for lam in range(1, T + 1):
-        target = f - 3 * lam
-        if target not in pf:
-            raise FamilyPropertyError(
-                f"{target} = f - 3*{lam} is not pseudo-Frobenius for T = {T}"
-            )
-        rows = (
+
+    def rows(lam: int) -> tuple[tuple[int, ...], ...]:
+        return (
             (-1, 0, 3 * lam, 3 * T + 3 - 3 * lam),
             (0, -1, 3 * lam - 3, 3 * T + 6 - 3 * lam),
             (T + 4 + lam, 2 * T - lam, -1, 0),
             (2 * T + 3 + lam, T - lam, 1, -1),
         )
-        _require_rows(S, target, rows, f"four-generator family T={T} lambda={lam}")
-        patterns.append(_zero_shape(rows))
-    interior = patterns[1 : T - 1]
-    if interior and any(p != interior[0] for p in interior[1:]):
-        raise FamilyPropertyError(
-            f"zero pattern varies on the interior lambda range for T = {T}"
-        )
+
+    f = (3 * T + 3) * gens[3] - gens[0]
+    cases = ((lam, f - 3 * lam, f"f - 3*{lam}", rows(lam)) for lam in range(1, T + 1))
+    _require_matrices(S, T, cases, f"T = {T}", f"four-generator family T={T}")
     return S
 
 
@@ -286,14 +290,7 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     # order[p] = construction index sitting at ascending position p
     order = sorted(range(6), key=lambda i: raw[i])
 
-    pf = set(S.pseudo_frobenius())
-    patterns = []
-    for lam, target in enumerate(dim6_progression(T, d, k)):
-        if target not in pf:
-            raise FamilyPropertyError(
-                f"{target} = f + {lam}*d is not pseudo-Frobenius for "
-                f"T={T}, d={d}, k={k}"
-            )
+    def rows(lam: int) -> list[tuple[int, ...]]:
         printed = (
             (-1, T + 1 - lam, 0, 0, lam, 0),
             (0, -1, T - lam, 0, 0, lam),
@@ -302,15 +299,11 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
             (0, 0, T - 1 - lam, 0, -1, lam + 1),
             (T + 1 - lam, 0, 0, lam + 1, 0, -1),
         )
-        rows = [
-            tuple(printed[order[p]][order[q]] for q in range(6)) for p in range(6)
-        ]
-        _require_rows(S, target, rows, f"six-generator family lambda={lam}")
-        patterns.append(_zero_shape(rows))
-    interior = patterns[1 : T - 1]
-    if interior and any(p != interior[0] for p in interior[1:]):
-        raise FamilyPropertyError(
-            f"zero pattern varies on the interior lambda range for T = {T}"
-        )
-    return S
+        return [tuple(printed[order[p]][order[q]] for q in range(6)) for p in range(6)]
 
+    cases = (
+        (lam, target, f"f + {lam}*d", rows(lam))
+        for lam, target in enumerate(dim6_progression(T, d, k))
+    )
+    _require_matrices(S, T, cases, f"T={T}, d={d}, k={k}", "six-generator family")
+    return S

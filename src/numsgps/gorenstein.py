@@ -10,8 +10,8 @@ and tests each generator in m steps.  Almost symmetry is Nari's identity
 NG-vector test read only the pseudo-Frobenius set and Apery-set lookups
 (at most nu * t**2, t the type).  The candidate sets come one position
 at a time, so a verdict of "not nearly Gorenstein" stops at the first
-empty one.  Nothing here builds a window as wide as the Frobenius
-number.
+empty one (candidate_prefix).  Nothing here builds a window as wide as
+the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -23,6 +23,7 @@ are compared against each other by the verification harness.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import sub
@@ -113,10 +114,20 @@ def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
 
     The semigroup is nearly Gorenstein iff every set is nonempty; the first
     set is always a subset of {frobenius}.  This is the full list;
-    is_nearly_gorenstein, ng_vectors and the claim context stop at the
-    first empty set.
+    is_nearly_gorenstein and candidate_prefix stop at the first empty set.
     """
     return list(_candidate_sets(S))
+
+
+def candidate_prefix(S: NumericalSemigroup) -> list[frozenset[int]]:
+    """The candidate sets up to and including the first empty one: all of
+    them iff S is nearly Gorenstein."""
+    out = []
+    for c in _candidate_sets(S):
+        out.append(c)
+        if not c:
+            break
+    return out
 
 
 def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
@@ -181,17 +192,24 @@ class NGVector:
     ell: int | None
 
 
+def companion(gens: tuple[int, ...], F: int, h: int, g: int) -> int | None:
+    """The companion of an NG-vector entry g != F at 0-based position h:
+    the one position ell < h with g = F - n_h + n_ell, else None."""
+    target = g - F + gens[h]
+    ell = bisect_left(gens, target, 0, h)
+    return ell if ell < h and gens[ell] == target else None
+
+
 def _divergence(S: NumericalSemigroup, entries: tuple[int, ...]) -> tuple[int | None, int | None]:
     F = S.frobenius
-    gens = S.generators
-    for i, f in enumerate(entries):
+    for h, f in enumerate(entries):
         if f != F:
-            for j in range(i):
-                if f == F - gens[i] + gens[j]:
-                    return i + 1, j + 1
-            raise RuntimeError(
-                f"minimum-index property violated for {entries} of {S!r}"
-            )
+            ell = companion(S.generators, F, h, f)
+            if ell is None:
+                raise RuntimeError(
+                    f"minimum-index property violated for {entries} of {S!r}"
+                )
+            return h + 1, ell + 1
     return None, None
 
 
@@ -201,13 +219,10 @@ def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
 
     Raises NotNearlyGorensteinError when some position admits no entry.
     """
-    cands = []
-    for n, c in zip(S.generators, _candidate_sets(S)):
-        if not c:
-            raise NotNearlyGorensteinError(
-                f"no admissible pseudo-Frobenius number for generator {n}"
-            )
-        cands.append(c)
+    cands = candidate_prefix(S)
+    if not cands[-1]:
+        n = S.generators[len(cands) - 1]
+        raise NotNearlyGorensteinError(f"no admissible pseudo-Frobenius number for generator {n}")
     ordered = [sorted(c, reverse=True) for c in cands]
     out = []
     for entries in itertools.product(*ordered):

@@ -12,6 +12,10 @@ Matrices of either kind are Cartesian products of independent row choices:
 the matrices as tuples of rows, row-major over factorization lists that
 are themselves in descending lexicographic order.
 
+One test, a single-generator row of a positive row value, splits the
+pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
+those whose split changes with the vector (classification_variance).
+
 Row and column positions inside a matrix are plain 0-based Python
 indices; the index fields of Witness and the keys of MaxGapTable are
 1-based generator positions, matching the usual n_1 < ... < n_nu notation.
@@ -23,6 +27,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
@@ -201,6 +206,14 @@ class PFClassification:
     witnesses: dict[int, tuple[Witness, ...]]
 
 
+def _single_generator_rows(gens: tuple[int, ...], i: int, value: int) -> list[tuple[int, int]]:
+    """(j, value // n_j) for each 0-based position j != i whose generator
+    divides the positive row value: the rows at i with nu - 2 zeroes."""
+    if value <= 0:
+        return []
+    return [(j, value // n) for j, n in enumerate(gens) if value % n == 0 and j != i]
+
+
 def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassification:
     """Classify every pseudo-Frobenius number outside the vector entries.
 
@@ -231,37 +244,55 @@ def classify_vectors(
     def cell(f: int, i: int, entry: int) -> tuple[Witness, ...]:
         key = (f, i, entry)
         if key not in table:
-            ni = gens[i - 1]
-            plus_value = f + ni
-            minus_value = ni + entry - f
-            found: list[Witness] = []
-            for j, nj in enumerate(gens, start=1):
-                if i == j:
-                    continue
-                if plus_value % nj == 0:
-                    found.append(Witness("plus", i, j, plus_value // nj))
-                if minus_value % nj == 0 and minus_value > 0:
-                    found.append(Witness("minus", i, j, minus_value // nj))
-            table[key] = tuple(found)
+            ni = gens[i]
+            plus = _single_generator_rows(gens, i, f + ni)
+            minus = _single_generator_rows(gens, i, ni + entry - f)
+            found = [Witness("plus", i + 1, j + 1, lam) for j, lam in plus]
+            found += [Witness("minus", i + 1, j + 1, lam) for j, lam in minus]
+            # by generator position, the additive witness first
+            table[key] = tuple(sorted(found, key=attrgetter("j")) if plus and minus else found)
         return table[key]
 
     out = []
     for ng in vectors:
         entries = tuple(ng)
-        pf1: list[int] = []
-        pf2: list[int] = []
-        witnesses: dict[int, tuple[Witness, ...]] = {}
+        pf1, pf2, witnesses = [], [], {}
         for f in pf:
             if f in entries:
                 continue
-            found = tuple(
-                w
-                for i, entry in enumerate(entries, start=1)
-                for w in cell(f, i, entry)
-            )
+            found = tuple(w for i, entry in enumerate(entries) for w in cell(f, i, entry))
             witnesses[f] = found
             (pf1 if found else pf2).append(f)
         out.append(PFClassification(entries, tuple(pf1), tuple(pf2), witnesses))
+    return out
+
+
+def classification_variance(
+    S: NumericalSemigroup,
+    candidates: list[frozenset[int]],
+    avoidable: Iterable[int],
+) -> list[tuple[int, list[str]]]:
+    """The avoidable f (those some NG-vector keeps outside its entries)
+    whose PF split differs across those vectors, each with its classes.
+
+    f is in the first class for a vector iff, at some position i,
+    f + n_i or n_i + f_i - f has a single-generator row.  The first test
+    does not depend on the vector, and the second only on the entry at
+    i.  So f varies iff some position has a candidate other than f with
+    such a row, and every position has one without.  No vector is
+    enumerated.
+    """
+    gens = S.generators
+    out = []
+    for f in avoidable:
+        if any(_single_generator_rows(gens, i, f + n) for i, n in enumerate(gens)):
+            continue
+        hits = [
+            [bool(_single_generator_rows(gens, i, n + g - f)) for g in c - {f}]
+            for i, (n, c) in enumerate(zip(gens, candidates))
+        ]
+        if any(map(any, hits)) and not any(map(all, hits)):
+            out.append((f, ["pf1", "pf2"]))
     return out
 
 

@@ -30,7 +30,9 @@ is computed on its first access, without a lock, and then read from the
 instance dict), every pass or inapplicable verdict without a payload is
 one shared ClaimResult, and NGV_PROPS asks whether a number is a
 combination of the later generators through one reachability bitmask
-instead of enumerating factorizations.
+instead of enumerating factorizations.  The candidate prefix and the
+companion rule come from gorenstein; require_known_claims is the one
+check of claim names.
 
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
@@ -52,7 +54,12 @@ from functools import cached_property
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
-from ..gorenstein import _candidate_sets, is_almost_symmetric, nearly_gorenstein_via_trace
+from ..gorenstein import (
+    candidate_prefix,
+    companion,
+    is_almost_symmetric,
+    nearly_gorenstein_via_trace,
+)
 from ..rf import (
     MaxGapTable,
     PFClassification,
@@ -109,26 +116,15 @@ class ClaimContext:
 
     @_field
     def candidates(self) -> list[frozenset[int]] | None:
-        """The candidate sets up to and including the first empty one: all
-        of them (ng_candidates) when the semigroup is nearly Gorenstein.
-        So nearly_gorenstein is all(candidates) and vector_count is 0
-        either way.  Every other reader (avoidable, the claims NGV_PROPS,
-        FIRST_ZERO and SAME2, the harness's variance scan) checks
+        """candidate_prefix: nearly_gorenstein is all(candidates), and
+        vector_count is 0 unless it holds.  Every other reader (avoidable,
+        NGV_PROPS, FIRST_ZERO, SAME2, the harness's variance scan) checks
         nearly_gorenstein or avoidable first, so sees full lists only."""
-        if not self.proper:
-            return None
-        out = []
-        for c in _candidate_sets(self.S):
-            out.append(c)
-            if not c:
-                break
-        return out
+        return candidate_prefix(self.S) if self.proper else None
 
     @_field
     def vector_count(self) -> int:
-        if self.candidates is None:
-            return 0
-        return math.prod(len(c) for c in self.candidates)
+        return 0 if self.candidates is None else math.prod(map(len, self.candidates))
 
     @_field
     def nearly_gorenstein(self) -> bool | None:
@@ -240,40 +236,30 @@ def _distinct_choice(sets: list) -> list[int] | None:
 # type bounds
 
 
+def _type_at_most(ctx: ClaimContext, bound: int) -> ClaimResult:
+    t = len(ctx.pf)
+    return PASSED if t <= bound else _fail(ctx, type=t)
+
+
 def claim_herzog3(ctx: ClaimContext) -> ClaimResult:
     """Three-generated semigroups have type at most 2."""
-    if ctx.nu != 3:
-        return INAPPLICABLE
-    if len(ctx.pf) <= 2:
-        return PASSED
-    return _fail(ctx, type=len(ctx.pf))
+    return _type_at_most(ctx, 2) if ctx.nu == 3 else INAPPLICABLE
 
 
 def claim_ng4_type3(ctx: ClaimContext) -> ClaimResult:
     """Four-generated nearly Gorenstein semigroups have type at most 3."""
-    if ctx.nu != 4 or not ctx.nearly_gorenstein:
-        return INAPPLICABLE
-    if len(ctx.pf) <= 3:
-        return PASSED
-    return _fail(ctx, type=len(ctx.pf))
+    return _type_at_most(ctx, 3) if ctx.nu == 4 and ctx.nearly_gorenstein else INAPPLICABLE
 
 
 def claim_as4_type3(ctx: ClaimContext) -> ClaimResult:
     """Four-generated almost symmetric semigroups have type at most 3."""
-    if ctx.nu != 4 or not ctx.almost_symmetric:
-        return INAPPLICABLE
-    if len(ctx.pf) <= 3:
-        return PASSED
-    return _fail(ctx, type=len(ctx.pf))
+    return _type_at_most(ctx, 3) if ctx.nu == 4 and ctx.almost_symmetric else INAPPLICABLE
 
 
 def claim_thm_main(ctx: ClaimContext) -> ClaimResult:
     """Five-generated, nearly Gorenstein, not almost symmetric: type <= 40."""
-    if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
-        return INAPPLICABLE
-    if len(ctx.pf) <= 40:
-        return PASSED
-    return _fail(ctx, type=len(ctx.pf))
+    five = ctx.nu == 5 and ctx.nearly_gorenstein and not ctx.almost_symmetric
+    return _type_at_most(ctx, 40) if five else INAPPLICABLE
 
 
 def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
@@ -283,9 +269,7 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     gaps between the last two generators."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein:
         return INAPPLICABLE
-    eligible = [
-        c.entries for c in ctx.classifications if len(set(c.entries[:3])) == 3
-    ]
+    eligible = [c.entries for c in ctx.classifications if len(set(c.entries[:3])) == 3]
     if not eligible:
         return INAPPLICABLE
     table = ctx.gap_table
@@ -293,12 +277,7 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     for entries in eligible:
         allowed = set(entries[:3]) | allowed_tail
         if len(ctx.pf) > 5 or not set(ctx.pf) <= allowed:
-            return _fail(
-                ctx,
-                vector=list(entries),
-                allowed=sorted(allowed),
-                type=len(ctx.pf),
-            )
+            return _fail(ctx, vector=list(entries), allowed=sorted(allowed), type=len(ctx.pf))
     return PASSED
 
 
@@ -321,9 +300,7 @@ def claim_pf1_bound(ctx: ClaimContext) -> ClaimResult:
     for cls in ctx.classifications:
         bound = 30 if sum(1 for e in cls.entries if e != F) >= 2 else 31
         if len(cls.pf1) > bound:
-            return _fail(
-                ctx, vector=list(cls.entries), pf1=list(cls.pf1), bound=bound
-            )
+            return _fail(ctx, vector=list(cls.entries), pf1=list(cls.pf1), bound=bound)
     return PASSED
 
 
@@ -335,11 +312,7 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
         mu = mu_bound(ctx.gap_table, cls)
         if len(cls.pf1) > mu.bound:
             return _fail(
-                ctx,
-                vector=list(cls.entries),
-                pf1=list(cls.pf1),
-                mus=list(mu.mus),
-                bound=mu.bound,
+                ctx, vector=list(cls.entries), pf1=list(cls.pf1), mus=list(mu.mus), bound=mu.bound
             )
     return PASSED
 
@@ -386,7 +359,7 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
         if F not in cands[h0 - 1]:
             break
         for g in cands[h0] - {F}:
-            if g - F + gens[h0] in gens[:h0] and any(
+            if companion(gens, F, h0, g) is not None and any(
                 f != F and f != g for f in ctx.avoidable
             ):
                 return _premise_result(ctx)
@@ -576,27 +549,27 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
                 reason="no factorization over the later generators",
             )
 
-    # each position's entries other than F, descending, and whether it
-    # holds F
+    # each position's entries other than F, descending, those without a
+    # companion position, and whether it holds F
     off_f = [sorted(c - {F}, reverse=True) for c in cands]
+    orphans = [[g for g in off if companion(gens, F, h, g) is None] for h, off in enumerate(off_f)]
     holds_f = [F in c for c in cands]
     for h0 in range(1, nu):
         # every position before h0 holds F (earlier passes saw the others)
         if not holds_f[h0 - 1]:
             break
-        for g in off_f[h0]:
-            if g - F + gens[h0] not in gens[:h0]:
-                return _fail(
-                    ctx, h=h0 + 1, entry=g,
-                    reason="first entry off F has no companion position",
-                )
+        if orphans[h0]:
+            return _fail(
+                ctx, h=h0 + 1, entry=orphans[h0][0],
+                reason="first entry off F has no companion position",
+            )
         if off_f[h0]:
             for h1 in range(h0 + 1, nu):
-                for gp in off_f[h1]:
+                # an entry without a companion needs gp - F + n_h1 to be a
+                # positive multiple of n_h0
+                for gp in orphans[h1]:
                     delta = gp - F + gens[h1]
-                    # gp = F - n_h1 + n_l for an earlier l, or delta a
-                    # multiple of n_h0
-                    if delta not in gens[:h1] and not (delta > 0 and delta % gens[h0] == 0):
+                    if not (delta > 0 and delta % gens[h0] == 0):
                         return _fail(
                             ctx, h=h0 + 1, h_prime=h1 + 1, entry=gp,
                             reason="second entry off F fits neither branch",
@@ -674,14 +647,19 @@ CLAIM_NAMES = tuple(CLAIM_FUNCTIONS)
 ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
 
 
+def require_known_claims(names: tuple[str, ...]) -> None:
+    """InvalidArgumentError naming every entry of names that is no claim."""
+    if not all(map(CLAIM_FUNCTIONS.__contains__, names)):
+        unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
+        raise InvalidArgumentError(f"unknown claims: {unknown}")
+
+
 def run_claims(
     S: NumericalSemigroup, names: tuple[str, ...] = CLAIM_NAMES
 ) -> tuple[dict[str, ClaimResult], ClaimContext]:
     """Evaluate the named claims on one semigroup; returns the result map
     and the context (whose cached facts the caller may reuse)."""
-    if not all(map(CLAIM_FUNCTIONS.__contains__, names)):
-        unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
-        raise InvalidArgumentError(f"unknown claims: {unknown}")
+    require_known_claims(names)
     ctx = ClaimContext(S)
     results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}
     return results, ctx

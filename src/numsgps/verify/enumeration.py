@@ -13,11 +13,16 @@ g + m, and removing g = m steps down the spine of ordinary semigroups,
 whose child has a closed form.  The convolution follows the same single
 entry in O(m) steps, but only for a node that is built into a
 semigroup: a walk that only counts or filters nodes never pays for it.
+
+Nodes never leave this module: callers get semigroups, filtered by
+embedding dimension before they are built, as one stream or cut into
+work units (work_units).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from itertools import chain, islice
 
 from ..core import NumericalSemigroup, _apery_convolution
@@ -30,6 +35,12 @@ Node = tuple[tuple[int, ...], int, int, tuple[int, ...], list]
 # the semigroup N = <1>, with frobenius -1; its cell is already resolved,
 # so no walk mutates this shared node
 _ROOT: Node = ((1,), -1, 0, (0,), [[0]])
+
+# genus at which work_units cuts the tree into subtrees
+SPLIT_DEPTH = 6
+
+# a work unit: called, it yields the semigroups of one subtree
+Unit = Callable[[], Iterator[NumericalSemigroup]]
 
 
 def _child(node: Node, g: int) -> Node:
@@ -93,6 +104,8 @@ def _convolution(node: Node) -> list[int]:
 def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
     """Depth-first stream of the nodes in the subtree of `start` down to
     genus_max, children visited by increasing removed generator."""
+    if genus_max < 0:
+        raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
     stack = [start]
     while stack:
         node = stack.pop()
@@ -102,14 +115,20 @@ def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
             stack.extend(_child(node, g) for g in reversed(gens) if g > frob)
 
 
-def _nodes(genus_max: int) -> Iterator[Node]:
-    if genus_max < 0:
-        raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
-    return _nodes_from(_ROOT, genus_max)
-
-
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:
     return NumericalSemigroup._from_minimal_data(node[0], node[3], _convolution(node))
+
+
+def _semigroups(
+    start: Node, genus_max: int, embdim: Iterable[int] | None
+) -> Iterator[NumericalSemigroup]:
+    """The semigroups of the subtree of `start` down to genus_max with
+    embedding dimension in embdim (all when None).  The filter reads the
+    node's generator count, so a node it drops is never built."""
+    wanted = None if embdim is None else frozenset(embdim)
+    for node in _nodes_from(start, genus_max):
+        if wanted is None or len(node[0]) in wanted:
+            yield _semigroup_from_node(node)
 
 
 def semigroups_up_to(
@@ -119,16 +138,27 @@ def semigroups_up_to(
     """Every numerical semigroup of genus <= genus_max, exactly once, in a
     deterministic depth-first order.  embdim restricts the yielded (not
     the visited) semigroups to the given embedding dimensions."""
-    wanted = None if embdim is None else frozenset(embdim)
-    for node in _nodes(genus_max):
-        if wanted is None or len(node[0]) in wanted:
-            yield _semigroup_from_node(node)
+    return _semigroups(_ROOT, genus_max, embdim)
+
+
+def work_units(
+    genus_max: int,
+    embdim: Iterable[int] | None = None,
+) -> tuple[list[NumericalSemigroup], list[Unit]]:
+    """semigroups_up_to cut at genus SPLIT_DEPTH: the semigroups above the
+    cut, and per node at the cut a unit, a picklable callable yielding
+    its subtree's semigroups.  Nothing is cut if genus_max <= SPLIT_DEPTH."""
+    if genus_max <= SPLIT_DEPTH:
+        return list(semigroups_up_to(genus_max, embdim)), []
+    cut = (node for node in _nodes_from(_ROOT, SPLIT_DEPTH) if node[2] == SPLIT_DEPTH)
+    units = [partial(_semigroups, node, genus_max, embdim) for node in cut]
+    return list(semigroups_up_to(SPLIT_DEPTH - 1, embdim)), units
 
 
 def count_by_genus(genus_max: int) -> list[int]:
     """Number of semigroups of each genus 0..genus_max (no construction,
     walk only)."""
     counts = [0] * (genus_max + 1)
-    for node in _nodes(genus_max):
+    for node in _nodes_from(_ROOT, genus_max):
         counts[node[2]] += 1
     return counts

@@ -1,38 +1,40 @@
 """Exhaustive verification harness: claims over every semigroup up to a
 genus bound, or over ad-hoc generator systems.
 
+It only aggregates and reports: the enumeration hands it semigroups
+built and filtered (as work units for worker processes), the claims
+module decides the claims, and rf scans for a PF split that varies.
+
 The summary it produces is deterministic for a given configuration,
-independent of the worker count: work units are genus-subtrees of the
-enumeration, partial aggregates combine by sums and maxima (they count
-each tuple of claim statuses, expanded into per-claim counts once), and all
-collected lists are sorted by generator tuple before the summary is
-assembled.  Timing lives on individual reports, never in the summary.
+independent of the worker count: partial aggregates combine by sums and
+maxima (they count each tuple of claim statuses, expanded into
+per-claim counts once), and all collected lists are sorted by generator
+tuple before the summary is assembled.  Timing lives on individual
+reports, never in the summary.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
-from ..rf import resolve_matrix_cap
+from ..rf import classification_variance, resolve_matrix_cap
 from .claims import (
-    CLAIM_FUNCTIONS,
     CLAIM_NAMES,
     FAIL,
     ClaimContext,
     ClaimResult,
+    require_known_claims,
     run_claims,
 )
-from .enumeration import _ROOT, Node, _nodes_from, _semigroup_from_node
+from .enumeration import semigroups_up_to, work_units
 
 SCHEMA_VERSION = "1"
-
-# genus at which the enumeration tree is cut into per-worker subtrees
-SPLIT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,10 @@ class HarnessConfig:
             raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
-        unknown = [n for n in self.claims if n not in CLAIM_FUNCTIONS]
-        if unknown:
-            raise InvalidArgumentError(f"unknown claims: {unknown}")
+        require_known_claims(self.claims)
         # normalize to canonical order with duplicates dropped
         chosen = frozenset(self.claims)
-        object.__setattr__(
-            self, "claims", tuple(n for n in CLAIM_NAMES if n in chosen)
-        )
+        object.__setattr__(self, "claims", tuple(n for n in CLAIM_NAMES if n in chosen))
         if self.embdim_filter is not None:
             object.__setattr__(self, "embdim_filter", frozenset(self.embdim_filter))
 
@@ -99,54 +97,13 @@ class CheckReport:
         return tuple(r for r in self.claims if r.status == FAIL)
 
     def as_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "genus": self.genus,
-            "frobenius": self.frobenius,
-            "multiplicity": self.multiplicity,
-            "embedding_dimension": self.embedding_dimension,
-            "type": self.type,
-            "nearly_gorenstein": self.nearly_gorenstein,
-            "almost_symmetric": self.almost_symmetric,
-            "vector_count": self.vector_count,
-            "claims": [r.as_dict() for r in self.claims],
-            "notes": list(self.notes),
-            "seconds": self.seconds,
-        }
-
-
-def _classification_variance(ctx: ClaimContext) -> list[tuple[int, list[str]]]:
-    """Pseudo-Frobenius numbers whose one-generator/two-generator class
-    differs across the NG-vectors keeping them outside their entries.
-
-    f is in the first class for a vector iff, at some position i,
-    f + n_i or n_i + f_i - f > 0 is a multiple of another generator n_j.
-    The first test does not depend on the vector, and the second depends
-    only on the entry at position i.  So f varies iff some position has a candidate other than
-    f that is a witness, and every position has one that is not.  Only
-    the avoidable f (ClaimContext.avoidable) are kept outside some vector.
-    No vector is enumerated, so the scan covers every semigroup, however
-    many vectors it has.
-    """
-    if not ctx.avoidable:
-        return []
-    gens = ctx.S.generators
-
-    def witness(i: int, value: int) -> bool:
-        return value > 0 and any(value % n == 0 for j, n in enumerate(gens) if j != i)
-
-    out = []
-    for f in ctx.avoidable:
-        if any(witness(i, f + n) for i, n in enumerate(gens)):
-            continue
-        options = [c - {f} for c in ctx.candidates]
-        hits = [
-            [witness(i, n + g - f) for g in opts]
-            for i, (n, opts) in enumerate(zip(gens, options))
-        ]
-        if any(map(any, hits)) and not any(map(all, hits)):
-            out.append((f, ["pf1", "pf2"]))
-    return out
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            generators=list(self.generators),
+            claims=[r.as_dict() for r in self.claims],
+            notes=list(self.notes),
+        )
+        return out
 
 
 def _build_report(
@@ -162,9 +119,7 @@ def _build_report(
     if t > 2 * nu:
         notes.append(f"type {t} exceeds twice the embedding dimension {nu}")
     for f, kinds in variance:
-        notes.append(
-            f"classification of {f} varies across NG-vectors: {', '.join(kinds)}"
-        )
+        notes.append(f"classification of {f} varies across NG-vectors: {', '.join(kinds)}")
     return CheckReport(
         generators=S.generators,
         genus=S.genus,
@@ -193,26 +148,26 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckR
     start = time.perf_counter()
     results, ctx = run_claims(S, claims)
     seconds = time.perf_counter() - start
-    return _build_report(S, results, ctx, _classification_variance(ctx), seconds)
+    variance = classification_variance(S, ctx.candidates, ctx.avoidable)
+    return _build_report(S, results, ctx, variance, seconds)
 
 
 # ----------------------------------------------------------------------
 # aggregation
 
 
-def _cell_key(nu: int, ng: bool | None, asym: bool | None) -> str:
-    def render(v):
-        return "none" if v is None else ("true" if v else "false")
+_RENDER = {None: "none", True: "true", False: "false"}
 
-    return f"nu={nu}|ng={render(ng)}|as={render(asym)}"
+
+def _cell_key(nu: int, ng: bool | None, asym: bool | None) -> str:
+    return f"nu={nu}|ng={_RENDER[ng]}|as={_RENDER[asym]}"
 
 
 def _empty_aggregate() -> dict:
     return {
-        "semigroups": 0,
-        "by_genus": {},
+        "by_genus": Counter(),
         # tuple of the claims' statuses, in the configured order -> count
-        "tally": {},
+        "tally": Counter(),
         "cells": {},
         "failures": [],
         "question_flags": [],
@@ -220,22 +175,16 @@ def _empty_aggregate() -> dict:
     }
 
 
-def _consume(agg: dict, cfg: HarnessConfig, node: Node, sink=None) -> None:
-    # the filter reads the node's generator count, so a node it drops is
-    # never built
-    if cfg.embdim_filter is not None and len(node[0]) not in cfg.embdim_filter:
-        return
-    S = _semigroup_from_node(node)
+def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
     start = time.perf_counter()
     results, ctx = run_claims(S, cfg.claims)
-    agg["semigroups"] += 1
-    agg["by_genus"][S.genus] = agg["by_genus"].get(S.genus, 0) + 1
+    agg["by_genus"][S.genus] += 1
     key = _cell_key(ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric)
     cell = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
     cell["count"] += 1
     cell["max_type"] = max(cell["max_type"], S.type)
     statuses = tuple([res.status for res in results.values()])
-    agg["tally"][statuses] = agg["tally"].get(statuses, 0) + 1
+    agg["tally"][statuses] += 1
     if FAIL in statuses:
         for name, res in results.items():
             if res.status == FAIL:
@@ -243,7 +192,7 @@ def _consume(agg: dict, cfg: HarnessConfig, node: Node, sink=None) -> None:
     flag = results.get("QUESTION_MS")
     if flag is not None and flag.payload is not None and flag.status != FAIL:
         agg["question_flags"].append(flag.payload)
-    variance = _classification_variance(ctx)
+    variance = classification_variance(S, ctx.candidates, ctx.avoidable)
     for f, kinds in variance:
         agg["classification_varies"].append(
             {"generators": list(S.generators), "f": f, "classes": kinds}
@@ -253,11 +202,8 @@ def _consume(agg: dict, cfg: HarnessConfig, node: Node, sink=None) -> None:
 
 
 def _merge(agg: dict, part: dict) -> None:
-    agg["semigroups"] += part["semigroups"]
-    for g, n in part["by_genus"].items():
-        agg["by_genus"][g] = agg["by_genus"].get(g, 0) + n
-    for statuses, n in part["tally"].items():
-        agg["tally"][statuses] = agg["tally"].get(statuses, 0) + n
+    agg["by_genus"].update(part["by_genus"])
+    agg["tally"].update(part["tally"])
     for key, cell in part["cells"].items():
         dst = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
         dst["count"] += cell["count"]
@@ -267,11 +213,11 @@ def _merge(agg: dict, part: dict) -> None:
     agg["classification_varies"].extend(part["classification_varies"])
 
 
-def _subtree_worker(args: tuple) -> dict:
-    node, cfg = args
+def _unit_worker(args: tuple) -> dict:
+    unit, cfg = args
     agg = _empty_aggregate()
-    for child in _nodes_from(node, cfg.genus_max):
-        _consume(agg, cfg, child)
+    for S in unit():
+        _consume(agg, cfg, S)
     return agg
 
 
@@ -298,7 +244,7 @@ def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
             "coppie_pair_cap": 10_000,
             "matrix_cap": matrix_cap,
         },
-        "semigroups": agg["semigroups"],
+        "semigroups": sum(agg["by_genus"].values()),
         "by_genus": {str(g): agg["by_genus"][g] for g in sorted(agg["by_genus"])},
         "claims": claims,
         "cells": {k: agg["cells"][k] for k in sorted(agg["cells"])},
@@ -322,18 +268,15 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     # read before the census so that a malformed value fails at once
     matrix_cap = resolve_matrix_cap()
     agg = _empty_aggregate()
-    if cfg.workers == 1 or cfg.genus_max <= SPLIT_DEPTH:
-        for node in _nodes_from(_ROOT, cfg.genus_max):
-            _consume(agg, cfg, node, sink)
-        return _finalize(agg, cfg, matrix_cap)
-    units = []
-    for node in _nodes_from(_ROOT, SPLIT_DEPTH):
-        if node[2] == SPLIT_DEPTH:
-            units.append((node, cfg))
-        else:
-            _consume(agg, cfg, node)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=cfg.workers) as pool:
-        for part in pool.imap_unordered(_subtree_worker, units):
-            _merge(agg, part)
+    if cfg.workers == 1:
+        above, units = semigroups_up_to(cfg.genus_max, cfg.embdim_filter), []
+    else:
+        above, units = work_units(cfg.genus_max, cfg.embdim_filter)
+    for S in above:
+        _consume(agg, cfg, S, sink)
+    if units:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=cfg.workers) as pool:
+            for part in pool.imap_unordered(_unit_worker, [(u, cfg) for u in units]):
+                _merge(agg, part)
     return _finalize(agg, cfg, matrix_cap)

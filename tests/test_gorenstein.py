@@ -156,7 +156,7 @@ def test_almost_symmetry_reads_neither_ng_vectors_nor_candidate_sets(monkeypatch
 
     monkeypatch.setattr("numsgps.gorenstein.is_ng_vector", refuse)
     monkeypatch.setattr("numsgps.gorenstein._candidate_sets", refuse)
-    monkeypatch.setattr("numsgps.verify.claims._candidate_sets", refuse)
+    monkeypatch.setattr("numsgps.verify.claims.candidate_prefix", refuse)
     assert [is_almost_symmetric(S) for S in systems] == expected
     assert [ClaimContext(S).almost_symmetric for S in systems] == expected
 

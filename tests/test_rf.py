@@ -16,7 +16,13 @@ from numsgps import (
     rf_minus_iter,
     rf_plus_iter,
 )
-from numsgps.rf import matrix_count, minus_row_lists, mu_bound, plus_row_lists
+from numsgps.rf import (
+    _single_generator_rows,
+    matrix_count,
+    minus_row_lists,
+    mu_bound,
+    plus_row_lists,
+)
 from oracles import (
     brute_factorizations,
     brute_rf_minus,
@@ -230,6 +236,18 @@ def test_classify_pf_matches_row_scan():
                 assert (f in cls.pf1) == single
                 checked += 1
     assert checked > 20
+
+
+def test_single_generator_rows_need_a_positive_value_and_another_position():
+    # the PF split's one test.  On NG-vectors a row value n_i + f_i - f
+    # is never a nonpositive multiple of a generator (f would lie in S),
+    # so the census cannot tell whether the test refuses one; ask it here
+    gens = (4, 6, 9)
+    assert _single_generator_rows(gens, 0, 36) == [(1, 6), (2, 4)]
+    assert _single_generator_rows(gens, 1, 36) == [(0, 9), (2, 4)]
+    assert _single_generator_rows(gens, 2, 8) == [(0, 2)]
+    for value in (0, -12, -36):
+        assert _single_generator_rows(gens, 0, value) == []
 
 
 def test_mu_values_worked_example():

@@ -31,7 +31,7 @@ from numsgps.verify.claims import (
     ClaimResult,
     claim_ngv_props,
 )
-from numsgps.verify.harness import _classification_variance
+from numsgps.rf import classification_variance
 from oracles import (
     gaps_to_generators,
     genus_tree_semigroups,
@@ -322,7 +322,7 @@ def _assert_variance_matches_literal_scan(S):
     expected = []
     if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
         expected = literal_classification_variance(S, ng_vectors(S))
-    assert _classification_variance(ctx) == expected, S.generators
+    assert classification_variance(S, ctx.candidates, ctx.avoidable) == expected, S.generators
     return ctx.vector_count > LITERAL_VARIANCE_VECTORS
 
 
@@ -566,8 +566,8 @@ def test_embdim_filter_drops_nodes_before_building(monkeypatch):
         built.append(node)
         return build(node)
 
-    build = harness._semigroup_from_node
-    monkeypatch.setattr(harness, "_semigroup_from_node", counting)
+    build = enumeration._semigroup_from_node
+    monkeypatch.setattr(enumeration, "_semigroup_from_node", counting)
     summary = check_all(HarnessConfig(genus_max=8, embdim_filter=frozenset({3})))
     assert 0 < len(built) == summary["semigroups"]
 
