@@ -59,7 +59,6 @@ from .rf import (
     Witness,
     classify_pf,
     max_gap_table,
-    resolve_matrix_cap,
     rf_minus_iter,
     rf_plus_iter,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "is_ng_vector",
     "rf_plus_iter",
     "rf_minus_iter",
-    "resolve_matrix_cap",
     "classify_pf",
     "PFClassification",
     "Witness",

@@ -225,21 +225,17 @@ def _cmd_classify_pf(args) -> int:
     return 0
 
 
-def _report_payload(report) -> dict:
-    # per-semigroup timing stays out of the structured stream so output
-    # is byte-stable across runs
-    payload = report.as_dict()
-    payload.pop("seconds")
-    return payload
-
-
 def _cmd_verify(args) -> int:
     if args.gens is not None:
+        # the range flags have no meaning for one semigroup
+        given = {"--embdim": args.embdim is not None, "--workers": args.workers != 1,
+                 "--reports": args.reports}
+        clashes = [flag for flag, on in given.items() if on]
+        if clashes:
+            raise InvalidArgumentError(f"--gens does not take {', '.join(clashes)}")
         report = check_semigroup(args.gens, claims=args.claims or CLAIM_NAMES)
-        _emit("verify", _report_payload(report), args.pretty)
+        _emit("verify", report.as_dict(), args.pretty)
         return 1 if report.failures else 0
-    if args.genus_max is None:
-        raise InvalidArgumentError("one of --genus-max or --gens is required")
     cfg = HarnessConfig(
         genus_max=args.genus_max,
         embdim_filter=args.embdim,
@@ -248,7 +244,7 @@ def _cmd_verify(args) -> int:
     )
     sink = None
     if args.reports:
-        sink = lambda report: _emit("verify", _report_payload(report), args.pretty)
+        sink = lambda report: _emit("verify", report.as_dict(), args.pretty)
     start = time.perf_counter()
     summary = check_all(cfg, sink=sink)
     elapsed = time.perf_counter() - start
@@ -392,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_pf, record_kind="classify")
 
     p = sub.add_parser("verify", help="claim verification harness")
-    p.add_argument("--genus-max", type=int, default=None)
-    p.add_argument("--gens", type=_parse_generators, default=None,
-                   help="check one semigroup instead of a genus range")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--genus-max", type=int)
+    target.add_argument("--gens", type=_parse_generators,
+                        help="check one semigroup instead of a genus range")
     p.add_argument("--embdim", type=_parse_generators, default=None,
                    help="restrict to these embedding dimensions")
     p.add_argument("--claims", type=_parse_claims, default=None,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
@@ -34,28 +33,14 @@ from .core import NumericalSemigroup
 from .errors import (
     EmbeddingDimensionError,
     EnumerationCapError,
-    InvalidArgumentError,
     MismatchedPairError,
     NotPseudoFrobeniusError,
     VectorEntryError,
 )
 from .gorenstein import is_ng_vector
 
-DEFAULT_MATRIX_CAP = 10**6
-MATRIX_CAP_ENV = "SGP_MATRIX_CAP"
-
-
-def resolve_matrix_cap() -> int:
-    """The SGP_MATRIX_CAP environment value, else the default; a negative
-    or non-integer value is an InvalidArgumentError."""
-    text = os.environ.get(MATRIX_CAP_ENV, str(DEFAULT_MATRIX_CAP))
-    try:
-        cap = int(text)
-    except ValueError:
-        raise InvalidArgumentError(f"{MATRIX_CAP_ENV}={text!r} is not an integer")
-    if cap < 0:
-        raise InvalidArgumentError(f"matrix cap {cap} is negative")
-    return cap
+# the most matrices rf_plus_iter / rf_minus_iter will stream
+MATRIX_CAP = 10**6
 
 
 def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
@@ -106,9 +91,8 @@ def _capped_product(
     row_lists: list[list[tuple[int, ...]]],
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     count = matrix_count(row_lists)
-    cap = resolve_matrix_cap()
-    if count > cap:
-        raise EnumerationCapError(count, cap)
+    if count > MATRIX_CAP:
+        raise EnumerationCapError(count, MATRIX_CAP)
     return itertools.product(*row_lists)
 
 
@@ -117,7 +101,7 @@ def rf_plus_iter(
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Lazy stream of the additive matrices of f, each a tuple of rows.
     Raises EnumerationCapError carrying the exact count, before any
-    matrix is built, when there are more than SGP_MATRIX_CAP."""
+    matrix is built, when there are more than MATRIX_CAP (10**6)."""
     return _capped_product(plus_row_lists(S, f))
 
 

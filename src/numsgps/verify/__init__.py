@@ -10,7 +10,6 @@ from .claims import (
 from .enumeration import count_by_genus, semigroups_up_to
 from .harness import (
     CheckReport,
-    ClaimRecord,
     HarnessConfig,
     check_all,
     check_semigroup,
@@ -26,7 +25,6 @@ __all__ = [
     "count_by_genus",
     "HarnessConfig",
     "CheckReport",
-    "ClaimRecord",
     "check_all",
     "check_semigroup",
 ]

@@ -9,21 +9,21 @@ The summary it produces is deterministic for a given configuration,
 independent of the worker count: partial aggregates combine by sums and
 maxima (they count each tuple of claim statuses, expanded into
 per-claim counts once), and all collected lists are sorted by generator
-tuple before the summary is assembled.  Timing lives on individual
-reports, never in the summary.
+tuple before the summary is assembled.  Summary and reports depend on
+the configuration alone: neither carries a timing or reads a setting
+from outside it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
-from ..rf import classification_variance, resolve_matrix_cap
+from ..rf import MATRIX_CAP, classification_variance
 from .claims import (
     CLAIM_NAMES,
     FAIL,
@@ -62,22 +62,9 @@ class HarnessConfig:
 
 
 @dataclass(frozen=True)
-class ClaimRecord:
-    claim: str
-    status: str
-    payload: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {"claim": self.claim, "status": self.status}
-        if self.payload is not None:
-            out["payload"] = self.payload
-        return out
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Everything the harness knows about one semigroup: basic facts,
-    one record per requested claim, advisory notes, and the time spent."""
+    the result of each requested claim by name, and advisory notes."""
 
     generators: tuple[int, ...]
     genus: int
@@ -88,21 +75,22 @@ class CheckReport:
     nearly_gorenstein: bool | None
     almost_symmetric: bool | None
     vector_count: int
-    claims: tuple[ClaimRecord, ...]
+    claims: dict[str, ClaimResult]
     notes: tuple[str, ...]
-    seconds: float
 
     @property
-    def failures(self) -> tuple[ClaimRecord, ...]:
-        return tuple(r for r in self.claims if r.status == FAIL)
+    def failures(self) -> dict[str, ClaimResult]:
+        return {n: r for n, r in self.claims.items() if r.status == FAIL}
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            generators=list(self.generators),
-            claims=[r.as_dict() for r in self.claims],
-            notes=list(self.notes),
-        )
+        claims = []
+        for name, result in self.claims.items():
+            record = {"claim": name, "status": result.status}
+            if result.payload is not None:
+                record["payload"] = result.payload
+            claims.append(record)
+        out.update(generators=list(self.generators), claims=claims, notes=list(self.notes))
         return out
 
 
@@ -111,7 +99,6 @@ def _build_report(
     results: dict[str, ClaimResult],
     ctx: ClaimContext,
     variance: list[tuple[int, list[str]]],
-    seconds: float,
 ) -> CheckReport:
     notes = []
     t = S.type
@@ -130,11 +117,8 @@ def _build_report(
         nearly_gorenstein=ctx.nearly_gorenstein,
         almost_symmetric=ctx.almost_symmetric,
         vector_count=ctx.vector_count,
-        claims=tuple(
-            ClaimRecord(n, results[n].status, results[n].payload) for n in results
-        ),
+        claims=results,
         notes=tuple(notes),
-        seconds=seconds,
     )
 
 
@@ -145,11 +129,9 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckR
         if isinstance(generators, NumericalSemigroup)
         else NumericalSemigroup(generators)
     )
-    start = time.perf_counter()
     results, ctx = run_claims(S, claims)
-    seconds = time.perf_counter() - start
     variance = classification_variance(S, ctx.candidates, ctx.avoidable)
-    return _build_report(S, results, ctx, variance, seconds)
+    return _build_report(S, results, ctx, variance)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +158,6 @@ def _empty_aggregate() -> dict:
 
 
 def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
-    start = time.perf_counter()
     results, ctx = run_claims(S, cfg.claims)
     agg["by_genus"][S.genus] += 1
     key = _cell_key(ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric)
@@ -198,7 +179,7 @@ def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) ->
             {"generators": list(S.generators), "f": f, "classes": kinds}
         )
     if sink is not None:
-        sink(_build_report(S, results, ctx, variance, time.perf_counter() - start))
+        sink(_build_report(S, results, ctx, variance))
 
 
 def _merge(agg: dict, part: dict) -> None:
@@ -221,7 +202,7 @@ def _unit_worker(args: tuple) -> dict:
     return agg
 
 
-def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
+def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
     agg["failures"].sort(key=lambda e: (e["generators"], e["claim"]))
     agg["question_flags"].sort(key=lambda e: e["generators"])
     agg["classification_varies"].sort(key=lambda e: (e["generators"], e["f"]))
@@ -239,10 +220,10 @@ def _finalize(agg: dict, cfg: HarnessConfig, matrix_cap: int) -> dict:
         "claims_checked": list(cfg.claims),
         "seed": cfg.seed,
         "caps": {
-            # read by no computation; kept at its former default so that
-            # summaries stay byte-identical
+            # read by no census computation; both keep their former
+            # values so that summaries stay byte-identical
             "coppie_pair_cap": 10_000,
-            "matrix_cap": matrix_cap,
+            "matrix_cap": MATRIX_CAP,
         },
         "semigroups": sum(agg["by_genus"].values()),
         "by_genus": {str(g): agg["by_genus"][g] for g in sorted(agg["by_genus"])},
@@ -265,8 +246,6 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     """
     if sink is not None and cfg.workers > 1:
         raise InvalidArgumentError("per-semigroup reports require workers == 1")
-    # read before the census so that a malformed value fails at once
-    matrix_cap = resolve_matrix_cap()
     agg = _empty_aggregate()
     if cfg.workers == 1:
         above, units = semigroups_up_to(cfg.genus_max, cfg.embdim_filter), []
@@ -279,4 +258,4 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
         with ctx.Pool(processes=cfg.workers) as pool:
             for part in pool.imap_unordered(_unit_worker, [(u, cfg) for u in units]):
                 _merge(agg, part)
-    return _finalize(agg, cfg, matrix_cap)
+    return _finalize(agg, cfg)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from numsgps import rf
 from numsgps.cli import main
 from numsgps.verify import CLAIM_NAMES
 
@@ -115,14 +116,14 @@ def test_non_ng_vectors_exit_one(capsys):
 
 
 def test_rf_count_never_capped(capsys, monkeypatch):
-    monkeypatch.setenv("SGP_MATRIX_CAP", "1")
+    monkeypatch.setattr(rf, "MATRIX_CAP", 1)
     code, lines = run_cli(["rf", "5,6,7,8,9", "4", "--count"], capsys)
     assert code == 0
     assert json.loads(lines[0])["payload"]["count"] == 4
 
 
 def test_rf_stream_honors_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SGP_MATRIX_CAP", "3")
+    monkeypatch.setattr(rf, "MATRIX_CAP", 3)
     code, lines = run_cli(["rf", "5,6,7,8,9", "4"], capsys)
     assert code == 1
     payload = json.loads(lines[0])["payload"]
@@ -131,19 +132,9 @@ def test_rf_stream_honors_cap(capsys, monkeypatch):
     assert payload["cap"] == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-@pytest.mark.parametrize(
-    "argv", [["rf", "5,6,7,8,9", "4"], ["verify", "--genus-max", "2"]], ids=" ".join
-)
-def test_bad_matrix_cap_is_a_usage_error(argv, value, capsys, monkeypatch):
-    monkeypatch.setenv("SGP_MATRIX_CAP", value)
-    code, lines = run_cli(argv, capsys)
-    assert code == 2
-    assert len(lines) == 1
-    assert json.loads(lines[0])["payload"]["error"] == "InvalidArgument"
-
-
-def test_rf_stream_indices(capsys):
+def test_rf_stream_indices(capsys, monkeypatch):
+    # the cap is a constant: the former SGP_MATRIX_CAP setting is not read
+    monkeypatch.setenv("SGP_MATRIX_CAP", "3")
     code, lines = run_cli(["rf", "5,6,7,8,9", "4"], capsys)
     assert code == 0
     assert [json.loads(l)["payload"]["index"] for l in lines] == [0, 1, 2, 3]
@@ -207,7 +198,16 @@ def test_verify_reports_needs_single_worker(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--genus-max", "-1"], ["--genus-max", "8", "--workers", "0"]],
+    [
+        ["--genus-max", "-1"],
+        ["--genus-max", "8", "--workers", "0"],
+        # the range flags do not apply to one semigroup
+        ["--gens", "3,5", "--genus-max", "4"],
+        ["--gens", "3,5", "--workers", "2", "--reports"],
+        ["--gens", "3,5", "--embdim", "9"],
+        ["--gens", "3,5", "--workers", "2"],
+        ["--gens", "3,5", "--reports"],
+    ],
     ids=" ".join,
 )
 def test_verify_config_errors_are_records(argv, capsys):
@@ -379,11 +379,15 @@ def cli_argv(draw):
     if command == "classify-pf":
         return [command, gens, "--ng-index", number(-1, 3)]
     if command == "verify":
-        target = draw(st.sampled_from(
-            (["--gens", gens], ["--genus-max", number(-1, 5)])
-        ))
         claims = draw(st.lists(st.sampled_from((*CLAIM_NAMES, "NO_SUCH")), max_size=3))
         extra = ["--claims", ",".join(claims)] if claims else []
+        # --gens rejects the range flags, so it gets them on a third of its draws
+        if draw(st.booleans()):
+            target = ["--gens", gens]
+            if draw(st.integers(0, 2)):
+                return ["verify", *target, *extra]
+        else:
+            target = ["--genus-max", number(-1, 5)]
         if draw(st.booleans()):
             extra += ["--embdim", draw(_GENERATORS)]
         extra += draw(st.sampled_from(([], ["--reports"])))
@@ -400,7 +404,7 @@ def cli_argv(draw):
     return ["construct", "tower", "--gens", gens, "--depth", number(-1, 2)]
 
 
-# monkeypatch sets the same environment for every example
+# monkeypatch sets the same matrix cap for every example
 @settings(
     derandomize=True,
     database=None,
@@ -410,7 +414,7 @@ def cli_argv(draw):
 )
 @given(argv=cli_argv())
 def test_every_argv_exits_with_a_code_and_records(argv, monkeypatch):
-    monkeypatch.setenv("SGP_MATRIX_CAP", "200")
+    monkeypatch.setattr(rf, "MATRIX_CAP", 200)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -1,12 +1,15 @@
 """The harness only aggregates and reports.  The enumeration owns the
 genus-tree nodes, the embedding-dimension filter and the cut into work
 units, so a change to the walk (pruning it, cutting it differently)
-stays inside verify/enumeration.py."""
+stays inside verify/enumeration.py.  No module of the package reads the
+environment, so every result is a function of its arguments."""
 
 import ast
 from pathlib import Path
 
-HARNESS = Path(__file__).resolve().parent.parent / "src" / "numsgps" / "verify" / "harness.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "numsgps"
+HARNESS = PACKAGE / "verify" / "harness.py"
+ENVIRONMENT_READS = frozenset({"environ", "environb", "getenv", "getenvb"})
 
 
 def _int_index(node: ast.Subscript) -> bool:
@@ -41,3 +44,21 @@ def test_harness_imports_no_walk_internals_and_indexes_no_node():
         if isinstance(expr, ast.Subscript) and _int_index(expr)
     ]
     assert indexed == []
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name in ENVIRONMENT_READS
+            ]
+    assert reads == []

@@ -12,10 +12,10 @@ from numsgps import (
     is_nearly_gorenstein,
     max_gap_table,
     ng_vectors,
-    resolve_matrix_cap,
     rf_minus_iter,
     rf_plus_iter,
 )
+from numsgps import rf
 from numsgps.rf import (
     _single_generator_rows,
     matrix_count,
@@ -108,19 +108,13 @@ def test_enumeration_cap(monkeypatch):
     S = NumericalSemigroup((5, 6, 7, 8, 9))
     count = matrix_count(plus_row_lists(S, 4))
     assert count == 4
-    monkeypatch.setenv("SGP_MATRIX_CAP", "3")
+    monkeypatch.setattr(rf, "MATRIX_CAP", 3)
     with pytest.raises(EnumerationCapError) as exc:
         rf_plus_iter(S, 4)
     assert exc.value.count == 4
     assert exc.value.cap == 3
-    monkeypatch.setenv("SGP_MATRIX_CAP", "4")
+    monkeypatch.setattr(rf, "MATRIX_CAP", 4)
     assert len(list(rf_plus_iter(S, 4))) == 4
-
-
-def test_matrix_cap_env_override(monkeypatch):
-    assert resolve_matrix_cap() == 10**6
-    monkeypatch.setenv("SGP_MATRIX_CAP", "123")
-    assert resolve_matrix_cap() == 123
 
 
 def test_rf_plus_rejects_non_pf():
