@@ -5,9 +5,14 @@ Every command emits one JSON record per line with the shape
 to an indented human-readable rendering.  Exit codes: 0 on success, 1 on
 a mathematical violation or positive report (non nearly Gorenstein
 input, verification failures, enumeration over the cap), 2 on usage
-errors including malformed generator lists and gcd != 1.  A subcommand's
-usage error, argparse's included, is one InvalidArgument record of that
-subcommand's kind.
+errors including malformed generator lists and gcd != 1.
+
+A handler only builds payloads: it takes (args, emit), passes each
+payload to emit, and returns an exit code (None for 0).  The parser table
+(build_parser) names each subcommand's handler and record kind and gives
+every handler --pretty from one parent parser.  main alone binds emit to
+the kind and --pretty, and turns a usage error (argparse's included) or a
+SemigroupError into one error record of the subcommand's kind.
 """
 
 from __future__ import annotations
@@ -41,15 +46,15 @@ from .gorenstein import (
     is_almost_symmetric,
     is_nearly_gorenstein,
     is_symmetric,
+    ng_vector_at,
     ng_vectors,
 )
 from .rf import (
+    capped_matrices,
     classify_pf,
     matrix_count,
     minus_row_lists,
     plus_row_lists,
-    rf_minus_iter,
-    rf_plus_iter,
 )
 from .verify.claims import CLAIM_NAMES
 from .verify.harness import HarnessConfig, check_all, check_semigroup
@@ -67,12 +72,11 @@ _USAGE_ERRORS = (
 
 def _parse_generators(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         )
-    return values
 
 
 def _parse_claims(text: str) -> tuple[str, ...]:
@@ -154,78 +158,58 @@ def _semigroup_payload(S: NumericalSemigroup) -> dict:
 # commands
 
 
-def _cmd_info(args) -> int:
-    S = NumericalSemigroup(args.generators)
-    _emit("info", _semigroup_payload(S), args.pretty)
-    return 0
+def _cmd_info(args, emit) -> None:
+    emit(_semigroup_payload(NumericalSemigroup(args.generators)))
 
 
-def _cmd_ng_vectors(args) -> int:
+def _cmd_ng_vectors(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
     vectors = ng_vectors(S)
-    payload = {
+    emit({
         "generators": list(S.generators),
         "pf": list(S.pseudo_frobenius()),
         "count": len(vectors),
         "vectors": [
             {"entries": list(v.entries), "h": v.h, "ell": v.ell} for v in vectors
         ],
-    }
-    _emit("ngvectors", payload, args.pretty)
-    return 0
+    })
 
 
-def _select_vector(S: NumericalSemigroup, index: int):
-    vectors = ng_vectors(S)
-    if not 0 <= index < len(vectors):
-        raise InvalidArgumentError(
-            f"NG-vector index {index} out of range (the semigroup has {len(vectors)})"
-        )
-    return vectors[index]
-
-
-def _cmd_rf(args) -> int:
+def _cmd_rf(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    f = args.f
-    vec = None if args.kind == "plus" else _select_vector(S, args.ng_index)
-
-    def emit(**fields) -> None:
-        payload = {"f": f, "kind": args.kind, **fields}
-        if vec is not None:
-            payload["vector"] = list(vec.entries)
-        _emit("rf", payload, args.pretty)
-
+    if args.kind == "plus":
+        rows, tail = plus_row_lists(S, args.f), {}
+    else:
+        vec = ng_vector_at(S, args.ng_index).entries
+        rows, tail = minus_row_lists(S, vec, args.f), {"vector": list(vec)}
+    head = {"f": args.f, "kind": args.kind}
     if args.count:
-        row_lists = plus_row_lists(S, f) if vec is None else minus_row_lists(S, vec.entries, f)
-        emit(count=matrix_count(row_lists), row_counts=[len(r) for r in row_lists])
-        return 0
-    matrices = rf_plus_iter(S, f) if vec is None else rf_minus_iter(S, vec.entries, f)
-    for index, M in enumerate(matrices):
-        emit(index=index, rows=[list(row) for row in M])
-    return 0
+        counts = [len(r) for r in rows]
+        emit({**head, "count": matrix_count(rows), "row_counts": counts, **tail})
+        return
+    for index, M in enumerate(capped_matrices(rows)):
+        emit({**head, "index": index, "rows": [list(row) for row in M], **tail})
 
 
-def _cmd_classify_pf(args) -> int:
+def _cmd_classify_pf(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    vec = _select_vector(S, args.ng_index)
+    vec = ng_vector_at(S, args.ng_index)
     cls = classify_pf(S, vec.entries)
     witnesses = [
         {"f": f, "side": w.side, "i": w.i, "j": w.j, "lam": w.lam}
         for f in sorted(cls.witnesses)
         for w in cls.witnesses[f]
     ]
-    payload = {
+    emit({
         "generators": list(S.generators),
         "vector": list(vec.entries),
         "pf1": list(cls.pf1),
         "pf2": list(cls.pf2),
         "witnesses": witnesses,
-    }
-    _emit("classify", payload, args.pretty)
-    return 0
+    })
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, emit) -> int:
     if args.gens is not None:
         # the range flags have no meaning for one semigroup
         given = {"--embdim": args.embdim is not None, "--workers": args.workers != 1,
@@ -234,7 +218,7 @@ def _cmd_verify(args) -> int:
         if clashes:
             raise InvalidArgumentError(f"--gens does not take {', '.join(clashes)}")
         report = check_semigroup(args.gens, claims=args.claims or CLAIM_NAMES)
-        _emit("verify", report.as_dict(), args.pretty)
+        emit(report.as_dict())
         return 1 if report.failures else 0
     cfg = HarnessConfig(
         genus_max=args.genus_max,
@@ -242,13 +226,11 @@ def _cmd_verify(args) -> int:
         claims=args.claims or CLAIM_NAMES,
         workers=args.workers,
     )
-    sink = None
-    if args.reports:
-        sink = lambda report: _emit("verify", report.as_dict(), args.pretty)
+    sink = (lambda report: emit(report.as_dict())) if args.reports else None
     start = time.perf_counter()
     summary = check_all(cfg, sink=sink)
     elapsed = time.perf_counter() - start
-    _emit("verify", summary, args.pretty)
+    emit(summary)
     print(
         f"checked {summary['semigroups']} semigroups in {elapsed:.1f}s: "
         f"{summary['total_failures']} failures",
@@ -271,42 +253,37 @@ def _family_payload(family: str, params: dict, S: NumericalSemigroup) -> dict:
     }
 
 
-def _construct_backelin(args) -> int:
-    S = backelin(args.T)
-    _emit("construct", _family_payload("backelin", {"T": args.T}, S), args.pretty)
-    return 0
+def _construct_backelin(args, emit) -> None:
+    emit(_family_payload("backelin", {"T": args.T}, backelin(args.T)))
 
 
-def _construct_dim6(args) -> int:
+def _construct_dim6(args, emit) -> None:
     S = family_dim6(args.T, args.d, args.k)
     payload = _family_payload("dim6", {"T": args.T, "d": args.d, "k": args.k}, S)
     payload["generators_constructed"] = list(dim6_raw_generators(args.T, args.d, args.k))
     payload["progression"] = list(dim6_progression(args.T, args.d, args.k))
-    _emit("construct", payload, args.pretty)
-    return 0
+    emit(payload)
 
 
-def _construct_duplication(args) -> int:
+def _construct_duplication(args, emit) -> None:
     S = NumericalSemigroup(args.gens)
     if args.ideal is None:
         E = RelativeIdeal.maximal_ideal(S)
     else:
         E = ideal_from_generators(S, args.ideal)
     D = numerical_duplication(DuplicationSpec(S, E, args.b))
-    payload = _family_payload(
+    emit(_family_payload(
         "duplication",
         {"base": list(S.generators), "b": args.b,
          "ideal": None if args.ideal is None else sorted(args.ideal)},
         D,
-    )
-    _emit("construct", payload, args.pretty)
-    return 0
+    ))
 
 
-def _construct_tower(args) -> int:
+def _construct_tower(args, emit) -> None:
     seed = NumericalSemigroup(args.gens)
     chain = duplication_tower(seed, args.depth)
-    payload = {
+    emit({
         "family": "tower",
         "params": {"base": list(seed.generators), "depth": args.depth},
         "levels": [
@@ -318,9 +295,7 @@ def _construct_tower(args) -> int:
             }
             for level in chain
         ],
-    }
-    _emit("construct", payload, args.pretty)
-    return 0
+    })
 
 
 # ----------------------------------------------------------------------
@@ -347,27 +322,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser table: each subcommand's arguments, handler and record
+    kind.  Every subcommand that runs a handler takes --pretty."""
     parser = _Parser(
         prog="sgp",
         description="Numerical semigroup toolkit: invariants, NG-vectors, "
         "row-factorization matrices, verification, constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true", help="human-readable output")
 
-    def add_pretty(p):
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
+    def command(subparsers, name, func, kind, help):
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func, record_kind=kind)
+        return p
 
-    p = sub.add_parser("info", help="invariants of one semigroup")
+    p = command(sub, "info", _cmd_info, "info", "invariants of one semigroup")
     p.add_argument("generators", type=_parse_generators)
-    add_pretty(p)
-    p.set_defaults(func=_cmd_info, record_kind="info")
 
-    p = sub.add_parser("ng-vectors", help="all NG-vectors with h and ell")
+    p = command(sub, "ng-vectors", _cmd_ng_vectors, "ngvectors",
+                "all NG-vectors with h and ell")
     p.add_argument("generators", type=_parse_generators)
-    add_pretty(p)
-    p.set_defaults(func=_cmd_ng_vectors, record_kind="ngvectors")
 
-    p = sub.add_parser("rf", help="row-factorization matrices for one f")
+    p = command(sub, "rf", _cmd_rf, "rf", "row-factorization matrices for one f")
     p.add_argument("generators", type=_parse_generators)
     p.add_argument("f", type=int)
     p.add_argument("--kind", choices=("plus", "minus"), default="plus")
@@ -376,18 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="which NG-vector the subtractive matrices use (default 0)",
     )
     p.add_argument("--count", action="store_true", help="matrix count only")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_rf, record_kind="rf")
 
-    p = sub.add_parser(
-        "classify-pf", help="one/two-generator split of PF outside a vector"
-    )
+    p = command(sub, "classify-pf", _cmd_classify_pf, "classify",
+                "one/two-generator split of PF outside a vector")
     p.add_argument("generators", type=_parse_generators)
     p.add_argument("--ng-index", type=int, default=0)
-    add_pretty(p)
-    p.set_defaults(func=_cmd_classify_pf, record_kind="classify")
 
-    p = sub.add_parser("verify", help="claim verification harness")
+    p = command(sub, "verify", _cmd_verify, "verify", "claim verification harness")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--genus-max", type=int)
     target.add_argument("--gens", type=_parse_generators,
@@ -399,63 +372,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--reports", action="store_true",
                    help="stream one record per semigroup (workers 1 only)")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_verify, record_kind="verify")
 
-    p = sub.add_parser("construct", help="named semigroup constructions")
-    p.set_defaults(record_kind="construct")
-    fam = p.add_subparsers(dest="family", required=True)
+    construct = sub.add_parser("construct", help="named semigroup constructions")
+    construct.set_defaults(record_kind="construct")
+    families = construct.add_subparsers(dest="family", required=True)
 
-    q = fam.add_parser("backelin", help="four-generated family with growing type")
+    def family(name, func, help):
+        # a family's own argv errors are construct records too
+        return command(families, name, func, construct.get_default("record_kind"), help)
+
+    q = family("backelin", _construct_backelin, "four-generated family with growing type")
     q.add_argument("--T", type=int, required=True)
-    add_pretty(q)
-    q.set_defaults(func=_construct_backelin, record_kind="construct")
 
-    q = fam.add_parser("dim6", help="six-generated family with a PF progression")
+    q = family("dim6", _construct_dim6, "six-generated family with a PF progression")
     q.add_argument("--T", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
-    add_pretty(q)
-    q.set_defaults(func=_construct_dim6, record_kind="construct")
 
-    q = fam.add_parser("duplication", help="numerical duplication 2S u (2E+b)")
+    q = family("duplication", _construct_duplication, "numerical duplication 2S u (2E+b)")
     q.add_argument("--gens", type=_parse_generators, required=True)
     q.add_argument("--b", type=int, required=True)
     q.add_argument("--ideal", type=_parse_generators, default=None,
                    help="ideal generators (default: the maximal ideal)")
-    add_pretty(q)
-    q.set_defaults(func=_construct_duplication, record_kind="construct")
 
-    q = fam.add_parser("tower", help="iterated maximal-ideal duplication")
+    q = family("tower", _construct_tower, "iterated maximal-ideal duplication")
     q.add_argument("--gens", type=_parse_generators, required=True)
     q.add_argument("--depth", type=int, required=True)
-    add_pretty(q)
-    q.set_defaults(func=_construct_tower, record_kind="construct")
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one sgp command.  The handler's payloads become records of its
+    subcommand's kind; a rejected argv or a SemigroupError becomes one
+    error record of that kind, exit 2 for a usage error and 1 otherwise."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args, extra = build_parser().parse_known_args(argv)
     except _ArgvError as exc:
-        payload = _error_payload(InvalidArgumentError(str(exc)))
-        _emit(exc.kind, payload, "--pretty" in argv)
-        return 2
-    if extra:
-        # parse_known_args reached a subcommand, so its record kind is set
-        message = f"unrecognized arguments: {' '.join(extra)}"
-        _emit(args.record_kind, _error_payload(InvalidArgumentError(message)), args.pretty)
-        return 2
-    try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        _emit(args.record_kind, _error_payload(exc), args.pretty)
-        return 2
-    except SemigroupError as exc:
-        _emit(args.record_kind, _error_payload(exc), args.pretty)
-        return 1
+        # rejected before any args exist, so --pretty is read off argv
+        kind, pretty, error = exc.kind, "--pretty" in argv, InvalidArgumentError(str(exc))
+    else:
+        kind, pretty = args.record_kind, args.pretty
+        try:
+            if extra:
+                raise InvalidArgumentError(f"unrecognized arguments: {' '.join(extra)}")
+            return args.func(args, lambda payload: _emit(kind, payload, pretty)) or 0
+        except SemigroupError as exc:
+            error = exc
+    _emit(kind, _error_payload(error), pretty)
+    return 2 if isinstance(error, _USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ and tests each generator in m steps.  Almost symmetry is Nari's identity
 NG-vector test read only the pseudo-Frobenius set and Apery-set lookups
 (at most nu * t**2, t the type).  The candidate sets come one position
 at a time, so a verdict of "not nearly Gorenstein" stops at the first
-empty one (candidate_prefix).  Nothing here builds a window as wide as
-the Frobenius number.
+empty one (candidate_prefix).  The NG-vectors are the product of the
+candidate sets in vector_axes order, and ng_vector_at decodes one by its
+index without listing the others.  Nothing here builds a window as wide
+as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -23,13 +25,14 @@ are compared against each other by the verification harness.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import sub
 
 from .core import NumericalSemigroup
-from .errors import EmbeddingDimensionError, NotNearlyGorensteinError
+from .errors import EmbeddingDimensionError, InvalidArgumentError, NotNearlyGorensteinError
 
 
 @dataclass(frozen=True)
@@ -213,22 +216,47 @@ def _divergence(S: NumericalSemigroup, entries: tuple[int, ...]) -> tuple[int | 
     return None, None
 
 
-def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
-    """All nearly Gorenstein vectors, entries enumerated per position in
-    descending order (so the all-frobenius vector, when present, is first).
+def vector_axes(cands: list[frozenset[int]]) -> list[list[int]]:
+    """The order of the NG-vectors of these candidate sets, written once:
+    positions in generator order, each position's candidates descending,
+    the last position varying fastest (itertools.product over the lists
+    returned).  So the all-frobenius vector, when present, is first."""
+    return [sorted(c, reverse=True) for c in cands]
 
-    Raises NotNearlyGorensteinError when some position admits no entry.
-    """
+
+def _ng_axes(S: NumericalSemigroup) -> list[list[int]]:
     cands = candidate_prefix(S)
     if not cands[-1]:
         n = S.generators[len(cands) - 1]
         raise NotNearlyGorensteinError(f"no admissible pseudo-Frobenius number for generator {n}")
-    ordered = [sorted(c, reverse=True) for c in cands]
-    out = []
-    for entries in itertools.product(*ordered):
-        h, ell = _divergence(S, entries)
-        out.append(NGVector(entries, h, ell))
-    return out
+    return vector_axes(cands)
+
+
+def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
+    """All nearly Gorenstein vectors, in vector_axes order.
+
+    Raises NotNearlyGorensteinError when some position admits no entry.
+    """
+    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*_ng_axes(S))]
+
+
+def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
+    """ng_vectors(S)[index] without listing the vectors: the index is
+    decoded in mixed radix over the vector_axes lists, the last position
+    the least significant digit.  Raises InvalidArgumentError for an index
+    outside [0, count), and NotNearlyGorensteinError as ng_vectors."""
+    axes = _ng_axes(S)
+    count = math.prod(map(len, axes))
+    if not 0 <= index < count:
+        raise InvalidArgumentError(
+            f"NG-vector index {index} out of range (the semigroup has {count})"
+        )
+    entries = []
+    for axis in reversed(axes):
+        index, digit = divmod(index, len(axis))
+        entries.append(axis[digit])
+    entries = tuple(reversed(entries))
+    return NGVector(entries, *_divergence(S, entries))
 
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:

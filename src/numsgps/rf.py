@@ -8,9 +8,10 @@ f outside its entries, a subtractive matrix has row i factoring
 n_i + f_i - f, again with diagonal -1, so row i evaluates to f_i - f.
 Matrices of either kind are Cartesian products of independent row choices:
 `plus_row_lists` / `minus_row_lists` give the choices per row,
-`matrix_count` their product, and `rf_plus_iter` / `rf_minus_iter` stream
-the matrices as tuples of rows, row-major over factorization lists that
-are themselves in descending lexicographic order.
+`matrix_count` their product, and `capped_matrices` (behind
+`rf_plus_iter` / `rf_minus_iter`) streams the matrices as tuples of rows,
+row-major over factorization lists that are themselves in descending
+lexicographic order.
 
 One test, a single-generator row of a positive row value, splits the
 pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .gorenstein import is_ng_vector
 
-# the most matrices rf_plus_iter / rf_minus_iter will stream
+# the most matrices capped_matrices will stream
 MATRIX_CAP = 10**6
 
 
@@ -87,9 +88,12 @@ def matrix_count(row_lists: list[list[tuple[int, ...]]]) -> int:
     return math.prod(len(rows) for rows in row_lists)
 
 
-def _capped_product(
+def capped_matrices(
     row_lists: list[list[tuple[int, ...]]],
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Lazy stream of the matrices assembled from these row lists, each a
+    tuple of rows.  Raises EnumerationCapError carrying the exact count,
+    before any matrix is built, when there are more than MATRIX_CAP."""
     count = matrix_count(row_lists)
     if count > MATRIX_CAP:
         raise EnumerationCapError(count, MATRIX_CAP)
@@ -99,18 +103,16 @@ def _capped_product(
 def rf_plus_iter(
     S: NumericalSemigroup, f: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Lazy stream of the additive matrices of f, each a tuple of rows.
-    Raises EnumerationCapError carrying the exact count, before any
-    matrix is built, when there are more than MATRIX_CAP (10**6)."""
-    return _capped_product(plus_row_lists(S, f))
+    """The additive matrices of f, streamed by capped_matrices."""
+    return capped_matrices(plus_row_lists(S, f))
 
 
 def rf_minus_iter(
     S: NumericalSemigroup, entries: Sequence[int], f: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Lazy stream of the subtractive matrices of f for the NG-vector with
-    these entries, capped as rf_plus_iter."""
-    return _capped_product(minus_row_lists(S, entries, f))
+    """The subtractive matrices of f for the NG-vector with these entries,
+    streamed by capped_matrices."""
+    return capped_matrices(minus_row_lists(S, entries, f))
 
 
 # ----------------------------------------------------------------------

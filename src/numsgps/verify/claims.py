@@ -31,8 +31,8 @@ instance dict), every pass or inapplicable verdict without a payload is
 one shared ClaimResult, and NGV_PROPS asks whether a number is a
 combination of the later generators through one reachability bitmask
 instead of enumerating factorizations.  The candidate prefix and the
-companion rule come from gorenstein; require_known_claims is the one
-check of claim names.
+companion rule come from gorenstein; canonical_claims is the one
+check of claim names and their order.
 
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
@@ -59,6 +59,7 @@ from ..gorenstein import (
     companion,
     is_almost_symmetric,
     nearly_gorenstein_via_trace,
+    vector_axes,
 )
 from ..rf import (
     MaxGapTable,
@@ -152,12 +153,10 @@ class ClaimContext:
 
     @_field
     def classifications(self) -> list[PFClassification]:
-        """The PF split of every NG-vector, in ng_vectors' order (each
-        position's candidates descending); only the five-generated claims
-        read it.  Every vector comes from the candidate sets, so none is
-        re-validated."""
-        ordered = (sorted(c, reverse=True) for c in self.candidates)
-        return classify_vectors(self.S, itertools.product(*ordered))
+        """The PF split of every NG-vector, in ng_vectors' order
+        (vector_axes); only the five-generated claims read it.  Every
+        vector comes from the candidate sets, so none is re-validated."""
+        return classify_vectors(self.S, itertools.product(*vector_axes(self.candidates)))
 
     @_field
     def gap_table(self) -> MaxGapTable | None:
@@ -647,11 +646,14 @@ CLAIM_NAMES = tuple(CLAIM_FUNCTIONS)
 ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
 
 
-def require_known_claims(names: tuple[str, ...]) -> None:
-    """InvalidArgumentError naming every entry of names that is no claim."""
+def canonical_claims(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The named claims in CLAIM_NAMES order with duplicates dropped;
+    InvalidArgumentError naming every entry of names that is no claim."""
     if not all(map(CLAIM_FUNCTIONS.__contains__, names)):
         unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
         raise InvalidArgumentError(f"unknown claims: {unknown}")
+    chosen = frozenset(names)
+    return tuple(n for n in CLAIM_NAMES if n in chosen)
 
 
 def run_claims(
@@ -665,6 +667,6 @@ def run_claims(
     try:
         results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}
     except KeyError:
-        require_known_claims(names)
+        canonical_claims(names)
         raise
     return results, ctx

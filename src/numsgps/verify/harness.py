@@ -29,7 +29,7 @@ from .claims import (
     FAIL,
     ClaimContext,
     ClaimResult,
-    require_known_claims,
+    canonical_claims,
     run_claims,
 )
 from .enumeration import semigroups_up_to, work_units
@@ -53,10 +53,7 @@ class HarnessConfig:
             raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
-        require_known_claims(self.claims)
-        # normalize to canonical order with duplicates dropped
-        chosen = frozenset(self.claims)
-        object.__setattr__(self, "claims", tuple(n for n in CLAIM_NAMES if n in chosen))
+        object.__setattr__(self, "claims", canonical_claims(self.claims))
         if self.embdim_filter is not None:
             object.__setattr__(self, "embdim_filter", frozenset(self.embdim_filter))
 
@@ -129,7 +126,7 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckR
         if isinstance(generators, NumericalSemigroup)
         else NumericalSemigroup(generators)
     )
-    results, ctx = run_claims(S, claims)
+    results, ctx = run_claims(S, canonical_claims(claims))
     variance = classification_variance(S, ctx.candidates, ctx.avoidable)
     return _build_report(S, results, ctx, variance)
 

@@ -587,3 +587,35 @@ def literal_first_zero(S, vector_cap=256):
             ):
                 return FAIL, instances
     return (PASS if instances else NA), instances
+
+
+def _two_zeroes_in_every_line(M):
+    return all(row.count(0) == 2 for row in M) and all(
+        col.count(0) == 2 for col in zip(*M)
+    )
+
+
+def literal_pf2_two_zeroes(ctx):
+    """PF2_TWO_ZEROES matrix by matrix: for every classification in
+    ctx.classifications and every f in its pf2, each additive matrix of f
+    (brute_rf_plus) and each subtractive matrix of the vector and f
+    (brute_rf_minus) has exactly two zeroes in every row and every column.
+
+    Returns (result, instances), instances counting the (vector, f)
+    checked, and result a ClaimResult whose failure payload names the
+    vector, f and side, additive first, as the factored route's does.  The
+    classifications are read from ctx alone, so hand-set ones are judged
+    too."""
+    gens = ctx.S.generators
+    instances = 0
+    for cls in ctx.classifications:
+        for f in cls.pf2:
+            instances += 1
+            sides = (
+                ("plus", brute_rf_plus(gens, f)),
+                ("minus", brute_rf_minus(gens, cls.entries, f)),
+            )
+            for side, matrices in sides:
+                if not all(map(_two_zeroes_in_every_line, matrices)):
+                    return _fail(ctx, vector=list(cls.entries), f=f, side=side), instances
+    return ClaimResult(PASS if instances else NA), instances

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from numsgps.cli import main
 from numsgps.verify import CLAIM_NAMES
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_cases.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -148,6 +152,46 @@ def test_rf_stream_indices(capsys, monkeypatch):
 def test_bad_ng_index_exit_two(capsys):
     code, _ = run_cli(["classify-pf", "13,45,72,79,99", "--ng-index", "5"], capsys)
     assert code == 2
+
+
+# runs one sgp command under a 300 MB address-space limit and prints the
+# seconds main took to stderr
+_TIMED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+from numsgps.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, vector",
+    [
+        pytest.param(argv, vector, id=" ".join(argv))
+        for argv, vector in (
+            (["classify-pf"], [11] * 12),
+            (["classify-pf", "--ng-index", "439084799"], [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1]),
+            (["rf", "1", "--kind", "minus", "--count"], [11] * 12),
+            (["rf", "3", "--kind", "minus", "--ng-index", "123456789", "--count"],
+             [11, 11, 10, 9, 8, 7, 8, 11, 5, 7, 11, 6]),
+        )
+    ],
+)
+def test_selecting_an_ng_vector_lists_none(argv, vector):
+    # <12, ..., 23> has 439,084,800 NG-vectors; selecting one by index
+    # decodes it instead of listing them all
+    gens = ",".join(map(str, range(12, 24)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHILD, argv[0], gens, *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert float(proc.stderr) < 1.0
+    assert json.loads(proc.stdout)["payload"]["vector"] == vector
 
 
 def test_pretty_mode(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from numsgps import (
     EmbeddingDimensionError,
+    InvalidArgumentError,
     NotNearlyGorensteinError,
     NumericalSemigroup,
     canonical_ideal,
@@ -18,6 +19,7 @@ from numsgps import (
     ng_candidates,
     ng_vectors,
 )
+from numsgps.gorenstein import ng_vector_at
 from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
@@ -262,6 +264,43 @@ def test_ng_vectors_requires_nearly_gorenstein():
     assert not is_nearly_gorenstein(S)
     with pytest.raises(NotNearlyGorensteinError):
         ng_vectors(S)
+
+
+def test_ng_vector_at_decodes_the_listing_order():
+    # the index is decoded in mixed radix, never by listing the vectors.
+    # On every proper semigroup of genus <= 9 it agrees with the list at
+    # every index when there are at most 10**4 vectors, else at the ends
+    # and 50 seeded indices; the two lists above 10**5 (<9, ..., 17> and
+    # <10, ..., 19>) take seconds to build and are left out.  The
+    # out-of-range and not-NG errors keep their messages.
+    rng = random.Random(9)
+    checked = 0
+    for S in semigroups_up_to(9):
+        if S.embedding_dimension < 2:
+            continue
+        if not is_nearly_gorenstein(S):
+            with pytest.raises(NotNearlyGorensteinError) as listed:
+                ng_vectors(S)
+            with pytest.raises(NotNearlyGorensteinError) as selected:
+                ng_vector_at(S, 0)
+            assert str(selected.value) == str(listed.value)
+            continue
+        count = ClaimContext(S).vector_count
+        if count > 10**5:
+            continue
+        vectors = ng_vectors(S)
+        indices = range(count)
+        if count > 10**4:
+            indices = [0, count - 1, *rng.sample(range(count), 50)]
+        assert [ng_vector_at(S, i) for i in indices] == [vectors[i] for i in indices]
+        checked += len(indices)
+        for index in (-1, count):
+            with pytest.raises(InvalidArgumentError) as exc:
+                ng_vector_at(S, index)
+            assert str(exc.value) == (
+                f"NG-vector index {index} out of range (the semigroup has {count})"
+            )
+    assert checked > 20_000
 
 
 def test_max_embedding_dimension_candidate_sizes():

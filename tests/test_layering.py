@@ -2,13 +2,18 @@
 genus-tree nodes, the embedding-dimension filter and the cut into work
 units, so a change to the walk (pruning it, cutting it differently)
 stays inside verify/enumeration.py.  No module of the package reads the
-environment, so every result is a function of its arguments."""
+environment, so every result is a function of its arguments.  In the
+CLI, handlers only build payloads: main alone writes records, reads
+--pretty and maps errors to exit codes, and the record kinds live in the
+parser table."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "numsgps"
 HARNESS = PACKAGE / "verify" / "harness.py"
+CLI = PACKAGE / "cli.py"
+RECORD_KINDS = frozenset({"info", "ngvectors", "rf", "classify", "verify", "construct"})
 ENVIRONMENT_READS = frozenset({"environ", "environb", "getenv", "getenvb"})
 
 
@@ -62,3 +67,38 @@ def test_no_module_reads_the_environment():
                 if name in ENVIRONMENT_READS
             ]
     assert reads == []
+
+
+def _with_owner(tree: ast.Module):
+    """(name of the enclosing top-level definition or None, node) for
+    every node of a module."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            yield owner, node
+
+
+def test_only_main_writes_records_and_the_parser_table_names_kinds():
+    tree = ast.parse(CLI.read_text())
+    record_owners, kind_owners, kinds, pretty_flags = set(), set(), set(), 0
+    for owner, node in _with_owner(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in (
+            "_emit", "_error_payload", "_USAGE_ERRORS"
+        ):
+            record_owners.add(owner)
+        elif isinstance(node, ast.Attribute) and node.attr == "pretty":
+            record_owners.add(owner)
+        elif isinstance(node, ast.Constant) and node.value in RECORD_KINDS:
+            kind_owners.add(owner)
+            kinds.add(node.value)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            and node.args
+            and getattr(node.args[0], "value", None) == "--pretty"
+        ):
+            pretty_flags += 1
+    assert record_owners == {"main"}
+    assert kind_owners == {"build_parser"}
+    assert kinds == RECORD_KINDS
+    assert pretty_flags == 1

@@ -29,8 +29,9 @@ from numsgps.verify.claims import (
     PASS,
     ClaimResult,
     claim_ngv_props,
+    claim_pf2_two_zeroes,
 )
-from numsgps.rf import classification_variance
+from numsgps.rf import PFClassification, classification_variance
 from oracles import (
     gaps_to_generators,
     genus_tree_semigroups,
@@ -39,6 +40,7 @@ from oracles import (
     literal_coppie,
     literal_first_zero,
     literal_ngv_props,
+    literal_pf2_two_zeroes,
     literal_same2,
     random_generators,
     scan_classify_pf,
@@ -402,6 +404,60 @@ def test_matrix_claims_match_literal_matrix_routes():
     assert checked["SAME2"] > 100_000  # 101,572 today
 
 
+# the five-generated semigroups where PF2_TWO_ZEROES applies: the only one
+# of genus <= 20 first, then the others among the 20,523 five-generated
+# systems of 130,000 random_generators(random.Random(0)) draws with F <= 1500
+PF2_INSTANCES = (
+    (11, 12, 13, 15, 18),
+    (11, 14, 17, 23, 32),
+    (13, 21, 30, 31, 32),
+    (15, 17, 18, 19, 27),
+)
+
+
+def _judged_as_pf2(S):
+    """One context per NG-vector v and PF number f outside it, with
+    {f} hand-set as v's PF2, so the claim judges matrices it never sees
+    in a census."""
+    for cls in ClaimContext(S).classifications:
+        for f in S.pseudo_frobenius():
+            if f not in cls.entries:
+                ctx = ClaimContext(S)
+                ctx.classifications = [PFClassification(cls.entries, (), (f,), {})]
+                yield ctx
+
+
+def test_pf2_two_zeroes_matches_literal_matrices():
+    # no tier-1 census reaches the claim's matrix check, so it is compared
+    # with the literal matrices on the instances where it applies, and on
+    # hand-set PF2 numbers, which break its rows and columns
+    for gens in PF2_INSTANCES:
+        ctx = ClaimContext(NumericalSemigroup(gens))
+        literal, instances = literal_pf2_two_zeroes(ctx)
+        assert instances > 0 and literal.status == PASS, gens
+        assert claim_pf2_two_zeroes(ctx).status == PASS, gens
+    first = ClaimContext(NumericalSemigroup(PF2_INSTANCES[0])).classifications
+    assert [(c.entries, c.pf2) for c in first] == [((32,) * 5, (16,))]
+    reasons = set()
+    # <12, 16, 17, 18, 21> with f = 23: each additive row has two zeroes,
+    # but the first column has one
+    hand_set = [NumericalSemigroup(gens) for gens in (*PF2_INSTANCES, (12, 16, 17, 18, 21))]
+    for S in [*semigroups_up_to(12, embdim={5}), *hand_set]:
+        if not is_nearly_gorenstein(S):
+            continue
+        for ctx in _judged_as_pf2(S):
+            literal, _ = literal_pf2_two_zeroes(ctx)
+            factored = claim_pf2_two_zeroes(ctx)
+            assert factored.status == literal.status, S.generators
+            if factored.status == FAIL:
+                located = {k: factored.payload[k] for k in ("vector", "f", "side")}
+                assert located == {k: literal.payload[k] for k in located}, S.generators
+                reasons.add(factored.payload["reason"].lstrip("0123456789 "))
+    assert reasons == {
+        "zeroes in a row", "zeroes in a column", "zero positions vary across choices"
+    }
+
+
 def _non_pf_gap(S):
     pf = S.pseudo_frobenius()
     return next(x for x in range(1, S.frobenius) if x not in S and x not in pf)
@@ -551,6 +607,10 @@ def test_harness_claims_normalized_to_canonical_order():
     summary = check_all(cfg)
     assert summary["claims_checked"] == ["HERZOG3", "TRACE_EQ"]
     assert set(summary["claims"]) == {"HERZOG3", "TRACE_EQ"}
+    # one semigroup lists its claims in the same order as the census
+    report = check_semigroup((3, 5), claims=("TRACE_EQ", "HERZOG3", "TRACE_EQ"))
+    assert tuple(report.claims) == ("HERZOG3", "TRACE_EQ")
+    assert [c["claim"] for c in report.as_dict()["claims"]] == ["HERZOG3", "TRACE_EQ"]
 
 
 def test_workers_summary_identical():
