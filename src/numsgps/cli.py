@@ -13,6 +13,12 @@ payload to emit, and returns an exit code (None for 0).  The parser table
 every handler --pretty from one parent parser.  main alone binds emit to
 the kind and --pretty, and turns a usage error (argparse's included) or a
 SemigroupError into one error record of the subcommand's kind.
+
+The module loads only the single-semigroup layers (core, errors,
+gorenstein, rf).  The verify handler imports the verification harness,
+and the construct handlers import construct, when they run, so a
+process that answers one `info` never loads either (or the
+multiprocessing machinery the harness uses for a worker pool).
 """
 
 from __future__ import annotations
@@ -22,16 +28,6 @@ import json
 import sys
 import time
 
-from .construct import (
-    DuplicationSpec,
-    backelin,
-    dim6_progression,
-    dim6_raw_generators,
-    duplication_tower,
-    family_dim6,
-    ideal_from_generators,
-    numerical_duplication,
-)
 from .core import NumericalSemigroup
 from .errors import (
     EmptyGeneratorsError,
@@ -50,14 +46,13 @@ from .gorenstein import (
     ng_vectors,
 )
 from .rf import (
+    MATRIX_CAP,
     capped_matrices,
     classify_pf,
     matrix_count,
     minus_row_lists,
     plus_row_lists,
 )
-from .verify.claims import CLAIM_NAMES
-from .verify.harness import HarnessConfig, check_all, check_semigroup
 
 SCHEMA_VERSION = "1"
 
@@ -164,7 +159,7 @@ def _cmd_info(args, emit) -> None:
 
 def _cmd_ng_vectors(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    vectors = ng_vectors(S)
+    vectors = ng_vectors(S, cap=MATRIX_CAP)
     emit({
         "generators": list(S.generators),
         "pf": list(S.pseudo_frobenius()),
@@ -210,6 +205,9 @@ def _cmd_classify_pf(args, emit) -> None:
 
 
 def _cmd_verify(args, emit) -> int:
+    from .verify.claims import CLAIM_NAMES
+    from .verify.harness import HarnessConfig, check_all, check_semigroup
+
     if args.gens is not None:
         # the range flags have no meaning for one semigroup
         given = {"--embdim": args.embdim is not None, "--workers": args.workers != 1,
@@ -254,10 +252,14 @@ def _family_payload(family: str, params: dict, S: NumericalSemigroup) -> dict:
 
 
 def _construct_backelin(args, emit) -> None:
+    from .construct import backelin
+
     emit(_family_payload("backelin", {"T": args.T}, backelin(args.T)))
 
 
 def _construct_dim6(args, emit) -> None:
+    from .construct import dim6_progression, dim6_raw_generators, family_dim6
+
     S = family_dim6(args.T, args.d, args.k)
     payload = _family_payload("dim6", {"T": args.T, "d": args.d, "k": args.k}, S)
     payload["generators_constructed"] = list(dim6_raw_generators(args.T, args.d, args.k))
@@ -266,6 +268,8 @@ def _construct_dim6(args, emit) -> None:
 
 
 def _construct_duplication(args, emit) -> None:
+    from .construct import DuplicationSpec, ideal_from_generators, numerical_duplication
+
     S = NumericalSemigroup(args.gens)
     if args.ideal is None:
         E = RelativeIdeal.maximal_ideal(S)
@@ -281,6 +285,8 @@ def _construct_duplication(args, emit) -> None:
 
 
 def _construct_tower(args, emit) -> None:
+    from .construct import duplication_tower
+
     seed = NumericalSemigroup(args.gens)
     chain = duplication_tower(seed, args.depth)
     emit({

@@ -59,13 +59,13 @@ class EmbeddingDimensionError(SemigroupError):
 
 
 class EnumerationCapError(SemigroupError):
-    """Matrix enumeration would exceed the configured cap.
+    """An enumeration (of matrices, or of NG-vectors) would exceed its cap.
 
     The exact count is still computed and carried on the exception.
     """
 
-    def __init__(self, count: int, cap: int) -> None:
-        super().__init__(f"enumeration would produce {count} matrices, cap is {cap}")
+    def __init__(self, count: int, cap: int, items: str = "matrices") -> None:
+        super().__init__(f"enumeration would produce {count} {items}, cap is {cap}")
         self.count = count
         self.cap = cap
 

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from operator import sub
 
 from .core import NumericalSemigroup
-from .errors import EmbeddingDimensionError, InvalidArgumentError, NotNearlyGorensteinError
+from .errors import (
+    EmbeddingDimensionError,
+    EnumerationCapError,
+    InvalidArgumentError,
+    NotNearlyGorensteinError,
+)
 
 
 @dataclass(frozen=True)
@@ -232,12 +237,18 @@ def _ng_axes(S: NumericalSemigroup) -> list[list[int]]:
     return vector_axes(cands)
 
 
-def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
+def ng_vectors(S: NumericalSemigroup, cap: int | None = None) -> list[NGVector]:
     """All nearly Gorenstein vectors, in vector_axes order.
 
-    Raises NotNearlyGorensteinError when some position admits no entry.
+    Raises NotNearlyGorensteinError when some position admits no entry,
+    and EnumerationCapError, before listing any, when there are more than
+    cap (the count is the product of the candidate-set sizes).
     """
-    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*_ng_axes(S))]
+    axes = _ng_axes(S)
+    count = math.prod(map(len, axes))
+    if cap is not None and count > cap:
+        raise EnumerationCapError(count, cap, "NG-vectors")
+    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*axes)]
 
 
 def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:

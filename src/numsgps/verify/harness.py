@@ -12,11 +12,14 @@ per-claim counts once), and all collected lists are sorted by generator
 tuple before the summary is assembled.  Summary and reports depend on
 the configuration alone: neither carries a timing or reads a setting
 from outside it.
+
+A run with workers > 1 forks a pool of at most one process per work
+unit; multiprocessing is imported only then, so a serial census never
+loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -251,8 +254,10 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     for S in above:
         _consume(agg, cfg, S, sink)
     if units:
+        import multiprocessing  # only a worker pool needs it
+
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=cfg.workers) as pool:
+        with ctx.Pool(processes=min(cfg.workers, len(units))) as pool:
             for part in pool.imap_unordered(_unit_worker, [(u, cfg) for u in units]):
                 _merge(agg, part)
     return _finalize(agg, cfg)

@@ -194,6 +194,40 @@ def test_selecting_an_ng_vector_lists_none(argv, vector):
     assert json.loads(proc.stdout)["payload"]["vector"] == vector
 
 
+def test_ng_vectors_over_the_cap_is_refused_before_listing():
+    # <12, ..., 23> has 439,084,800 NG-vectors: the count comes from the
+    # candidate-set sizes, and no vector is built
+    gens = ",".join(map(str, range(12, 24)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHILD, "ng-vectors", gens],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert float(proc.stderr) < 1.0
+    record = json.loads(proc.stdout)
+    assert record["kind"] == "ngvectors"
+    assert record["payload"] == {
+        "error": "EnumerationCap",
+        "message": f"enumeration would produce 439084800 NG-vectors, cap is {rf.MATRIX_CAP}",
+        "count": 439084800,
+        "cap": rf.MATRIX_CAP,
+    }
+
+
+def test_ng_vectors_cap_is_inclusive(capsys, monkeypatch):
+    import numsgps.cli
+
+    # the worked example has exactly two NG-vectors
+    monkeypatch.setattr(numsgps.cli, "MATRIX_CAP", 2)
+    code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
+    assert code == 0 and json.loads(lines[0])["payload"]["count"] == 2
+    monkeypatch.setattr(numsgps.cli, "MATRIX_CAP", 1)
+    code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
+    payload = json.loads(lines[0])["payload"]
+    assert code == 1 and (payload["count"], payload["cap"]) == (2, 1)
+
+
 def test_pretty_mode(capsys):
     code, lines = run_cli(["info", "13,45,72,79,99", "--pretty"], capsys)
     assert code == 0

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import multiprocessing
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -620,6 +622,31 @@ def test_workers_summary_identical():
         split = check_all(HarnessConfig(genus_max=8, embdim_filter=embdim, workers=2))
         assert base == split
         assert json.dumps(base, sort_keys=True) == json.dumps(split, sort_keys=True)
+
+
+def test_pool_has_at_most_one_process_per_unit(monkeypatch):
+    # an in-process stand-in for the fork context records the pool size;
+    # no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    _above, units = enumeration.work_units(8, None)
+    summary = check_all(HarnessConfig(genus_max=8, workers=100_000))
+    assert sizes == [len(units)] == [23]
+    assert summary == check_all(HarnessConfig(genus_max=8))
 
 
 def test_embdim_filter_drops_nodes_before_building(monkeypatch):
