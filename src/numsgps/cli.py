@@ -28,6 +28,7 @@ import json
 import sys
 import time
 
+from . import rf
 from .core import NumericalSemigroup
 from .errors import (
     EmptyGeneratorsError,
@@ -43,10 +44,10 @@ from .gorenstein import (
     is_nearly_gorenstein,
     is_symmetric,
     ng_vector_at,
+    ng_vector_count,
     ng_vectors,
 )
 from .rf import (
-    MATRIX_CAP,
     capped_matrices,
     classify_pf,
     matrix_count,
@@ -159,7 +160,11 @@ def _cmd_info(args, emit) -> None:
 
 def _cmd_ng_vectors(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    vectors = ng_vectors(S, cap=MATRIX_CAP)
+    # refused, like a matrix listing, before a vector is built
+    count = ng_vector_count(S)
+    if count > rf.MATRIX_CAP:
+        raise EnumerationCapError(count, rf.MATRIX_CAP, "NG-vectors")
+    vectors = ng_vectors(S)
     emit({
         "generators": list(S.generators),
         "pf": list(S.pseudo_frobenius()),

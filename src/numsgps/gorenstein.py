@@ -11,9 +11,9 @@ NG-vector test read only the pseudo-Frobenius set and Apery-set lookups
 (at most nu * t**2, t the type).  The candidate sets come one position
 at a time, so a verdict of "not nearly Gorenstein" stops at the first
 empty one (candidate_prefix).  The NG-vectors are the product of the
-candidate sets in vector_axes order, and ng_vector_at decodes one by its
-index without listing the others.  Nothing here builds a window as wide
-as the Frobenius number.
+candidate sets in vector_axes order; ng_vector_count counts them and
+ng_vector_at decodes one by its index, both without listing the others.
+Nothing here builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
 candidate-set route (for every generator n_i there is some pseudo-Frobenius
@@ -32,12 +32,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .core import NumericalSemigroup
-from .errors import (
-    EmbeddingDimensionError,
-    EnumerationCapError,
-    InvalidArgumentError,
-    NotNearlyGorensteinError,
-)
+from .errors import EmbeddingDimensionError, InvalidArgumentError, NotNearlyGorensteinError
 
 
 @dataclass(frozen=True)
@@ -237,18 +232,22 @@ def _ng_axes(S: NumericalSemigroup) -> list[list[int]]:
     return vector_axes(cands)
 
 
-def ng_vectors(S: NumericalSemigroup, cap: int | None = None) -> list[NGVector]:
+def _vector_count(axes: list[list[int]]) -> int:
+    return math.prod(map(len, axes))
+
+
+def ng_vector_count(S: NumericalSemigroup) -> int:
+    """len(ng_vectors(S)) without listing the vectors: the product of the
+    candidate-set sizes.  Raises NotNearlyGorensteinError as ng_vectors."""
+    return _vector_count(_ng_axes(S))
+
+
+def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
     """All nearly Gorenstein vectors, in vector_axes order.
 
-    Raises NotNearlyGorensteinError when some position admits no entry,
-    and EnumerationCapError, before listing any, when there are more than
-    cap (the count is the product of the candidate-set sizes).
+    Raises NotNearlyGorensteinError when some position admits no entry.
     """
-    axes = _ng_axes(S)
-    count = math.prod(map(len, axes))
-    if cap is not None and count > cap:
-        raise EnumerationCapError(count, cap, "NG-vectors")
-    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*axes)]
+    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*_ng_axes(S))]
 
 
 def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
@@ -257,7 +256,7 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
     the least significant digit.  Raises InvalidArgumentError for an index
     outside [0, count), and NotNearlyGorensteinError as ng_vectors."""
     axes = _ng_axes(S)
-    count = math.prod(map(len, axes))
+    count = _vector_count(axes)
     if not 0 <= index < count:
         raise InvalidArgumentError(
             f"NG-vector index {index} out of range (the semigroup has {count})"

@@ -216,13 +216,11 @@ def test_ng_vectors_over_the_cap_is_refused_before_listing():
 
 
 def test_ng_vectors_cap_is_inclusive(capsys, monkeypatch):
-    import numsgps.cli
-
     # the worked example has exactly two NG-vectors
-    monkeypatch.setattr(numsgps.cli, "MATRIX_CAP", 2)
+    monkeypatch.setattr(rf, "MATRIX_CAP", 2)
     code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
     assert code == 0 and json.loads(lines[0])["payload"]["count"] == 2
-    monkeypatch.setattr(numsgps.cli, "MATRIX_CAP", 1)
+    monkeypatch.setattr(rf, "MATRIX_CAP", 1)
     code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
     payload = json.loads(lines[0])["payload"]
     assert code == 1 and (payload["count"], payload["cap"]) == (2, 1)

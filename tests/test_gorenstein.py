@@ -19,7 +19,7 @@ from numsgps import (
     ng_candidates,
     ng_vectors,
 )
-from numsgps.gorenstein import ng_vector_at
+from numsgps.gorenstein import ng_vector_at, ng_vector_count
 from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
@@ -284,8 +284,11 @@ def test_ng_vector_at_decodes_the_listing_order():
             with pytest.raises(NotNearlyGorensteinError) as selected:
                 ng_vector_at(S, 0)
             assert str(selected.value) == str(listed.value)
+            with pytest.raises(NotNearlyGorensteinError):
+                ng_vector_count(S)
             continue
         count = ClaimContext(S).vector_count
+        assert ng_vector_count(S) == count
         if count > 10**5:
             continue
         vectors = ng_vectors(S)
