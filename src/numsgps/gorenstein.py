@@ -232,14 +232,16 @@ def _ng_axes(S: NumericalSemigroup) -> list[list[int]]:
     return vector_axes(cands)
 
 
-def _vector_count(axes: list[list[int]]) -> int:
-    return math.prod(map(len, axes))
+def count_vectors(sets: list) -> int:
+    """The number of NG-vectors over these candidate sets (or their
+    vector_axes lists): the product of their sizes."""
+    return math.prod(map(len, sets))
 
 
 def ng_vector_count(S: NumericalSemigroup) -> int:
     """len(ng_vectors(S)) without listing the vectors: the product of the
     candidate-set sizes.  Raises NotNearlyGorensteinError as ng_vectors."""
-    return _vector_count(_ng_axes(S))
+    return count_vectors(_ng_axes(S))
 
 
 def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
@@ -256,7 +258,7 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
     the least significant digit.  Raises InvalidArgumentError for an index
     outside [0, count), and NotNearlyGorensteinError as ng_vectors."""
     axes = _ng_axes(S)
-    count = _vector_count(axes)
+    count = count_vectors(axes)
     if not 0 <= index < count:
         raise InvalidArgumentError(
             f"NG-vector index {index} out of range (the semigroup has {count})"

@@ -48,7 +48,6 @@ statements.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,10 +59,12 @@ from ..gorenstein import (
     is_almost_symmetric,
     nearly_gorenstein_via_trace,
     vector_axes,
+    count_vectors,
 )
 from ..rf import (
     MaxGapTable,
     PFClassification,
+    classification_variance,
     classify_vectors,
     max_gap_table,
     minus_row_lists,
@@ -119,13 +120,13 @@ class ClaimContext:
     def candidates(self) -> list[frozenset[int]] | None:
         """candidate_prefix: nearly_gorenstein is all(candidates), and
         vector_count is 0 unless it holds.  Every other reader (avoidable,
-        NGV_PROPS, FIRST_ZERO, SAME2, the harness's variance scan) checks
+        NGV_PROPS, FIRST_ZERO, SAME2, varying) checks
         nearly_gorenstein or avoidable first, so sees full lists only."""
         return candidate_prefix(self.S) if self.proper else None
 
     @_field
     def vector_count(self) -> int:
-        return 0 if self.candidates is None else math.prod(map(len, self.candidates))
+        return 0 if self.candidates is None else count_vectors(self.candidates)
 
     @_field
     def nearly_gorenstein(self) -> bool | None:
@@ -144,6 +145,12 @@ class ClaimContext:
             return ()
         sole = {f for c in self.candidates if len(c) == 1 for f in c}
         return tuple(f for f in self.pf if f not in sole)
+
+    @_field
+    def varying(self) -> list[tuple[int, list[str]]]:
+        """classification_variance: each avoidable f whose PF split varies
+        across the NG-vectors, with its classes."""
+        return classification_variance(self.S, self.candidates, self.avoidable)
 
     @_field
     def almost_symmetric(self) -> bool | None:

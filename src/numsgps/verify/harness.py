@@ -2,16 +2,16 @@
 genus bound, or over ad-hoc generator systems.
 
 It only aggregates and reports: the enumeration hands it semigroups
-built and filtered (as work units for worker processes), the claims
-module decides the claims, and rf scans for a PF split that varies.
+built and filtered (as work units for worker processes), and the claims
+module decides the claims and scans for a PF split that varies.
 
 The summary it produces is deterministic for a given configuration,
-independent of the worker count: partial aggregates combine by sums and
-maxima (they count each tuple of claim statuses, expanded into
-per-claim counts once), and all collected lists are sorted by generator
-tuple before the summary is assembled.  Summary and reports depend on
-the configuration alone: neither carries a timing or reads a setting
-from outside it.
+independent of the worker count: an aggregate is one tally of (genus,
+nu, NG, AS, type, claim statuses) keys and three lists, so partial
+aggregates merge by addition alone; the summary's counts are read off
+the tally, and its lists sorted by generator tuple, once at the end.
+Summary and reports depend on the configuration alone: neither carries
+a timing or reads a setting from outside it.
 
 A run with workers > 1 forks a pool of at most one process per work
 unit; multiprocessing is imported only then, so a serial census never
@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
-from ..rf import MATRIX_CAP, classification_variance
+from ..rf import MATRIX_CAP
 from .claims import (
     CLAIM_NAMES,
     FAIL,
@@ -56,6 +56,8 @@ class HarnessConfig:
             raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
+        if self.embdim_filter is not None and min(self.embdim_filter, default=0) < 1:
+            raise InvalidArgumentError(f"embdim values must be positive, got {self.embdim_filter}")
         object.__setattr__(self, "claims", canonical_claims(self.claims))
         if self.embdim_filter is not None:
             object.__setattr__(self, "embdim_filter", frozenset(self.embdim_filter))
@@ -95,17 +97,14 @@ class CheckReport:
 
 
 def _build_report(
-    S: NumericalSemigroup,
-    results: dict[str, ClaimResult],
-    ctx: ClaimContext,
-    variance: list[tuple[int, list[str]]],
+    S: NumericalSemigroup, results: dict[str, ClaimResult], ctx: ClaimContext
 ) -> CheckReport:
     notes = []
     t = S.type
     nu = S.embedding_dimension
     if t > 2 * nu:
         notes.append(f"type {t} exceeds twice the embedding dimension {nu}")
-    for f, kinds in variance:
+    for f, kinds in ctx.varying:
         notes.append(f"classification of {f} varies across NG-vectors: {', '.join(kinds)}")
     return CheckReport(
         generators=S.generators,
@@ -129,9 +128,7 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckR
         if isinstance(generators, NumericalSemigroup)
         else NumericalSemigroup(generators)
     )
-    results, ctx = run_claims(S, canonical_claims(claims))
-    variance = classification_variance(S, ctx.candidates, ctx.avoidable)
-    return _build_report(S, results, ctx, variance)
+    return _build_report(S, *run_claims(S, canonical_claims(claims)))
 
 
 # ----------------------------------------------------------------------
@@ -141,16 +138,11 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckR
 _RENDER = {None: "none", True: "true", False: "false"}
 
 
-def _cell_key(nu: int, ng: bool | None, asym: bool | None) -> str:
-    return f"nu={nu}|ng={_RENDER[ng]}|as={_RENDER[asym]}"
-
-
 def _empty_aggregate() -> dict:
     return {
-        "by_genus": Counter(),
-        # tuple of the claims' statuses, in the configured order -> count
+        # (genus, nu, nearly_gorenstein, almost_symmetric, type, statuses)
+        # -> count, statuses the claims' statuses in the configured order
         "tally": Counter(),
-        "cells": {},
         "failures": [],
         "question_flags": [],
         "classification_varies": [],
@@ -159,39 +151,27 @@ def _empty_aggregate() -> dict:
 
 def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
     results, ctx = run_claims(S, cfg.claims)
-    agg["by_genus"][S.genus] += 1
-    key = _cell_key(ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric)
-    cell = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
-    cell["count"] += 1
-    cell["max_type"] = max(cell["max_type"], S.type)
     statuses = tuple([res.status for res in results.values()])
-    agg["tally"][statuses] += 1
+    key = (S.genus, ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric, S.type, statuses)
+    agg["tally"][key] += 1
     if FAIL in statuses:
         for name, res in results.items():
             if res.status == FAIL:
                 agg["failures"].append({"claim": name, **res.payload})
     flag = results.get("QUESTION_MS")
-    if flag is not None and flag.payload is not None and flag.status != FAIL:
+    if flag is not None and flag.payload is not None:
         agg["question_flags"].append(flag.payload)
-    variance = classification_variance(S, ctx.candidates, ctx.avoidable)
-    for f, kinds in variance:
+    for f, kinds in ctx.varying:
         agg["classification_varies"].append(
             {"generators": list(S.generators), "f": f, "classes": kinds}
         )
     if sink is not None:
-        sink(_build_report(S, results, ctx, variance))
+        sink(_build_report(S, results, ctx))
 
 
 def _merge(agg: dict, part: dict) -> None:
-    agg["by_genus"].update(part["by_genus"])
-    agg["tally"].update(part["tally"])
-    for key, cell in part["cells"].items():
-        dst = agg["cells"].setdefault(key, {"count": 0, "max_type": 0})
-        dst["count"] += cell["count"]
-        dst["max_type"] = max(dst["max_type"], cell["max_type"])
-    agg["failures"].extend(part["failures"])
-    agg["question_flags"].extend(part["question_flags"])
-    agg["classification_varies"].extend(part["classification_varies"])
+    for key in agg:
+        agg[key] += part[key]
 
 
 def _unit_worker(args: tuple) -> dict:
@@ -206,8 +186,14 @@ def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
     agg["failures"].sort(key=lambda e: (e["generators"], e["claim"]))
     agg["question_flags"].sort(key=lambda e: e["generators"])
     agg["classification_varies"].sort(key=lambda e: (e["generators"], e["f"]))
+    by_genus, cells = Counter(), {}
     claims = {n: {"pass": 0, "fail": 0, "inapplicable": 0} for n in cfg.claims}
-    for statuses, n in agg["tally"].items():
+    for (genus, nu, ng, asym, t, statuses), n in agg["tally"].items():
+        by_genus[genus] += n
+        key = f"nu={nu}|ng={_RENDER[ng]}|as={_RENDER[asym]}"
+        cell = cells.setdefault(key, {"count": 0, "max_type": 0})
+        cell["count"] += n
+        cell["max_type"] = max(cell["max_type"], t)
         for name, status in zip(cfg.claims, statuses):
             claims[name][status] += n
     return {
@@ -225,10 +211,10 @@ def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
             "coppie_pair_cap": 10_000,
             "matrix_cap": MATRIX_CAP,
         },
-        "semigroups": sum(agg["by_genus"].values()),
-        "by_genus": {str(g): agg["by_genus"][g] for g in sorted(agg["by_genus"])},
+        "semigroups": sum(by_genus.values()),
+        "by_genus": {str(g): by_genus[g] for g in sorted(by_genus)},
         "claims": claims,
-        "cells": {k: agg["cells"][k] for k in sorted(agg["cells"])},
+        "cells": {k: cells[k] for k in sorted(cells)},
         "total_failures": len(agg["failures"]),
         "failures": agg["failures"],
         "question_flags": agg["question_flags"],

@@ -5,6 +5,7 @@ written with capture suspended so a plain pytest run log shows the seven
 verdicts at a glance.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -144,6 +145,13 @@ def test_criterion_3_exhaustive_genus_20(capfd):
             failures.append(f"{name} has failures")
     if elapsed >= 60.0:
         failures.append(f"took {elapsed:.1f}s, budget 60s")
+    # the canonical summary JSON without `seed`, as the genus-12 pin hashes
+    stripped = {k: v for k, v in summary.items() if k != "seed"}
+    body = json.dumps(stripped, sort_keys=True, separators=(",", ":")).encode()
+    if hashlib.sha256(body).hexdigest() != (
+        "2f7dc6ff31242de2a11a0360ef95101b4d1620a7cce617a5882559e3e5790d0c"
+    ):
+        failures.append("summary bytes differ from the pinned digest")
 
     with capfd.disabled():
         print(f"exhaustive run: genus <= 20, {summary['semigroups']} semigroups, "

@@ -277,6 +277,10 @@ def test_verify_reports_needs_single_worker(capsys):
     [
         ["--genus-max", "-1"],
         ["--genus-max", "8", "--workers", "0"],
+        # an embedding dimension below 1 would check no semigroup
+        ["--genus-max", "3", "--embdim", "0"],
+        ["--genus-max", "3", "--embdim", "-2"],
+        ["--genus-max", "3", "--embdim", "3,0"],
         # the range flags do not apply to one semigroup
         ["--gens", "3,5", "--genus-max", "4"],
         ["--gens", "3,5", "--workers", "2", "--reports"],

@@ -31,9 +31,11 @@ from numsgps.verify.claims import (
     PASS,
     ClaimResult,
     claim_ngv_props,
+    claim_pf1_bound,
+    claim_pf2_bound,
     claim_pf2_two_zeroes,
 )
-from numsgps.rf import PFClassification, classification_variance
+from numsgps.rf import PFClassification
 from oracles import (
     gaps_to_generators,
     genus_tree_semigroups,
@@ -335,7 +337,7 @@ def _assert_variance_matches_literal_scan(S):
     expected = []
     if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
         expected = literal_classification_variance(S, ng_vectors(S))
-    assert classification_variance(S, ctx.candidates, ctx.avoidable) == expected, S.generators
+    assert ctx.varying == expected, S.generators
     return ctx.vector_count > LITERAL_VARIANCE_VECTORS
 
 
@@ -427,6 +429,53 @@ def _judged_as_pf2(S):
                 ctx = ClaimContext(S)
                 ctx.classifications = [PFClassification(cls.entries, (), (f,), {})]
                 yield ctx
+
+
+def _hand_set(gens, **fields):
+    """A context of the semigroup with these fields set by hand."""
+    ctx = ClaimContext(NumericalSemigroup(gens))
+    for name, value in fields.items():
+        setattr(ctx, name, value)
+    return ctx
+
+
+# no census comes near the paper's bounds (type <= 4, |PF1| <= 2 and PF2
+# empty to genus 20), so each is judged on a semigroup the claim applies
+# to, with the numbers it counts set by hand to the bound and one more
+
+# claim, generators (nu = 3; 4 and NG; 4 and AS; 5, NG and not AS), bound
+TYPE_BOUNDS = (
+    ("HERZOG3", (3, 4, 5), 2),
+    ("NG4_TYPE3", (7, 8, 10, 11), 3),
+    ("AS4_TYPE3", (4, 5, 6, 7), 3),
+    ("THM_MAIN", WORKED, 40),
+)
+
+
+@pytest.mark.parametrize("name, gens, bound", TYPE_BOUNDS, ids=[t[0] for t in TYPE_BOUNDS])
+def test_type_bounds_are_exact(name, gens, bound):
+    claim = CLAIM_FUNCTIONS[name]
+    assert claim(_hand_set(gens, pf=tuple(range(1, bound + 1)))) == ClaimResult(PASS)
+    over = claim(_hand_set(gens, pf=tuple(range(1, bound + 2))))
+    assert over.status == FAIL and over.payload["type"] == bound + 1
+
+
+def _judged_with_split(entries, pf1, pf2):
+    cls = PFClassification(entries, tuple(range(1, pf1 + 1)), tuple(range(1, pf2 + 1)), {})
+    return _hand_set(WORKED, classifications=[cls])
+
+
+def test_pf1_and_pf2_bounds_are_exact():
+    # WORKED (F = 244) is five-generated, NG and not AS; its two vectors
+    # have one and two entries other than F
+    one_off, two_off = (244, 212, 244, 244, 244), (244, 212, 185, 244, 244)
+    for entries, bound in ((one_off, 31), (two_off, 30)):
+        assert claim_pf1_bound(_judged_with_split(entries, bound, 0)).status == PASS
+        over = claim_pf1_bound(_judged_with_split(entries, bound + 1, 0))
+        assert over.status == FAIL and over.payload["bound"] == bound, entries
+    assert claim_pf2_bound(_judged_with_split(one_off, 0, 6)).status == PASS
+    over = claim_pf2_bound(_judged_with_split(one_off, 0, 7))
+    assert over.status == FAIL and len(over.payload["pf2"]) == 7
 
 
 def test_pf2_two_zeroes_matches_literal_matrices():
@@ -601,6 +650,9 @@ def test_harness_config_validation():
         HarnessConfig(genus_max=3, workers=0)
     with pytest.raises(ValueError):
         HarnessConfig(genus_max=3, claims=("BOGUS",))
+    for embdim in (frozenset(), {0}, {-2, 3}):
+        with pytest.raises(InvalidArgumentError, match="embdim values"):
+            HarnessConfig(genus_max=3, embdim_filter=embdim)
 
 
 def test_harness_claims_normalized_to_canonical_order():
