@@ -7,8 +7,11 @@ integer arithmetic: the Apery set with respect to the multiplicity is the
 structure everything else derives from.  Membership, Frobenius number,
 genus, pseudo-Frobenius numbers and factorizations read off it, and so
 does its max-plus self-convolution (apery_convolution, cached like the
-pseudo-Frobenius set), which the genus-tree walk carries from parent to
-child along with the Apery set.  Nothing here builds a structure that
+pseudo-Frobenius set).  A semigroup built from generators finds its
+pseudo-Frobenius set by Apery maximality; one built by the genus-tree
+walk (_from_minimal_data) is handed its Frobenius number, genus,
+convolution and pseudo-Frobenius set, which the walk carries from parent
+to child along with the Apery set.  Nothing here builds a structure that
 grows with the Frobenius number; the one left in the package is the
 reachability mask of the NGV_PROPS claim.
 
@@ -170,14 +173,23 @@ class NumericalSemigroup:
     def _from_minimal_data(
         cls,
         generators: tuple[int, ...],
+        frobenius: int,
+        genus: int,
         apery: tuple[int, ...],
         convolution: list[int],
+        pf: tuple[int, ...],
     ) -> "NumericalSemigroup":
-        """Trusted fast path: `generators` already minimal and ascending,
-        `apery` the Apery set with respect to generators[0], and
-        `convolution` its apery_convolution."""
+        """Trusted fast path for the genus-tree walk, which carries every
+        field from parent to child: `generators` already minimal and
+        ascending, `apery` the Apery set with respect to generators[0],
+        `convolution` its apery_convolution and `pf` the ascending
+        pseudo-Frobenius set.  Nothing is rescanned."""
         self = object.__new__(cls)
-        self._init_parts(generators, apery)
+        self.generators = generators
+        self.apery = apery
+        self.frobenius = frobenius
+        self.genus = genus
+        self._pf = pf
         self._conv = convolution
         return self
 
@@ -228,7 +240,8 @@ class NumericalSemigroup:
 
         f is pseudo-Frobenius iff w = f + m is maximal in the Apery set
         under the order induced by S, i.e. iff w + n leaves the Apery set
-        for every generator n; O(m * embedding dimension) lookups.
+        for every generator n; O(m * embedding dimension) lookups.  A
+        semigroup built by the genus-tree walk holds it already.
         """
         if self._pf is None:
             if self.is_full():

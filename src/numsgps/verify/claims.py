@@ -180,9 +180,11 @@ class ClaimContext:
 
         The premise puts f + s in S for every nonzero s in S, which is
         all the matrix claims need (see their docstrings).  It costs
-        (nu + 1) * t + 1 Apery lookups, t the type, and does not reuse
-        the Apery-maximality route that produced the set.  x is in S iff
-        x >= a[x % m], a the Apery set (no negative x passes).
+        (nu + 1) * t + 1 Apery lookups, t the type, and reuses neither
+        route that produces the set: Apery maximality for a semigroup
+        built from generators, the parent's set for one built by the
+        genus-tree walk.  x is in S iff x >= a[x % m], a the Apery set
+        (no negative x passes).
         """
         S = self.S
         a, m, F = S.apery, S.generators[0], S.frobenius

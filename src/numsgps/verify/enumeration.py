@@ -3,16 +3,18 @@
 Removing a minimal generator larger than the Frobenius number takes a
 semigroup of genus g to one of genus g + 1, and every semigroup arises
 exactly once this way (put the Frobenius number back to recover the
-parent).  A node is (generators, frobenius, genus, apery, conv): the
+parent).  A node is (generators, frobenius, genus, apery, cell): the
 minimal generators, the Apery set with respect to the multiplicity,
 which is the walk's only membership structure, and a cell that yields
-the Apery set's max-plus self-convolution on demand.  Each child is
-built from its parent in O(embedding dimension) steps: removing a
-generator g != m changes only the Apery entry of g mod m, from g to
-g + m, and removing g = m steps down the spine of ordinary semigroups,
-whose child has a closed form.  The convolution follows the same single
-entry in O(m) steps, but only for a node that is built into a
-semigroup: a walk that only counts or filters nodes never pays for it.
+the Apery set's max-plus self-convolution and the pseudo-Frobenius set
+on demand.  Each child is built from its parent in O(embedding
+dimension) steps: removing a generator g != m changes only the Apery
+entry of g mod m, from g to g + m, and removing g = m steps down the
+spine of ordinary semigroups, whose child has a closed form.  The
+convolution follows the same single entry in O(m) steps and the
+pseudo-Frobenius set the same removed generator in O(type) steps, but
+only for a node that is built into a semigroup: a walk that only counts
+or filters nodes never pays for either.
 
 Nodes never leave this module: callers get semigroups, filtered by
 embedding dimension before they are built, as one stream or cut into
@@ -27,14 +29,14 @@ from itertools import chain, islice
 
 from ..core import NumericalSemigroup, _apery_convolution
 
-# conv is [] (not yet computed; the spine children start so),
-# [parent, r, x] (the parent's, with Apery entry r raised to x) or [c]
-# (computed); see _convolution
+# the cell is [] (not yet resolved; the spine children start so),
+# [parent, r, x] (the parent's, with Apery entry r raised to x) or
+# [c, pf] (resolved: convolution and pseudo-Frobenius set); see _resolve
 Node = tuple[tuple[int, ...], int, int, tuple[int, ...], list]
 
-# the semigroup N = <1>, with frobenius -1; its cell is already resolved,
-# so no walk mutates this shared node
-_ROOT: Node = ((1,), -1, 0, (0,), [[0]])
+# the semigroup N = <1>, with frobenius -1 and pseudo-Frobenius set
+# {-1}; its cell is already resolved, so no walk mutates this shared node
+_ROOT: Node = ((1,), -1, 0, (0,), [[0], (-1,)])
 
 # genus at which work_units cuts the tree into subtrees
 SPLIT_DEPTH = 6
@@ -70,16 +72,30 @@ def _child(node: Node, g: int) -> Node:
     return tuple(kept), g, genus + 1, apery, [node, r, x]
 
 
-def _convolution(node: Node) -> list[int]:
-    """The node's Apery convolution c[j] = max over u of a[u] + a[j - u]
-    (indices mod m), resolved in place in its cell and in every cell on
-    the way up.
+def _resolve(node: Node) -> list:
+    """The node's resolved cell [c, pf], resolved in place in its cell
+    and in every cell on the way up: c[j] = max over u of a[u] + a[j - u]
+    (indices mod m) is the Apery convolution, pf the ascending
+    pseudo-Frobenius set.
 
     A child that removes g != m raises only a[r], r = g mod m, to x, so
     every term of its convolution that avoids index r is the parent's,
     and the terms through r are x + a'[j - r]; since the parent's terms
     through r are no larger, c'[j] = max(c[j], x + a'[j - r]), O(m) steps
-    from the parent's c.  The spine children compute theirs from scratch.
+    from the parent's c.
+
+    Its pseudo-Frobenius set is the parent's f with g - f outside S,
+    followed by g: t Apery lookups, t the parent's type.  Each f <= F < g,
+    so g - f > 0.  If g - f lies in S, then f + (g - f) = g leaves the
+    child and f is no longer pseudo-Frobenius; otherwise no nonzero s of
+    the child has f + s = g, and f stays.  g + s lies in the child for
+    every nonzero s of it.  A gap that is not pseudo-Frobenius in S has
+    f + s outside S for some nonzero s of S, and s != g as f + g > F, so
+    it stays non-pseudo-Frobenius.  g - f < g lies in S iff it lies in
+    the child, so the child's Apery set decides it.
+
+    The spine children, {0} u [m, oo), compute c from scratch and have
+    pf = 1..F.
     """
     pending = []
     cell = node[4]
@@ -88,17 +104,20 @@ def _convolution(node: Node) -> list[int]:
         node = cell[0]
         cell = node[4]
     if not cell:
-        cell.append(_apery_convolution(node[3]))
-    c = cell[0]
+        cell += (_apery_convolution(node[3]), tuple(range(1, node[1] + 1)))
+    c, pf = cell
     for node in reversed(pending):
         cell = node[4]
         _, r, x = cell
         a = node[3]
+        m = len(a)
         # a[s:] + a[:s] is a'[(j - r) % m] for j in [0, m)
-        s = len(a) - r
+        s = m - r
         c = list(map(max, c, map(x.__add__, chain(islice(a, s, None), islice(a, s)))))
-        cell[:] = (c,)
-    return c
+        g = x - m
+        pf = (*[f for f in pf if (y := g - f) < a[y % m]], g)
+        cell[:] = (c, pf)
+    return cell
 
 
 def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
@@ -116,7 +135,9 @@ def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
 
 
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:
-    return NumericalSemigroup._from_minimal_data(node[0], node[3], _convolution(node))
+    gens, frob, genus, apery, _ = node
+    c, pf = _resolve(node)
+    return NumericalSemigroup._from_minimal_data(gens, frob, genus, apery, c, pf)
 
 
 def _semigroups(

@@ -30,13 +30,15 @@ from numsgps.verify.claims import (
     NA,
     PASS,
     ClaimResult,
+    claim_mu_bound,
     claim_ngv_props,
     claim_pf1_bound,
     claim_pf2_bound,
     claim_pf2_two_zeroes,
 )
-from numsgps.rf import PFClassification
+from numsgps.rf import PFClassification, max_gap_table
 from oracles import (
+    gap_scan_pseudo_frobenius,
     gaps_to_generators,
     genus_tree_semigroups,
     literal_apery_convolution,
@@ -125,13 +127,41 @@ def test_carried_convolution_matches_a_literal_one(monkeypatch):
 
 def test_walk_only_runs_compute_no_convolution(monkeypatch):
     calls = []
-    _count_calls(monkeypatch, enumeration, "_convolution", calls)
+    _count_calls(monkeypatch, enumeration, "_resolve", calls)
     _count_calls(monkeypatch, enumeration, "_apery_convolution", calls)
     _count_calls(monkeypatch, core, "_apery_convolution", calls)
     assert count_by_genus(12) == KNOWN_COUNTS[:13]
     assert calls == []
-    # the same helpers see every node that is built
-    assert len(list(semigroups_up_to(12))) == calls.count("_convolution") > 0
+    # every node that is built is resolved exactly once: one call each,
+    # and each call finds its parent's cell resolved, so it steps one cell
+    cells = []
+    resolve = enumeration._resolve
+
+    def stepping(node):
+        cells.append(node[4][:])
+        return resolve(node)
+
+    monkeypatch.setattr(enumeration, "_resolve", stepping)
+    walked = list(semigroups_up_to(12))
+    assert len(walked) == len(cells) == sum(KNOWN_COUNTS[:13])
+    # the root is resolved before any walk; every other node is pending
+    # on its already resolved parent, or a spine node
+    assert cells[0] == [[0], (-1,)]
+    for cell in cells[1:]:
+        assert cell == [] or len(cell[0][4]) == 2
+
+
+def test_walked_pseudo_frobenius_frobenius_and_genus_match_the_oracles():
+    # every node of genus <= 12, root and spine included, and the
+    # five-generated ones of genus <= 14, which a filtered walk resolves
+    # through ancestors it never built
+    walked = [*semigroups_up_to(12), *semigroups_up_to(14, embdim={5})]
+    assert len(walked) == sum(KNOWN_COUNTS[:13]) + 671
+    for S in walked:
+        T = NumericalSemigroup(S.generators)
+        pf = gap_scan_pseudo_frobenius(S)
+        assert S.pseudo_frobenius() == pf == T.pseudo_frobenius(), S.generators
+        assert (S.frobenius, S.genus) == (T.frobenius, T.genus), S.generators
 
 
 def test_run_claims_rejects_unknown_name(monkeypatch):
@@ -476,6 +506,22 @@ def test_pf1_and_pf2_bounds_are_exact():
     assert claim_pf2_bound(_judged_with_split(one_off, 0, 6)).status == PASS
     over = claim_pf2_bound(_judged_with_split(one_off, 0, 7))
     assert over.status == FAIL and len(over.payload["pf2"]) == 7
+
+
+def test_mu_bound_is_exact():
+    # the extremal gaps gap[(i, 2)] of WORKED are 212, 153, 146 and 126;
+    # 153 and 126 are also gap[(i, 5)] for some i
+    extremal = set(max_gap_table(NumericalSemigroup(WORKED)).gap.values())
+    filler = [x for x in range(1, 1000) if x not in extremal]
+    three_over_2 = (146, 153, 212)  # mu = (0, 3, 0, 0, 1)
+    for gaps, bound in (((), 38), (three_over_2, 37)):
+        for size, status in ((bound, PASS), (bound + 1, FAIL)):
+            pf1 = tuple(sorted([*gaps, *filler[: size - len(gaps)]]))
+            cls = PFClassification((244, 212, 244, 244, 244), pf1, (), {})
+            result = claim_mu_bound(_hand_set(WORKED, classifications=[cls]))
+            assert result.status == status, (gaps, size)
+        assert result.payload["bound"] == bound
+        assert result.payload["mus"] == ([0, 3, 0, 0, 1] if gaps else [0] * 5)
 
 
 def test_pf2_two_zeroes_matches_literal_matrices():
