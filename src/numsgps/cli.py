@@ -380,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to these embedding dimensions")
     p.add_argument("--claims", type=_parse_claims, default=None,
                    help="comma-separated claim names (default: all)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per CPU; each walks the "
+                        "genus tree and checks every W-th semigroup")
     p.add_argument("--reports", action="store_true",
                    help="stream one record per semigroup (workers 1 only)")
 

@@ -17,14 +17,16 @@ only for a node that is built into a semigroup: a walk that only counts
 or filters nodes never pays for either.
 
 Nodes never leave this module: callers get semigroups, filtered by
-embedding dimension before they are built, as one stream or cut into
-work units (work_units).
+embedding dimension before they are built, as one stream or as part k of
+W of it: every W-th semigroup of the stream from index k.  Each part
+walks the whole tree and builds only its own nodes (and resolves the
+cells of their ancestors); neighbours in depth-first order cost about
+the same, so the parts balance without any estimate of subtree sizes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
 from ..core import NumericalSemigroup, _apery_convolution
@@ -37,12 +39,6 @@ Node = tuple[tuple[int, ...], int, int, tuple[int, ...], list]
 # the semigroup N = <1>, with frobenius -1 and pseudo-Frobenius set
 # {-1}; its cell is already resolved, so no walk mutates this shared node
 _ROOT: Node = ((1,), -1, 0, (0,), [[0], (-1,)])
-
-# genus at which work_units cuts the tree into subtrees
-SPLIT_DEPTH = 6
-
-# a work unit: called, it yields the semigroups of one subtree
-Unit = Callable[[], Iterator[NumericalSemigroup]]
 
 
 def _child(node: Node, g: int) -> Node:
@@ -120,12 +116,12 @@ def _resolve(node: Node) -> list:
     return cell
 
 
-def _nodes_from(start: Node, genus_max: int) -> Iterator[Node]:
-    """Depth-first stream of the nodes in the subtree of `start` down to
-    genus_max, children visited by increasing removed generator."""
+def _nodes(genus_max: int) -> Iterator[Node]:
+    """Depth-first stream of the nodes of the tree down to genus_max,
+    children visited by increasing removed generator."""
     if genus_max < 0:
         raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
-    stack = [start]
+    stack = [_ROOT]
     while stack:
         node = stack.pop()
         yield node
@@ -140,46 +136,30 @@ def _semigroup_from_node(node: Node) -> NumericalSemigroup:
     return NumericalSemigroup._from_minimal_data(gens, frob, genus, apery, c, pf)
 
 
-def _semigroups(
-    start: Node, genus_max: int, embdim: Iterable[int] | None
-) -> Iterator[NumericalSemigroup]:
-    """The semigroups of the subtree of `start` down to genus_max with
-    embedding dimension in embdim (all when None).  The filter reads the
-    node's generator count, so a node it drops is never built."""
-    wanted = None if embdim is None else frozenset(embdim)
-    for node in _nodes_from(start, genus_max):
-        if wanted is None or len(node[0]) in wanted:
-            yield _semigroup_from_node(node)
-
-
 def semigroups_up_to(
     genus_max: int,
     embdim: Iterable[int] | None = None,
+    part: int = 0,
+    parts: int = 1,
 ) -> Iterator[NumericalSemigroup]:
     """Every numerical semigroup of genus <= genus_max, exactly once, in a
     deterministic depth-first order.  embdim restricts the yielded (not
-    the visited) semigroups to the given embedding dimensions."""
-    return _semigroups(_ROOT, genus_max, embdim)
-
-
-def work_units(
-    genus_max: int,
-    embdim: Iterable[int] | None = None,
-) -> tuple[list[NumericalSemigroup], list[Unit]]:
-    """semigroups_up_to cut at genus SPLIT_DEPTH: the semigroups above the
-    cut, and per node at the cut a unit, a picklable callable yielding
-    its subtree's semigroups.  Nothing is cut if genus_max <= SPLIT_DEPTH."""
-    if genus_max <= SPLIT_DEPTH:
-        return list(semigroups_up_to(genus_max, embdim)), []
-    cut = (node for node in _nodes_from(_ROOT, SPLIT_DEPTH) if node[2] == SPLIT_DEPTH)
-    units = [partial(_semigroups, node, genus_max, embdim) for node in cut]
-    return list(semigroups_up_to(SPLIT_DEPTH - 1, embdim)), units
+    the visited) semigroups to the given embedding dimensions; the filter
+    reads the node's generator count, so a node it drops is never built.
+    Of that stream, only every parts-th semigroup from index part is
+    built and yielded, so parts 0..parts - 1 partition it."""
+    wanted = None if embdim is None else frozenset(embdim)
+    nodes = _nodes(genus_max)
+    if wanted is not None:
+        nodes = (node for node in nodes if len(node[0]) in wanted)
+    for node in islice(nodes, part, None, parts):
+        yield _semigroup_from_node(node)
 
 
 def count_by_genus(genus_max: int) -> list[int]:
     """Number of semigroups of each genus 0..genus_max (no construction,
     walk only)."""
     counts = [0] * (genus_max + 1)
-    for node in _nodes_from(_ROOT, genus_max):
+    for node in _nodes(genus_max):
         counts[node[2]] += 1
     return counts

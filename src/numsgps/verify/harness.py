@@ -2,7 +2,7 @@
 genus bound, or over ad-hoc generator systems.
 
 It only aggregates and reports: the enumeration hands it semigroups
-built and filtered (as work units for worker processes), and the claims
+built and filtered (part k of W for worker k of W), and the claims
 module decides the claims and scans for a PF split that varies.
 
 The summary it produces is deterministic for a given configuration,
@@ -13,13 +13,15 @@ the tally, and its lists sorted by generator tuple, once at the end.
 Summary and reports depend on the configuration alone: neither carries
 a timing or reads a setting from outside it.
 
-A run with workers > 1 forks a pool of at most one process per work
-unit; multiprocessing is imported only then, so a serial census never
-loads it.
+A serial run checks part 0 of 1 and a run with workers > 1 forks W =
+min(workers, CPU count) processes, worker k checking part k of W by the
+same loop; multiprocessing is imported only then, so a serial census
+never loads it.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -35,7 +37,7 @@ from .claims import (
     canonical_claims,
     run_claims,
 )
-from .enumeration import semigroups_up_to, work_units
+from .enumeration import semigroups_up_to
 
 SCHEMA_VERSION = "1"
 
@@ -174,11 +176,11 @@ def _merge(agg: dict, part: dict) -> None:
         agg[key] += part[key]
 
 
-def _unit_worker(args: tuple) -> dict:
-    unit, cfg = args
+def _check_part(cfg: HarnessConfig, part: int, parts: int, sink=None) -> dict:
+    """The aggregate of part `part` of `parts` of the census."""
     agg = _empty_aggregate()
-    for S in unit():
-        _consume(agg, cfg, S)
+    for S in semigroups_up_to(cfg.genus_max, cfg.embdim_filter, part, parts):
+        _consume(agg, cfg, S, sink)
     return agg
 
 
@@ -232,18 +234,17 @@ def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = N
     """
     if sink is not None and cfg.workers > 1:
         raise InvalidArgumentError("per-semigroup reports require workers == 1")
-    agg = _empty_aggregate()
-    if cfg.workers == 1:
-        above, units = semigroups_up_to(cfg.genus_max, cfg.embdim_filter), []
+    # every worker walks the whole tree, so more than one per CPU only
+    # repeats the walk
+    parts = min(cfg.workers, os.cpu_count() or 1)
+    if parts == 1:
+        partials = [_check_part(cfg, 0, 1, sink)]
     else:
-        above, units = work_units(cfg.genus_max, cfg.embdim_filter)
-    for S in above:
-        _consume(agg, cfg, S, sink)
-    if units:
         import multiprocessing  # only a worker pool needs it
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(cfg.workers, len(units))) as pool:
-            for part in pool.imap_unordered(_unit_worker, [(u, cfg) for u in units]):
-                _merge(agg, part)
+        with multiprocessing.get_context("fork").Pool(processes=parts) as pool:
+            partials = pool.starmap(_check_part, [(cfg, k, parts) for k in range(parts)])
+    agg = _empty_aggregate()
+    for part in partials:
+        _merge(agg, part)
     return _finalize(agg, cfg)

@@ -1,7 +1,8 @@
 """The harness only aggregates and reports.  The enumeration owns the
-genus-tree nodes, the embedding-dimension filter and the cut into work
-units, so a change to the walk (pruning it, cutting it differently)
-stays inside verify/enumeration.py.  No module of the package reads the
+genus-tree nodes, the embedding-dimension filter and the split of its
+stream into parts (every W-th semigroup from index k), so a change to
+the walk (pruning it, splitting it differently) stays inside
+verify/enumeration.py.  No module of the package reads the
 environment, so every result is a function of its arguments.  In the
 CLI, handlers only build payloads: main alone writes records, reads
 --pretty and maps errors to exit codes, and the record kinds live in the

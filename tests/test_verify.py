@@ -1,9 +1,13 @@
 """Genus-tree enumeration, claim checking, and the parallel harness."""
 
 import hashlib
+import itertools
 import json
 import multiprocessing
+import os
 import random
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -632,6 +636,15 @@ def test_check_all_small_summary():
         assert summary["claims"][name]["fail"] == 0
 
 
+GENUS_TWELVE_DIGEST = "bef995d089ab227adf7422ea8594babb2b86659f111b1198748ead0434292022"
+
+
+def _digest(summary: dict) -> str:
+    stripped = {k: v for k, v in summary.items() if k != "seed"}
+    body = json.dumps(stripped, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(body).hexdigest()
+
+
 def test_genus_twelve_summary_bytes_are_pinned(monkeypatch):
     # SHA-256 of the canonical summary JSON (sorted keys, no spaces)
     # without its `seed` field, the form the benchmark's census gate hashes;
@@ -639,12 +652,7 @@ def test_genus_twelve_summary_bytes_are_pinned(monkeypatch):
     # cap setting in the environment changes nothing
     for value in ("5", "abc"):
         monkeypatch.setenv("SGP_MATRIX_CAP", value)
-        summary = check_all(HarnessConfig(genus_max=12))
-        stripped = {k: v for k, v in summary.items() if k != "seed"}
-        body = json.dumps(stripped, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(body).hexdigest() == (
-            "bef995d089ab227adf7422ea8594babb2b86659f111b1198748ead0434292022"
-        )
+        assert _digest(check_all(HarnessConfig(genus_max=12))) == GENUS_TWELVE_DIGEST
 
 
 def test_failures_are_counted_and_listed_like_the_reports(monkeypatch):
@@ -713,8 +721,9 @@ def test_harness_claims_normalized_to_canonical_order():
     assert [c["claim"] for c in report.as_dict()["claims"]] == ["HERZOG3", "TRACE_EQ"]
 
 
-def test_workers_summary_identical():
-    # genus 8 exceeds the serial cutoff, so workers=2 really forks
+def test_workers_summary_identical(monkeypatch):
+    # two CPUs on any box, so workers=2 really forks two processes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for embdim in (None, frozenset({3})):
         base = check_all(HarnessConfig(genus_max=8, embdim_filter=embdim, workers=1))
         split = check_all(HarnessConfig(genus_max=8, embdim_filter=embdim, workers=2))
@@ -722,9 +731,10 @@ def test_workers_summary_identical():
         assert json.dumps(base, sort_keys=True) == json.dumps(split, sort_keys=True)
 
 
-def test_pool_has_at_most_one_process_per_unit(monkeypatch):
-    # an in-process stand-in for the fork context records the pool size;
-    # no process starts
+def _stand_in_pool(monkeypatch) -> list[int]:
+    """Replace the fork context by an in-process stand-in that runs the
+    parts one after another and records each pool's size; no process
+    starts."""
     sizes = []
 
     class Pool:
@@ -737,14 +747,45 @@ def test_pool_has_at_most_one_process_per_unit(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap_unordered(self, func, items):
-            return map(func, items)
+        def starmap(self, func, items):
+            return list(itertools.starmap(func, items))
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-    _above, units = enumeration.work_units(8, None)
-    summary = check_all(HarnessConfig(genus_max=8, workers=100_000))
-    assert sizes == [len(units)] == [23]
-    assert summary == check_all(HarnessConfig(genus_max=8))
+    return sizes
+
+
+@pytest.mark.parametrize("embdim", [None, {3}, {4, 5}], ids=str)
+def test_parts_partition_the_census_stream(embdim):
+    whole = list(semigroups_up_to(10, embdim))
+    for parts in range(1, 6):
+        counts = Counter()
+        for k in range(parts):
+            part = [S.generators for S in semigroups_up_to(10, embdim, k, parts)]
+            # every parts-th semigroup from index k, so sizes differ by <= 1
+            assert len(part) == len(range(k, len(whole), parts))
+            counts.update(part)
+        assert counts == Counter(S.generators for S in whole)
+
+
+def test_five_partials_merge_to_the_pinned_summary(monkeypatch):
+    sizes = _stand_in_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _digest(check_all(HarnessConfig(genus_max=12, workers=5))) == GENUS_TWELVE_DIGEST
+    assert sizes == [5]
+
+
+def test_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    sizes = _stand_in_pool(monkeypatch)
+    serial = check_all(HarnessConfig(genus_max=8))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert check_all(HarnessConfig(genus_max=8, workers=100_000)) == serial
+    assert sizes == [3]
+    # an unknown CPU count runs serially: no pool, and multiprocessing
+    # is never imported (an import of a None entry raises ImportError)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setitem(sys.modules, "multiprocessing", None)
+    assert check_all(HarnessConfig(genus_max=8, workers=100_000)) == serial
+    assert sizes == [3]
 
 
 def test_embdim_filter_drops_nodes_before_building(monkeypatch):
