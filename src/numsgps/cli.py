@@ -40,6 +40,7 @@ from .errors import (
 )
 from .gorenstein import (
     RelativeIdeal,
+    count_choices,
     is_almost_symmetric,
     is_nearly_gorenstein,
     is_symmetric,
@@ -50,7 +51,6 @@ from .gorenstein import (
 from .rf import (
     capped_matrices,
     classify_pf,
-    matrix_count,
     minus_row_lists,
     plus_row_lists,
 )
@@ -185,7 +185,7 @@ def _cmd_rf(args, emit) -> None:
     head = {"f": args.f, "kind": args.kind}
     if args.count:
         counts = [len(r) for r in rows]
-        emit({**head, "count": matrix_count(rows), "row_counts": counts, **tail})
+        emit({**head, "count": count_choices(rows), "row_counts": counts, **tail})
         return
     for index, M in enumerate(capped_matrices(rows)):
         emit({**head, "index": index, "rows": [list(row) for row in M], **tail})
@@ -242,18 +242,15 @@ def _cmd_verify(args, emit) -> int:
     return 1 if summary["total_failures"] else 0
 
 
+# the invariants a construct record carries, in its key order
+_FAMILY_FIELDS = (
+    "generators", "frobenius", "genus", "type", "pf", "nearly_gorenstein", "almost_symmetric"
+)
+
+
 def _family_payload(family: str, params: dict, S: NumericalSemigroup) -> dict:
-    return {
-        "family": family,
-        "params": params,
-        "generators": list(S.generators),
-        "frobenius": S.frobenius,
-        "genus": S.genus,
-        "type": S.type,
-        "pf": list(S.pseudo_frobenius()),
-        "nearly_gorenstein": is_nearly_gorenstein(S),
-        "almost_symmetric": is_almost_symmetric(S),
-    }
+    invariants = _semigroup_payload(S)
+    return {"family": family, "params": params, **{k: invariants[k] for k in _FAMILY_FIELDS}}
 
 
 def _construct_backelin(args, emit) -> None:

@@ -154,36 +154,29 @@ def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigr
     return chain
 
 
-def _require_rows(S: NumericalSemigroup, target: int, rows, label: str) -> None:
-    lists = plus_row_lists(S, target)
-    for i, row in enumerate(rows):
-        if row not in lists[i]:
-            raise FamilyPropertyError(
-                f"{label}: predicted row {row} for generator "
-                f"{S.generators[i]} is not a factorization of {target} + it"
-            )
-
-
-def _require_matrices(S: NumericalSemigroup, T: int, cases, params: str, label: str) -> None:
-    """A family's certificate: for each (lam, target, formula, rows) of
-    cases, target is pseudo-Frobenius and owns the predicted additive
-    rows, whose zero pattern is constant on the interior lambda range
-    (the boundary values turn single entries to zero).  formula, params
-    and label only word the errors."""
+def _require_matrices(S: NumericalSemigroup, cases) -> None:
+    """A family's certificate: for each (lam, target, rows) of cases,
+    target is pseudo-Frobenius and each predicted row is one of its
+    additive rows, and the rows' zero pattern is constant on the interior
+    lambda range (the boundary values turn single entries to zero)."""
     pf = set(S.pseudo_frobenius())
     patterns = []
-    for lam, target, formula, rows in cases:
+    for lam, target, rows in cases:
         if target not in pf:
-            raise FamilyPropertyError(
-                f"{target} = {formula} is not pseudo-Frobenius for {params}"
-            )
-        _require_rows(S, target, rows, f"{label} lambda={lam}")
-        patterns.append(tuple(tuple(c == 0 for c in row) for row in rows))
+            raise FamilyPropertyError(f"lambda = {lam}: {target} is not pseudo-Frobenius")
+        for n, row, choices in zip(S.generators, rows, plus_row_lists(S, target)):
+            if row not in choices:
+                raise FamilyPropertyError(
+                    f"lambda = {lam}: predicted row {row} for generator {n} "
+                    f"is not a factorization of {target} + {n}"
+                )
+        patterns.append((lam, tuple(tuple(c == 0 for c in row) for row in rows)))
     interior = patterns[1:-1]
-    if interior and any(p != interior[0] for p in interior[1:]):
-        raise FamilyPropertyError(
-            f"zero pattern varies on the interior lambda range for T = {T}"
-        )
+    for lam, pattern in interior[1:]:
+        if pattern != interior[0][1]:
+            raise FamilyPropertyError(
+                f"zero pattern at interior lambda = {lam} differs from lambda = {interior[0][0]}"
+            )
 
 
 def backelin(T: int) -> NumericalSemigroup:
@@ -221,8 +214,7 @@ def backelin(T: int) -> NumericalSemigroup:
         )
 
     f = (3 * T + 3) * gens[3] - gens[0]
-    cases = ((lam, f - 3 * lam, f"f - 3*{lam}", rows(lam)) for lam in range(1, T + 1))
-    _require_matrices(S, T, cases, f"T = {T}", f"four-generator family T={T}")
+    _require_matrices(S, ((lam, f - 3 * lam, rows(lam)) for lam in range(1, T + 1)))
     return S
 
 
@@ -301,9 +293,7 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
         )
         return [tuple(printed[order[p]][order[q]] for q in range(6)) for p in range(6)]
 
-    cases = (
-        (lam, target, f"f + {lam}*d", rows(lam))
-        for lam, target in enumerate(dim6_progression(T, d, k))
+    _require_matrices(
+        S, ((lam, target, rows(lam)) for lam, target in enumerate(dim6_progression(T, d, k)))
     )
-    _require_matrices(S, T, cases, f"T={T}, d={d}, k={k}", "six-generator family")
     return S

@@ -15,8 +15,10 @@ to child along with the Apery set.  Nothing here builds a structure that
 grows with the Frobenius number; the one left in the package is the
 reachability mask of the NGV_PROPS claim.
 
-The full semigroup N (generated by 1) is admitted with the conventions
-frobenius = -1, pseudo-Frobenius set {-1}, type 1.
+The full semigroup N (generated by 1) needs no special case: its Apery
+set mod 1 is (0,), so the general code gives frobenius = -1, genus 0
+and, the one Apery element being maximal, pseudo-Frobenius set {-1} and
+type 1.
 """
 
 from __future__ import annotations
@@ -141,10 +143,6 @@ class NumericalSemigroup:
         if math.gcd(*raw) != 1:
             raise GcdNotOneError(f"gcd of {raw} is {math.gcd(*raw)}, not 1")
 
-        if raw[0] == 1:
-            self._init_parts((1,), (0,))
-            return
-
         m = raw[0]
         apery = _apery_by_relaxation(m, raw)
 
@@ -153,17 +151,12 @@ class NumericalSemigroup:
 
         # g is redundant iff g = g' + s with g' a listed generator and s a
         # nonzero element; any decomposition can be rewritten in that form.
-        minimal = tuple(
+        self.generators = tuple(
             g
             for g in raw
             if not any(gp < g and g - gp > 0 and member(g - gp) for gp in raw)
         )
-        self._init_parts(minimal, tuple(apery))
-
-    def _init_parts(self, generators: tuple[int, ...], apery: tuple[int, ...]) -> None:
-        m = generators[0]
-        self.generators = generators
-        self.apery = apery
+        self.apery = tuple(apery)
         self.frobenius = max(apery) - m
         self.genus = sum(a // m for a in apery)
         self._pf = None
@@ -244,22 +237,19 @@ class NumericalSemigroup:
         semigroup built by the genus-tree walk holds it already.
         """
         if self._pf is None:
-            if self.is_full():
-                self._pf = (-1,)
-            else:
-                m = self.generators[0]
-                apery = self.apery
-                others = self.generators[1:]
-                out = []
-                for w in apery:
-                    for n in others:
-                        x = w + n
-                        if x == apery[x % m]:
-                            break
-                    else:
-                        out.append(w - m)
-                out.sort()
-                self._pf = tuple(out)
+            m = self.generators[0]
+            apery = self.apery
+            others = self.generators[1:]
+            out = []
+            for w in apery:
+                for n in others:
+                    x = w + n
+                    if x == apery[x % m]:
+                        break
+                else:
+                    out.append(w - m)
+            out.sort()
+            self._pf = tuple(out)
         return self._pf
 
     def apery_convolution(self) -> list[int]:

@@ -6,13 +6,15 @@ ideals cost m Apery lookups.  The trace route reads the max-plus
 convolution of the Apery set with itself (apery_convolution: m**2 steps
 from scratch, O(m) when the genus-tree walk carries it from the parent)
 and tests each generator in m steps.  Almost symmetry is Nari's identity
-2 * genus == frobenius + type.  Symmetry, the candidate sets and the
-NG-vector test read only the pseudo-Frobenius set and Apery-set lookups
-(at most nu * t**2, t the type).  The candidate sets come one position
-at a time, so a verdict of "not nearly Gorenstein" stops at the first
-empty one (candidate_prefix).  The NG-vectors are the product of the
-candidate sets in vector_axes order; ng_vector_count counts them and
-ng_vector_at decodes one by its index, both without listing the others.
+2 * genus == frobenius + type.  Symmetry and the candidate sets read
+only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
+t the type).  The candidate sets come one position at a time, so a
+verdict of "not nearly Gorenstein" stops at the first empty one
+(candidate_prefix), and so does the NG-vector test, which reads them.
+The NG-vectors are the product of the candidate sets in vector_axes
+order; ng_vector_count counts them (count_choices, which also counts
+rf's matrices) and ng_vector_at decodes one by its index, both without
+listing the others.
 Nothing here builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
@@ -232,16 +234,18 @@ def _ng_axes(S: NumericalSemigroup) -> list[list[int]]:
     return vector_axes(cands)
 
 
-def count_vectors(sets: list) -> int:
-    """The number of NG-vectors over these candidate sets (or their
-    vector_axes lists): the product of their sizes."""
-    return math.prod(map(len, sets))
+def count_choices(choices: list) -> int:
+    """The number of tuples that take one item from each of these lists
+    or sets of independent choices: the product of their sizes.  It counts
+    the NG-vectors of candidate sets (or their vector_axes lists) and the
+    matrices of per-row factorization lists."""
+    return math.prod(map(len, choices))
 
 
 def ng_vector_count(S: NumericalSemigroup) -> int:
     """len(ng_vectors(S)) without listing the vectors: the product of the
     candidate-set sizes.  Raises NotNearlyGorensteinError as ng_vectors."""
-    return count_vectors(_ng_axes(S))
+    return count_choices(_ng_axes(S))
 
 
 def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
@@ -258,7 +262,7 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
     the least significant digit.  Raises InvalidArgumentError for an index
     outside [0, count), and NotNearlyGorensteinError as ng_vectors."""
     axes = _ng_axes(S)
-    count = count_vectors(axes)
+    count = count_choices(axes)
     if not 0 <= index < count:
         raise InvalidArgumentError(
             f"NG-vector index {index} out of range (the semigroup has {count})"
@@ -272,17 +276,9 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
 
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
-    """Membership test for the defining condition, without enumerating."""
-    if len(entries) != S.embedding_dimension:
-        return False
-    pf = S.pseudo_frobenius()
-    if any(f not in pf for f in entries):
-        return False
-    m = S.generators[0]
-    apery = S.apery
-    for n, g in zip(S.generators, entries):
-        for f in pf:
-            x = n + g - f
-            if x < apery[x % m]:
-                return False
-    return True
+    """Membership test for the defining condition, without enumerating:
+    each entry lies in its position's candidate set, read up to the first
+    position that fails."""
+    return len(entries) == S.embedding_dimension and all(
+        g in c for g, c in zip(entries, _candidate_sets(S))
+    )

@@ -8,10 +8,13 @@ f outside its entries, a subtractive matrix has row i factoring
 n_i + f_i - f, again with diagonal -1, so row i evaluates to f_i - f.
 Matrices of either kind are Cartesian products of independent row choices:
 `plus_row_lists` / `minus_row_lists` give the choices per row,
-`matrix_count` their product, and `capped_matrices` (behind
-`rf_plus_iter` / `rf_minus_iter`) streams the matrices as tuples of rows,
-row-major over factorization lists that are themselves in descending
-lexicographic order.
+`gorenstein.count_choices` (which counts the NG-vectors too) their
+product, and `capped_matrices` (behind `rf_plus_iter` / `rf_minus_iter`)
+streams the matrices as tuples of rows, row-major over factorization
+lists that are themselves in descending lexicographic order.
+
+The extremal gaps lambda * n_j - n_i of max_gap_table are found by
+bisection, since the qualifying lambda form an interval.
 
 One test, a single-generator row of a positive row value, splits the
 pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
@@ -32,13 +35,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
 from .errors import (
-    EmbeddingDimensionError,
     EnumerationCapError,
     MismatchedPairError,
     NotPseudoFrobeniusError,
     VectorEntryError,
 )
-from .gorenstein import is_ng_vector
+from .gorenstein import _require_proper, count_choices, is_ng_vector
 
 # the most matrices capped_matrices will stream
 MATRIX_CAP = 10**6
@@ -83,18 +85,13 @@ def minus_row_lists(
     ]
 
 
-def matrix_count(row_lists: list[list[tuple[int, ...]]]) -> int:
-    """Number of matrices assembled from independent per-row choices."""
-    return math.prod(len(rows) for rows in row_lists)
-
-
 def capped_matrices(
     row_lists: list[list[tuple[int, ...]]],
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Lazy stream of the matrices assembled from these row lists, each a
     tuple of rows.  Raises EnumerationCapError carrying the exact count,
     before any matrix is built, when there are more than MATRIX_CAP."""
-    count = matrix_count(row_lists)
+    count = count_choices(row_lists)
     if count > MATRIX_CAP:
         raise EnumerationCapError(count, MATRIX_CAP)
     return itertools.product(*row_lists)
@@ -134,11 +131,13 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
     """Largest non-member of the form lambda * n_j - n_i per pair.
 
     lambda = 1 always qualifies (n_j - n_i is negative or a non-member,
-    as both are minimal generators), so the maximum exists; the scan runs
-    downward because the qualifying set need not be an interval.
+    as both are minimal generators), and the qualifying lambda form an
+    interval 1..lambda*: adding n_j keeps a member in S.  So lambda* is
+    found by bisection between 1 and the first lambda with
+    lambda * n_j - n_i above the Frobenius number, in O(log(F / n_j))
+    lookups per pair.
     """
-    if S.embedding_dimension < 2:
-        raise EmbeddingDimensionError("need at least 2 generators")
+    _require_proper(S)
     gens = S.generators
     F = S.frobenius
     m = gens[0]
@@ -149,15 +148,17 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
         for j, nj in enumerate(gens, start=1):
             if i == j:
                 continue
-            k = -((F + ni) // -nj) + 1
-            x = k * nj - ni
-            # step down while x = k * n_j - n_i stays in S
-            while x >= 0 and x >= apery[x % m]:
-                k -= 1
-                x -= nj
-            assert k >= 1
-            lam[(i, j)] = k
-            gap[(i, j)] = k * nj - ni
+            # lo * n_j - n_i lies outside S, hi * n_j - n_i inside
+            lo, hi = 1, (F + ni) // nj + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                x = mid * nj - ni
+                if x >= 0 and x >= apery[x % m]:
+                    hi = mid
+                else:
+                    lo = mid
+            lam[(i, j)] = lo
+            gap[(i, j)] = lo * nj - ni
     return MaxGapTable(gens, lam, gap)
 
 

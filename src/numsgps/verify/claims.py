@@ -56,10 +56,10 @@ from ..errors import InvalidArgumentError
 from ..gorenstein import (
     candidate_prefix,
     companion,
+    count_choices,
     is_almost_symmetric,
     nearly_gorenstein_via_trace,
     vector_axes,
-    count_vectors,
 )
 from ..rf import (
     MaxGapTable,
@@ -126,7 +126,7 @@ class ClaimContext:
 
     @_field
     def vector_count(self) -> int:
-        return 0 if self.candidates is None else count_vectors(self.candidates)
+        return 0 if self.candidates is None else count_choices(self.candidates)
 
     @_field
     def nearly_gorenstein(self) -> bool | None:

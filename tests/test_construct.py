@@ -5,6 +5,7 @@ import pytest
 from numsgps import (
     DuplicationSpec,
     FamilyPreconditionError,
+    FamilyPropertyError,
     NotAlmostSymmetricError,
     NotAMemberError,
     NotAnIdealError,
@@ -22,7 +23,7 @@ from numsgps import (
     numerical_duplication,
     smallest_odd_generator,
 )
-from numsgps.construct import dim6_progression, dim6_raw_generators
+from numsgps.construct import _require_matrices, dim6_progression, dim6_raw_generators
 
 
 def test_duplication_spec_validation():
@@ -141,6 +142,37 @@ def test_backelin_examples():
     assert B2.type < B3.type
     with pytest.raises(ParameterTooSmallError):
         backelin(1)
+
+
+def test_family_certificate_fires_on_each_fault():
+    # backelin(5)'s certificate as its docstring gives it: target f - 3 lam
+    # with f = (3T+3) n_4 - n_1, and the predicted rows
+    T = 5
+    S = backelin(T)
+    f = (3 * T + 3) * S.generators[3] - S.generators[0]
+    cases = [
+        (lam, f - 3 * lam, (
+            (-1, 0, 3 * lam, 3 * T + 3 - 3 * lam),
+            (0, -1, 3 * lam - 3, 3 * T + 6 - 3 * lam),
+            (T + 4 + lam, 2 * T - lam, -1, 0),
+            (2 * T + 3 + lam, T - lam, 1, -1),
+        ))
+        for lam in range(1, T + 1)
+    ]
+    _require_matrices(S, cases)
+    lam, target, rows = cases[2]
+    assert lam == 3
+    broken_row = (rows[2][0] + 1,) + rows[2][1:]
+    faults = {
+        "is not pseudo-Frobenius": (lam, S.frobenius + 1, rows),
+        f"for generator {S.generators[2]}": (lam, target, rows[:2] + (broken_row,) + rows[3:]),
+        # lambda = 1's valid matrix, whose zero pattern is a boundary one
+        "zero pattern": (lam, *cases[0][1:]),
+    }
+    for words, case in faults.items():
+        with pytest.raises(FamilyPropertyError, match="lambda = 3") as exc:
+            _require_matrices(S, cases[:2] + [case] + cases[3:])
+        assert words in str(exc.value)
 
 
 def test_dim6_example():

@@ -11,10 +11,12 @@ from numsgps import (
     NotNearlyGorensteinError,
     NumericalSemigroup,
     canonical_ideal,
+    classify_pf,
     is_almost_symmetric,
     is_nearly_gorenstein,
     is_ng_vector,
     is_symmetric,
+    max_gap_table,
     nearly_gorenstein_via_trace,
     ng_candidates,
     ng_vectors,
@@ -201,8 +203,16 @@ def test_ng_candidates_structure():
 
 
 def test_ng_candidates_rejects_trivial_semigroup():
+    N = NumericalSemigroup((1,))
     with pytest.raises(EmbeddingDimensionError):
-        ng_candidates(NumericalSemigroup((1,)))
+        ng_candidates(N)
+    # every single-semigroup rule that needs two generators refuses N alike
+    with pytest.raises(EmbeddingDimensionError):
+        is_ng_vector(N, (-1,))
+    with pytest.raises(EmbeddingDimensionError):
+        classify_pf(N, (-1,))
+    with pytest.raises(EmbeddingDimensionError):
+        max_gap_table(N)
 
 
 def test_ng_vectors_worked_example():

@@ -6,7 +6,9 @@ verify/enumeration.py.  No module of the package reads the
 environment, so every result is a function of its arguments.  In the
 CLI, handlers only build payloads: main alone writes records, reads
 --pretty and maps errors to exit codes, and the record kinds live in the
-parser table."""
+parser table.  A rule of the single-semigroup layers is written once:
+one function takes the product of independent choice counts, and one
+refuses a semigroup with fewer than two generators."""
 
 import ast
 from pathlib import Path
@@ -103,3 +105,16 @@ def test_only_main_writes_records_and_the_parser_table_names_kinds():
     assert kind_owners == {"build_parser"}
     assert kinds == RECORD_KINDS
     assert pretty_flags == 1
+
+
+def test_each_single_semigroup_rule_has_one_owner():
+    products, refusals = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for owner, node in _with_owner(ast.parse(path.read_text())):
+            where = f"{path.relative_to(PACKAGE)}:{owner}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.prod", "prod"):
+                products.add(where)
+            elif isinstance(node, ast.Raise) and "EmbeddingDimensionError" in ast.unparse(node):
+                refusals.add(where)
+    assert products == {"gorenstein.py:count_choices"}
+    assert refusals == {"gorenstein.py:_require_proper"}

@@ -1,5 +1,8 @@
 """Row-factorization matrices, pair compatibility, and PF splitting."""
 
+import random
+import time
+
 import pytest
 
 from numsgps import (
@@ -16,9 +19,9 @@ from numsgps import (
     rf_plus_iter,
 )
 from numsgps import rf
+from numsgps.gorenstein import count_choices
 from numsgps.rf import (
     _single_generator_rows,
-    matrix_count,
     minus_row_lists,
     mu_bound,
     plus_row_lists,
@@ -30,6 +33,7 @@ from oracles import (
     check_coppie,
     gaps_to_generators,
     genus_tree_semigroups,
+    random_generators,
     zero_pattern,
 )
 
@@ -66,7 +70,7 @@ def test_rf_plus_matches_bruteforce_census():
     checked = 0
     for S in census(7):
         for f in S.pseudo_frobenius():
-            if matrix_count(plus_row_lists(S, f)) > 300:
+            if count_choices(plus_row_lists(S, f)) > 300:
                 continue
             got = sorted(rf_plus_iter(S, f))
             want = sorted(brute_rf_plus(S.generators, f))
@@ -85,7 +89,7 @@ def test_rf_minus_matches_bruteforce_census():
             for f in pf:
                 if f in vec.entries:
                     continue
-                if matrix_count(minus_row_lists(S, vec.entries, f)) > 300:
+                if count_choices(minus_row_lists(S, vec.entries, f)) > 300:
                     continue
                 got = sorted(rf_minus_iter(S, vec.entries, f))
                 want = sorted(brute_rf_minus(S.generators, vec.entries, f))
@@ -98,15 +102,15 @@ def test_counts_match_enumeration():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[0]
     for f in S.pseudo_frobenius():
-        assert matrix_count(plus_row_lists(S, f)) == len(list(rf_plus_iter(S, f)))
+        assert count_choices(plus_row_lists(S, f)) == len(list(rf_plus_iter(S, f)))
         if f not in vec.entries:
             rows = minus_row_lists(S, vec.entries, f)
-            assert matrix_count(rows) == len(list(rf_minus_iter(S, vec.entries, f)))
+            assert count_choices(rows) == len(list(rf_minus_iter(S, vec.entries, f)))
 
 
 def test_enumeration_cap(monkeypatch):
     S = NumericalSemigroup((5, 6, 7, 8, 9))
-    count = matrix_count(plus_row_lists(S, 4))
+    count = count_choices(plus_row_lists(S, 4))
     assert count == 4
     monkeypatch.setattr(rf, "MATRIX_CAP", 3)
     with pytest.raises(EnumerationCapError) as exc:
@@ -166,7 +170,12 @@ def test_zero_pattern():
 
 
 def test_max_gap_table_defining_property():
-    for S in (NumericalSemigroup(WORKED), NumericalSemigroup((5, 7, 9, 11))):
+    rng = random.Random(11)
+    systems = [NumericalSemigroup(WORKED), NumericalSemigroup((5, 7, 9, 11))]
+    systems += census(10)
+    systems += [NumericalSemigroup(random_generators(rng)) for _ in range(100)]
+    checked = 0
+    for S in systems:
         table = max_gap_table(S)
         gens = S.generators
         nu = len(gens)
@@ -182,6 +191,32 @@ def test_max_gap_table_defining_property():
                 top = (S.frobenius + gens[i - 1]) // gens[j - 1] + 2
                 for k in range(lam + 1, top + 1):
                     assert S.contains(k * gens[j - 1] - gens[i - 1])
+                checked += 1
+    assert checked > 5000
+
+
+def test_max_gap_table_is_logarithmic_in_the_frobenius_number():
+    # F = 12k - 2, about 1.2e9; a downward scan over lambda took 13 s
+    k = 10**8
+    S = NumericalSemigroup((6, 6 * k + 1, 6 * k + 2, 6 * k + 3, 6 * k + 5))
+    start = time.perf_counter()
+    table = max_gap_table(S)
+    assert time.perf_counter() - start < 1.0
+    # only the lambda * 6 - n_i grow with k; the scan gave the same table
+    # at k = 10, 100, 1000 and 10**8
+    small = {(1, 3): 2, (3, 4): 2, (4, 2): 2, (5, 2): 3, (5, 3): 2}
+    assert table.lam == {
+        (i, j): (3 * k if i == 3 else 2 * k) if j == 1 else small.get((i, j), 1)
+        for i in range(1, 6)
+        for j in range(1, 6)
+        if i != j
+    }
+    gens = S.generators
+    for (i, j), lam in table.lam.items():
+        ni, nj = gens[i - 1], gens[j - 1]
+        assert table.gap[(i, j)] == lam * nj - ni
+        assert not S.contains(lam * nj - ni)
+        assert S.contains((lam + 1) * nj - ni)
 
 
 def test_classify_pf_worked_example():
