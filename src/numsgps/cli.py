@@ -12,7 +12,10 @@ payload to emit, and returns an exit code (None for 0).  The parser table
 (build_parser) names each subcommand's handler and record kind and gives
 every handler --pretty from one parent parser.  main alone binds emit to
 the kind and --pretty, and turns a usage error (argparse's included) or a
-SemigroupError into one error record of the subcommand's kind.
+SemigroupError into one error record of the subcommand's kind.  The
+listings (ng-vectors, rf) stream through gorenstein.capped_product, so
+their refusal above gorenstein.MATRIX_CAP is an EnumerationCapError
+record like any other; no handler reads the cap.
 
 The module loads only the single-semigroup layers (core, errors,
 gorenstein, rf).  The verify handler imports the verification harness,
@@ -28,7 +31,6 @@ import json
 import sys
 import time
 
-from . import rf
 from .core import NumericalSemigroup
 from .errors import (
     EmptyGeneratorsError,
@@ -40,20 +42,15 @@ from .errors import (
 )
 from .gorenstein import (
     RelativeIdeal,
+    capped_product,
     count_choices,
     is_almost_symmetric,
     is_nearly_gorenstein,
     is_symmetric,
     ng_vector_at,
-    ng_vector_count,
     ng_vectors,
 )
-from .rf import (
-    capped_matrices,
-    classify_pf,
-    minus_row_lists,
-    plus_row_lists,
-)
+from .rf import classify_pf, minus_row_lists, plus_row_lists
 
 SCHEMA_VERSION = "1"
 
@@ -160,10 +157,6 @@ def _cmd_info(args, emit) -> None:
 
 def _cmd_ng_vectors(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    # refused, like a matrix listing, before a vector is built
-    count = ng_vector_count(S)
-    if count > rf.MATRIX_CAP:
-        raise EnumerationCapError(count, rf.MATRIX_CAP, "NG-vectors")
     vectors = ng_vectors(S)
     emit({
         "generators": list(S.generators),
@@ -187,7 +180,7 @@ def _cmd_rf(args, emit) -> None:
         counts = [len(r) for r in rows]
         emit({**head, "count": count_choices(rows), "row_counts": counts, **tail})
         return
-    for index, M in enumerate(capped_matrices(rows)):
+    for index, M in enumerate(capped_product(rows, "matrices")):
         emit({**head, "index": index, "rows": [list(row) for row in M], **tail})
 
 

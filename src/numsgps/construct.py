@@ -46,7 +46,7 @@ class DuplicationSpec:
     def __post_init__(self) -> None:
         if self.b % 2 == 0:
             raise NotOddError(f"b = {self.b} must be odd")
-        if self.b < 0 or self.b not in self.base:
+        if self.b not in self.base:
             raise NotAMemberError(f"b = {self.b} does not belong to the semigroup")
         if not self.ideal.is_ideal_of(self.base):
             raise NotAnIdealError(

@@ -147,7 +147,7 @@ class NumericalSemigroup:
         apery = _apery_by_relaxation(m, raw)
 
         def member(x: int) -> bool:
-            return x >= 0 and x >= apery[x % m]
+            return x >= apery[x % m]
 
         # g is redundant iff g = g' + s with g' a listed generator and s a
         # nonzero element; any decomposition can be rewritten in that form.
@@ -209,7 +209,7 @@ class NumericalSemigroup:
     # membership
 
     def contains(self, x: int) -> bool:
-        return x >= 0 and x >= self.apery[x % self.generators[0]]
+        return x >= self.apery[x % self.generators[0]]
 
     __contains__ = contains
 

@@ -14,7 +14,9 @@ verdict of "not nearly Gorenstein" stops at the first empty one
 The NG-vectors are the product of the candidate sets in vector_axes
 order; ng_vector_count counts them (count_choices, which also counts
 rf's matrices) and ng_vector_at decodes one by its index, both without
-listing the others.
+listing the others.  capped_product is the one listing of such a
+product, for ng_vectors and rf's matrices alike: above MATRIX_CAP it
+refuses with the exact count before building a tuple.
 Nothing here builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
@@ -34,7 +36,15 @@ from dataclasses import dataclass
 from operator import sub
 
 from .core import NumericalSemigroup
-from .errors import EmbeddingDimensionError, InvalidArgumentError, NotNearlyGorensteinError
+from .errors import (
+    EmbeddingDimensionError,
+    EnumerationCapError,
+    InvalidArgumentError,
+    NotNearlyGorensteinError,
+)
+
+# the most NG-vectors or matrices capped_product will stream
+MATRIX_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -242,6 +252,18 @@ def count_choices(choices: list) -> int:
     return math.prod(map(len, choices))
 
 
+def capped_product(choices: list, items: str) -> Iterator[tuple]:
+    """Lazy stream of the tuples that take one item from each of these
+    lists of choices, the last varying fastest.  Raises
+    EnumerationCapError carrying the exact count, before any tuple is
+    built, when there are more than MATRIX_CAP; items names what the
+    tuples are ("matrices", "NG-vectors") in its message."""
+    count = count_choices(choices)
+    if count > MATRIX_CAP:
+        raise EnumerationCapError(count, MATRIX_CAP, items)
+    return itertools.product(*choices)
+
+
 def ng_vector_count(S: NumericalSemigroup) -> int:
     """len(ng_vectors(S)) without listing the vectors: the product of the
     candidate-set sizes.  Raises NotNearlyGorensteinError as ng_vectors."""
@@ -251,9 +273,13 @@ def ng_vector_count(S: NumericalSemigroup) -> int:
 def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
     """All nearly Gorenstein vectors, in vector_axes order.
 
-    Raises NotNearlyGorensteinError when some position admits no entry.
+    Raises NotNearlyGorensteinError when some position admits no entry,
+    and EnumerationCapError, before a vector is built, when there are
+    more than MATRIX_CAP.
     """
-    return [NGVector(e, *_divergence(S, e)) for e in itertools.product(*_ng_axes(S))]
+    return [
+        NGVector(e, *_divergence(S, e)) for e in capped_product(_ng_axes(S), "NG-vectors")
+    ]
 
 
 def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
@@ -279,6 +305,7 @@ def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
     """Membership test for the defining condition, without enumerating:
     each entry lies in its position's candidate set, read up to the first
     position that fails."""
+    _require_proper(S)
     return len(entries) == S.embedding_dimension and all(
         g in c for g, c in zip(entries, _candidate_sets(S))
     )

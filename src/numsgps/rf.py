@@ -9,9 +9,10 @@ n_i + f_i - f, again with diagonal -1, so row i evaluates to f_i - f.
 Matrices of either kind are Cartesian products of independent row choices:
 `plus_row_lists` / `minus_row_lists` give the choices per row,
 `gorenstein.count_choices` (which counts the NG-vectors too) their
-product, and `capped_matrices` (behind `rf_plus_iter` / `rf_minus_iter`)
-streams the matrices as tuples of rows, row-major over factorization
-lists that are themselves in descending lexicographic order.
+product, and `gorenstein.capped_product` (behind `rf_plus_iter` /
+`rf_minus_iter`) streams the matrices as tuples of rows, row-major over
+factorization lists that are themselves in descending lexicographic
+order, or refuses them above `gorenstein.MATRIX_CAP`.
 
 The extremal gaps lambda * n_j - n_i of max_gap_table are found by
 bisection, since the qualifying lambda form an interval.
@@ -27,23 +28,14 @@ indices; the index fields of Witness and the keys of MaxGapTable are
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
-from .errors import (
-    EnumerationCapError,
-    MismatchedPairError,
-    NotPseudoFrobeniusError,
-    VectorEntryError,
-)
-from .gorenstein import _require_proper, count_choices, is_ng_vector
-
-# the most matrices capped_matrices will stream
-MATRIX_CAP = 10**6
+from .errors import MismatchedPairError, NotPseudoFrobeniusError, VectorEntryError
+from .gorenstein import _require_proper, capped_product, is_ng_vector
 
 
 def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
@@ -85,31 +77,19 @@ def minus_row_lists(
     ]
 
 
-def capped_matrices(
-    row_lists: list[list[tuple[int, ...]]],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Lazy stream of the matrices assembled from these row lists, each a
-    tuple of rows.  Raises EnumerationCapError carrying the exact count,
-    before any matrix is built, when there are more than MATRIX_CAP."""
-    count = count_choices(row_lists)
-    if count > MATRIX_CAP:
-        raise EnumerationCapError(count, MATRIX_CAP)
-    return itertools.product(*row_lists)
-
-
 def rf_plus_iter(
     S: NumericalSemigroup, f: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The additive matrices of f, streamed by capped_matrices."""
-    return capped_matrices(plus_row_lists(S, f))
+    """The additive matrices of f, streamed by capped_product."""
+    return capped_product(plus_row_lists(S, f), "matrices")
 
 
 def rf_minus_iter(
     S: NumericalSemigroup, entries: Sequence[int], f: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The subtractive matrices of f for the NG-vector with these entries,
-    streamed by capped_matrices."""
-    return capped_matrices(minus_row_lists(S, entries, f))
+    streamed by capped_product."""
+    return capped_product(minus_row_lists(S, entries, f), "matrices")
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +133,7 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 x = mid * nj - ni
-                if x >= 0 and x >= apery[x % m]:
+                if x >= apery[x % m]:
                     hi = mid
                 else:
                     lo = mid

@@ -166,9 +166,8 @@ class ClaimContext:
         return classify_vectors(self.S, itertools.product(*vector_axes(self.candidates)))
 
     @_field
-    def gap_table(self) -> MaxGapTable | None:
-        if not self.proper:
-            return None
+    def gap_table(self) -> MaxGapTable:
+        """max_gap_table; only the five-generated claims read it."""
         return max_gap_table(self.S)
 
     @_field

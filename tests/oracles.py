@@ -12,7 +12,7 @@ import random
 from itertools import product
 from math import gcd, prod
 
-from numsgps.gorenstein import count_choices, ng_candidates, ng_vectors
+from numsgps.gorenstein import ng_candidates, ng_vectors
 from numsgps.rf import (
     PFClassification,
     Witness,
@@ -493,11 +493,11 @@ def literal_coppie(S, vector_cap=256, pair_cap=10**4):
                 continue
             if f not in plus:
                 rows = plus_row_lists(S, f)
-                if count_choices(rows) > pair_cap:
+                if prod(map(len, rows)) > pair_cap:
                     return None
                 plus[f] = [off_diagonal_support(A) for A in product(*rows)]
             rows = minus_row_lists(S, v.entries, f)
-            if len(plus[f]) * count_choices(rows) > pair_cap:
+            if len(plus[f]) * prod(map(len, rows)) > pair_cap:
                 return None
             minus = [off_diagonal_support(B, transpose=True) for B in product(*rows)]
             instances += 1
@@ -546,7 +546,7 @@ def literal_same2(S, vector_cap=256, pair_cap=10**4):
                     key = (v.entries, f)
                     if key not in minus:
                         rows = minus_row_lists(S, v.entries, f)
-                        if count_choices(rows) > pair_cap:
+                        if prod(map(len, rows)) > pair_cap:
                             return None
                         minus[key] = list(product(*rows))
                     instances += 1

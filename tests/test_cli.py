@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from numsgps import rf
+from numsgps import gorenstein
 from numsgps.cli import main
 from numsgps.verify import CLAIM_NAMES
 
@@ -120,14 +120,14 @@ def test_non_ng_vectors_exit_one(capsys):
 
 
 def test_rf_count_never_capped(capsys, monkeypatch):
-    monkeypatch.setattr(rf, "MATRIX_CAP", 1)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 1)
     code, lines = run_cli(["rf", "5,6,7,8,9", "4", "--count"], capsys)
     assert code == 0
     assert json.loads(lines[0])["payload"]["count"] == 4
 
 
 def test_rf_stream_honors_cap(capsys, monkeypatch):
-    monkeypatch.setattr(rf, "MATRIX_CAP", 3)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 3)
     code, lines = run_cli(["rf", "5,6,7,8,9", "4"], capsys)
     assert code == 1
     payload = json.loads(lines[0])["payload"]
@@ -209,18 +209,18 @@ def test_ng_vectors_over_the_cap_is_refused_before_listing():
     assert record["kind"] == "ngvectors"
     assert record["payload"] == {
         "error": "EnumerationCap",
-        "message": f"enumeration would produce 439084800 NG-vectors, cap is {rf.MATRIX_CAP}",
+        "message": f"enumeration would produce 439084800 NG-vectors, cap is {gorenstein.MATRIX_CAP}",
         "count": 439084800,
-        "cap": rf.MATRIX_CAP,
+        "cap": gorenstein.MATRIX_CAP,
     }
 
 
 def test_ng_vectors_cap_is_inclusive(capsys, monkeypatch):
     # the worked example has exactly two NG-vectors
-    monkeypatch.setattr(rf, "MATRIX_CAP", 2)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 2)
     code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
     assert code == 0 and json.loads(lines[0])["payload"]["count"] == 2
-    monkeypatch.setattr(rf, "MATRIX_CAP", 1)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 1)
     code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
     payload = json.loads(lines[0])["payload"]
     assert code == 1 and (payload["count"], payload["cap"]) == (2, 1)
@@ -494,7 +494,7 @@ def cli_argv(draw):
 )
 @given(argv=cli_argv())
 def test_every_argv_exits_with_a_code_and_records(argv, monkeypatch):
-    monkeypatch.setattr(rf, "MATRIX_CAP", 200)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 200)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -66,6 +66,20 @@ def test_duplication_membership_identity():
                 assert D.contains(x) == ((x - b) // 2 in E)
 
 
+def test_duplication_below_twice_the_multiplicity():
+    # E = S and b = 5 give <5, 6>, whose multiplicity is below 2m = 6, so
+    # the duplication identity is checked through apery_set(6)
+    S = NumericalSemigroup((3, 5))
+    E = ideal_from_generators(S, [0])
+    D = numerical_duplication(DuplicationSpec(S, E, 5))
+    assert D.generators == (5, 6)
+    for x in range(D.frobenius + 13):
+        if x % 2 == 0:
+            assert D.contains(x) == S.contains(x // 2)
+        else:
+            assert D.contains(x) == ((x - 5) // 2 in E)
+
+
 def test_duplication_frobenius_law():
     # F(2S u (2E + b)) = 2 * (largest integer outside E) + b
     S = NumericalSemigroup((4, 9, 11))

@@ -18,6 +18,7 @@ from oracles import (
     genus_tree_semigroups,
     random_generators,
     sieve_invariants,
+    sieve_membership,
 )
 
 WORKED = (13, 45, 72, 79, 99)
@@ -76,6 +77,27 @@ def test_apery_set_structure():
         assert S.contains(w)
         assert not S.contains(w - 5)
     assert S.frobenius == max(ap) - 5
+
+
+def test_no_negative_integer_is_a_member():
+    # the Apery lookup alone rejects every negative x, multiples of m included
+    for gens in ((1,), (5, 7, 9), WORKED):
+        S = NumericalSemigroup(gens)
+        m = S.multiplicity
+        assert not any(S.contains(x) or x in S for x in range(-3 * m, 0)), gens
+
+
+def test_apery_set_of_every_small_member_matches_sieve():
+    for gens in ((3, 5), (5, 7, 9), WORKED):
+        S = NumericalSemigroup(gens)
+        top = 2 * S.generators[-1]
+        bound = S.frobenius + top + 1
+        member = sieve_membership(S.generators, bound)
+        for n in range(1, top + 1):
+            if not member[n]:
+                continue
+            least = [min(x for x in range(r, bound + 1, n) if member[x]) for r in range(n)]
+            assert S.apery_set(n) == least, (gens, n)
 
 
 def test_invariants_match_sieve_on_census():

@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from numsgps import (
     EmbeddingDimensionError,
+    EnumerationCapError,
     InvalidArgumentError,
     NotNearlyGorensteinError,
     NumericalSemigroup,
@@ -206,13 +208,26 @@ def test_ng_candidates_rejects_trivial_semigroup():
     N = NumericalSemigroup((1,))
     with pytest.raises(EmbeddingDimensionError):
         ng_candidates(N)
-    # every single-semigroup rule that needs two generators refuses N alike
+    # every single-semigroup rule that needs two generators refuses N alike,
+    # before it compares a vector's length with the embedding dimension
     with pytest.raises(EmbeddingDimensionError):
         is_ng_vector(N, (-1,))
+    with pytest.raises(EmbeddingDimensionError):
+        is_ng_vector(N, ())
     with pytest.raises(EmbeddingDimensionError):
         classify_pf(N, (-1,))
     with pytest.raises(EmbeddingDimensionError):
         max_gap_table(N)
+
+
+def test_ng_vectors_refused_above_the_cap():
+    # 439,084,800 vectors: refused with the exact count before one is built
+    S = NumericalSemigroup(range(12, 24))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as exc:
+        ng_vectors(S)
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.count, exc.value.cap) == (439084800, 10**6)
 
 
 def test_ng_vectors_worked_example():

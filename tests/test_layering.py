@@ -8,7 +8,9 @@ CLI, handlers only build payloads: main alone writes records, reads
 --pretty and maps errors to exit codes, and the record kinds live in the
 parser table.  A rule of the single-semigroup layers is written once:
 one function takes the product of independent choice counts, and one
-refuses a semigroup with fewer than two generators."""
+refuses a semigroup with fewer than two generators.  One function,
+gorenstein.capped_product, reads the listing cap and refuses a listing
+above it, for NG-vectors and matrices alike."""
 
 import ast
 from pathlib import Path
@@ -108,13 +110,27 @@ def test_only_main_writes_records_and_the_parser_table_names_kinds():
 
 
 def test_each_single_semigroup_rule_has_one_owner():
-    products, refusals = set(), set()
+    products, refusals, cap_raisers, cap_readers = set(), set(), set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for owner, node in _with_owner(ast.parse(path.read_text())):
             where = f"{path.relative_to(PACKAGE)}:{owner}"
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.prod", "prod"):
                 products.add(where)
-            elif isinstance(node, ast.Raise) and "EmbeddingDimensionError" in ast.unparse(node):
-                refusals.add(where)
+            elif isinstance(node, ast.Raise):
+                raised = ast.unparse(node)
+                if "EmbeddingDimensionError" in raised:
+                    refusals.add(where)
+                if "EnumerationCapError" in raised:
+                    cap_raisers.add(where)
+            elif (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id == "MATRIX_CAP"
+                or isinstance(node, ast.Attribute) and node.attr == "MATRIX_CAP"
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == "MATRIX_CAP" for alias in node.names)
+            ):
+                cap_readers.add(where)
     assert products == {"gorenstein.py:count_choices"}
     assert refusals == {"gorenstein.py:_require_proper"}
+    assert cap_raisers == {"gorenstein.py:capped_product"}
+    assert cap_readers == {"gorenstein.py:capped_product"}

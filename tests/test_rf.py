@@ -18,7 +18,7 @@ from numsgps import (
     rf_minus_iter,
     rf_plus_iter,
 )
-from numsgps import rf
+from numsgps import gorenstein
 from numsgps.gorenstein import count_choices
 from numsgps.rf import (
     _single_generator_rows,
@@ -112,12 +112,12 @@ def test_enumeration_cap(monkeypatch):
     S = NumericalSemigroup((5, 6, 7, 8, 9))
     count = count_choices(plus_row_lists(S, 4))
     assert count == 4
-    monkeypatch.setattr(rf, "MATRIX_CAP", 3)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 3)
     with pytest.raises(EnumerationCapError) as exc:
         rf_plus_iter(S, 4)
     assert exc.value.count == 4
     assert exc.value.cap == 3
-    monkeypatch.setattr(rf, "MATRIX_CAP", 4)
+    monkeypatch.setattr(gorenstein, "MATRIX_CAP", 4)
     assert len(list(rf_plus_iter(S, 4))) == 4
 
 
