@@ -22,9 +22,9 @@ _HOME = {
     name: module
     for module, names in (
         ("core", "NumericalSemigroup"),
-        ("gorenstein", "NGVector RelativeIdeal canonical_ideal is_symmetric "
-                       "is_almost_symmetric is_nearly_gorenstein nearly_gorenstein_via_trace "
-                       "ng_candidates ng_vectors is_ng_vector"),
+        ("gorenstein", "NGVector RelativeIdeal is_symmetric is_almost_symmetric "
+                       "is_nearly_gorenstein nearly_gorenstein_via_trace ng_vectors "
+                       "is_ng_vector"),
         ("rf", "rf_plus_iter rf_minus_iter classify_pf PFClassification Witness "
                "MaxGapTable max_gap_table MuBound"),
         ("construct", "DuplicationSpec numerical_duplication smallest_odd_generator "

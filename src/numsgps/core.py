@@ -152,9 +152,7 @@ class NumericalSemigroup:
         # g is redundant iff g = g' + s with g' a listed generator and s a
         # nonzero element; any decomposition can be rewritten in that form.
         self.generators = tuple(
-            g
-            for g in raw
-            if not any(gp < g and g - gp > 0 and member(g - gp) for gp in raw)
+            g for g in raw if not any(gp < g and member(g - gp) for gp in raw)
         )
         self.apery = tuple(apery)
         self.frobenius = max(apery) - m

@@ -1,22 +1,21 @@
-"""Canonical ideal, symmetry predicates, and nearly Gorenstein vectors.
+"""Relative ideals, symmetry predicates, and nearly Gorenstein vectors.
 
 A relative ideal is held by its least element in each residue class mod
-the multiplicity m (RelativeIdeal.least), so the canonical and maximal
-ideals cost m Apery lookups.  The trace route reads the max-plus
-convolution of the Apery set with itself (apery_convolution: m**2 steps
-from scratch, O(m) when the genus-tree walk carries it from the parent)
-and tests each generator in m steps.  Almost symmetry is Nari's identity
+the multiplicity m (RelativeIdeal.least), so the maximal ideal costs m
+Apery lookups.  The trace route reads the max-plus convolution of the
+Apery set with itself (apery_convolution: m**2 steps from scratch, O(m)
+when the genus-tree walk carries it from the parent) and tests each
+generator in m steps.  Almost symmetry is Nari's identity
 2 * genus == frobenius + type.  Symmetry and the candidate sets read
 only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
 t the type).  The candidate sets come one position at a time, so a
 verdict of "not nearly Gorenstein" stops at the first empty one
 (candidate_prefix), and so does the NG-vector test, which reads them.
 The NG-vectors are the product of the candidate sets in vector_axes
-order; ng_vector_count counts them (count_choices, which also counts
-rf's matrices) and ng_vector_at decodes one by its index, both without
-listing the others.  capped_product is the one listing of such a
-product, for ng_vectors and rf's matrices alike: above MATRIX_CAP it
-refuses with the exact count before building a tuple.
+order; ng_vector_at decodes one by its index without listing the
+others.  count_choices counts such a product and capped_product lists
+it, for ng_vectors and rf's matrices alike: above MATRIX_CAP it refuses
+with the exact count before building a tuple.
 Nothing here builds a window as wide as the Frobenius number.
 
 Two routes to near-Gorensteinness are kept deliberately separate: the
@@ -85,16 +84,6 @@ def _require_proper(S: NumericalSemigroup) -> None:
         raise EmbeddingDimensionError("operation needs a proper semigroup (at least 2 generators)")
 
 
-def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """K(S) = {x : frobenius - x not in S}.  Its least element in class
-    r mod the multiplicity m: x is in K iff F - x lies outside S iff
-    x > F - a[F - x] (indices mod m, a the Apery set), so
-    k[r] = F + m - a[F - r]."""
-    F = S.frobenius
-    m = S.multiplicity
-    return RelativeIdeal(tuple(F + m - S.apery[(F - r) % m] for r in range(m)))
-
-
 def is_symmetric(S: NumericalSemigroup) -> bool:
     """True iff the canonical ideal equals S itself, i.e. iff the
     Frobenius number is the only pseudo-Frobenius number."""
@@ -123,20 +112,10 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
         yield frozenset(cands)
 
 
-def ng_candidates(S: NumericalSemigroup) -> list[frozenset[int]]:
-    """Per-generator candidate sets: position i holds those pseudo-Frobenius
-    g with n_i + g - f in S for every pseudo-Frobenius f.
-
-    The semigroup is nearly Gorenstein iff every set is nonempty; the first
-    set is always a subset of {frobenius}.  This is the full list;
-    is_nearly_gorenstein and candidate_prefix stop at the first empty set.
-    """
-    return list(_candidate_sets(S))
-
-
 def candidate_prefix(S: NumericalSemigroup) -> list[frozenset[int]]:
     """The candidate sets up to and including the first empty one: all of
-    them iff S is nearly Gorenstein."""
+    them iff S is nearly Gorenstein.  The first set is always a subset of
+    {frobenius}."""
     out = []
     for c in _candidate_sets(S):
         out.append(c)
@@ -167,7 +146,8 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
 
     A relative ideal is fixed by its least element in each residue class
     mod m, the multiplicity; with a the Apery set and indices mod m:
-    - K: k[r] = F + m - a[F - r] (canonical_ideal);
+    - K = {x : F - x not in S}: x is in K iff x > F - a[F - x], so
+      k[r] = F + m - a[F - r];
     - S - K: K is the union of the k[r] + mN, so x is in S - K iff every
       x + k[r] is in S, and dual[s] = max over r of a[s + r] - k[r];
     - the trace is an ideal of S and M the union of the n_i + S, so M lies
@@ -262,12 +242,6 @@ def capped_product(choices: list, items: str) -> Iterator[tuple]:
     if count > MATRIX_CAP:
         raise EnumerationCapError(count, MATRIX_CAP, items)
     return itertools.product(*choices)
-
-
-def ng_vector_count(S: NumericalSemigroup) -> int:
-    """len(ng_vectors(S)) without listing the vectors: the product of the
-    candidate-set sizes.  Raises NotNearlyGorensteinError as ng_vectors."""
-    return count_choices(_ng_axes(S))
 
 
 def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:

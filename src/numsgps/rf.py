@@ -102,7 +102,6 @@ class MaxGapTable:
     lam[(i, j)] is the largest lambda with lambda * n_j - n_i outside S,
     and gap[(i, j)] = lam[(i, j)] * n_j - n_i."""
 
-    generators: tuple[int, ...]
     lam: dict[tuple[int, int], int]
     gap: dict[tuple[int, int], int]
 
@@ -139,7 +138,7 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
                     lo = mid
             lam[(i, j)] = lo
             gap[(i, j)] = lo * nj - ni
-    return MaxGapTable(gens, lam, gap)
+    return MaxGapTable(lam, gap)
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
 from ..core import NumericalSemigroup, _apery_convolution
+from ..errors import InvalidArgumentError
 
 # the cell is [] (not yet resolved; the spine children start so),
 # [parent, r, x] (the parent's, with Apery entry r raised to x) or
@@ -119,8 +120,10 @@ def _resolve(node: Node) -> list:
 def _nodes(genus_max: int) -> Iterator[Node]:
     """Depth-first stream of the nodes of the tree down to genus_max,
     children visited by increasing removed generator."""
+    if not isinstance(genus_max, int):
+        raise InvalidArgumentError(f"genus_max must be an integer, got {genus_max!r}")
     if genus_max < 0:
-        raise ValueError(f"genus_max must be nonnegative, got {genus_max}")
+        raise InvalidArgumentError(f"genus_max must be nonnegative, got {genus_max}")
     stack = [_ROOT]
     while stack:
         node = stack.pop()
@@ -147,7 +150,12 @@ def semigroups_up_to(
     the visited) semigroups to the given embedding dimensions; the filter
     reads the node's generator count, so a node it drops is never built.
     Of that stream, only every parts-th semigroup from index part is
-    built and yielded, so parts 0..parts - 1 partition it."""
+    built and yielded, so parts 0..parts - 1 partition it.  part and parts
+    are integers with 0 <= part < parts, else InvalidArgumentError."""
+    if not (isinstance(part, int) and isinstance(parts, int) and 0 <= part < parts):
+        raise InvalidArgumentError(
+            f"part must be an integer in [0, parts), got part {part!r} of {parts!r}"
+        )
     wanted = None if embdim is None else frozenset(embdim)
     nodes = _nodes(genus_max)
     if wanted is not None:

@@ -53,6 +53,10 @@ class HarnessConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.genus_max, int) and isinstance(self.workers, int)):
+            raise InvalidArgumentError(
+                f"genus_max and workers must be integers, got {self.genus_max!r}, {self.workers!r}"
+            )
         if self.genus_max < 0:
             raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
         if self.workers < 1:

@@ -12,7 +12,7 @@ import random
 from itertools import product
 from math import gcd, prod
 
-from numsgps.gorenstein import ng_candidates, ng_vectors
+from numsgps.gorenstein import RelativeIdeal, candidate_prefix, ng_vectors
 from numsgps.rf import (
     PFClassification,
     Witness,
@@ -116,6 +116,16 @@ def gap_scan_pseudo_frobenius(S):
         return (-1,)
     gens = S.generators
     return tuple(g for g in gaps(S) if all(S.contains(g + n) for n in gens))
+
+
+def canonical_ideal(S):
+    """K(S) = {x : frobenius - x not in S} as a RelativeIdeal.  Its least
+    element in class r mod the multiplicity m: x is in K iff F - x lies
+    outside S iff x > F - a[F - x] (indices mod m, a the Apery set), so
+    k[r] = F + m - a[F - r]."""
+    F = S.frobenius
+    m = S.multiplicity
+    return RelativeIdeal(tuple(F + m - S.apery[(F - r) % m] for r in range(m)))
 
 
 def canonical_ideal_symmetric(S):
@@ -466,7 +476,7 @@ def _literal_vectors(S, vector_cap):
     None when there are more than vector_cap of them."""
     if S.embedding_dimension < 2:
         return []
-    cands = ng_candidates(S)
+    cands = candidate_prefix(S)
     if not all(cands):
         return []
     if prod(len(c) for c in cands) > vector_cap:

@@ -12,7 +12,6 @@ from numsgps import (
     InvalidArgumentError,
     NotNearlyGorensteinError,
     NumericalSemigroup,
-    canonical_ideal,
     classify_pf,
     is_almost_symmetric,
     is_nearly_gorenstein,
@@ -20,10 +19,9 @@ from numsgps import (
     is_symmetric,
     max_gap_table,
     nearly_gorenstein_via_trace,
-    ng_candidates,
     ng_vectors,
 )
-from numsgps.gorenstein import ng_vector_at, ng_vector_count
+from numsgps.gorenstein import candidate_prefix, ng_vector_at
 from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
@@ -31,6 +29,7 @@ from oracles import (
     brute_ng_candidates,
     brute_ng_vectors,
     brute_symmetric,
+    canonical_ideal,
     canonical_ideal_symmetric,
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
@@ -168,11 +167,11 @@ def test_almost_symmetry_reads_neither_ng_vectors_nor_candidate_sets(monkeypatch
 
 
 def _stopped_candidates_stop_early(S):
-    """ClaimContext's candidate sets against the full list and the brute
-    verdict; True when they stop before the last position."""
+    """ClaimContext's candidate sets against the brute full list and the
+    brute verdict; True when they stop before the last position."""
     _, _, _, pf, contains = sieve_invariants(S.generators)
     ctx = ClaimContext(S)
-    full = ng_candidates(S)
+    full = [frozenset(c) for c in brute_ng_candidates(S.generators, pf, contains)]
     assert ctx.nearly_gorenstein == brute_nearly_gorenstein(
         S.generators, pf, contains
     ), S.generators
@@ -195,7 +194,7 @@ def test_claim_context_candidates_stop_at_the_first_empty_set():
 
 def test_ng_candidates_structure():
     S = NumericalSemigroup(WORKED)
-    cands = ng_candidates(S)
+    cands = candidate_prefix(S)
     _, _, _, pf, contains = sieve_invariants(WORKED)
     assert [tuple(sorted(c)) for c in cands] == list(
         brute_ng_candidates(WORKED, pf, contains)
@@ -207,7 +206,7 @@ def test_ng_candidates_structure():
 def test_ng_candidates_rejects_trivial_semigroup():
     N = NumericalSemigroup((1,))
     with pytest.raises(EmbeddingDimensionError):
-        ng_candidates(N)
+        candidate_prefix(N)
     # every single-semigroup rule that needs two generators refuses N alike,
     # before it compares a vector's length with the embedding dimension
     with pytest.raises(EmbeddingDimensionError):
@@ -309,14 +308,12 @@ def test_ng_vector_at_decodes_the_listing_order():
             with pytest.raises(NotNearlyGorensteinError) as selected:
                 ng_vector_at(S, 0)
             assert str(selected.value) == str(listed.value)
-            with pytest.raises(NotNearlyGorensteinError):
-                ng_vector_count(S)
             continue
         count = ClaimContext(S).vector_count
-        assert ng_vector_count(S) == count
         if count > 10**5:
             continue
         vectors = ng_vectors(S)
+        assert len(vectors) == count
         indices = range(count)
         if count > 10**4:
             indices = [0, count - 1, *rng.sample(range(count), 50)]
@@ -336,7 +333,7 @@ def test_max_embedding_dimension_candidate_sizes():
     for m in (3, 4, 5, 6, 7):
         S = NumericalSemigroup(tuple(range(m, 2 * m)))
         assert S.pseudo_frobenius() == tuple(range(1, m))
-        sizes = [len(c) for c in ng_candidates(S)]
+        sizes = [len(c) for c in candidate_prefix(S)]
         assert sizes == [min(i, m - 1) for i in range(1, m + 1)]
         assert is_nearly_gorenstein(S)
 
@@ -371,8 +368,11 @@ def _assert_apery_routes_match_window_routes(S, rng):
     assert pf == gap_scan_pseudo_frobenius(S)
     assert is_symmetric(S) == canonical_ideal_symmetric(S)
     assert is_almost_symmetric(S) == mask_almost_symmetric(S)
-    cands = ng_candidates(S)
-    assert [tuple(sorted(c)) for c in cands] == mask_ng_candidates(S)
+    # production stops at the first empty set, so compare up to it
+    cands = candidate_prefix(S)
+    mask = mask_ng_candidates(S)
+    stop = next((i + 1 for i, c in enumerate(mask) if not c), len(mask))
+    assert [tuple(sorted(c)) for c in cands] == mask[:stop]
     probes = [(S.frobenius,) * S.embedding_dimension, (S.frobenius,)]
     probes += [tuple(rng.choice(pf) for _ in S.generators) for _ in range(4)]
     if all(cands):

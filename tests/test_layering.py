@@ -10,12 +10,20 @@ parser table.  A rule of the single-semigroup layers is written once:
 one function takes the product of independent choice counts, and one
 refuses a semigroup with fewer than two generators.  One function,
 gorenstein.capped_product, reads the listing cap and refuses a listing
-above it, for NG-vectors and matrices alike."""
+above it, for NG-vectors and matrices alike.  Every public name has a
+reader in the package or is listed in README.md's "Public API" section:
+a route that only cross-checks another lives in tests/oracles.py."""
 
 import ast
+import re
 from pathlib import Path
 
+import numsgps
+import numsgps.verify
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "numsgps"
+README = PACKAGE.parent.parent / "README.md"
+EXPORT_TABLES = frozenset({PACKAGE / "__init__.py", PACKAGE / "verify" / "__init__.py"})
 HARNESS = PACKAGE / "verify" / "harness.py"
 CLI = PACKAGE / "cli.py"
 RECORD_KINDS = frozenset({"info", "ngvectors", "rf", "classify", "verify", "construct"})
@@ -134,3 +142,51 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert refusals == {"gorenstein.py:_require_proper"}
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
+
+
+def _kept_for_library_use() -> set[str]:
+    """The names listed in README.md's "Public API" section."""
+    section = README.read_text().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(\w+)`", section, re.MULTILINE))
+
+
+def test_every_public_name_has_a_reader_in_src():
+    # public: the two export tables and every public top-level def or
+    # class; a reader is a loaded name, or an attribute of an imported
+    # name (rf.max_gap_table), outside the export tables and outside the
+    # definition of the name itself
+    public = {*numsgps.__all__, *numsgps.verify.__all__}
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        public.update(
+            stmt.name
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        )
+        if path in EXPORT_TABLES:
+            continue
+        for owner, node in _with_owner(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+            ):
+                name = node.attr
+            else:
+                continue
+            if name != owner:
+                read.add(name)
+    kept = _kept_for_library_use()
+    assert sorted(public - read - kept) == []
+    # the list names public names that need it, and nothing else
+    assert sorted(kept - public) == []
+    assert sorted(kept & read) == []

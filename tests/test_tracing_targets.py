@@ -10,6 +10,7 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # table still names them, and the benchmark repair drops them
 KNOWN_ABSENT = frozenset({
     "gorenstein.pf_shift_mask",
+    "gorenstein.ng_candidates",
     "rf.check_coppie",
     "core.member_table",
     "core.member_mask",

@@ -709,6 +709,28 @@ def test_harness_config_validation():
             HarnessConfig(genus_max=3, embdim_filter=embdim)
 
 
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [
+        # a fractional bound would walk one genus past it
+        (HarnessConfig, {"genus_max": 2.5}),
+        (HarnessConfig, {"genus_max": 3, "workers": 2.0}),
+        (semigroups_up_to, {"genus_max": 2.5}),
+        # part >= parts would yield a stream overlapping part - parts
+        (semigroups_up_to, {"genus_max": 3, "part": 3, "parts": 2}),
+        (semigroups_up_to, {"genus_max": 3, "part": -1, "parts": 2}),
+        (semigroups_up_to, {"genus_max": 3, "part": 0, "parts": 0}),
+        (semigroups_up_to, {"genus_max": 3, "part": 0.0, "parts": 1}),
+    ],
+    ids=lambda value: getattr(value, "__name__", None) or repr(value),
+)
+def test_walk_arguments_outside_their_domain_are_refused(build, kwargs):
+    with pytest.raises(InvalidArgumentError):
+        result = build(**kwargs)
+        if build is semigroups_up_to:
+            next(result)
+
+
 def test_harness_claims_normalized_to_canonical_order():
     cfg = HarnessConfig(genus_max=2, claims=("TRACE_EQ", "HERZOG3"))
     assert cfg.claims == ("HERZOG3", "TRACE_EQ")
