@@ -1,24 +1,24 @@
 """Builders for explicit semigroup families and the numerical duplication.
 
-Every builder re-proves the properties it promises on the concrete
-instance it returns; a violated property raises FamilyPropertyError
-instead of returning a semigroup that silently lacks it.  Ideals are
-RelativeIdeals (least element per residue class mod the multiplicity),
-and the duplication identity is re-proved on Apery sets, so no builder
-walks a window as wide as the Frobenius number.
+Each property a builder promises is checked once, on the instance it
+returns, by the step that settles it (a docstring proves what follows
+from an earlier check); a violated property raises FamilyPropertyError.
+Ideals are RelativeIdeals (least element per residue class mod the
+multiplicity), and the duplication identity is checked on Apery sets, so
+no builder walks a window as wide as the Frobenius number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 
-from .core import NumericalSemigroup
+from .core import MULTIPLICITY_LIMIT, NumericalSemigroup
 from .errors import (
     EmptyGeneratorsError,
     FamilyPreconditionError,
     FamilyPropertyError,
+    GeneratorTooLargeError,
     InvalidArgumentError,
     NotAlmostSymmetricError,
     NotAMemberError,
@@ -111,46 +111,36 @@ def numerical_duplication(spec: DuplicationSpec) -> NumericalSemigroup:
 
 def smallest_odd_generator(S: NumericalSemigroup) -> int:
     # gcd 1 forces an odd generator, so the scan always succeeds
-    for n in S.generators:
-        if n % 2 == 1:
-            return n
-    raise FamilyPropertyError("no odd generator found")
+    return next(n for n in S.generators if n % 2 == 1)
 
 
 def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigroup]:
     """Iterated maximal-ideal duplication [S, S_1, ..., S_depth].
 
     Each level S_i duplicates S_{i-1} with E = M(S_{i-1}) and b its
-    smallest odd generator.  Almost symmetry is asserted at every level,
-    and for a proper seed the excess follows
-    type(S_i) - 2 nu(S_i) = 2^i (type(S) - 2 nu(S)) + 2^i - 1, asserted
-    as well.  The trivial seed N is accepted but skips the excess law,
-    which fails for it.
+    smallest odd generator.  Past the seed's check, numerical_duplication
+    settles every level: from a base other than N it asserts almost
+    symmetry, type 2t + 1 and nu' = 2 nu, so t' - 2 nu' = 2 (t - 2 nu) + 1
+    (the excess law, by induction); from N, level 1 is <2, 3>, pinned by
+    the duplication identity.  A level's multiplicity is twice its base's,
+    so m(S) * 2^depth > MULTIPLICITY_LIMIT is refused before level 1.
     """
     if depth < 0:
         raise InvalidArgumentError(f"depth must be nonnegative, got {depth}")
+    if S.multiplicity > MULTIPLICITY_LIMIT >> depth:  # m * 2^depth > limit, exactly
+        raise GeneratorTooLargeError(
+            f"level {depth} would have multiplicity {S.multiplicity} * 2^{depth}, "
+            f"above {MULTIPLICITY_LIMIT}"
+        )
     if not (S.is_full() or is_almost_symmetric(S)):
         raise NotAlmostSymmetricError(f"{S!r} is not almost symmetric")
     chain = [S]
-    excess = S.type - 2 * S.embedding_dimension
-    for level in range(1, depth + 1):
+    for _ in range(depth):
         prev = chain[-1]
         spec = DuplicationSpec(
             prev, RelativeIdeal.maximal_ideal(prev), smallest_odd_generator(prev)
         )
-        nxt = numerical_duplication(spec)
-        if not is_almost_symmetric(nxt):
-            raise FamilyPropertyError(
-                f"level {level} of the tower is not almost symmetric"
-            )
-        if not S.is_full():
-            want = (1 << level) * excess + (1 << level) - 1
-            got = nxt.type - 2 * nxt.embedding_dimension
-            if got != want:
-                raise FamilyPropertyError(
-                    f"excess {got} at tower level {level}, expected {want}"
-                )
-        chain.append(nxt)
+        chain.append(numerical_duplication(spec))
     return chain
 
 
@@ -256,6 +246,12 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     f = k[T(T+1)(T+2) - 1].  Sufficient conditions k >= T, d >= T^2,
     gcd(d, k) = 1, T not congruent to 1 mod 5 are enforced as
     preconditions, and the conclusion is still verified per instance.
+
+    Two facts follow from the preconditions and are not checked again.
+    Coprime: a common divisor of the six divides n_4 - n_1 = d, so it is
+    prime to k and divides T - 1 and T + 4, hence 5, which T not 1 mod 5
+    excludes.  Distinct: T >= 2 gives n_1 < n_2 < n_3, and n_j - n_i = d
+    would need k | d, so k = 1 < T.  So the set test alone pins nu = 6.
     The construction order is not ascending (n_4 < n_3 for small d), so
     predicted rows are permuted into generator order before checking.
     """
@@ -272,10 +268,8 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
         raise FamilyPreconditionError("gcd(d, k) = 1", gcd(d, k))
 
     raw = dim6_raw_generators(T, d, k)
-    if reduce(gcd, raw) != 1:
-        raise FamilyPropertyError(f"generators {raw} are not coprime")
     S = NumericalSemigroup(sorted(raw))
-    if S.embedding_dimension != 6 or set(S.generators) != set(raw):
+    if set(S.generators) != set(raw):
         raise FamilyPropertyError(
             f"formula generators {raw} are not a minimal system"
         )

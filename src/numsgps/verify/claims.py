@@ -592,8 +592,9 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
 
 def claim_as_implies_ng(ctx: ClaimContext) -> ClaimResult:
     """Almost symmetric (Nari's identity, which reads no candidate set)
-    implies nearly Gorenstein (every candidate set nonempty)."""
-    if not ctx.proper or not ctx.almost_symmetric:
+    implies nearly Gorenstein (every candidate set nonempty).  N's
+    almost_symmetric is None, so it is inapplicable."""
+    if not ctx.almost_symmetric:
         return INAPPLICABLE
     if ctx.nearly_gorenstein:
         return PASSED

@@ -117,13 +117,18 @@ def _resolve(node: Node) -> list:
     return cell
 
 
-def _nodes(genus_max: int) -> Iterator[Node]:
-    """Depth-first stream of the nodes of the tree down to genus_max,
-    children visited by increasing removed generator."""
+def require_genus_max(genus_max) -> None:
+    """The walk's bound is an integer >= 0, else InvalidArgumentError;
+    each entry point checks it when it is called."""
     if not isinstance(genus_max, int):
         raise InvalidArgumentError(f"genus_max must be an integer, got {genus_max!r}")
     if genus_max < 0:
         raise InvalidArgumentError(f"genus_max must be nonnegative, got {genus_max}")
+
+
+def _nodes(genus_max: int) -> Iterator[Node]:
+    """Depth-first stream of the nodes of the tree down to genus_max,
+    children visited by increasing removed generator."""
     stack = [_ROOT]
     while stack:
         node = stack.pop()
@@ -151,22 +156,24 @@ def semigroups_up_to(
     reads the node's generator count, so a node it drops is never built.
     Of that stream, only every parts-th semigroup from index part is
     built and yielded, so parts 0..parts - 1 partition it.  part and parts
-    are integers with 0 <= part < parts, else InvalidArgumentError."""
+    are integers with 0 <= part < parts, else InvalidArgumentError when
+    called (the walk itself starts at the first next())."""
+    require_genus_max(genus_max)
     if not (isinstance(part, int) and isinstance(parts, int) and 0 <= part < parts):
         raise InvalidArgumentError(
             f"part must be an integer in [0, parts), got part {part!r} of {parts!r}"
         )
-    wanted = None if embdim is None else frozenset(embdim)
     nodes = _nodes(genus_max)
-    if wanted is not None:
+    if embdim is not None:
+        wanted = frozenset(embdim)
         nodes = (node for node in nodes if len(node[0]) in wanted)
-    for node in islice(nodes, part, None, parts):
-        yield _semigroup_from_node(node)
+    return map(_semigroup_from_node, islice(nodes, part, None, parts))
 
 
 def count_by_genus(genus_max: int) -> list[int]:
     """Number of semigroups of each genus 0..genus_max (no construction,
     walk only)."""
+    require_genus_max(genus_max)
     counts = [0] * (genus_max + 1)
     for node in _nodes(genus_max):
         counts[node[2]] += 1

@@ -36,7 +36,7 @@ from .claims import (
     canonical_claims,
     run_claims,
 )
-from .enumeration import semigroups_up_to
+from .enumeration import require_genus_max, semigroups_up_to
 
 SCHEMA_VERSION = "1"
 
@@ -53,12 +53,9 @@ class HarnessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.genus_max, int) and isinstance(self.workers, int)):
-            raise InvalidArgumentError(
-                f"genus_max and workers must be integers, got {self.genus_max!r}, {self.workers!r}"
-            )
-        if self.genus_max < 0:
-            raise InvalidArgumentError(f"genus_max must be nonnegative, got {self.genus_max}")
+        require_genus_max(self.genus_max)
+        if not isinstance(self.workers, int):
+            raise InvalidArgumentError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
         if self.embdim_filter is not None and min(self.embdim_filter, default=0) < 1:

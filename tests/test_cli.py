@@ -350,6 +350,15 @@ def test_construct_tower_levels(capsys):
     assert [lv["excess"] for lv in levels] == [-4, -7, -13]
 
 
+def test_construct_tower_past_the_multiplicity_limit_is_a_usage_error(capsys):
+    # refused before level 1: <3, 5> would reach multiplicity 3 * 2^40
+    code, lines = run_cli(
+        ["construct", "tower", "--gens", "3,5", "--depth", "40"], capsys
+    )
+    assert code == 2
+    assert json.loads(lines[0])["payload"]["error"] == "GeneratorTooLarge"
+
+
 def test_info_near_the_generator_limit(capsys):
     code, lines = run_cli(["info", "3,2147483647"], capsys)
     assert code == 0

@@ -1,11 +1,16 @@
 """Duplication, towers, and the named extremal families."""
 
+import time
+from functools import reduce
+from math import gcd
+
 import pytest
 
 from numsgps import (
     DuplicationSpec,
     FamilyPreconditionError,
     FamilyPropertyError,
+    GeneratorTooLargeError,
     NotAlmostSymmetricError,
     NotAMemberError,
     NotAnIdealError,
@@ -23,6 +28,7 @@ from numsgps import (
     numerical_duplication,
     smallest_odd_generator,
 )
+from numsgps import construct
 from numsgps.construct import _require_matrices, dim6_progression, dim6_raw_generators
 
 
@@ -142,6 +148,27 @@ def test_tower_from_trivial_seed():
     assert is_almost_symmetric(chain[2])
 
 
+def test_tower_depth_past_the_multiplicity_limit_is_refused_up_front():
+    # the multiplicity doubles per level, so <3, 5> reaches 3 * 2^19 > 2^20
+    # at depth 19; building the levels would take about a day
+    S = NumericalSemigroup((3, 5))
+    for depth in (19, 10**18):
+        start = time.perf_counter()
+        with pytest.raises(GeneratorTooLargeError):
+            duplication_tower(S, depth)
+        assert time.perf_counter() - start < 1
+
+
+def test_tower_depth_bound_is_exact(monkeypatch):
+    # with a limit of 24, <3, 5> may reach multiplicity 3 * 2^3 and N 2^4
+    monkeypatch.setattr(construct, "MULTIPLICITY_LIMIT", 24)
+    for S, deepest in ((NumericalSemigroup((3, 5)), 3), (NumericalSemigroup((1,)), 4)):
+        chain = duplication_tower(S, deepest)
+        assert chain[-1].multiplicity == S.multiplicity << deepest
+        with pytest.raises(GeneratorTooLargeError):
+            duplication_tower(S, deepest + 1)
+
+
 def test_smallest_odd_generator():
     assert smallest_odd_generator(NumericalSemigroup((3, 4, 5))) == 3
     assert smallest_odd_generator(NumericalSemigroup((4, 6, 9))) == 9
@@ -212,6 +239,29 @@ def test_dim6_preconditions():
         family_dim6(2, 3, 2)
     S = family_dim6(4, 16, 5)
     assert S.embedding_dimension == 6
+
+
+def test_dim6_preconditions_settle_coprimality_and_distinctness():
+    # family_dim6 checks neither: a common divisor of the six divides d,
+    # so it is prime to k and divides T - 1 and T + 4, hence 5; and
+    # n_j - n_i = d (i < j <= 3) would need k | d
+    triples = fives = 0
+    for T in range(1, 20):
+        for k in range(1, 40):
+            for d in range(1, 400):
+                if gcd(d, k) != 1:
+                    continue
+                raw = dim6_raw_generators(T, d, k)
+                common = reduce(gcd, raw)
+                assert common in (1, 5)
+                assert common == 1 or T % 5 == 1
+                fives += common == 5
+                if T % 5 != 1 and k >= T and d >= T * T:
+                    assert len(set(raw)) == 6
+                    triples += 1
+    # the box reaches the excluded case, and many admissible triples
+    assert fives > 0
+    assert triples > 30000
 
 
 def test_ideal_from_generators():

@@ -10,7 +10,8 @@ parser table.  A rule of the single-semigroup layers is written once:
 one function takes the product of independent choice counts, and one
 refuses a semigroup with fewer than two generators.  One function,
 gorenstein.capped_product, reads the listing cap and refuses a listing
-above it, for NG-vectors and matrices alike.  Every public name has a
+above it, for NG-vectors and matrices alike.  The walk's bound has one
+rule, so one function raises its refusal.  Every public name has a
 reader in the package or is listed in README.md's "Public API" section:
 a route that only cross-checks another lives in tests/oracles.py."""
 
@@ -142,6 +143,16 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert refusals == {"gorenstein.py:_require_proper"}
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
+
+
+def test_one_function_refuses_a_walk_bound():
+    raisers = {
+        f"{path.relative_to(PACKAGE)}:{owner}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _with_owner(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and "genus_max" in ast.unparse(node)
+    }
+    assert raisers == {"verify/enumeration.py:require_genus_max"}
 
 
 def _kept_for_library_use() -> set[str]:
