@@ -5,12 +5,17 @@ the multiplicity m (RelativeIdeal.least), so the maximal ideal costs m
 Apery lookups.  The trace route reads the max-plus convolution of the
 Apery set with itself (apery_convolution: m**2 steps from scratch, O(m)
 when the genus-tree walk carries it from the parent) and tests each
-generator in m steps.  Almost symmetry is Nari's identity
+generator in m steps, returning at the first generator outside the
+trace.  Almost symmetry is Nari's identity
 2 * genus == frobenius + type.  Symmetry and the candidate sets read
 only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
-t the type).  The candidate sets come one position at a time, so a
+t the type).  A candidate is tested against the pseudo-Frobenius numbers
+largest first, whose shifted values are the likeliest gaps, and dropped
+at the first gap.  The candidate sets come one position at a time, so a
 verdict of "not nearly Gorenstein" stops at the first empty one
 (candidate_prefix), and so does the NG-vector test, which reads them.
+The companion rule of an NG-vector entry is written once, in
+companion_finder, over a dict from each generator to its position.
 The NG-vectors are the product of the candidate sets in vector_axes
 order; ng_vector_at decodes one by its index without listing the
 others.  count_choices counts such a product and capped_product lists
@@ -29,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import sub
 
@@ -93,17 +97,26 @@ def is_symmetric(S: NumericalSemigroup) -> bool:
 def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     """Position i's candidate set, yielded in generator order: those
     pseudo-Frobenius g with n_i + g - f in S for every pseudo-Frobenius f
-    (t**2 Apery lookups, t the type).  A caller that stops at the first
-    empty set pays only for the positions up to it."""
+    (at most t**2 Apery lookups, t the type).  A caller that stops at the
+    first empty set pays only for the positions up to it.
+
+    Each g is tested against f largest first, F first, and dropped at the
+    first shifted value n_i + g - f outside S.  The test is a conjunction
+    over f, so its order changes no set; it changes only how soon a
+    rejection is found.  The largest f gives the smallest shifted value,
+    and the smaller a number the likelier it is a gap (every number above
+    F lies in S), so that order finds most rejections first: at genus 16
+    it cuts the census's Apery lookups by about a third."""
     _require_proper(S)
     m = S.generators[0]
     apery = S.apery
     pf = S.pseudo_frobenius()
+    descending = pf[::-1]
     for n in S.generators:
         cands = []
         for g in pf:
             base = n + g
-            for f in pf:
+            for f in descending:
                 x = base - f
                 if x < apery[x % m]:
                     break
@@ -160,15 +173,20 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     pseudo-Frobenius f, and c comes from the Apery set alone (built here,
     or carried down the genus tree from the parent's): reading PF or the
     candidate sets would collapse this route into the candidate-set route
-    it is checked against.
+    it is checked against.  M lies in the trace iff every generator does,
+    so the loop returns False at the first generator outside it.
     """
     _require_proper(S)
     m = S.generators[0]
     a = S.apery
     c = S.apery_convolution()
-    # cc[n % m + v] is c[(n + v) % m] for v in [0, m)
+    # cc[r + v] is c[(r + v) % m] for v in [0, m)
     cc = c + c
-    return all(min(map(sub, cc[n % m : n % m + m], a)) <= n for n in S.generators)
+    for n in S.generators:
+        r = n % m
+        if min(map(sub, cc[r : r + m], a)) > n:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -187,19 +205,28 @@ class NGVector:
     ell: int | None
 
 
-def companion(gens: tuple[int, ...], F: int, h: int, g: int) -> int | None:
-    """The companion of an NG-vector entry g != F at 0-based position h:
-    the one position ell < h with g = F - n_h + n_ell, else None."""
-    target = g - F + gens[h]
-    ell = bisect_left(gens, target, 0, h)
-    return ell if ell < h and gens[ell] == target else None
+def companion_finder(gens: tuple[int, ...], F: int) -> Callable[[int, int], int | None]:
+    """The companion rule of one semigroup, written once: the returned
+    companion(h, g) is, for an NG-vector entry g != F at 0-based position
+    h, the one position ell < h with g = F - n_h + n_ell, else None.  The
+    generator positions are a dict built here, once per semigroup, so
+    each entry costs one lookup."""
+    position = {n: i for i, n in enumerate(gens)}
+
+    def companion(h: int, g: int) -> int | None:
+        ell = position.get(g - F + gens[h], h)
+        return ell if ell < h else None
+
+    return companion
 
 
-def _divergence(S: NumericalSemigroup, entries: tuple[int, ...]) -> tuple[int | None, int | None]:
+def _divergence(
+    S: NumericalSemigroup, companion: Callable[[int, int], int | None], entries: tuple[int, ...]
+) -> tuple[int | None, int | None]:
     F = S.frobenius
     for h, f in enumerate(entries):
         if f != F:
-            ell = companion(S.generators, F, h, f)
+            ell = companion(h, f)
             if ell is None:
                 raise RuntimeError(
                     f"minimum-index property violated for {entries} of {S!r}"
@@ -251,9 +278,9 @@ def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
     and EnumerationCapError, before a vector is built, when there are
     more than MATRIX_CAP.
     """
-    return [
-        NGVector(e, *_divergence(S, e)) for e in capped_product(_ng_axes(S), "NG-vectors")
-    ]
+    vectors = capped_product(_ng_axes(S), "NG-vectors")
+    companion = companion_finder(S.generators, S.frobenius)
+    return [NGVector(e, *_divergence(S, companion, e)) for e in vectors]
 
 
 def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
@@ -272,7 +299,8 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
         index, digit = divmod(index, len(axis))
         entries.append(axis[digit])
     entries = tuple(reversed(entries))
-    return NGVector(entries, *_divergence(S, entries))
+    companion = companion_finder(S.generators, S.frobenius)
+    return NGVector(entries, *_divergence(S, companion, entries))
 
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:

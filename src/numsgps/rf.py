@@ -247,18 +247,27 @@ def classification_variance(
     i.  So f varies iff some position has a candidate other than f with
     such a row, and every position has one without.  No vector is
     enumerated.
+
+    The positions of an f are scanned in generator order, and the scan
+    stops at the first position whose candidates other than f all have
+    such a row: every vector then puts f in the first class, whatever the
+    other positions hold, so f cannot vary.  That exit is exact, as the
+    verdict needs every position to have a candidate without a row.
     """
     gens = S.generators
     out = []
     for f in avoidable:
         if any(_single_generator_rows(gens, i, f + n) for i, n in enumerate(gens)):
             continue
-        hits = [
-            [bool(_single_generator_rows(gens, i, n + g - f)) for g in c - {f}]
-            for i, (n, c) in enumerate(zip(gens, candidates))
-        ]
-        if any(map(any, hits)) and not any(map(all, hits)):
-            out.append((f, ["pf1", "pf2"]))
+        some_hit = False
+        for i, (n, c) in enumerate(zip(gens, candidates)):
+            hits = [bool(_single_generator_rows(gens, i, n + g - f)) for g in c if g != f]
+            if all(hits):
+                break
+            some_hit = some_hit or any(hits)
+        else:
+            if some_hit:
+                out.append((f, ["pf1", "pf2"]))
     return out
 
 

@@ -30,9 +30,13 @@ is computed on its first access, without a lock, and then read from the
 instance dict), every pass or inapplicable verdict without a payload is
 one shared ClaimResult, and NGV_PROPS asks whether a number is a
 combination of the later generators through one reachability bitmask
-instead of enumerating factorizations.  The candidate prefix and the
-companion rule come from gorenstein; canonical_claims is the one
-check of claim names and their order.
+instead of enumerating factorizations.  NGV_PROPS keeps each position's
+entries without a companion unsorted and only tests whether they exist;
+a failure payload names the largest, found only then.  The candidate
+prefix and the companion rule come from gorenstein (the rule's generator
+dict is built once per semigroup, ClaimContext.companion, and shared by
+FIRST_ZERO and NGV_PROPS); canonical_claims is the one check of claim
+names and their order.
 
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
@@ -48,6 +52,7 @@ statements.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,7 +60,7 @@ from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
 from ..gorenstein import (
     candidate_prefix,
-    companion,
+    companion_finder,
     count_choices,
     is_almost_symmetric,
     nearly_gorenstein_via_trace,
@@ -123,6 +128,13 @@ class ClaimContext:
         NGV_PROPS, FIRST_ZERO, SAME2, varying) checks
         nearly_gorenstein or avoidable first, so sees full lists only."""
         return candidate_prefix(self.S) if self.proper else None
+
+    @_field
+    def companion(self) -> Callable[[int, int], int | None]:
+        """gorenstein.companion_finder of this semigroup: companion(h, g)
+        is the companion position of the entry g != F at position h, or
+        None; FIRST_ZERO and NGV_PROPS share its generator dict."""
+        return companion_finder(self.S.generators, self.S.frobenius)
 
     @_field
     def vector_count(self) -> int:
@@ -359,14 +371,14 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     """
     if not ctx.nearly_gorenstein:
         return INAPPLICABLE
-    gens = ctx.S.generators
     F = ctx.S.frobenius
     cands = ctx.candidates
-    for h0 in range(1, len(gens)):
+    companion = ctx.companion
+    for h0 in range(1, len(cands)):
         if F not in cands[h0 - 1]:
             break
         for g in cands[h0] - {F}:
-            if companion(gens, F, h0, g) is not None and any(
+            if companion(h0, g) is not None and any(
                 f != F and f != g for f in ctx.avoidable
             ):
                 return _premise_result(ctx)
@@ -556,10 +568,11 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
                 reason="no factorization over the later generators",
             )
 
-    # each position's entries other than F, descending, those without a
-    # companion position, and whether it holds F
-    off_f = [sorted(c - {F}, reverse=True) for c in cands]
-    orphans = [[g for g in off if companion(gens, F, h, g) is None] for h, off in enumerate(off_f)]
+    # each position's entries off F without a companion position
+    # (unsorted: a failure payload names the largest), and whether it
+    # holds F, so that it has an entry off F iff len(c) > holds_f
+    companion = ctx.companion
+    orphans = [[g for g in c if g != F and companion(h, g) is None] for h, c in enumerate(cands)]
     holds_f = [F in c for c in cands]
     for h0 in range(1, nu):
         # every position before h0 holds F (earlier passes saw the others)
@@ -567,18 +580,21 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
             break
         if orphans[h0]:
             return _fail(
-                ctx, h=h0 + 1, entry=orphans[h0][0],
+                ctx, h=h0 + 1, entry=max(orphans[h0]),
                 reason="first entry off F has no companion position",
             )
-        if off_f[h0]:
+        if len(cands[h0]) > holds_f[h0]:
+            n0 = gens[h0]
             for h1 in range(h0 + 1, nu):
                 # an entry without a companion needs gp - F + n_h1 to be a
-                # positive multiple of n_h0
-                for gp in orphans[h1]:
-                    delta = gp - F + gens[h1]
-                    if not (delta > 0 and delta % gens[h0] == 0):
+                # positive multiple of n_h0 (most positions have none, and
+                # the test skips building an empty list for them)
+                if orphans[h1]:
+                    shift = gens[h1] - F
+                    misfits = [gp for gp in orphans[h1] if gp + shift <= 0 or (gp + shift) % n0]
+                    if misfits:
                         return _fail(
-                            ctx, h=h0 + 1, h_prime=h1 + 1, entry=gp,
+                            ctx, h=h0 + 1, h_prime=h1 + 1, entry=max(misfits),
                             reason="second entry off F fits neither branch",
                         )
                 if not holds_f[h1]:

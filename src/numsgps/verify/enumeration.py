@@ -27,7 +27,7 @@ the same, so the parts balance without any estimate of subtree sizes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import islice
 
 from ..core import NumericalSemigroup, _apery_convolution
 from ..errors import InvalidArgumentError
@@ -110,7 +110,7 @@ def _resolve(node: Node) -> list:
         m = len(a)
         # a[s:] + a[:s] is a'[(j - r) % m] for j in [0, m)
         s = m - r
-        c = list(map(max, c, map(x.__add__, chain(islice(a, s, None), islice(a, s)))))
+        c = list(map(max, c, map(x.__add__, a[s:] + a[:s])))
         g = x - m
         pf = (*[f for f in pf if (y := g - f) < a[y % m]], g)
         cell[:] = (c, pf)

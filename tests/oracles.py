@@ -16,7 +16,6 @@ from numsgps.gorenstein import RelativeIdeal, candidate_prefix, ng_vectors
 from numsgps.rf import (
     PFClassification,
     Witness,
-    classify_pf,
     minus_row_lists,
     plus_row_lists,
 )
@@ -434,11 +433,13 @@ def literal_ngv_props(ctx):
 
 
 def literal_classification_variance(S, vectors):
-    """Pseudo-Frobenius numbers classified pf1 for some of the vectors and
-    pf2 for others, from one classify_pf call per vector."""
+    """Pseudo-Frobenius numbers classified pf1 for some of the vectors
+    (entry tuples) and pf2 for others, from one scan_classify_pf call per
+    vector; the vectors are not checked to be NG-vectors, so hand-set
+    candidate sets can be scanned too."""
     seen = {}
-    for vec in vectors:
-        cls = classify_pf(S, vec.entries)
+    for entries in vectors:
+        cls = scan_classify_pf(S, entries)
         for f in cls.pf1:
             seen.setdefault(f, set()).add("pf1")
         for f in cls.pf2:

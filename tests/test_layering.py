@@ -10,7 +10,10 @@ parser table.  A rule of the single-semigroup layers is written once:
 one function takes the product of independent choice counts, and one
 refuses a semigroup with fewer than two generators.  One function,
 gorenstein.capped_product, reads the listing cap and refuses a listing
-above it, for NG-vectors and matrices alike.  The walk's bound has one
+above it, for NG-vectors and matrices alike.  One function,
+gorenstein.companion_finder, looks a value up among the generators: the
+companion rule (an entry g off F at position h has the companion ell < h
+with n_ell = g - F + n_h) is written there only.  The walk's bound has one
 rule, so one function raises its refusal.  Every public name has a
 reader in the package or is listed in README.md's "Public API" section:
 a route that only cross-checks another lives in tests/oracles.py."""
@@ -118,11 +121,50 @@ def test_only_main_writes_records_and_the_parser_table_names_kinds():
     assert pretty_flags == 1
 
 
+def _generator_tuple(expr: ast.expr) -> bool:
+    """gens, X.generators, or a slice of either."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    return (
+        isinstance(expr, ast.Name) and expr.id == "gens"
+        or isinstance(expr, ast.Attribute) and expr.attr == "generators"
+    )
+
+
+def _looks_up_a_generator(node: ast.AST) -> bool:
+    """A search for a value among the generators: a bisect call, an index
+    call or an `in` test on them, or a dict from each generator to its
+    position ({n: i for i, n in enumerate(...)})."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return ast.unparse(func).rpartition(".")[2].startswith("bisect") or (
+            isinstance(func, ast.Attribute) and func.attr == "index" and _generator_tuple(func.value)
+        )
+    if isinstance(node, ast.Compare):
+        return any(
+            isinstance(op, (ast.In, ast.NotIn)) and _generator_tuple(right)
+            for op, right in zip(node.ops, node.comparators)
+        )
+    if isinstance(node, ast.DictComp):
+        loop = node.generators[0]
+        return (
+            isinstance(loop.iter, ast.Call)
+            and ast.unparse(loop.iter.func) == "enumerate"
+            and isinstance(loop.target, ast.Tuple)
+            and [ast.unparse(e) for e in loop.target.elts]
+            == [ast.unparse(node.value), ast.unparse(node.key)]
+        )
+    return False
+
+
 def test_each_single_semigroup_rule_has_one_owner():
     products, refusals, cap_raisers, cap_readers = set(), set(), set(), set()
+    generator_lookups = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for owner, node in _with_owner(ast.parse(path.read_text())):
             where = f"{path.relative_to(PACKAGE)}:{owner}"
+            if _looks_up_a_generator(node):
+                generator_lookups.add(where)
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.prod", "prod"):
                 products.add(where)
             elif isinstance(node, ast.Raise):
@@ -143,6 +185,7 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert refusals == {"gorenstein.py:_require_proper"}
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
+    assert generator_lookups == {"gorenstein.py:companion_finder"}
 
 
 def test_one_function_refuses_a_walk_bound():

@@ -343,6 +343,12 @@ NGV_FAILURES = [
     ((5, 6, 7, 8, 9), [{4}, {3}, {1, 4}, {1}, {2}], None,
      {"vector": [4, 3, 1, 1, 2], "position": 3,
       "reason": "distinct prefix entry off the forced value"}),
+    # two entries without a companion: the payload names the largest
+    ((4, 6, 7, 9), [{5}, {5}, {1, 3}, {2}], None,
+     {"h": 3, "entry": 3, "reason": "first entry off F has no companion position"}),
+    ((4, 6, 7, 9), [{5}, {3}, {5}, {1, 4}], None,
+     {"h": 2, "h_prime": 4, "entry": 4,
+      "reason": "second entry off F fits neither branch"}),
 ]
 
 
@@ -370,7 +376,7 @@ def _assert_variance_matches_literal_scan(S):
     ctx = ClaimContext(S)
     expected = []
     if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
-        expected = literal_classification_variance(S, ng_vectors(S))
+        expected = literal_classification_variance(S, (v.entries for v in ng_vectors(S)))
     assert ctx.varying == expected, S.generators
     return ctx.vector_count > LITERAL_VARIANCE_VECTORS
 
@@ -389,6 +395,29 @@ def test_factored_classification_variance_matches_literal_scan():
         _assert_variance_matches_literal_scan(
             NumericalSemigroup(random_generators(rng, frobenius_cap=400))
         )
+
+
+# <8, 9, 10, 12, 15>, F = 14, PF = (7, 11, 13, 14): for f = 13 no f + n_i
+# is a multiple of another generator, and the row value n_i + g - 13 is
+# one (a hit) for g = 14 at positions 1, 2 and 5, for g = 11 at 3 and 4,
+# and for g = 7 at 5 only
+VARIANCE_CASES = [
+    # position 1 holds a hit and a miss, every other only a miss: 13 varies
+    ([{7, 14}, {7}, {7}, {7}, {11}], [(13, ["pf1", "pf2"])]),
+    # the same mixed position 1, rescued by position 3, which holds only
+    # a hit: every vector puts 13 in pf1
+    ([{7, 14}, {7}, {11}, {7}, {11}], []),
+]
+
+
+@pytest.mark.parametrize("cands, expected", VARIANCE_CASES)
+def test_classification_variance_on_hand_set_candidate_sets(cands, expected):
+    S = NumericalSemigroup((8, 9, 10, 12, 15))
+    ctx = ClaimContext(S)
+    ctx.candidates = [frozenset(c) for c in cands]
+    assert 13 in ctx.avoidable
+    assert ctx.varying == expected
+    assert literal_classification_variance(S, itertools.product(*cands)) == expected
 
 
 def test_classification_table_matches_per_vector_scan():
