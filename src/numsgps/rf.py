@@ -17,9 +17,10 @@ order, or refuses them above `gorenstein.MATRIX_CAP`.
 The extremal gaps lambda * n_j - n_i of max_gap_table are found by
 bisection, since the qualifying lambda form an interval.
 
-One test, a single-generator row of a positive row value, splits the
-pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
-those whose split changes with the vector (classification_variance).
+One hit test, a single-generator row of f + n_i or n_i + f_i - f, splits
+the pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
+those whose split changes with the vector (classification_variance); 39
+of <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
 
 Row and column positions inside a matrix are plain 0-based Python
 indices; the index fields of Witness and the keys of MaxGapTable are
@@ -234,41 +235,34 @@ def classify_vectors(
 
 
 def classification_variance(
-    S: NumericalSemigroup,
-    candidates: list[frozenset[int]],
-    avoidable: Iterable[int],
-) -> list[tuple[int, list[str]]]:
-    """The avoidable f (those some NG-vector keeps outside its entries)
-    whose PF split differs across those vectors, each with its classes.
+    S: NumericalSemigroup, candidates: list[frozenset[int]], avoidable: Iterable[int]
+) -> tuple[int, ...]:
+    """The avoidable f (some NG-vector keeps them outside its entries)
+    that are pf1 for one such vector and pf2 for another.
 
-    f is in the first class for a vector iff, at some position i,
-    f + n_i or n_i + f_i - f has a single-generator row.  The first test
-    does not depend on the vector, and the second only on the entry at
-    i.  So f varies iff some position has a candidate other than f with
-    such a row, and every position has one without.  No vector is
-    enumerated.
-
-    The positions of an f are scanned in generator order, and the scan
-    stops at the first position whose candidates other than f all have
-    such a row: every vector then puts f in the first class, whatever the
-    other positions hold, so f cannot vary.  That exit is exact, as the
-    verdict needs every position to have a candidate without a row.
+    A candidate g != f at position i is a hit when f + n_i or n_i + g - f
+    has a single-generator row: classify_vectors' rule per (f, position,
+    entry).  The vectors avoiding f are the product of the sets c_i - {f},
+    none empty, and one puts f in pf1 iff one of its entries is a hit.  So
+    f is pf1 for some vector iff some candidate is a hit, and pf2 for some
+    iff no position's candidates are all hits (a row of f + n_i makes its
+    position all hits).  One pass over the positions, stopping at the
+    first all-hit one, decides both and enumerates no vector.
     """
     gens = S.generators
     out = []
     for f in avoidable:
-        if any(_single_generator_rows(gens, i, f + n) for i, n in enumerate(gens)):
-            continue
         some_hit = False
         for i, (n, c) in enumerate(zip(gens, candidates)):
-            hits = [bool(_single_generator_rows(gens, i, n + g - f)) for g in c if g != f]
+            plus = _single_generator_rows(gens, i, f + n)
+            hits = [bool(plus or _single_generator_rows(gens, i, n + g - f)) for g in c if g != f]
             if all(hits):
                 break
             some_hit = some_hit or any(hits)
         else:
             if some_hit:
-                out.append((f, ["pf1", "pf2"]))
-    return out
+                out.append(f)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ class ClaimContext:
     def candidates(self) -> list[frozenset[int]] | None:
         """candidate_prefix: nearly_gorenstein is all(candidates), and
         vector_count is 0 unless it holds.  Every other reader (avoidable,
-        NGV_PROPS, FIRST_ZERO, SAME2, varying) checks
+        NGV_PROPS, FIRST_ZERO, SAME2, and varying, whose hit test reads
+        them per avoidable f) checks
         nearly_gorenstein or avoidable first, so sees full lists only."""
         return candidate_prefix(self.S) if self.proper else None
 
@@ -159,9 +160,10 @@ class ClaimContext:
         return tuple(f for f in self.pf if f not in sole)
 
     @_field
-    def varying(self) -> list[tuple[int, list[str]]]:
-        """classification_variance: each avoidable f whose PF split varies
-        across the NG-vectors, with its classes."""
+    def varying(self) -> tuple[int, ...]:
+        """classification_variance: the avoidable f that are pf1 for some
+        NG-vector and pf2 for another, by one hit test per candidate; 39
+        of <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one."""
         return classification_variance(self.S, self.candidates, self.avoidable)
 
     @_field

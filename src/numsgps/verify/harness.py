@@ -3,7 +3,9 @@ genus bound, or over ad-hoc generator systems.
 
 It only aggregates and reports: the enumeration hands it semigroups
 built and filtered (part k of W for worker k of W), and the claims
-module decides the claims and scans for a PF split that varies.
+module decides the claims and ClaimContext.varying, the numbers that
+are pf1 for one NG-vector and pf2 for another (one hit test per
+candidate; genus 45 has one), so the harness writes both classes itself.
 
 The summary it produces is deterministic for a given configuration,
 independent of the worker count: an aggregate is one tally of (genus,
@@ -106,8 +108,8 @@ def _build_report(
     nu = S.embedding_dimension
     if t > 2 * nu:
         notes.append(f"type {t} exceeds twice the embedding dimension {nu}")
-    for f, kinds in ctx.varying:
-        notes.append(f"classification of {f} varies across NG-vectors: {', '.join(kinds)}")
+    for f in ctx.varying:
+        notes.append(f"classification of {f} varies across NG-vectors: pf1, pf2")
     return CheckReport(
         generators=S.generators,
         genus=S.genus,
@@ -163,9 +165,9 @@ def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) ->
     flag = results.get("QUESTION_MS")
     if flag is not None and flag.payload is not None:
         agg["question_flags"].append(flag.payload)
-    for f, kinds in ctx.varying:
+    for f in ctx.varying:
         agg["classification_varies"].append(
-            {"generators": list(S.generators), "f": f, "classes": kinds}
+            {"generators": list(S.generators), "f": f, "classes": ["pf1", "pf2"]}
         )
     if sink is not None:
         sink(_build_report(S, results, ctx))

@@ -24,6 +24,7 @@ from numsgps.verify import (
     check_semigroup,
     count_by_genus,
     enumeration,
+    harness,
     run_claims,
     semigroups_up_to,
 )
@@ -40,7 +41,7 @@ from numsgps.verify.claims import (
     claim_pf2_bound,
     claim_pf2_two_zeroes,
 )
-from numsgps.rf import PFClassification, max_gap_table
+from numsgps.rf import PFClassification, Witness, classify_pf, max_gap_table
 from oracles import (
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
@@ -371,13 +372,25 @@ def test_ngv_props_failure_payloads(gens, cands, pf, payload):
 # many; above it no semigroup checked here has a varying classification
 LITERAL_VARIANCE_VECTORS = 128
 
+# <23, 25, 26, 27, 37, 40, 43, 55> (F = 84, genus 45, almost symmetric)
+# has two NG-vectors, (84, ..., 84) and (84, ..., 84, 56): 39 is pf1 for
+# the first, as n_8 + 84 - 39 = 100 = 4 * n_2, and pf2 for the second
+VARYING = (23, 25, 26, 27, 37, 40, 43, 55)
+
+# two NG-vectors each, with a position mixing hits and misses that an
+# all-hit position rescues: position 7 by position 2 alone for f = 63
+# (position 1 holds only a miss), and position 8 by positions 1 and 3
+# for f = 25
+RESCUED = [(24, 34, 44, 51, 53, 56, 70), (16, 19, 20, 21, 24, 30, 33, 34)]
+
 
 def _assert_variance_matches_literal_scan(S):
     ctx = ClaimContext(S)
     expected = []
     if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
         expected = literal_classification_variance(S, (v.entries for v in ng_vectors(S)))
-    assert ctx.varying == expected, S.generators
+    assert all(kinds == ["pf1", "pf2"] for _, kinds in expected), S.generators
+    assert ctx.varying == tuple(f for f, _ in expected), S.generators
     return ctx.vector_count > LITERAL_VARIANCE_VECTORS
 
 
@@ -395,29 +408,57 @@ def test_factored_classification_variance_matches_literal_scan():
         _assert_variance_matches_literal_scan(
             NumericalSemigroup(random_generators(rng, frobenius_cap=400))
         )
+    for gens in [VARYING, *RESCUED]:
+        S = NumericalSemigroup(gens)
+        assert ClaimContext(S).vector_count == 2
+        assert not _assert_variance_matches_literal_scan(S)
 
 
-# <8, 9, 10, 12, 15>, F = 14, PF = (7, 11, 13, 14): for f = 13 no f + n_i
-# is a multiple of another generator, and the row value n_i + g - 13 is
-# one (a hit) for g = 14 at positions 1, 2 and 5, for g = 11 at 3 and 4,
-# and for g = 7 at 5 only
+def test_pf_split_varies_with_the_ng_vector():
+    S = NumericalSemigroup(VARYING)
+    ctx = ClaimContext(S)
+    assert ctx.varying == (39,)
+    first, second = (v.entries for v in ng_vectors(S))
+    assert literal_classification_variance(S, [first, second]) == [(39, ["pf1", "pf2"])]
+    assert classify_pf(S, first).witnesses[39] == (Witness("minus", 8, 2, 4),)
+    assert classify_pf(S, second).pf2 == (39,)
+    note = "classification of 39 varies across NG-vectors: pf1, pf2"
+    assert check_semigroup(S).notes == (note,)
+    agg = harness._empty_aggregate()
+    harness._consume(agg, HarnessConfig(genus_max=0), S)
+    assert agg["classification_varies"] == [
+        {"generators": list(VARYING), "f": 39, "classes": ["pf1", "pf2"]}
+    ]
+
+
+# <8, 9, 10, 12, 15>, F = 14, PF = (7, 11, 13, 14).  For f = 13 no f + n_i is a
+# multiple of another generator, and the row value n_i + g - 13 is one
+# (a hit) for g = 14 at positions 1, 2 and 5, for g = 11 at 3 and 4, and
+# for g = 7 at 5 only.  For f = 11, f + n_2 = 20 = 2 * n_3 makes every
+# candidate at position 2 a hit; of the row values n_i + g - 11 over the
+# last case's sets, only g = 14 at position 4 gives one
 VARIANCE_CASES = [
     # position 1 holds a hit and a miss, every other only a miss: 13 varies
-    ([{7, 14}, {7}, {7}, {7}, {11}], [(13, ["pf1", "pf2"])]),
+    ([{7, 14}, {7}, {7}, {7}, {11}], 13, (13,)),
     # the same mixed position 1, rescued by position 3, which holds only
     # a hit: every vector puts 13 in pf1
-    ([{7, 14}, {7}, {11}, {7}, {11}], []),
+    ([{7, 14}, {7}, {11}, {7}, {11}], 13, ()),
+    # by the subtractive rows alone 11 would vary (position 4 mixes a hit
+    # and a miss, every other holds only misses), but the additive row at
+    # position 2 makes 11 pf1 for every vector
+    ([{14}, {13}, {7}, {13, 14}, {7}], 11, ()),
 ]
 
 
-@pytest.mark.parametrize("cands, expected", VARIANCE_CASES)
-def test_classification_variance_on_hand_set_candidate_sets(cands, expected):
+@pytest.mark.parametrize("cands, f, expected", VARIANCE_CASES)
+def test_classification_variance_on_hand_set_candidate_sets(cands, f, expected):
     S = NumericalSemigroup((8, 9, 10, 12, 15))
     ctx = ClaimContext(S)
     ctx.candidates = [frozenset(c) for c in cands]
-    assert 13 in ctx.avoidable
+    assert f in ctx.avoidable
     assert ctx.varying == expected
-    assert literal_classification_variance(S, itertools.product(*cands)) == expected
+    literal = literal_classification_variance(S, itertools.product(*cands))
+    assert tuple(g for g, _ in literal) == expected
 
 
 def test_classification_table_matches_per_vector_scan():
