@@ -203,7 +203,7 @@ def _cmd_classify_pf(args, emit) -> None:
 
 
 def _cmd_verify(args, emit) -> int:
-    from .verify.claims import CLAIM_NAMES
+    from .verify.claims import CLAIM_NAMES, FAIL
     from .verify.harness import HarnessConfig, check_all, check_semigroup
 
     if args.gens is not None:
@@ -214,17 +214,16 @@ def _cmd_verify(args, emit) -> int:
         if clashes:
             raise InvalidArgumentError(f"--gens does not take {', '.join(clashes)}")
         report = check_semigroup(args.gens, claims=args.claims or CLAIM_NAMES)
-        emit(report.as_dict())
-        return 1 if report.failures else 0
+        emit(report)
+        return 1 if any(claim["status"] == FAIL for claim in report["claims"]) else 0
     cfg = HarnessConfig(
         genus_max=args.genus_max,
         embdim_filter=args.embdim,
         claims=args.claims or CLAIM_NAMES,
         workers=args.workers,
     )
-    sink = (lambda report: emit(report.as_dict())) if args.reports else None
     start = time.perf_counter()
-    summary = check_all(cfg, sink=sink)
+    summary = check_all(cfg, sink=emit if args.reports else None)
     elapsed = time.perf_counter() - start
     emit(summary)
     print(

@@ -1,4 +1,8 @@
-"""Exhaustive claim verification over genus-bounded semigroup ranges."""
+"""Exhaustive claim verification over genus-bounded semigroup ranges.
+
+check_all returns a summary dict, and check_semigroup (like each record
+a check_all sink receives) a per-semigroup record dict; both are the
+JSON payloads `sgp verify` emits."""
 
 from .claims import (
     ASSERTED_CLAIMS,
@@ -9,7 +13,6 @@ from .claims import (
 )
 from .enumeration import count_by_genus, semigroups_up_to
 from .harness import (
-    CheckReport,
     HarnessConfig,
     check_all,
     check_semigroup,
@@ -24,7 +27,6 @@ __all__ = [
     "semigroups_up_to",
     "count_by_genus",
     "HarnessConfig",
-    "CheckReport",
     "check_all",
     "check_semigroup",
 ]

@@ -118,12 +118,29 @@ def _resolve(node: Node) -> list:
 
 
 def require_genus_max(genus_max) -> None:
-    """The walk's bound is an integer >= 0, else InvalidArgumentError;
-    each entry point checks it when it is called."""
-    if not isinstance(genus_max, int):
+    """The walk's bound is an integer >= 0 (not a bool), else
+    InvalidArgumentError; each entry point checks it when it is called."""
+    if isinstance(genus_max, bool) or not isinstance(genus_max, int):
         raise InvalidArgumentError(f"genus_max must be an integer, got {genus_max!r}")
     if genus_max < 0:
         raise InvalidArgumentError(f"genus_max must be nonnegative, got {genus_max}")
+
+
+def require_embdim(embdim) -> frozenset[int] | None:
+    """The walk's embedding-dimension filter as a frozenset: None, or a
+    nonempty collection of integers >= 1 (not bools), else
+    InvalidArgumentError; each entry point checks it when it is called."""
+    if embdim is None:
+        return None
+    try:
+        wanted = frozenset(embdim)
+    except TypeError:
+        wanted = frozenset()
+    if not wanted or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in wanted
+    ):
+        raise InvalidArgumentError(f"embdim values must be positive integers, got {embdim!r}")
+    return wanted
 
 
 def _nodes(genus_max: int) -> Iterator[Node]:
@@ -155,17 +172,18 @@ def semigroups_up_to(
     the visited) semigroups to the given embedding dimensions; the filter
     reads the node's generator count, so a node it drops is never built.
     Of that stream, only every parts-th semigroup from index part is
-    built and yielded, so parts 0..parts - 1 partition it.  part and parts
-    are integers with 0 <= part < parts, else InvalidArgumentError when
-    called (the walk itself starts at the first next())."""
+    built and yielded, so parts 0..parts - 1 partition it.  embdim passes
+    require_embdim, and part and parts are integers with 0 <= part < parts,
+    else InvalidArgumentError when called (the walk itself starts at the
+    first next())."""
     require_genus_max(genus_max)
     if not (isinstance(part, int) and isinstance(parts, int) and 0 <= part < parts):
         raise InvalidArgumentError(
             f"part must be an integer in [0, parts), got part {part!r} of {parts!r}"
         )
+    wanted = require_embdim(embdim)
     nodes = _nodes(genus_max)
-    if embdim is not None:
-        wanted = frozenset(embdim)
+    if wanted is not None:
         nodes = (node for node in nodes if len(node[0]) in wanted)
     return map(_semigroup_from_node, islice(nodes, part, None, parts))
 

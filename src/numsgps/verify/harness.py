@@ -15,6 +15,10 @@ the tally, and its lists sorted by generator tuple, once at the end.
 Summary and reports depend on the configuration alone: neither carries
 a timing or reads a setting from outside it.
 
+Both are plain JSON dicts, emitted as built: a report is the record of
+one semigroup (_report), which check_semigroup returns and a check_all
+sink receives.
+
 A serial run checks part 0 of 1 and a run with workers > 1 forks W =
 min(workers, CPU count) processes, worker k checking part k of W by the
 same loop; multiprocessing is imported only then, so a serial census
@@ -26,7 +30,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
@@ -38,7 +42,7 @@ from .claims import (
     canonical_claims,
     run_claims,
 )
-from .enumeration import require_genus_max, semigroups_up_to
+from .enumeration import require_embdim, require_genus_max, semigroups_up_to
 
 SCHEMA_VERSION = "1"
 
@@ -60,79 +64,50 @@ class HarnessConfig:
             raise InvalidArgumentError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
-        if self.embdim_filter is not None and min(self.embdim_filter, default=0) < 1:
-            raise InvalidArgumentError(f"embdim values must be positive, got {self.embdim_filter}")
+        object.__setattr__(self, "embdim_filter", require_embdim(self.embdim_filter))
         object.__setattr__(self, "claims", canonical_claims(self.claims))
-        if self.embdim_filter is not None:
-            object.__setattr__(self, "embdim_filter", frozenset(self.embdim_filter))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Everything the harness knows about one semigroup: basic facts,
-    the result of each requested claim by name, and advisory notes."""
-
-    generators: tuple[int, ...]
-    genus: int
-    frobenius: int
-    multiplicity: int
-    embedding_dimension: int
-    type: int
-    nearly_gorenstein: bool | None
-    almost_symmetric: bool | None
-    vector_count: int
-    claims: dict[str, ClaimResult]
-    notes: tuple[str, ...]
-
-    @property
-    def failures(self) -> dict[str, ClaimResult]:
-        return {n: r for n, r in self.claims.items() if r.status == FAIL}
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        claims = []
-        for name, result in self.claims.items():
-            record = {"claim": name, "status": result.status}
-            if result.payload is not None:
-                record["payload"] = result.payload
-            claims.append(record)
-        out.update(generators=list(self.generators), claims=claims, notes=list(self.notes))
-        return out
-
-
-def _build_report(
-    S: NumericalSemigroup, results: dict[str, ClaimResult], ctx: ClaimContext
-) -> CheckReport:
-    notes = []
+def _report(S: NumericalSemigroup, results: dict[str, ClaimResult], ctx: ClaimContext) -> dict:
+    """The record of one semigroup, a plain JSON dict in its output key
+    order: basic facts, the result of each requested claim in canonical
+    order ({"claim", "status"} and a "payload" when the claim gives one)
+    and advisory notes."""
     t = S.type
     nu = S.embedding_dimension
-    if t > 2 * nu:
-        notes.append(f"type {t} exceeds twice the embedding dimension {nu}")
-    for f in ctx.varying:
-        notes.append(f"classification of {f} varies across NG-vectors: pf1, pf2")
-    return CheckReport(
-        generators=S.generators,
-        genus=S.genus,
-        frobenius=S.frobenius,
-        multiplicity=S.multiplicity,
-        embedding_dimension=nu,
-        type=t,
-        nearly_gorenstein=ctx.nearly_gorenstein,
-        almost_symmetric=ctx.almost_symmetric,
-        vector_count=ctx.vector_count,
-        claims=results,
-        notes=tuple(notes),
-    )
+    notes = [f"type {t} exceeds twice the embedding dimension {nu}"] if t > 2 * nu else []
+    notes += [f"classification of {f} varies across NG-vectors: pf1, pf2" for f in ctx.varying]
+    claims = []
+    for name, result in results.items():
+        claim = {"claim": name, "status": result.status}
+        if result.payload is not None:
+            claim["payload"] = result.payload
+        claims.append(claim)
+    return {
+        "generators": list(S.generators),
+        "genus": S.genus,
+        "frobenius": S.frobenius,
+        "multiplicity": S.multiplicity,
+        "embedding_dimension": nu,
+        "type": t,
+        "nearly_gorenstein": ctx.nearly_gorenstein,
+        "almost_symmetric": ctx.almost_symmetric,
+        "vector_count": ctx.vector_count,
+        "claims": claims,
+        "notes": notes,
+    }
 
 
-def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> CheckReport:
-    """Run the named claims on one semigroup given by any generating set."""
+def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> dict:
+    """The record of the named claims on one semigroup given by any
+    generating set (or a NumericalSemigroup): the dict `sgp verify --gens`
+    emits as its payload."""
     S = (
         generators
         if isinstance(generators, NumericalSemigroup)
         else NumericalSemigroup(generators)
     )
-    return _build_report(S, *run_claims(S, canonical_claims(claims)))
+    return _report(S, *run_claims(S, canonical_claims(claims)))
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +145,7 @@ def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) ->
             {"generators": list(S.generators), "f": f, "classes": ["pf1", "pf2"]}
         )
     if sink is not None:
-        sink(_build_report(S, results, ctx))
+        sink(_report(S, results, ctx))
 
 
 def _merge(agg: dict, part: dict) -> None:
@@ -226,13 +201,13 @@ def _finalize(agg: dict, cfg: HarnessConfig) -> dict:
     }
 
 
-def check_all(cfg: HarnessConfig, sink: Callable[[CheckReport], None] | None = None) -> dict:
+def check_all(cfg: HarnessConfig, sink: Callable[[dict], None] | None = None) -> dict:
     """Run the configured claims on every semigroup of genus at most
     cfg.genus_max and return the summary dictionary.
 
-    `sink` receives the per-semigroup CheckReport in enumeration order
-    and requires workers == 1 (reports are not shipped across worker
-    boundaries).
+    `sink` receives each semigroup's record (the dict check_semigroup
+    returns) in enumeration order and requires workers == 1 (records are
+    not shipped across worker boundaries).
     """
     if sink is not None and cfg.workers > 1:
         raise InvalidArgumentError("per-semigroup reports require workers == 1")

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from numsgps import gorenstein
 from numsgps.cli import main
-from numsgps.verify import CLAIM_NAMES
+from numsgps.verify import CLAIM_NAMES, HarnessConfig, check_all, check_semigroup
+from numsgps.verify.claims import CLAIM_FUNCTIONS, FAIL, ClaimResult
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_cases.jsonl"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -251,6 +252,39 @@ def test_verify_single_semigroup(capsys):
     assert "seconds" not in payload
     status = {c["claim"]: c["status"] for c in payload["claims"]}
     assert status["THM_MAIN"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "gens", [(13, 45, 72, 79, 99), (1,), (23, 25, 26, 27, 37, 40, 43, 55)], ids=str
+)
+def test_verify_gens_emits_the_harness_record(gens, capsys):
+    # the payload is the record check_semigroup builds, as it is
+    record = check_semigroup(gens)
+    code, lines = run_cli(["verify", "--gens", ",".join(map(str, gens))], capsys)
+    assert code == 0
+    assert [json.loads(line)["payload"] for line in lines] == [record]
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_verify_reports_are_the_harness_records(capsys):
+    records = []
+    summary = check_all(HarnessConfig(genus_max=4), sink=records.append)
+    code, lines = run_cli(["verify", "--genus-max", "4", "--reports"], capsys)
+    assert code == 0
+    assert [json.loads(line)["payload"] for line in lines] == [*records, summary]
+    assert len(records) == summary["semigroups"] == 15
+    assert json.loads(json.dumps(records)) == records
+
+
+def test_verify_gens_exit_code_follows_the_record_statuses(capsys, monkeypatch):
+    def failing(ctx):
+        return ClaimResult(FAIL, {"generators": list(ctx.S.generators)})
+
+    monkeypatch.setitem(CLAIM_FUNCTIONS, "HERZOG3", failing)
+    code, lines = run_cli(["verify", "--gens", "3,5,7"], capsys)
+    assert code == 1
+    claims = json.loads(lines[0])["payload"]["claims"]
+    assert [c["claim"] for c in claims if c["status"] == FAIL] == ["HERZOG3"]
 
 
 def _assert_one_invalid_argument_record(argv, capsys, kind="verify"):

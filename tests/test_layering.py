@@ -14,7 +14,10 @@ above it, for NG-vectors and matrices alike.  One function,
 gorenstein.companion_finder, looks a value up among the generators: the
 companion rule (an entry g off F at position h has the companion ell < h
 with n_ell = g - F + n_h) is written there only.  The walk's bound has one
-rule, so one function raises its refusal.  Every public name has a
+rule, and so has its embedding-dimension filter: one function raises
+each refusal.  One function, harness._report,
+builds the per-semigroup record that check_semigroup returns, a
+check_all sink receives and `sgp verify` emits.  Every public name has a
 reader in the package or is listed in README.md's "Public API" section:
 a route that only cross-checks another lives in tests/oracles.py."""
 
@@ -189,13 +192,27 @@ def test_each_single_semigroup_rule_has_one_owner():
 
 
 def test_one_function_refuses_a_walk_bound():
-    raisers = {
+    # the genus bound and the embedding-dimension filter alike
+    for word, rule in (("genus_max", "require_genus_max"), ("embdim", "require_embdim")):
+        raisers = {
+            f"{path.relative_to(PACKAGE)}:{owner}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for owner, node in _with_owner(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and word in ast.unparse(node)
+        }
+        assert raisers == {f"verify/enumeration.py:{rule}"}
+
+
+def test_one_function_builds_the_report_record():
+    # a record key written as a dict key, a string or a keyword argument
+    builders = {
         f"{path.relative_to(PACKAGE)}:{owner}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for owner, node in _with_owner(ast.parse(path.read_text()))
-        if isinstance(node, ast.Raise) and "genus_max" in ast.unparse(node)
+        if isinstance(node, ast.Constant) and node.value == "vector_count"
+        or isinstance(node, ast.keyword) and node.arg == "vector_count"
     }
-    assert raisers == {"verify/enumeration.py:require_genus_max"}
+    assert builders == {"verify/harness.py:_report"}
 
 
 def _kept_for_library_use() -> set[str]:

@@ -17,7 +17,6 @@ from numsgps.errors import InvalidArgumentError
 from numsgps.verify import (
     ASSERTED_CLAIMS,
     CLAIM_NAMES,
-    CheckReport,
     ClaimContext,
     HarnessConfig,
     check_all,
@@ -423,7 +422,7 @@ def test_pf_split_varies_with_the_ng_vector():
     assert classify_pf(S, first).witnesses[39] == (Witness("minus", 8, 2, 4),)
     assert classify_pf(S, second).pf2 == (39,)
     note = "classification of 39 varies across NG-vectors: pf1, pf2"
-    assert check_semigroup(S).notes == (note,)
+    assert check_semigroup(S)["notes"] == [note]
     agg = harness._empty_aggregate()
     harness._consume(agg, HarnessConfig(genus_max=0), S)
     assert agg["classification_varies"] == [
@@ -666,31 +665,42 @@ def test_matrix_claims_fail_on_a_wrong_pseudo_frobenius_entry(monkeypatch, kind)
             assert result.status == FAIL, (S.generators, name)
             assert result.payload["f"] == wrong(S), (S.generators, name)
             assert "reason" in result.payload
+        # a failure's record carries its payload through a JSON round trip
+        record = check_semigroup(S, claims=(name,))
+        assert record["claims"] == [{"claim": name, "status": FAIL, "payload": result.payload}]
+        assert json.loads(json.dumps(record)) == record
+
+
+# the keys of a per-semigroup record, in the order --pretty prints them
+REPORT_KEYS = [
+    "generators", "genus", "frobenius", "multiplicity", "embedding_dimension", "type",
+    "nearly_gorenstein", "almost_symmetric", "vector_count", "claims", "notes",
+]
 
 
 def test_check_semigroup_report_shape():
     report = check_semigroup(WORKED)
-    assert isinstance(report, CheckReport)
-    assert report.generators == WORKED
-    assert report.genus == 126
-    assert report.frobenius == 244
-    assert report.type == 4
-    assert report.nearly_gorenstein is True
-    assert report.almost_symmetric is False
-    assert report.vector_count == 2
-    assert report.failures == {}
-    assert list(report.claims) == list(CLAIM_NAMES)
-    d = report.as_dict()
-    assert d["generators"] == [13, 45, 72, 79, 99]
-    assert [c["claim"] for c in d["claims"]] == list(CLAIM_NAMES)
-    assert "seconds" not in d
+    assert list(report) == REPORT_KEYS
+    assert report["generators"] == list(WORKED)
+    assert report["genus"] == 126
+    assert report["frobenius"] == 244
+    assert report["type"] == 4
+    assert report["nearly_gorenstein"] is True
+    assert report["almost_symmetric"] is False
+    assert report["vector_count"] == 2
+    assert [c for c in report["claims"] if c["status"] == FAIL] == []
+    assert [c["claim"] for c in report["claims"]] == list(CLAIM_NAMES)
+    assert json.loads(json.dumps(report)) == report
+    assert report["generators"] == [13, 45, 72, 79, 99]
+    assert all(set(c) <= {"claim", "status", "payload"} for c in report["claims"])
+    assert "seconds" not in report
 
 
 def test_check_semigroup_accepts_semigroup_object():
     a = check_semigroup(WORKED)
     b = check_semigroup(NumericalSemigroup(WORKED))
-    assert a.as_dict().keys() == b.as_dict().keys()
-    assert a.generators == b.generators
+    assert list(a) == list(b)
+    assert a == b
 
 
 def test_check_all_small_summary():
@@ -738,14 +748,15 @@ def test_failures_are_counted_and_listed_like_the_reports(monkeypatch):
     counts = {name: {PASS: 0, FAIL: 0, NA: 0} for name in CLAIM_NAMES}
     failures = []
     for report in reports:
-        for name, result in report.claims.items():
-            counts[name][result.status] += 1
-        for name, result in report.failures.items():
-            failures.append({"claim": name, **result.payload})
+        for claim in report["claims"]:
+            counts[claim["claim"]][claim["status"]] += 1
+            if claim["status"] == FAIL:
+                failures.append({"claim": claim["claim"], **claim["payload"]})
     failures.sort(key=lambda e: (e["generators"], e["claim"]))
     assert summary["claims"] == counts
     assert summary["failures"] == failures
     assert summary["total_failures"] == len(failures)
+    assert json.loads(json.dumps(reports)) == reports
     assert counts["HERZOG3"][FAIL] == sum(
         1 for S in semigroups_up_to(8) if S.embedding_dimension == 3
     ) > 0
@@ -757,8 +768,8 @@ def test_check_all_sink_streams_reports():
     seen = []
     summary = check_all(HarnessConfig(genus_max=3), sink=seen.append)
     assert len(seen) == summary["semigroups"] == 8
-    assert all(isinstance(r, CheckReport) for r in seen)
-    gens = {r.generators for r in seen}
+    assert all(list(r) == REPORT_KEYS for r in seen)
+    gens = {tuple(r["generators"]) for r in seen}
     assert (1,) in gens and (2, 3) in gens
 
 
@@ -793,6 +804,10 @@ def test_harness_config_validation():
         (semigroups_up_to, {"genus_max": 3, "part": 0.0, "parts": 1}),
         (count_by_genus, {"genus_max": 2.5}),
         (count_by_genus, {"genus_max": "3"}),
+        # a bool is an int to Python, but no bound
+        (HarnessConfig, {"genus_max": True}),
+        (semigroups_up_to, {"genus_max": True}),
+        (count_by_genus, {"genus_max": False}),
     ],
     ids=lambda value: getattr(value, "__name__", None) or repr(value),
 )
@@ -800,6 +815,33 @@ def test_walk_arguments_outside_their_domain_are_refused(build, kwargs):
     # refused when called, not at the first next() of a stream
     with pytest.raises(InvalidArgumentError):
         build(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda embdim: HarnessConfig(genus_max=5, embdim_filter=embdim),
+        lambda embdim: semigroups_up_to(5, embdim),
+    ],
+    ids=["HarnessConfig", "semigroups_up_to"],
+)
+@pytest.mark.parametrize(
+    # a fraction or a bool would filter silently (True is nu = 1), a
+    # string or a bare int would end in a TypeError, and a value below 1
+    # or an empty set would check no semigroup
+    "embdim", [{2.5}, {True}, {"3"}, 5, [0], [-1], ["3"], frozenset()], ids=repr
+)
+def test_embdim_outside_its_domain_is_refused(build, embdim):
+    # one rule for both entry points, refused when called
+    with pytest.raises(InvalidArgumentError, match="embdim values must be positive"):
+        build(embdim)
+
+
+def test_embdim_filter_is_kept_as_a_frozenset():
+    cfg = HarnessConfig(genus_max=5, embdim_filter=[3, 4, 3])
+    assert cfg.embdim_filter == frozenset({3, 4})
+    assert hash(cfg) == hash(HarnessConfig(genus_max=5, embdim_filter={4, 3}))
+    assert HarnessConfig(genus_max=5).embdim_filter is None
 
 
 def test_harness_claims_normalized_to_canonical_order():
@@ -810,8 +852,8 @@ def test_harness_claims_normalized_to_canonical_order():
     assert set(summary["claims"]) == {"HERZOG3", "TRACE_EQ"}
     # one semigroup lists its claims in the same order as the census
     report = check_semigroup((3, 5), claims=("TRACE_EQ", "HERZOG3", "TRACE_EQ"))
-    assert tuple(report.claims) == ("HERZOG3", "TRACE_EQ")
-    assert [c["claim"] for c in report.as_dict()["claims"]] == ["HERZOG3", "TRACE_EQ"]
+    assert [c["claim"] for c in report["claims"]] == ["HERZOG3", "TRACE_EQ"]
+    assert report == check_semigroup((3, 5), claims=("HERZOG3", "TRACE_EQ"))
 
 
 def test_workers_summary_identical(monkeypatch):
