@@ -18,9 +18,10 @@ The extremal gaps lambda * n_j - n_i of max_gap_table are found by
 bisection, since the qualifying lambda form an interval.
 
 One hit test, a single-generator row of f + n_i or n_i + f_i - f, splits
-the pseudo-Frobenius numbers outside a vector (classify_vectors) and finds
-those whose split changes with the vector (classification_variance); 39
-of <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
+the pseudo-Frobenius numbers outside each NG-vector (classify_vectors;
+classify_pf alone lists the rows as witnesses) and finds those whose
+split changes with the vector (classification_variance); 39 of
+<23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
 
 Row and column positions inside a matrix are plain 0-based Python
 indices; the index fields of Witness and the keys of MaxGapTable are
@@ -29,6 +30,7 @@ indices; the index fields of Witness and the keys of MaxGapTable are
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
 from .errors import MismatchedPairError, NotPseudoFrobeniusError, VectorEntryError
-from .gorenstein import _require_proper, capped_product, is_ng_vector
+from .gorenstein import _require_proper, capped_product, is_ng_vector, vector_axes
 
 
 def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
@@ -181,8 +183,33 @@ def _single_generator_rows(gens: tuple[int, ...], i: int, value: int) -> list[tu
     return [(j, value // n) for j, n in enumerate(gens) if value % n == 0 and j != i]
 
 
+def _hit_cells(
+    gens: tuple[int, ...], f: int, candidates: list[frozenset[int]]
+) -> set[tuple[int, int]] | None:
+    """The hits for f as (position, entry) cells over the candidates other
+    than f, or None once a position's are all hits.
+
+    A candidate g at position i is a hit when f + n_i or n_i + g - f has a
+    single-generator row, and a vector keeping f outside its entries puts
+    f in pf1 iff one of them is a hit.  A row of f + n_i makes a position
+    all hits, so it is tested first.  None thus means that every vector
+    keeping f outside puts f in pf1 (none keeps it when a set is {f}).
+    """
+    cells = set()
+    for i, (n, c) in enumerate(zip(gens, candidates)):
+        if _single_generator_rows(gens, i, f + n):
+            return None
+        rest = [g for g in c if g != f]
+        hits = [(i, g) for g in rest if _single_generator_rows(gens, i, n + g - f)]
+        if len(hits) == len(rest):
+            return None
+        cells.update(hits)
+    return cells
+
+
 def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassification:
-    """Classify every pseudo-Frobenius number outside the vector entries.
+    """Classify every pseudo-Frobenius number outside the vector entries,
+    with the rows of _hit_cells' two values at each position as witnesses.
 
     A row with nu - 2 zeroes exists iff the row value is an exact multiple
     of a single generator, so the scan is O(nu^2) divisibility checks per
@@ -191,46 +218,46 @@ def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassificati
     entries = tuple(entries)
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
-    return classify_vectors(S, [entries])[0]
+    gens = S.generators
+    pf1, pf2, witnesses = [], [], {}
+    for f in S.pseudo_frobenius():
+        if f in entries:
+            continue
+        found = []
+        for i, (n, entry) in enumerate(zip(gens, entries)):
+            plus = _single_generator_rows(gens, i, f + n)
+            minus = _single_generator_rows(gens, i, n + entry - f)
+            cell = [Witness("plus", i + 1, j + 1, lam) for j, lam in plus]
+            cell += [Witness("minus", i + 1, j + 1, lam) for j, lam in minus]
+            # by generator position, the additive witness first
+            found += sorted(cell, key=attrgetter("j"))
+        witnesses[f] = tuple(found)
+        (pf1 if found else pf2).append(f)
+    return PFClassification(entries, tuple(pf1), tuple(pf2), witnesses)
 
 
 def classify_vectors(
-    S: NumericalSemigroup, vectors: Iterable[Sequence[int]]
-) -> list[PFClassification]:
-    """classify_pf for each of the given vectors, which the caller vouches
-    are NG-vectors of S (they are not re-validated).
-
-    The witnesses of f at position i depend on the vector only through its
-    entry there, so they are computed once per (f, position, entry) and
-    each vector reads its classification off that table.
+    S: NumericalSemigroup, candidates: list[frozenset[int]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """(entries, pf1, pf2) of every vector in the product of the candidate
+    sets, in ng_vectors' order (gorenstein.vector_axes), without witnesses;
+    the caller vouches that the sets are S's own, so no vector is
+    re-validated.  Each f's hits are found once (_hit_cells), and each
+    vector reads its split off them.
     """
-    gens = S.generators
     pf = S.pseudo_frobenius()
-    table: dict[tuple[int, int, int], tuple[Witness, ...]] = {}
-
-    def cell(f: int, i: int, entry: int) -> tuple[Witness, ...]:
-        key = (f, i, entry)
-        if key not in table:
-            ni = gens[i]
-            plus = _single_generator_rows(gens, i, f + ni)
-            minus = _single_generator_rows(gens, i, ni + entry - f)
-            found = [Witness("plus", i + 1, j + 1, lam) for j, lam in plus]
-            found += [Witness("minus", i + 1, j + 1, lam) for j, lam in minus]
-            # by generator position, the additive witness first
-            table[key] = tuple(sorted(found, key=attrgetter("j")) if plus and minus else found)
-        return table[key]
-
+    hit = {f: _hit_cells(S.generators, f, candidates) for f in pf}
     out = []
-    for ng in vectors:
-        entries = tuple(ng)
-        pf1, pf2, witnesses = [], [], {}
+    for entries in itertools.product(*vector_axes(candidates)):
+        pf1, pf2 = [], []
         for f in pf:
-            if f in entries:
-                continue
-            found = tuple(w for i, entry in enumerate(entries) for w in cell(f, i, entry))
-            witnesses[f] = found
-            (pf1 if found else pf2).append(f)
-        out.append(PFClassification(entries, tuple(pf1), tuple(pf2), witnesses))
+            if f not in entries:
+                cells = hit[f]
+                if cells is None or not cells.isdisjoint(enumerate(entries)):
+                    pf1.append(f)
+                else:
+                    pf2.append(f)
+        out.append((entries, tuple(pf1), tuple(pf2)))
     return out
 
 
@@ -240,29 +267,13 @@ def classification_variance(
     """The avoidable f (some NG-vector keeps them outside its entries)
     that are pf1 for one such vector and pf2 for another.
 
-    A candidate g != f at position i is a hit when f + n_i or n_i + g - f
-    has a single-generator row: classify_vectors' rule per (f, position,
-    entry).  The vectors avoiding f are the product of the sets c_i - {f},
-    none empty, and one puts f in pf1 iff one of its entries is a hit.  So
-    f is pf1 for some vector iff some candidate is a hit, and pf2 for some
-    iff no position's candidates are all hits (a row of f + n_i makes its
-    position all hits).  One pass over the positions, stopping at the
-    first all-hit one, decides both and enumerates no vector.
+    The vectors avoiding f are the product of the sets c_i - {f}, none
+    empty, and one puts f in pf1 iff one of its entries is a hit.  So f is
+    pf1 for some vector iff some candidate is a hit, and pf2 for some iff
+    no position's candidates are all hits: iff _hit_cells finds cells and
+    no all-hit position.  It enumerates no vector.
     """
-    gens = S.generators
-    out = []
-    for f in avoidable:
-        some_hit = False
-        for i, (n, c) in enumerate(zip(gens, candidates)):
-            plus = _single_generator_rows(gens, i, f + n)
-            hits = [bool(plus or _single_generator_rows(gens, i, n + g - f)) for g in c if g != f]
-            if all(hits):
-                break
-            some_hit = some_hit or any(hits)
-        else:
-            if some_hit:
-                out.append(f)
-    return tuple(out)
+    return tuple(f for f in avoidable if _hit_cells(S.generators, f, candidates))
 
 
 @dataclass(frozen=True)
@@ -274,11 +285,11 @@ class MuBound:
     bound: int
 
 
-def mu_bound(table: MaxGapTable, classification: PFClassification) -> MuBound:
-    """Counts of extremal gaps landing in the first class, and the bound
-    38 - sum(C(mu_s - 1, 2)) they induce, read off the extremal gap table
-    of a five-generated semigroup."""
-    pf1 = set(classification.pf1)
+def mu_bound(table: MaxGapTable, pf1: Iterable[int]) -> MuBound:
+    """Counts of extremal gaps landing in the first class pf1, and the
+    bound 38 - sum(C(mu_s - 1, 2)) they induce, read off the extremal gap
+    table of a five-generated semigroup."""
+    pf1 = set(pf1)
     mus = tuple(
         sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)
         for s in range(1, 6)

@@ -25,33 +25,31 @@ of enumeration:
   choice, so each question is a set test on it (see claim_ngv_props).
   Only a failure payload runs a bipartite matching.
 
-Work shared between claims is done once per semigroup (a context field
-is computed on its first access, without a lock, and then read from the
-instance dict), every pass or inapplicable verdict without a payload is
-one shared ClaimResult, and NGV_PROPS asks whether a number is a
-combination of the later generators through one reachability bitmask
-instead of enumerating factorizations.  NGV_PROPS keeps each position's
-entries without a companion unsorted and only tests whether they exist;
-a failure payload names the largest, found only then.  The candidate
-prefix and the companion rule come from gorenstein (the rule's generator
-dict is built once per semigroup, ClaimContext.companion, and shared by
-FIRST_ZERO and NGV_PROPS); canonical_claims is the one check of claim
-names and their order.
+Work shared between claims is done once per semigroup (the facts every
+record reads are built with the context, the others on their first
+access, without a lock), every pass or inapplicable verdict without a
+payload is one shared ClaimResult, and NGV_PROPS asks whether a number
+is a combination of the later generators through one reachability
+bitmask instead of enumerating factorizations.  NGV_PROPS keeps each
+position's entries without a companion unsorted and only tests whether
+they exist; a failure payload names the largest, found only then.  The
+candidate prefix and the companion rule come from gorenstein (the rule's
+generator dict is built once per semigroup, ClaimContext.companion, and
+shared by FIRST_ZERO and NGV_PROPS); canonical_claims is the one check
+of claim names and their order, and run_claims gives the results in it.
 
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
-PF2_TWO_ZEROES read each vector's entries and PF split from
-ClaimContext.classifications (classified from a table per
-pseudo-Frobenius number, position and entry, without re-validating the
-vectors).  No explicit matrix is built; PF2_TWO_ZEROES reads per-row
-factorization lists.  The literal per-vector and per-matrix routes are
-kept in the tests as cross-checks of the factored ones and of the matrix
-statements.
+PF2_TWO_ZEROES read each vector's (entries, pf1, pf2) from
+ClaimContext.classifications (read off each pseudo-Frobenius number's
+hit cells, with no witness and no vector re-validated).  No explicit
+matrix is built; PF2_TWO_ZEROES reads per-row factorization lists.  The
+literal per-vector and per-matrix routes are kept in the tests as
+cross-checks of the factored ones and of the matrix statements.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,11 +62,9 @@ from ..gorenstein import (
     count_choices,
     is_almost_symmetric,
     nearly_gorenstein_via_trace,
-    vector_axes,
 )
 from ..rf import (
     MaxGapTable,
-    PFClassification,
     classification_variance,
     classify_vectors,
     max_gap_table,
@@ -104,31 +100,43 @@ class _field(cached_property):
 
 
 class ClaimContext:
-    """Lazy shared computations for one semigroup.
+    """The shared facts of one semigroup.
 
-    Everything expensive (pseudo-Frobenius set, candidate sets, the
-    avoidable pseudo-Frobenius numbers, per-vector classifications, the
-    extremal gap table) is computed at most once and reused by all
-    claims.
+    The facts every record reads (pseudo-Frobenius set, candidate sets,
+    NG and AS verdicts, the avoidable pseudo-Frobenius numbers and the
+    varying ones) are computed with the context; the rest (companion rule,
+    vector count, premise, classifications, extremal gap table) at most
+    once, on the first access of a claim that reads them.
+
+    candidate_prefix's sets: nearly_gorenstein is all(candidates), and
+    vector_count is 0 unless it holds; every other reader checks
+    nearly_gorenstein or avoidable first, so sees full lists only.
+    avoidable holds the pseudo-Frobenius numbers f that some NG-vector
+    keeps outside its entries: every candidate set has a member other
+    than f.  Empty unless the semigroup is proper and nearly Gorenstein;
+    then every set is nonempty, so c - {f} is empty iff c == {f}, and the
+    avoidable f are those no set holds alone.  varying is
+    classification_variance: the avoidable f that are pf1 for some
+    NG-vector and pf2 for another, by one hit test per candidate; 39 of
+    <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
     """
 
     def __init__(self, S: NumericalSemigroup):
         self.S = S
         self.nu = len(S.generators)
-        self.proper = self.nu >= 2
-
-    @_field
-    def pf(self) -> tuple[int, ...]:
-        return self.S.pseudo_frobenius()
-
-    @_field
-    def candidates(self) -> list[frozenset[int]] | None:
-        """candidate_prefix: nearly_gorenstein is all(candidates), and
-        vector_count is 0 unless it holds.  Every other reader (avoidable,
-        NGV_PROPS, FIRST_ZERO, SAME2, and varying, whose hit test reads
-        them per avoidable f) checks
-        nearly_gorenstein or avoidable first, so sees full lists only."""
-        return candidate_prefix(self.S) if self.proper else None
+        self.pf = pf = S.pseudo_frobenius()
+        self.candidates = self.nearly_gorenstein = self.almost_symmetric = None
+        self.avoidable = self.varying = ()
+        if self.nu < 2:
+            return
+        self.candidates = cands = candidate_prefix(S)
+        self.nearly_gorenstein = all(cands)
+        self.almost_symmetric = is_almost_symmetric(S)
+        if self.nearly_gorenstein:
+            sole = {f for c in cands if len(c) == 1 for f in c}
+            self.avoidable = avoidable = tuple(f for f in pf if f not in sole)
+            if avoidable:
+                self.varying = classification_variance(S, cands, avoidable)
 
     @_field
     def companion(self) -> Callable[[int, int], int | None]:
@@ -142,42 +150,10 @@ class ClaimContext:
         return 0 if self.candidates is None else count_choices(self.candidates)
 
     @_field
-    def nearly_gorenstein(self) -> bool | None:
-        if not self.proper:
-            return None
-        return all(self.candidates)
-
-    @_field
-    def avoidable(self) -> tuple[int, ...]:
-        """The pseudo-Frobenius numbers f that some NG-vector keeps
-        outside its entries: every candidate set has a member other than
-        f.  Empty unless the semigroup is proper and nearly Gorenstein.
-        Then every set is nonempty, so c - {f} is empty iff c == {f}: the
-        avoidable f are those no set holds alone."""
-        if not self.nearly_gorenstein:
-            return ()
-        sole = {f for c in self.candidates if len(c) == 1 for f in c}
-        return tuple(f for f in self.pf if f not in sole)
-
-    @_field
-    def varying(self) -> tuple[int, ...]:
-        """classification_variance: the avoidable f that are pf1 for some
-        NG-vector and pf2 for another, by one hit test per candidate; 39
-        of <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one."""
-        return classification_variance(self.S, self.candidates, self.avoidable)
-
-    @_field
-    def almost_symmetric(self) -> bool | None:
-        if not self.proper:
-            return None
-        return is_almost_symmetric(self.S)
-
-    @_field
-    def classifications(self) -> list[PFClassification]:
-        """The PF split of every NG-vector, in ng_vectors' order
-        (vector_axes); only the five-generated claims read it.  Every
-        vector comes from the candidate sets, so none is re-validated."""
-        return classify_vectors(self.S, itertools.product(*vector_axes(self.candidates)))
+    def classifications(self) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+        """(entries, pf1, pf2) of every NG-vector, in ng_vectors' order
+        (rf.classify_vectors); only the five-generated claims read it."""
+        return classify_vectors(self.S, self.candidates)
 
     @_field
     def gap_table(self) -> MaxGapTable:
@@ -290,7 +266,7 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     gaps between the last two generators."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein:
         return INAPPLICABLE
-    eligible = [c.entries for c in ctx.classifications if len(set(c.entries[:3])) == 3]
+    eligible = [entries for entries, _, _ in ctx.classifications if len(set(entries[:3])) == 3]
     if not eligible:
         return INAPPLICABLE
     table = ctx.gap_table
@@ -306,9 +282,9 @@ def claim_pf2_bound(ctx: ClaimContext) -> ClaimResult:
     """|PF2| <= 6 for every NG-vector (nu = 5, NG, not AS)."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
-    for cls in ctx.classifications:
-        if len(cls.pf2) > 6:
-            return _fail(ctx, vector=list(cls.entries), pf2=list(cls.pf2))
+    for entries, _, pf2 in ctx.classifications:
+        if len(pf2) > 6:
+            return _fail(ctx, vector=list(entries), pf2=list(pf2))
     return PASSED
 
 
@@ -318,22 +294,26 @@ def claim_pf1_bound(ctx: ClaimContext) -> ClaimResult:
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
     F = ctx.S.frobenius
-    for cls in ctx.classifications:
-        bound = 30 if sum(1 for e in cls.entries if e != F) >= 2 else 31
-        if len(cls.pf1) > bound:
-            return _fail(ctx, vector=list(cls.entries), pf1=list(cls.pf1), bound=bound)
+    for entries, pf1, _ in ctx.classifications:
+        bound = 30 if sum(1 for e in entries if e != F) >= 2 else 31
+        if len(pf1) > bound:
+            return _fail(ctx, vector=list(entries), pf1=list(pf1), bound=bound)
     return PASSED
 
 
 def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
-    """|PF1| <= 38 - sum C(mu_s - 1, 2) (nu = 5, NG, not AS)."""
+    """|PF1| <= 38 - sum C(mu_s - 1, 2) (nu = 5, NG, not AS).  The bound
+    reads a vector through its pf1 alone, so each pf1 is bounded once."""
     if ctx.nu != 5 or not ctx.nearly_gorenstein or ctx.almost_symmetric:
         return INAPPLICABLE
-    for cls in ctx.classifications:
-        mu = mu_bound(ctx.gap_table, cls)
-        if len(cls.pf1) > mu.bound:
+    bounds = {}
+    for entries, pf1, _ in ctx.classifications:
+        if pf1 not in bounds:
+            bounds[pf1] = mu_bound(ctx.gap_table, pf1)
+        mu = bounds[pf1]
+        if len(pf1) > mu.bound:
             return _fail(
-                ctx, vector=list(cls.entries), pf1=list(cls.pf1), mus=list(mu.mus), bound=mu.bound
+                ctx, vector=list(entries), pf1=list(pf1), mus=list(mu.mus), bound=mu.bound
             )
     return PASSED
 
@@ -415,15 +395,15 @@ def claim_pf2_two_zeroes(ctx: ClaimContext) -> ClaimResult:
     if ctx.nu != 5 or not ctx.nearly_gorenstein:
         return INAPPLICABLE
     checked = False
-    for cls in ctx.classifications:
-        for f in cls.pf2:
+    for entries, _, pf2 in ctx.classifications:
+        for f in pf2:
             checked = True
             bad = _two_zero_payload(plus_row_lists(ctx.S, f))
             if bad is not None:
-                return _fail(ctx, vector=list(cls.entries), f=f, side="plus", **bad)
-            bad = _two_zero_payload(minus_row_lists(ctx.S, cls.entries, f))
+                return _fail(ctx, vector=list(entries), f=f, side="plus", **bad)
+            bad = _two_zero_payload(minus_row_lists(ctx.S, entries, f))
             if bad is not None:
-                return _fail(ctx, vector=list(cls.entries), f=f, side="minus", **bad)
+                return _fail(ctx, vector=list(entries), f=f, side="minus", **bad)
     return PASSED if checked else INAPPLICABLE
 
 
@@ -621,7 +601,7 @@ def claim_as_implies_ng(ctx: ClaimContext) -> ClaimResult:
 
 def claim_trace_eq(ctx: ClaimContext) -> ClaimResult:
     """The candidate-set route and the trace-ideal route agree."""
-    if not ctx.proper:
+    if ctx.nu < 2:
         return INAPPLICABLE
     via_trace = nearly_gorenstein_via_trace(ctx.S)
     if via_trace == ctx.nearly_gorenstein:
@@ -685,14 +665,14 @@ def canonical_claims(names: tuple[str, ...]) -> tuple[str, ...]:
 
 def run_claims(
     S: NumericalSemigroup, names: tuple[str, ...] = CLAIM_NAMES
-) -> tuple[dict[str, ClaimResult], ClaimContext]:
-    """Evaluate the named claims on one semigroup; returns the result map
-    and the context (whose cached facts the caller may reuse).  The names
-    are checked only when a lookup fails, so a census whose configuration
-    checked them once pays nothing per semigroup."""
+) -> tuple[tuple[ClaimResult, ...], ClaimContext]:
+    """Evaluate the named claims on one semigroup; returns their results
+    in the order of names, and the context (whose facts the caller may
+    reuse).  The names are checked only when a lookup fails, so a census
+    whose configuration checked them once pays nothing per semigroup."""
     ctx = ClaimContext(S)
     try:
-        results = {name: CLAIM_FUNCTIONS[name](ctx) for name in names}
+        results = tuple([CLAIM_FUNCTIONS[name](ctx) for name in names])
     except KeyError:
         canonical_claims(names)
         raise

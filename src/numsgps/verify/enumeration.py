@@ -117,10 +117,16 @@ def _resolve(node: Node) -> list:
     return cell
 
 
+def is_int(value) -> bool:
+    """An int other than a bool: a bool is an int to Python, but no bound,
+    count or index of the walk."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_genus_max(genus_max) -> None:
-    """The walk's bound is an integer >= 0 (not a bool), else
+    """The walk's bound is an integer >= 0 (is_int), else
     InvalidArgumentError; each entry point checks it when it is called."""
-    if isinstance(genus_max, bool) or not isinstance(genus_max, int):
+    if not is_int(genus_max):
         raise InvalidArgumentError(f"genus_max must be an integer, got {genus_max!r}")
     if genus_max < 0:
         raise InvalidArgumentError(f"genus_max must be nonnegative, got {genus_max}")
@@ -128,7 +134,7 @@ def require_genus_max(genus_max) -> None:
 
 def require_embdim(embdim) -> frozenset[int] | None:
     """The walk's embedding-dimension filter as a frozenset: None, or a
-    nonempty collection of integers >= 1 (not bools), else
+    nonempty collection of integers >= 1 (is_int), else
     InvalidArgumentError; each entry point checks it when it is called."""
     if embdim is None:
         return None
@@ -136,9 +142,7 @@ def require_embdim(embdim) -> frozenset[int] | None:
         wanted = frozenset(embdim)
     except TypeError:
         wanted = frozenset()
-    if not wanted or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in wanted
-    ):
+    if not wanted or not all(is_int(n) and n >= 1 for n in wanted):
         raise InvalidArgumentError(f"embdim values must be positive integers, got {embdim!r}")
     return wanted
 
@@ -173,11 +177,11 @@ def semigroups_up_to(
     reads the node's generator count, so a node it drops is never built.
     Of that stream, only every parts-th semigroup from index part is
     built and yielded, so parts 0..parts - 1 partition it.  embdim passes
-    require_embdim, and part and parts are integers with 0 <= part < parts,
-    else InvalidArgumentError when called (the walk itself starts at the
-    first next())."""
+    require_embdim, and part and parts are integers (is_int) with
+    0 <= part < parts, else InvalidArgumentError when called (the walk
+    itself starts at the first next())."""
     require_genus_max(genus_max)
-    if not (isinstance(part, int) and isinstance(parts, int) and 0 <= part < parts):
+    if not (is_int(part) and is_int(parts) and 0 <= part < parts):
         raise InvalidArgumentError(
             f"part must be an integer in [0, parts), got part {part!r} of {parts!r}"
         )

@@ -2,10 +2,12 @@
 genus bound, or over ad-hoc generator systems.
 
 It only aggregates and reports: the enumeration hands it semigroups
-built and filtered (part k of W for worker k of W), and the claims
-module decides the claims and ClaimContext.varying, the numbers that
-are pf1 for one NG-vector and pf2 for another (one hit test per
-candidate; genus 45 has one), so the harness writes both classes itself.
+built and filtered (part k of W for worker k of W), and one run_claims
+call per semigroup gives the claims' results in the configured order,
+read by position, and the context, whose facts were built with it:
+among them ClaimContext.varying, the numbers that are pf1 for one
+NG-vector and pf2 for another (genus 45 has one), so the harness writes
+both classes itself.
 
 The summary it produces is deterministic for a given configuration,
 independent of the worker count: an aggregate is one tally of (genus,
@@ -38,11 +40,10 @@ from .claims import (
     CLAIM_NAMES,
     FAIL,
     ClaimContext,
-    ClaimResult,
     canonical_claims,
     run_claims,
 )
-from .enumeration import require_embdim, require_genus_max, semigroups_up_to
+from .enumeration import is_int, require_embdim, require_genus_max, semigroups_up_to
 
 SCHEMA_VERSION = "1"
 
@@ -60,7 +61,7 @@ class HarnessConfig:
 
     def __post_init__(self):
         require_genus_max(self.genus_max)
-        if not isinstance(self.workers, int):
+        if not is_int(self.workers):
             raise InvalidArgumentError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
@@ -68,17 +69,17 @@ class HarnessConfig:
         object.__setattr__(self, "claims", canonical_claims(self.claims))
 
 
-def _report(S: NumericalSemigroup, results: dict[str, ClaimResult], ctx: ClaimContext) -> dict:
+def _report(S: NumericalSemigroup, names: tuple, results: tuple, ctx: ClaimContext) -> dict:
     """The record of one semigroup, a plain JSON dict in its output key
-    order: basic facts, the result of each requested claim in canonical
-    order ({"claim", "status"} and a "payload" when the claim gives one)
-    and advisory notes."""
+    order: basic facts, the result of each named claim in canonical order
+    ({"claim", "status"} and a "payload" when the claim gives one) and
+    advisory notes."""
     t = S.type
     nu = S.embedding_dimension
     notes = [f"type {t} exceeds twice the embedding dimension {nu}"] if t > 2 * nu else []
     notes += [f"classification of {f} varies across NG-vectors: pf1, pf2" for f in ctx.varying]
     claims = []
-    for name, result in results.items():
+    for name, result in zip(names, results):
         claim = {"claim": name, "status": result.status}
         if result.payload is not None:
             claim["payload"] = result.payload
@@ -107,7 +108,8 @@ def check_semigroup(generators, claims: tuple[str, ...] = CLAIM_NAMES) -> dict:
         if isinstance(generators, NumericalSemigroup)
         else NumericalSemigroup(generators)
     )
-    return _report(S, *run_claims(S, canonical_claims(claims)))
+    names = canonical_claims(claims)
+    return _report(S, names, *run_claims(S, names))
 
 
 # ----------------------------------------------------------------------
@@ -130,14 +132,14 @@ def _empty_aggregate() -> dict:
 
 def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
     results, ctx = run_claims(S, cfg.claims)
-    statuses = tuple([res.status for res in results.values()])
-    key = (S.genus, ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric, S.type, statuses)
+    statuses = tuple([res.status for res in results])
+    key = (S.genus, ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric, len(ctx.pf), statuses)
     agg["tally"][key] += 1
     if FAIL in statuses:
-        for name, res in results.items():
+        for name, res in zip(cfg.claims, results):
             if res.status == FAIL:
                 agg["failures"].append({"claim": name, **res.payload})
-    flag = results.get("QUESTION_MS")
+    flag = results[cfg.claims.index("QUESTION_MS")] if "QUESTION_MS" in cfg.claims else None
     if flag is not None and flag.payload is not None:
         agg["question_flags"].append(flag.payload)
     for f in ctx.varying:
@@ -145,7 +147,7 @@ def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) ->
             {"generators": list(S.generators), "f": f, "classes": ["pf1", "pf2"]}
         )
     if sink is not None:
-        sink(_report(S, results, ctx))
+        sink(_report(S, cfg.claims, results, ctx))
 
 
 def _merge(agg: dict, part: dict) -> None:

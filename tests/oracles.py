@@ -606,7 +606,7 @@ def _two_zeroes_in_every_line(M):
 
 
 def literal_pf2_two_zeroes(ctx):
-    """PF2_TWO_ZEROES matrix by matrix: for every classification in
+    """PF2_TWO_ZEROES matrix by matrix: for every (entries, pf1, pf2) in
     ctx.classifications and every f in its pf2, each additive matrix of f
     (brute_rf_plus) and each subtractive matrix of the vector and f
     (brute_rf_minus) has exactly two zeroes in every row and every column.
@@ -618,14 +618,14 @@ def literal_pf2_two_zeroes(ctx):
     too."""
     gens = ctx.S.generators
     instances = 0
-    for cls in ctx.classifications:
-        for f in cls.pf2:
+    for entries, _, pf2 in ctx.classifications:
+        for f in pf2:
             instances += 1
             sides = (
                 ("plus", brute_rf_plus(gens, f)),
-                ("minus", brute_rf_minus(gens, cls.entries, f)),
+                ("minus", brute_rf_minus(gens, entries, f)),
             )
             for side, matrices in sides:
                 if not all(map(_two_zeroes_in_every_line, matrices)):
-                    return _fail(ctx, vector=list(cls.entries), f=f, side=side), instances
+                    return _fail(ctx, vector=list(entries), f=f, side=side), instances
     return ClaimResult(PASS if instances else NA), instances

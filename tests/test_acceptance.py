@@ -67,9 +67,9 @@ def test_criterion_1_worked_example(capfd):
     if vectors != [(244, 212, 244, 244, 244), (244, 212, 185, 244, 244)]:
         failures.append(f"vectors {vectors}")
 
-    results, _ = run_claims(S, names=("THM_3DISTINCT",))
-    if results["THM_3DISTINCT"].status != "pass":
-        failures.append(f"THM_3DISTINCT {results['THM_3DISTINCT'].status}")
+    (result,), _ = run_claims(S, names=("THM_3DISTINCT",))
+    if result.status != "pass":
+        failures.append(f"THM_3DISTINCT {result.status}")
     distinct = [v for v in vectors if len(set(v[:3])) == 3]
     if distinct != [(244, 212, 185, 244, 244)]:
         failures.append(f"distinct-prefix vectors {distinct}")

@@ -284,7 +284,7 @@ def test_mu_values_worked_example():
     vec = ng_vectors(S)[1]
     cls = classify_pf(S, vec.entries)
     table = max_gap_table(S)
-    result = mu_bound(table, cls)
+    result = mu_bound(table, cls.pf1)
     assert len(result.mus) == 5
     pf1 = set(cls.pf1)
     for s in range(1, 6):

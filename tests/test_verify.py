@@ -9,10 +9,11 @@ import random
 import sys
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from numsgps import NumericalSemigroup, core, is_nearly_gorenstein, ng_vectors
+from numsgps import NumericalSemigroup, core, is_nearly_gorenstein, ng_vectors, rf
 from numsgps.errors import InvalidArgumentError
 from numsgps.verify import (
     ASSERTED_CLAIMS,
@@ -21,6 +22,7 @@ from numsgps.verify import (
     HarnessConfig,
     check_all,
     check_semigroup,
+    claims,
     count_by_genus,
     enumeration,
     harness,
@@ -40,7 +42,7 @@ from numsgps.verify.claims import (
     claim_pf2_bound,
     claim_pf2_two_zeroes,
 )
-from numsgps.rf import PFClassification, Witness, classify_pf, max_gap_table
+from numsgps.rf import Witness, classify_pf, max_gap_table
 from oracles import (
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
@@ -187,7 +189,7 @@ def test_run_claims_rejects_unknown_name(monkeypatch):
 def test_run_claims_worked_example():
     S = NumericalSemigroup(WORKED)
     results, ctx = run_claims(S, names=CLAIM_NAMES)
-    status = {name: results[name].status for name in CLAIM_NAMES}
+    status = {name: result.status for name, result in zip(CLAIM_NAMES, results)}
     assert status["THM_MAIN"] == PASS
     assert status["THM_3DISTINCT"] == PASS
     assert status["PF1_BOUND"] == PASS
@@ -207,7 +209,7 @@ def test_run_claims_worked_example():
 def test_no_failures_up_to_genus_ten():
     for S in semigroups_up_to(10):
         results, _ = run_claims(S, names=CLAIM_NAMES)
-        bad = [n for n, r in results.items() if r.status == FAIL]
+        bad = [n for n, r in zip(CLAIM_NAMES, results) if r.status == FAIL]
         assert not bad, (S.generators, bad)
 
 
@@ -222,7 +224,7 @@ def test_factored_claims_enumerate_no_factorizations_or_gaps(monkeypatch):
     names = ("COPPIE", "FIRST_ZERO", "NGV_PROPS", "TRACE_EQ", "SAME2")
     for S in semigroups_up_to(10):
         results, _ = run_claims(S, names=names)
-        assert FAIL not in {r.status for r in results.values()}, S.generators
+        assert FAIL not in {r.status for r in results}, S.generators
 
 
 def test_factored_routes_agree_with_literal_enumeration():
@@ -264,11 +266,17 @@ def _hand_set_families(count, seed):
         yield S, cands
 
 
+def _hand_set_context(S, cands):
+    """A context of S whose facts are built from these candidate sets in
+    place of S's own."""
+    with mock.patch.object(claims, "candidate_prefix", return_value=cands):
+        return ClaimContext(S)
+
+
 def test_ngv_props_set_tests_match_literal_route_on_hand_set_families():
     statuses = set()
     for S, cands in _hand_set_families(2000, 14):
-        ctx = ClaimContext(S)
-        ctx.candidates = cands
+        ctx = _hand_set_context(S, cands)
         a = literal_ngv_props(ctx).status
         b = claim_ngv_props(ctx).status
         assert a == b, (S.generators, cands)
@@ -295,8 +303,7 @@ def test_avoidable_matches_the_set_difference_definition():
     for S, cands in _hand_set_families(2000, 14):
         if not all(cands):
             continue
-        ctx = ClaimContext(S)
-        ctx.candidates = cands
+        ctx = _hand_set_context(S, cands)
         assert ctx.avoidable == _literal_avoidable(ctx), (S.generators, cands)
         families += 1
     assert families > 1000
@@ -309,9 +316,9 @@ def test_ngv_props_passes_without_a_matching(monkeypatch):
 
     monkeypatch.setattr("numsgps.verify.claims._augment", refuse)
     for S in semigroups_up_to(12):
-        results, ctx = run_claims(S, names=("NGV_PROPS",))
+        (result,), ctx = run_claims(S, names=("NGV_PROPS",))
         expected = PASS if ctx.nearly_gorenstein else NA
-        assert results["NGV_PROPS"].status == expected, S.generators
+        assert result.status == expected, S.generators
 
 
 # Hand-set candidate sets (and pf where the semigroup's own would not
@@ -358,8 +365,7 @@ NGV_FAILURES = [
 )
 def test_ngv_props_failure_payloads(gens, cands, pf, payload):
     S = NumericalSemigroup(gens)
-    ctx = ClaimContext(S)
-    ctx.candidates = [frozenset(c) for c in cands]
+    ctx = _hand_set_context(S, [frozenset(c) for c in cands])
     if pf is not None:
         ctx.pf = pf
     result = claim_ngv_props(ctx)
@@ -452,8 +458,7 @@ VARIANCE_CASES = [
 @pytest.mark.parametrize("cands, f, expected", VARIANCE_CASES)
 def test_classification_variance_on_hand_set_candidate_sets(cands, f, expected):
     S = NumericalSemigroup((8, 9, 10, 12, 15))
-    ctx = ClaimContext(S)
-    ctx.candidates = [frozenset(c) for c in cands]
+    ctx = _hand_set_context(S, [frozenset(c) for c in cands])
     assert f in ctx.avoidable
     assert ctx.varying == expected
     literal = literal_classification_variance(S, itertools.product(*cands))
@@ -461,20 +466,35 @@ def test_classification_variance_on_hand_set_candidate_sets(cands, f, expected):
 
 
 def test_classification_table_matches_per_vector_scan():
-    # ctx.classifications reads a (f, position, entry) table over the
-    # product of the candidate sets; the scan classifies each vector of
-    # ng_vectors on its own, in the same order
+    # ctx.classifications reads each f's hit (position, entry) cells over
+    # the product of the candidate sets; the scan classifies each vector of
+    # ng_vectors on its own, in the same order, and classify_pf builds the
+    # witnesses the table leaves out
     checked = 0
     for S in semigroups_up_to(14, embdim={5}):
         ctx = ClaimContext(S)
         if not ctx.nearly_gorenstein:
             continue
         classes = ctx.classifications
-        assert [c.entries for c in classes] == [v.entries for v in ng_vectors(S)]
-        for cls in classes:
-            assert cls == scan_classify_pf(S, cls.entries), S.generators
+        assert [entries for entries, _, _ in classes] == [v.entries for v in ng_vectors(S)]
+        for entries, pf1, pf2 in classes:
+            scan = scan_classify_pf(S, entries)
+            assert (entries, pf1, pf2) == (scan.entries, scan.pf1, scan.pf2), S.generators
+            assert classify_pf(S, entries) == scan, S.generators
             checked += 1
     assert checked > 2000  # 2,097 vectors today
+
+
+def test_census_builds_no_witness(monkeypatch):
+    # no claim and no failure payload reads a witness: only classify_pf
+    # builds them
+    def refuse(*args):
+        raise AssertionError("built a witness")
+
+    monkeypatch.setattr(rf, "Witness", refuse)
+    assert _digest(check_all(HarnessConfig(genus_max=12))) == GENUS_TWELVE_DIGEST
+    with pytest.raises(AssertionError, match="built a witness"):
+        classify_pf(NumericalSemigroup(WORKED), (244, 212, 185, 244, 244))
 
 
 MATRIX_ORACLES = {
@@ -486,11 +506,11 @@ MATRIX_ORACLES = {
 
 def _assert_matrix_claims_match_literal_routes(S, checked):
     results, _ = run_claims(S, names=tuple(MATRIX_ORACLES))
-    for name, oracle in MATRIX_ORACLES.items():
+    for (name, oracle), result in zip(MATRIX_ORACLES.items(), results):
         literal = oracle(S)
         if literal is not None:
             status, instances = literal
-            assert results[name].status == status, (S.generators, name)
+            assert result.status == status, (S.generators, name)
             checked[name] += instances
 
 
@@ -526,11 +546,11 @@ def _judged_as_pf2(S):
     """One context per NG-vector v and PF number f outside it, with
     {f} hand-set as v's PF2, so the claim judges matrices it never sees
     in a census."""
-    for cls in ClaimContext(S).classifications:
+    for entries, _, _ in ClaimContext(S).classifications:
         for f in S.pseudo_frobenius():
-            if f not in cls.entries:
+            if f not in entries:
                 ctx = ClaimContext(S)
-                ctx.classifications = [PFClassification(cls.entries, (), (f,), {})]
+                ctx.classifications = [(entries, (), (f,))]
                 yield ctx
 
 
@@ -564,7 +584,7 @@ def test_type_bounds_are_exact(name, gens, bound):
 
 
 def _judged_with_split(entries, pf1, pf2):
-    cls = PFClassification(entries, tuple(range(1, pf1 + 1)), tuple(range(1, pf2 + 1)), {})
+    cls = (entries, tuple(range(1, pf1 + 1)), tuple(range(1, pf2 + 1)))
     return _hand_set(WORKED, classifications=[cls])
 
 
@@ -590,7 +610,7 @@ def test_mu_bound_is_exact():
     for gaps, bound in (((), 38), (three_over_2, 37)):
         for size, status in ((bound, PASS), (bound + 1, FAIL)):
             pf1 = tuple(sorted([*gaps, *filler[: size - len(gaps)]]))
-            cls = PFClassification((244, 212, 244, 244, 244), pf1, (), {})
+            cls = ((244, 212, 244, 244, 244), pf1, ())
             result = claim_mu_bound(_hand_set(WORKED, classifications=[cls]))
             assert result.status == status, (gaps, size)
         assert result.payload["bound"] == bound
@@ -607,7 +627,7 @@ def test_pf2_two_zeroes_matches_literal_matrices():
         assert instances > 0 and literal.status == PASS, gens
         assert claim_pf2_two_zeroes(ctx).status == PASS, gens
     first = ClaimContext(NumericalSemigroup(PF2_INSTANCES[0])).classifications
-    assert [(c.entries, c.pf2) for c in first] == [((32,) * 5, (16,))]
+    assert [(entries, pf2) for entries, _, pf2 in first] == [((32,) * 5, (16,))]
     reasons = set()
     # <12, 16, 17, 18, 21> with f = 23: each additive row has two zeroes,
     # but the first column has one
@@ -649,19 +669,22 @@ def test_matrix_claims_fail_on_a_wrong_pseudo_frobenius_entry(monkeypatch, kind)
         if S.genus == S.type:
             continue  # every gap is pseudo-Frobenius
         results, _ = run_claims(S, names=names)
-        for name in names:
-            if results[name].status == PASS:
+        for name, result in zip(names, results):
+            if result.status == PASS:
                 applies[name].append(S)
     wrong = WRONG_PF_ENTRIES[kind]
-    monkeypatch.setattr(
-        ClaimContext,
-        "pf",
-        property(lambda ctx: tuple(sorted({*ctx.S.pseudo_frobenius(), wrong(ctx.S)}))),
-    )
+    build = ClaimContext.__init__
+
+    def with_wrong_entry(ctx, S):
+        # the facts built from S's own set only decide where a claim applies
+        build(ctx, S)
+        ctx.pf = tuple(sorted({*ctx.pf, wrong(S)}))
+
+    monkeypatch.setattr(ClaimContext, "__init__", with_wrong_entry)
     for name, group in applies.items():
         assert len(group) > 20, name
         for S in group:
-            result = run_claims(S, names=(name,))[0][name]
+            (result,), _ = run_claims(S, names=(name,))
             assert result.status == FAIL, (S.generators, name)
             assert result.payload["f"] == wrong(S), (S.generators, name)
             assert "reason" in result.payload
@@ -764,6 +787,29 @@ def test_failures_are_counted_and_listed_like_the_reports(monkeypatch):
     assert json.dumps(summary, sort_keys=True) == json.dumps(split, sort_keys=True)
 
 
+def test_question_flags_are_read_at_the_claims_position(monkeypatch):
+    # no census semigroup up to genus 28 raises a flag, so QUESTION_MS is
+    # made to flag every three-generated one; the harness reads its result
+    # at index 15 of all claims, at index 1 of a subset, and at none when
+    # it is left out
+    def flagging(ctx):
+        if ctx.nu != 3:
+            return INAPPLICABLE
+        payload = {"generators": list(ctx.S.generators), "type": len(ctx.pf)}
+        return ClaimResult(PASS, {**payload, "almost_symmetric": bool(ctx.almost_symmetric)})
+
+    monkeypatch.setitem(CLAIM_FUNCTIONS, "QUESTION_MS", flagging)
+    three = sorted(list(S.generators) for S in semigroups_up_to(7) if S.embedding_dimension == 3)
+    assert len(three) > 10
+    for names in (CLAIM_NAMES, ("HERZOG3", "QUESTION_MS")):
+        summary = check_all(HarnessConfig(genus_max=7, claims=names))
+        assert [flag["generators"] for flag in summary["question_flags"]] == three, names
+        assert summary["claims"]["QUESTION_MS"]["pass"] == len(three)
+        assert summary["total_failures"] == 0
+    left_out = check_all(HarnessConfig(genus_max=7, claims=("HERZOG3", "TRACE_EQ")))
+    assert left_out["question_flags"] == []
+
+
 def test_check_all_sink_streams_reports():
     seen = []
     summary = check_all(HarnessConfig(genus_max=3), sink=seen.append)
@@ -806,7 +852,9 @@ def test_harness_config_validation():
         (count_by_genus, {"genus_max": "3"}),
         # a bool is an int to Python, but no bound
         (HarnessConfig, {"genus_max": True}),
+        (HarnessConfig, {"genus_max": 3, "workers": True}),
         (semigroups_up_to, {"genus_max": True}),
+        (semigroups_up_to, {"genus_max": 3, "part": False, "parts": True}),
         (count_by_genus, {"genus_max": False}),
     ],
     ids=lambda value: getattr(value, "__name__", None) or repr(value),
