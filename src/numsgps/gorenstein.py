@@ -4,14 +4,16 @@ A relative ideal is held by its least element in each residue class mod
 the multiplicity m (RelativeIdeal.least), so the maximal ideal costs m
 Apery lookups.  The trace route reads the max-plus convolution of the
 Apery set with itself (apery_convolution: m**2 steps from scratch, O(m)
-when the genus-tree walk carries it from the parent) and tests each
-generator in m steps, returning at the first generator outside the
-trace.  Almost symmetry is Nari's identity
+when the genus-tree walk carries it from the parent) and settles most
+generators by one lookup in the Frobenius number's class (m steps for
+the rest, and for the multiplicity), returning at the first generator
+outside the trace.  Almost symmetry is Nari's identity
 2 * genus == frobenius + type.  Symmetry and the candidate sets read
 only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
 t the type).  A candidate is tested against the pseudo-Frobenius numbers
 largest first, whose shifted values are the likeliest gaps, and dropped
-at the first gap.  The candidate sets come one position at a time, so a
+at the first gap; at the multiplicity's position only F and F - m can
+pass.  The candidate sets come one position at a time, so a
 verdict of "not nearly Gorenstein" stops at the first empty one
 (candidate_prefix), and so does the NG-vector test, which reads them.
 The companion rule of an NG-vector entry is written once, in
@@ -106,15 +108,28 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     rejection is found.  The largest f gives the smallest shifted value,
     and the smaller a number the likelier it is a gap (every number above
     F lies in S), so that order finds most rejections first: at genus 16
-    it cuts the census's Apery lookups by about a third."""
+    it cuts the census's Apery lookups by about a third.
+
+    At position 0, n = m, only F and F - m are tested, F here the largest
+    computed pseudo-Frobenius number: against f = F the shifted value
+    m + g - F is negative for g < F - m and lies in (0, m) for
+    F - m < g < F, a gap either way, as m is the least nonzero element.
+    So the shortcut gives the full scan's set for any computed set (a
+    true one never holds F - m, as F - m + m = F is a gap); at genus 16
+    it drops 44,618 of the census's 206,653 (position, candidate)
+    tests."""
     _require_proper(S)
-    m = S.generators[0]
+    gens = S.generators
+    m = gens[0]
     apery = S.apery
     pf = S.pseudo_frobenius()
     descending = pf[::-1]
-    for n in S.generators:
+    F = descending[0]
+    pools = [pf] * len(gens)
+    pools[0] = (F - m, F) if F - m in pf else (F,)
+    for n, pool in zip(gens, pools):
         cands = []
-        for g in pf:
+        for g in pool:
             base = n + g
             for f in descending:
                 x = base - f
@@ -175,16 +190,29 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     candidate sets would collapse this route into the candidate-set route
     it is checked against.  M lies in the trace iff every generator does,
     so the loop returns False at the first generator outside it.
+
+    A generator n != m is the Apery element of its class r = n mod m
+    (n - m would make it reducible), so a[r] = n, and taking u = r in the
+    max gives c[r + v] >= a[r] + a[v]: every c[n + v] - a[v] is at least
+    n.  So n lies in the trace iff some v attains n.  The likeliest is
+    v = F mod m, whose a[v] = F + m is the largest Apery element: over
+    the proper semigroups of genus <= 16, it attains n for 61,654 of the
+    68,178 generators n != m in the trace, and only a miss scans every
+    v.  For n = m the minimum is compared as above.
     """
     _require_proper(S)
     m = S.generators[0]
     a = S.apery
     c = S.apery_convolution()
+    if min(map(sub, c, a)) > m:
+        return False
+    top = S.frobenius + m
+    v = top % m
     # cc[r + v] is c[(r + v) % m] for v in [0, m)
     cc = c + c
-    for n in S.generators:
+    for n in S.generators[1:]:
         r = n % m
-        if min(map(sub, cc[r : r + m], a)) > n:
+        if cc[r + v] != n + top and n not in map(sub, cc[r : r + m], a):
             return False
     return True
 

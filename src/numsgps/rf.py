@@ -21,7 +21,9 @@ One hit test, a single-generator row of f + n_i or n_i + f_i - f, splits
 the pseudo-Frobenius numbers outside each NG-vector (classify_vectors;
 classify_pf alone lists the rows as witnesses) and finds those whose
 split changes with the vector (classification_variance); 39 of
-<23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
+<23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.  The rule is
+written once, in _has_single_generator_row, one scan that stops at the
+first divisor.
 
 Row and column positions inside a matrix are plain 0-based Python
 indices; the index fields of Witness and the keys of MaxGapTable are
@@ -175,12 +177,23 @@ class PFClassification:
     witnesses: dict[int, tuple[Witness, ...]]
 
 
+def _has_single_generator_row(others: tuple[int, ...], value: int) -> bool:
+    """The PF split's one test, with others the generators other than the
+    row's own: the row value has a row with nu - 2 zeroes iff it is
+    positive and a multiple of one of them.  One C-level scan that stops
+    at the first divisor."""
+    return value > 0 and 0 in map(value.__mod__, others)
+
+
 def _single_generator_rows(gens: tuple[int, ...], i: int, value: int) -> list[tuple[int, int]]:
     """(j, value // n_j) for each 0-based position j != i whose generator
-    divides the positive row value: the rows at i with nu - 2 zeroes."""
-    if value <= 0:
-        return []
-    return [(j, value // n) for j, n in enumerate(gens) if value % n == 0 and j != i]
+    alone passes _has_single_generator_row: the rows at i with nu - 2
+    zeroes, which classify_pf lists as witnesses."""
+    return [
+        (j, value // n)
+        for j, n in enumerate(gens)
+        if j != i and _has_single_generator_row((n,), value)
+    ]
 
 
 def _hit_cells(
@@ -194,13 +207,15 @@ def _hit_cells(
     f in pf1 iff one of them is a hit.  A row of f + n_i makes a position
     all hits, so it is tested first.  None thus means that every vector
     keeping f outside puts f in pf1 (none keeps it when a set is {f}).
+    Each row test stops at its first divisor: no row is listed.
     """
     cells = set()
     for i, (n, c) in enumerate(zip(gens, candidates)):
-        if _single_generator_rows(gens, i, f + n):
+        others = gens[:i] + gens[i + 1 :]
+        if _has_single_generator_row(others, f + n):
             return None
         rest = [g for g in c if g != f]
-        hits = [(i, g) for g in rest if _single_generator_rows(gens, i, n + g - f)]
+        hits = [(i, g) for g in rest if _has_single_generator_row(others, n + g - f)]
         if len(hits) == len(rest):
             return None
         cells.update(hits)

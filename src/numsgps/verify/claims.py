@@ -17,7 +17,8 @@ of enumeration:
   vector keeps outside its entries (ClaimContext.avoidable: those no
   candidate set holds alone, nu + t steps), and SAME2 reads its
   extremal gaps off the pseudo-Frobenius set instead of the extremal
-  gap table;
+  gap table, and whether a vector avoids a pair by one lookup among the
+  two-element candidate sets;
 - vector-entry statements (all entries distinct, forced prefix values)
   become distinct-representative questions over the candidate sets.
   While no position j admits an entry outside the forced values
@@ -359,7 +360,8 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     for h0 in range(1, len(cands)):
         if F not in cands[h0 - 1]:
             break
-        for g in cands[h0] - {F}:
+        # companion(h0, F) is None: F - F + n_h0 is n_h0 itself
+        for g in cands[h0]:
             if companion(h0, g) is not None and any(
                 f != F and f != g for f in ctx.avoidable
             ):
@@ -436,12 +438,18 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
     A wrong extra entry in the computed set can only add (f, lambda)
     pairs, so the claim still applies, and the premise then fails it,
     wherever it applied before.
+
+    Some vector keeps both f and f' outside its entries iff no set c has
+    c - {f, f'} empty.  Avoidable numbers exist only when S is nearly
+    Gorenstein, so every c is nonempty, and neither f nor f' is a set
+    alone, so c - {f, f'} is empty iff c == {f, f'}: one lookup among
+    the two-element sets per pair.
     """
     avoidable = ctx.avoidable
     if len(avoidable) < 2:
         return INAPPLICABLE
     gens = ctx.S.generators
-    cands = ctx.candidates
+    pairs = {c for c in ctx.candidates if len(c) == 2}
     for ns in gens:
         residues = {n % ns: n for n in gens if n != ns}
         group = [
@@ -451,7 +459,7 @@ def claim_same2(ctx: ClaimContext) -> ClaimResult:
         ]
         for f, lam_p in group:
             for f2, lam_q in group:
-                if f != f2 and lam_p >= lam_q and all(c - {f, f2} for c in cands):
+                if f != f2 and lam_p >= lam_q and frozenset((f, f2)) not in pairs:
                     return _premise_result(ctx)
     return INAPPLICABLE
 
@@ -516,7 +524,7 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
     F = S.frobenius
     cands = ctx.candidates
 
-    if set(cands[0]) != {F}:
+    if cands[0] != {F}:
         return _fail(
             ctx, candidates=sorted(cands[0]),
             reason="first entry is not pinned to F",

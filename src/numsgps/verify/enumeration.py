@@ -42,31 +42,34 @@ Node = tuple[tuple[int, ...], int, int, tuple[int, ...], list]
 _ROOT: Node = ((1,), -1, 0, (0,), [[0], (-1,)])
 
 
-def _child(node: Node, g: int) -> Node:
-    """The child that removes the generator g > frobenius.
+def _child(node: Node, i: int) -> Node:
+    """The child that removes the generator g = gens[i] > frobenius.
 
     For g = m we have m > F, so the node is {0} u [m, oo) and the child
     {0} u [m + 1, oo): generators m + 1..2m + 1, Apery set
     (0, m + 2, ..., 2m + 1).  For g != m, g is the Apery element of its
     class (g - m would make it reducible) and g + m the next member of
     that class, so one entry changes.  Every other generator stays
-    minimal, and the only new one can be g + m, which joins unless
-    g + m - n is a nonzero member of the child for a kept generator n.
-    Every generator is at most F + m < g + m, so g + m - n > 0 and
-    appending g + m keeps the generators ascending.
+    minimal, and the only new one can be x = g + m, which joins unless
+    x - n is a nonzero member of the child for a kept generator n.
+    Every generator is at most F + m < x, so x - n > 0 and appending x
+    keeps the generators ascending.  Only the n strictly between m and g
+    need testing: for n > g, x - n lies in (0, m), below the child's
+    multiplicity m, and for n = m, x - n = g, which the child drops.
     """
     gens, _, genus, apery, _ = node
     m = gens[0]
-    if g == m:
+    if i == 0:
         top = 2 * m + 2
         return (tuple(range(m + 1, top)), m, genus + 1, (0, *range(m + 2, top)), [])
+    g = gens[i]
     r = g % m
     x = g + m
     apery = apery[:r] + (x,) + apery[r + 1 :]
-    kept = [n for n in gens if n != g]
-    if not any(x - n >= apery[(x - n) % m] for n in kept):
-        kept.append(x)
-    return tuple(kept), g, genus + 1, apery, [node, r, x]
+    kept = gens[:i] + gens[i + 1 :]
+    if not any(x - n >= apery[(x - n) % m] for n in gens[1:i]):
+        kept += (x,)
+    return kept, g, genus + 1, apery, [node, r, x]
 
 
 def _resolve(node: Node) -> list:
@@ -156,7 +159,7 @@ def _nodes(genus_max: int) -> Iterator[Node]:
         yield node
         gens, frob, genus, _, _ = node
         if genus < genus_max:
-            stack.extend(_child(node, g) for g in reversed(gens) if g > frob)
+            stack.extend(_child(node, i) for i in reversed(range(len(gens))) if gens[i] > frob)
 
 
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:

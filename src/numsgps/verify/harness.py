@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..core import NumericalSemigroup
@@ -130,24 +130,28 @@ def _empty_aggregate() -> dict:
     }
 
 
-def _consume(agg: dict, cfg: HarnessConfig, S: NumericalSemigroup, sink=None) -> None:
-    results, ctx = run_claims(S, cfg.claims)
-    statuses = tuple([res.status for res in results])
-    key = (S.genus, ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric, len(ctx.pf), statuses)
-    agg["tally"][key] += 1
-    if FAIL in statuses:
-        for name, res in zip(cfg.claims, results):
-            if res.status == FAIL:
-                agg["failures"].append({"claim": name, **res.payload})
-    flag = results[cfg.claims.index("QUESTION_MS")] if "QUESTION_MS" in cfg.claims else None
-    if flag is not None and flag.payload is not None:
-        agg["question_flags"].append(flag.payload)
-    for f in ctx.varying:
-        agg["classification_varies"].append(
-            {"generators": list(S.generators), "f": f, "classes": ["pf1", "pf2"]}
-        )
-    if sink is not None:
-        sink(_report(S, cfg.claims, results, ctx))
+def _consume(agg: dict, cfg: HarnessConfig, semigroups: Iterable, sink=None) -> None:
+    """Add these semigroups' results to the aggregate, and pass each one's
+    record to sink.  QUESTION_MS's position is looked up once per call."""
+    names = cfg.claims
+    flag_at = names.index("QUESTION_MS") if "QUESTION_MS" in names else None
+    for S in semigroups:
+        results, ctx = run_claims(S, names)
+        statuses = tuple([res.status for res in results])
+        key = (S.genus, ctx.nu, ctx.nearly_gorenstein, ctx.almost_symmetric, len(ctx.pf), statuses)
+        agg["tally"][key] += 1
+        if FAIL in statuses:
+            for name, res in zip(names, results):
+                if res.status == FAIL:
+                    agg["failures"].append({"claim": name, **res.payload})
+        if flag_at is not None and results[flag_at].payload is not None:
+            agg["question_flags"].append(results[flag_at].payload)
+        for f in ctx.varying:
+            agg["classification_varies"].append(
+                {"generators": list(S.generators), "f": f, "classes": ["pf1", "pf2"]}
+            )
+        if sink is not None:
+            sink(_report(S, names, results, ctx))
 
 
 def _merge(agg: dict, part: dict) -> None:
@@ -158,8 +162,7 @@ def _merge(agg: dict, part: dict) -> None:
 def _check_part(cfg: HarnessConfig, part: int, parts: int, sink=None) -> dict:
     """The aggregate of part `part` of `parts` of the census."""
     agg = _empty_aggregate()
-    for S in semigroups_up_to(cfg.genus_max, cfg.embdim_filter, part, parts):
-        _consume(agg, cfg, S, sink)
+    _consume(agg, cfg, semigroups_up_to(cfg.genus_max, cfg.embdim_filter, part, parts), sink)
     return agg
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import gcd, prod
+from operator import sub
 
 from numsgps.gorenstein import RelativeIdeal, candidate_prefix, ng_vectors
 from numsgps.rf import (
@@ -190,6 +191,55 @@ def literal_apery_convolution(apery):
     """c[j] = max over u of apery[u] + apery[(j - u) mod m], term by term."""
     m = len(apery)
     return [max(apery[u] + apery[(j - u) % m] for u in range(m)) for j in range(m)]
+
+
+def full_scan_trace_nearly_gorenstein(S):
+    """The trace route's test with every generator n scanned in full:
+    min over v of c[n + v] - a[v] <= n (indices mod m, c the Apery
+    convolution), with no one-lookup shortcut."""
+    m = S.multiplicity
+    a = S.apery
+    c = literal_apery_convolution(a)
+    cc = c + c
+    return all(min(map(sub, cc[n % m : n % m + m], a)) <= n for n in S.generators)
+
+
+def full_scan_candidate_sets(S):
+    """The candidate sets at every position, each pseudo-Frobenius g tested
+    against every f (largest first), position 0 included: no shortcut at
+    the multiplicity's position.  Reads S.pseudo_frobenius(), so a
+    hand-set computed set is scanned as it stands."""
+    m = S.multiplicity
+    apery = S.apery
+    pf = S.pseudo_frobenius()
+    out = []
+    for n in S.generators:
+        cands = []
+        for g in pf:
+            for f in pf[::-1]:
+                x = n + g - f
+                if x < apery[x % m]:
+                    break
+            else:
+                cands.append(g)
+        out.append(frozenset(cands))
+    return out
+
+
+def every_kept_child_generators(gens, apery, g):
+    """The minimal generators of the child that removes g != m (g above
+    the Frobenius number) from the semigroup with these generators and
+    Apery set: the kept generators, and g + m unless g + m - n is a
+    nonzero member of the child for some kept generator n, every kept
+    one tested."""
+    m = gens[0]
+    x = g + m
+    r = g % m
+    child = apery[:r] + (x,) + apery[r + 1 :]
+    kept = [n for n in gens if n != g]
+    if not any(x - n >= child[(x - n) % m] for n in kept):
+        kept.append(x)
+    return tuple(kept)
 
 
 def gaps_trace_nearly_gorenstein(S):
@@ -445,6 +495,49 @@ def literal_classification_variance(S, vectors):
         for f in cls.pf2:
             seen.setdefault(f, set()).add("pf2")
     return [(f, sorted(kinds)) for f, kinds in sorted(seen.items()) if len(kinds) > 1]
+
+
+def list_hit_cells(gens, f, candidates):
+    """The variance scan's hit cells for f with every single-generator row
+    listed: (position, entry) cells over the candidates other than f, or
+    None once a position's are all hits.  A row value has a row with
+    nu - 2 zeroes iff the list of positions j != i whose generator divides
+    the positive value is nonempty."""
+
+    def rows(i, value):
+        if value <= 0:
+            return []
+        return [(j, value // n) for j, n in enumerate(gens) if value % n == 0 and j != i]
+
+    cells = set()
+    for i, (n, c) in enumerate(zip(gens, candidates)):
+        if rows(i, f + n):
+            return None
+        rest = [g for g in c if g != f]
+        hits = [(i, g) for g in rest if rows(i, n + g - f)]
+        if len(hits) == len(rest):
+            return None
+        cells.update(hits)
+    return cells
+
+
+def set_difference_same2_applies(ctx):
+    """Whether SAME2 applies, with each pair's avoidance read as
+    all(c - {f, f2}) over the candidate sets: two distinct avoidable
+    numbers f = M_{p,s} and f2 = M_{q,s} with lambda_p >= lambda_q (read
+    off the pseudo-Frobenius set as the claim does) that some vector of
+    the sets keeps outside its entries."""
+    gens = ctx.S.generators
+    for ns in gens:
+        residues = {n % ns: n for n in gens if n != ns}
+        group = [
+            (f, (f + residues[-f % ns]) // ns) for f in ctx.avoidable if -f % ns in residues
+        ]
+        for f, lam_p in group:
+            for f2, lam_q in group:
+                if f != f2 and lam_p >= lam_q and all(c - {f, f2} for c in ctx.candidates):
+                    return True
+    return False
 
 
 def scan_classify_pf(S, entries):

@@ -21,7 +21,7 @@ from numsgps import (
     nearly_gorenstein_via_trace,
     ng_vectors,
 )
-from numsgps.gorenstein import candidate_prefix, ng_vector_at
+from numsgps.gorenstein import _candidate_sets, candidate_prefix, ng_vector_at
 from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
@@ -31,10 +31,13 @@ from oracles import (
     brute_symmetric,
     canonical_ideal,
     canonical_ideal_symmetric,
+    full_scan_candidate_sets,
+    full_scan_trace_nearly_gorenstein,
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
     gaps_trace_nearly_gorenstein,
     genus_tree_semigroups,
+    literal_apery_convolution,
     mask_almost_symmetric,
     mask_is_ng_vector,
     mask_ng_candidates,
@@ -97,26 +100,48 @@ def test_canonical_ideal_contents():
         assert (x in K) == (x >= 0 and not S.contains(S.frobenius - x))
 
 
+def _one_lookup_misses(S):
+    """Some generator n != m lies in the trace without being attained at
+    v = F mod m, so the trace route's one lookup misses it and its full
+    scan decides."""
+    m = S.multiplicity
+    a = S.apery
+    c = literal_apery_convolution(a)
+    v = S.frobenius % m
+    return any(
+        c[(n + v) % m] - a[v] != n and min(c[(n + u) % m] - a[u] for u in range(m)) == n
+        for n in S.generators[1:]
+    )
+
+
 def _assert_trace_routes_agree(S):
+    """Compares the trace route with the full scan, the trace built gap
+    by gap and the candidate route; True when the route reached its full
+    scan for a generator in the trace (every generator is tested when S
+    is nearly Gorenstein)."""
     via_trace = nearly_gorenstein_via_trace(S)
+    assert via_trace == full_scan_trace_nearly_gorenstein(S), S.generators
     assert via_trace == gaps_trace_nearly_gorenstein(S), S.generators
     assert via_trace == is_nearly_gorenstein(S), S.generators
+    return via_trace and _one_lookup_misses(S)
 
 
 def test_trace_route_agrees_with_candidate_route():
     # and with the trace route that builds K gap by gap
-    count = 0
+    count = fallbacks = 0
     for S in census(12):
-        _assert_trace_routes_agree(S)
+        fallbacks += _assert_trace_routes_agree(S)
         count += 1
     assert count == 1412
+    assert fallbacks > 0
     rng = random.Random(2718)
     frobs = []
+    fallbacks = 0
     for _ in range(40):
         S = NumericalSemigroup(random_generators(rng, frobenius_cap=3000))
-        _assert_trace_routes_agree(S)
+        fallbacks += _assert_trace_routes_agree(S)
         S = _sparse_generators(rng)
-        _assert_trace_routes_agree(S)
+        fallbacks += _assert_trace_routes_agree(S)
         frobs.append(S.frobenius)
     assert max(frobs) > 2000
     # multiplicities past the census's, where the residue slices of the
@@ -124,9 +149,10 @@ def test_trace_route_agrees_with_candidate_route():
     verdicts = []
     for _ in range(60):
         S = _wide_generators(rng)
-        _assert_trace_routes_agree(S)
+        fallbacks += _assert_trace_routes_agree(S)
         verdicts.append(is_nearly_gorenstein(S))
     assert 0 < sum(verdicts) < len(verdicts)
+    assert fallbacks > 0
 
 
 def test_trace_route_reads_neither_pf_nor_candidate_sets(monkeypatch):
@@ -192,6 +218,35 @@ def test_claim_context_candidates_stop_at_the_first_empty_set():
     wide = [_wide_generators(rng) for _ in range(60)]
     assert sum(_stopped_candidates_stop_early(S) for S in wide) > 0
     assert 0 < sum(map(is_nearly_gorenstein, wide)) < len(wide)
+
+
+def _assert_candidate_sets_match_full_scan(S, extra):
+    """The candidate sets against the full scan, on S's own
+    pseudo-Frobenius set and on a computed set with F - m and these extra
+    numbers added; True when F - m is a candidate at position 0 of the
+    latter, which only a true set of one number allows."""
+    assert list(_candidate_sets(S)) == full_scan_candidate_sets(S), S.generators
+    F, m = S.frobenius, S.multiplicity
+    T = NumericalSemigroup(S.generators)
+    T._pf = tuple(sorted({*S.pseudo_frobenius(), F - m, *extra}))
+    first = full_scan_candidate_sets(T)
+    assert list(_candidate_sets(T)) == first, (S.generators, T._pf)
+    return F - m in first[0]
+
+
+def test_position_zero_shortcut_matches_the_full_scan():
+    # the shortcut keeps only F and F - m at the multiplicity's position,
+    # F the largest computed number, so it must agree with the full scan
+    # on any computed set, a wrong one included
+    rng = random.Random(577)
+    systems = [*census(12)]
+    systems += [NumericalSemigroup(random_generators(rng, frobenius_cap=400)) for _ in range(200)]
+    systems += [_wide_generators(rng) for _ in range(60)]
+    kept = 0
+    for S in systems:
+        extra = [] if rng.random() < 0.5 else rng.sample(range(S.frobenius + 2), 2)
+        kept += _assert_candidate_sets_match_full_scan(S, extra)
+    assert kept > 50  # 99 today
 
 
 def test_ng_candidates_structure():

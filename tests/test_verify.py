@@ -41,21 +41,25 @@ from numsgps.verify.claims import (
     claim_pf1_bound,
     claim_pf2_bound,
     claim_pf2_two_zeroes,
+    claim_same2,
 )
 from numsgps.rf import Witness, classify_pf, max_gap_table
 from oracles import (
+    every_kept_child_generators,
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
     genus_tree_semigroups,
     literal_apery_convolution,
     literal_classification_variance,
     literal_coppie,
+    list_hit_cells,
     literal_first_zero,
     literal_ngv_props,
     literal_pf2_two_zeroes,
     literal_same2,
     random_generators,
     scan_classify_pf,
+    set_difference_same2_applies,
 )
 
 KNOWN_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
@@ -168,6 +172,45 @@ def test_walked_pseudo_frobenius_frobenius_and_genus_match_the_oracles():
         pf = gap_scan_pseudo_frobenius(S)
         assert S.pseudo_frobenius() == pf == T.pseudo_frobenius(), S.generators
         assert (S.frobenius, S.genus) == (T.frobenius, T.genus), S.generators
+
+
+def _random_descent_nodes(rng, paths, depth):
+    """The nodes on seeded random paths down the genus tree from the
+    root, each path stopping at a leaf or at the given depth."""
+    for _ in range(paths):
+        node = enumeration._ROOT
+        for _ in range(depth):
+            gens, frob = node[0], node[1]
+            children = [i for i in range(len(gens)) if gens[i] > frob]
+            if not children:
+                break
+            node = enumeration._child(node, rng.choice(children))
+            yield node
+
+
+def test_child_generators_match_the_test_over_every_kept_generator():
+    # the child step tests g + m against the generators strictly between
+    # m and g only; the oracle tests every kept generator.  Every node of
+    # genus <= 12, nodes made from seeded random systems, and the nodes of
+    # seeded random paths to genus 40, whose multiplicities pass the
+    # census's
+    rng = random.Random(20)
+    nodes = list(enumeration._nodes(12))
+    for _ in range(200):
+        S = NumericalSemigroup(random_generators(rng, frobenius_cap=400))
+        nodes.append((S.generators, S.frobenius, S.genus, S.apery, []))
+    nodes += _random_descent_nodes(rng, 100, 40)
+    assert max(node[0][0] for node in nodes) > 30
+    checked = joined = 0
+    for node in nodes:
+        gens, frob, _, apery, _ = node
+        for i in range(1, len(gens)):
+            if gens[i] > frob:
+                child = enumeration._child(node, i)[0]
+                assert child == every_kept_child_generators(gens, apery, gens[i]), (gens, i)
+                checked += 1
+                joined += child[-1] == gens[i] + gens[0]
+    assert 0 < joined < checked
 
 
 def test_run_claims_rejects_unknown_name(monkeypatch):
@@ -309,6 +352,26 @@ def test_avoidable_matches_the_set_difference_definition():
     assert families > 1000
 
 
+def test_same2_pair_lookup_matches_the_set_difference():
+    # SAME2 reads whether a vector avoids a pair as a lookup among the
+    # two-element candidate sets; the oracle takes all(c - {f, f2})
+    rng = random.Random(20)
+    contexts = [ClaimContext(S) for S in semigroups_up_to(12)]
+    contexts += [
+        ClaimContext(NumericalSemigroup(random_generators(rng, frobenius_cap=400)))
+        for _ in range(200)
+    ]
+    contexts += [
+        _hand_set_context(S, cands) for S, cands in _hand_set_families(2000, 14) if all(cands)
+    ]
+    applies = Counter()
+    for ctx in contexts:
+        expected = set_difference_same2_applies(ctx)
+        assert (claim_same2(ctx).status != NA) == expected, (ctx.S.generators, ctx.candidates)
+        applies[expected] += 1
+    assert applies[True] > 0 and applies[False] > 0
+
+
 def test_ngv_props_passes_without_a_matching(monkeypatch):
     # a passing input is decided by set tests on the forced prefix alone
     def refuse(*args):
@@ -419,6 +482,45 @@ def test_factored_classification_variance_matches_literal_scan():
         assert not _assert_variance_matches_literal_scan(S)
 
 
+def _random_hit_cell_inputs(rng, count):
+    """Seeded (generators, f, candidate sets) with no semigroup behind
+    them: the hit cells are a function of these numbers alone, and such
+    draws reach mixed positions and row values <= 0, which the census
+    rarely or never gives."""
+    for _ in range(count):
+        gens = tuple(sorted(rng.sample(range(3, 40), rng.randint(2, 6))))
+        cands = [frozenset(rng.sample(range(-20, 80), rng.randint(1, 3))) for _ in gens]
+        yield gens, rng.randint(1, 60), cands
+
+
+def test_hit_cells_match_the_listed_rows():
+    # the variance scan asks each row value for one divisor; the oracle
+    # lists every single-generator row
+    rng = random.Random(20)
+    contexts = [ClaimContext(S) for S in semigroups_up_to(12) if not S.is_full()]
+    contexts += [
+        ClaimContext(NumericalSemigroup(random_generators(rng, frobenius_cap=400)))
+        for _ in range(200)
+    ]
+    S = NumericalSemigroup((8, 9, 10, 12, 15))
+    contexts += [
+        _hand_set_context(S, [frozenset(c) for c in cands]) for cands, _, _ in VARIANCE_CASES
+    ]
+    inputs = [
+        (ctx.S.generators, f, ctx.candidates)
+        for ctx in contexts
+        if ctx.nearly_gorenstein
+        for f in ctx.pf
+    ]
+    inputs += _random_hit_cell_inputs(rng, 5000)
+    kinds = Counter()
+    for gens, f, cands in inputs:
+        cells = rf._hit_cells(gens, f, cands)
+        assert cells == list_hit_cells(gens, f, cands), (gens, f, cands)
+        kinds["all-hit" if cells is None else "cells" if cells else "no hit"] += 1
+    assert min(kinds.values()) > 100 and len(kinds) == 3
+
+
 def test_pf_split_varies_with_the_ng_vector():
     S = NumericalSemigroup(VARYING)
     ctx = ClaimContext(S)
@@ -430,7 +532,7 @@ def test_pf_split_varies_with_the_ng_vector():
     note = "classification of 39 varies across NG-vectors: pf1, pf2"
     assert check_semigroup(S)["notes"] == [note]
     agg = harness._empty_aggregate()
-    harness._consume(agg, HarnessConfig(genus_max=0), S)
+    harness._consume(agg, HarnessConfig(genus_max=0), [S])
     assert agg["classification_varies"] == [
         {"generators": list(VARYING), "f": 39, "classes": ["pf1", "pf2"]}
     ]
@@ -791,7 +893,7 @@ def test_question_flags_are_read_at_the_claims_position(monkeypatch):
     # no census semigroup up to genus 28 raises a flag, so QUESTION_MS is
     # made to flag every three-generated one; the harness reads its result
     # at index 15 of all claims, at index 1 of a subset, and at none when
-    # it is left out
+    # it is left out, even when the last claim then gives payloads
     def flagging(ctx):
         if ctx.nu != 3:
             return INAPPLICABLE
@@ -806,6 +908,9 @@ def test_question_flags_are_read_at_the_claims_position(monkeypatch):
         assert [flag["generators"] for flag in summary["question_flags"]] == three, names
         assert summary["claims"]["QUESTION_MS"]["pass"] == len(three)
         assert summary["total_failures"] == 0
+    left_out = check_all(HarnessConfig(genus_max=7, claims=("HERZOG3", "TRACE_EQ")))
+    assert left_out["question_flags"] == []
+    monkeypatch.setitem(CLAIM_FUNCTIONS, "TRACE_EQ", flagging)
     left_out = check_all(HarnessConfig(genus_max=7, claims=("HERZOG3", "TRACE_EQ")))
     assert left_out["question_flags"] == []
 
