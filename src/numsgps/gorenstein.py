@@ -69,7 +69,11 @@ class RelativeIdeal:
         """True iff the set is a nonempty ideal contained in S: it is
         given mod the multiplicity of S, each least element lies in S,
         and least[r] + n stays in the set for every generator n (adding
-        m never leaves it)."""
+        m never leaves it).  S's own maximal ideal is settled by one
+        comparison before that O(m nu) scan: it is always an ideal of S
+        that lies in S."""
+        if self == self.maximal_ideal(S):
+            return True
         m = S.multiplicity
         least = self.least
         return (
@@ -334,8 +338,10 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
     """Membership test for the defining condition, without enumerating:
     each entry lies in its position's candidate set, read up to the first
-    position that fails."""
-    _require_proper(S)
-    return len(entries) == S.embedding_dimension and all(
-        g in c for g, c in zip(entries, _candidate_sets(S))
-    )
+    position that fails.  Properness is checked once: here when the
+    length is wrong, else by the candidate sets, which a vector of
+    nu >= 1 entries always starts."""
+    if len(entries) != S.embedding_dimension:
+        _require_proper(S)
+        return False
+    return all(g in c for g, c in zip(entries, _candidate_sets(S)))

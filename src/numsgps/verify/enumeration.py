@@ -56,6 +56,9 @@ def _child(node: Node, i: int) -> Node:
     keeps the generators ascending.  Only the n strictly between m and g
     need testing: for n > g, x - n lies in (0, m), below the child's
     multiplicity m, and for n = m, x - n = g, which the child drops.
+    The test is a plain loop, not any() over a generator expression:
+    most nodes test one or two n, and a generator frame per node costs
+    more than the test.
     """
     gens, _, genus, apery, _ = node
     m = gens[0]
@@ -65,9 +68,12 @@ def _child(node: Node, i: int) -> Node:
     g = gens[i]
     r = g % m
     x = g + m
-    apery = apery[:r] + (x,) + apery[r + 1 :]
+    apery = (*apery[:r], x, *apery[r + 1 :])
     kept = gens[:i] + gens[i + 1 :]
-    if not any(x - n >= apery[(x - n) % m] for n in gens[1:i]):
+    for n in gens[1:i]:
+        if x - n >= apery[(x - n) % m]:
+            break
+    else:
         kept += (x,)
     return kept, g, genus + 1, apery, [node, r, x]
 
@@ -96,6 +102,9 @@ def _resolve(node: Node) -> list:
 
     The spine children, {0} u [m, oo), compute c from scratch and have
     pf = 1..F.
+
+    The step is one list comprehension with the sum and the maximum
+    inline: a call of max or x.__add__ per entry costs more than both.
     """
     pending = []
     cell = node[4]
@@ -113,7 +122,7 @@ def _resolve(node: Node) -> list:
         m = len(a)
         # a[s:] + a[:s] is a'[(j - r) % m] for j in [0, m)
         s = m - r
-        c = list(map(max, c, map(x.__add__, a[s:] + a[:s])))
+        c = [q if (q := x + b) > p else p for p, b in zip(c, a[s:] + a[:s])]
         g = x - m
         pf = (*[f for f in pf if (y := g - f) < a[y % m]], g)
         cell[:] = (c, pf)
@@ -159,7 +168,7 @@ def _nodes(genus_max: int) -> Iterator[Node]:
         yield node
         gens, frob, genus, _, _ = node
         if genus < genus_max:
-            stack.extend(_child(node, i) for i in reversed(range(len(gens))) if gens[i] > frob)
+            stack += [_child(node, i) for i in range(len(gens) - 1, -1, -1) if gens[i] > frob]
 
 
 def _semigroup_from_node(node: Node) -> NumericalSemigroup:

@@ -128,6 +128,22 @@ def canonical_ideal(S):
     return RelativeIdeal(tuple(F + m - S.apery[(F - r) % m] for r in range(m)))
 
 
+def literal_is_ideal_of(S, least):
+    """Whether the set with least element least[r] in each class r mod
+    m = len(least) is an ideal of S contained in S, element by element:
+    every member below the window's top lies in S, and every member plus
+    every element of S below it stays a member.  The window reaches past
+    each least element plus each Apery element, which suffices as both
+    sets are closed under adding m."""
+    m = len(least)
+    top = max(least) + S.frobenius + S.multiplicity + 1
+    members = [x for x in range(min(least), top) if x >= least[x % m]]
+    elements = [s for s in range(top) if S.contains(s)]
+    return all(S.contains(e) for e in members) and all(
+        e + s >= least[(e + s) % m] for e in members for s in elements
+    )
+
+
 def canonical_ideal_symmetric(S):
     """Symmetry as K(S) == S, with K built gap by gap: below F + 1, K is
     F - g for the gaps g, and S is its members."""
@@ -369,7 +385,8 @@ def genus_tree_semigroups(genus_max):
     Represents a semigroup as its sorted gap tuple.  A child removes one
     minimal generator larger than the current Frobenius number; adding
     the largest gap back recovers the unique parent, so every semigroup
-    appears exactly once.
+    appears exactly once.  The list is a pre-order, siblings by
+    increasing removed generator.
     """
     out = []
 

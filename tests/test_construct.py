@@ -30,6 +30,8 @@ from numsgps import (
 )
 from numsgps import construct
 from numsgps.construct import _require_matrices, dim6_progression, dim6_raw_generators
+from numsgps.verify import semigroups_up_to
+from oracles import literal_is_ideal_of
 
 
 def test_duplication_spec_validation():
@@ -47,6 +49,38 @@ def test_duplication_spec_validation():
         assert not bad.is_ideal_of(S)
         with pytest.raises(NotAnIdealError):
             DuplicationSpec(S, bad, 3)
+
+
+def test_maximal_ideal_is_settled_by_one_comparison(monkeypatch):
+    # every semigroup of genus <= 7: M(S) is accepted without one
+    # membership test, and every near miss (one least element moved by
+    # -m or +m) gets the element-by-element answer, so the lowered ones,
+    # which put a gap into the set, are still refused
+    semigroups = list(semigroups_up_to(7))
+    near_misses = []
+    for S in semigroups:
+        least = RelativeIdeal.maximal_ideal(S).least
+        m = len(least)
+        for r in range(m):
+            for step in (-m, m):
+                near = (*least[:r], least[r] + step, *least[r + 1 :])
+                near_misses.append((S, near, literal_is_ideal_of(S, near)))
+    lookups = []
+    contains = NumericalSemigroup.contains
+
+    def counting(self, x):
+        lookups.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", counting)
+    for S in semigroups:
+        assert RelativeIdeal.maximal_ideal(S).is_ideal_of(S), S.generators
+    assert lookups == []
+    refused = 0
+    for S, near, expected in near_misses:
+        assert RelativeIdeal(near).is_ideal_of(S) == expected, (S.generators, near)
+        refused += not expected
+    assert 0 < refused < len(near_misses)
 
 
 def test_duplication_example():

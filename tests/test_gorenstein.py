@@ -21,6 +21,7 @@ from numsgps import (
     nearly_gorenstein_via_trace,
     ng_vectors,
 )
+from numsgps import gorenstein
 from numsgps.gorenstein import _candidate_sets, candidate_prefix, ng_vector_at
 from numsgps.verify import ClaimContext, semigroups_up_to
 from oracles import (
@@ -338,6 +339,35 @@ def test_is_ng_vector():
     assert is_ng_vector(S, (244, 212, 185, 244, 244))
     assert not is_ng_vector(S, (244, 244, 244, 244, 244))
     assert not is_ng_vector(S, (59, 212, 244, 244, 244))
+
+
+def test_is_ng_vector_checks_properness_once(monkeypatch):
+    calls = []
+    require = gorenstein._require_proper
+
+    def counting(S):
+        calls.append(S.generators)
+        return require(S)
+
+    monkeypatch.setattr(gorenstein, "_require_proper", counting)
+    S = NumericalSemigroup(WORKED)
+    for entries in (
+        (244, 212, 244, 244, 244),
+        (59, 212, 244, 244, 244),
+        (244, 212, 244, 244),
+        (244,) * 6,
+        (),
+    ):
+        calls.clear()
+        is_ng_vector(S, entries)
+        assert calls == [WORKED], entries
+    # N is refused at either length, before any length comparison
+    N = NumericalSemigroup((1,))
+    for entries in ((-1,), ()):
+        calls.clear()
+        with pytest.raises(EmbeddingDimensionError):
+            is_ng_vector(N, entries)
+        assert calls == [(1,)], entries
 
 
 def test_ng_vectors_requires_nearly_gorenstein():

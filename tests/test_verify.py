@@ -79,16 +79,15 @@ def test_count_by_genus_rejects_negative_genus(genus_max):
 
 
 def test_enumeration_matches_backtracking_oracle():
-    expected = {
-        gaps_to_generators(gaps) for gaps in genus_tree_semigroups(9)
-    }
-    walked = list(semigroups_up_to(9))
-    got = {S.generators for S in walked}
-    assert got == expected
-    assert len(got) == sum(KNOWN_COUNTS[:10])
-    # the Apery sets carried down the tree (multiplicities 2..10) match
+    # the same stream, not only the same set: a pre-order with siblings
+    # by increasing removed generator
+    expected = [gaps_to_generators(gaps) for gaps in genus_tree_semigroups(10)]
+    walked = list(semigroups_up_to(10))
+    assert [S.generators for S in walked] == expected
+    assert len(set(expected)) == len(expected) == sum(KNOWN_COUNTS[:11]) == 478
+    # the Apery sets carried down the tree (multiplicities 2..11) match
     # the shortest-path construction from the generators
-    assert {S.multiplicity for S in walked} == set(range(1, 11))
+    assert {S.multiplicity for S in walked} == set(range(1, 12))
     for S in walked:
         assert S.apery == NumericalSemigroup(S.generators).apery, S.generators
 
