@@ -12,8 +12,9 @@ pseudo-Frobenius set by Apery maximality; one built by the genus-tree
 walk (_from_minimal_data) is handed its Frobenius number, genus,
 convolution and pseudo-Frobenius set, which the walk carries from parent
 to child along with the Apery set.  Nothing here builds a structure that
-grows with the Frobenius number; the one left in the package is the
-reachability mask of the NGV_PROPS claim.
+grows with the Frobenius number; in the package, the reachability mask
+of the NGV_PROPS claim does, and it is built only for an unpinned
+pseudo-Frobenius number that no single later generator settles.
 
 The full semigroup N (generated by 1) needs no special case: its Apery
 set mod 1 is (0,), so the general code gives frobenius = -1, genus 0

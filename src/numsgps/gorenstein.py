@@ -11,9 +11,11 @@ outside the trace.  Almost symmetry is Nari's identity
 2 * genus == frobenius + type.  Symmetry and the candidate sets read
 only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
 t the type).  A candidate is tested against the pseudo-Frobenius numbers
-largest first, whose shifted values are the likeliest gaps, and dropped
-at the first gap; at the multiplicity's position only F and F - m can
-pass.  The candidate sets come one position at a time, so a
+largest first, whose shifted values are the likeliest gaps, dropped at
+the first gap and kept at the first shifted value above the Frobenius
+number, as every later one is larger; at the multiplicity's position
+only F and F - m can pass.  The candidate sets come one position at a
+time, so a
 verdict of "not nearly Gorenstein" stops at the first empty one
 (candidate_prefix), and so does the NG-vector test, which reads them.
 The companion rule of an NG-vector entry is written once, in
@@ -114,6 +116,14 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     F lies in S), so that order finds most rejections first: at genus 16
     it cuts the census's Apery lookups by about a third.
 
+    The same order ends the test early on the other side: g is kept at
+    the first f whose shifted value lies above S.frobenius, since every
+    later f is smaller, so every later shifted value is larger and lies
+    in S too.  The bound is S's own Frobenius number, not the largest
+    computed pseudo-Frobenius number, so the sets are the full scan's
+    for any computed set.  At genus 16 the census's Apery lookups here
+    fall from 513,830 to 246,928.
+
     At position 0, n = m, only F and F - m are tested, F here the largest
     computed pseudo-Frobenius number: against f = F the shifted value
     m + g - F is negative for g < F - m and lies in (0, m) for
@@ -126,6 +136,7 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     gens = S.generators
     m = gens[0]
     apery = S.apery
+    frobenius = S.frobenius
     pf = S.pseudo_frobenius()
     descending = pf[::-1]
     F = descending[0]
@@ -137,6 +148,9 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
             base = n + g
             for f in descending:
                 x = base - f
+                if x > frobenius:
+                    cands.append(g)
+                    break
                 if x < apery[x % m]:
                     break
             else:

@@ -30,8 +30,9 @@ Work shared between claims is done once per semigroup (the facts every
 record reads are built with the context, the others on their first
 access, without a lock), every pass or inapplicable verdict without a
 payload is one shared ClaimResult, and NGV_PROPS asks whether a number
-is a combination of the later generators through one reachability
-bitmask instead of enumerating factorizations.  NGV_PROPS keeps each
+is a combination of the later generators without enumerating
+factorizations: by one divisor scan over them, and only for the numbers
+none of them divides, through one reachability bitmask.  NGV_PROPS keeps each
 position's entries without a companion unsorted and only tests whether
 they exist; a failure payload names the largest, found only then.  The
 candidate prefix and the companion rule come from gorenstein (the rule's
@@ -357,14 +358,16 @@ def claim_first_zero(ctx: ClaimContext) -> ClaimResult:
     F = ctx.S.frobenius
     cands = ctx.candidates
     companion = ctx.companion
+    avoidable = ctx.avoidable
+    # an avoidable f outside {F, g} exists iff more numbers are avoidable
+    # than F and g account for (g != F below)
+    spare = len(avoidable) - (F in avoidable)
     for h0 in range(1, len(cands)):
         if F not in cands[h0 - 1]:
             break
         # companion(h0, F) is None: F - F + n_h0 is n_h0 itself
         for g in cands[h0]:
-            if companion(h0, g) is not None and any(
-                f != F and f != g for f in ctx.avoidable
-            ):
+            if companion(h0, g) is not None and spare > (g in avoidable):
                 return _premise_result(ctx)
     return INAPPLICABLE
 
@@ -536,23 +539,40 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
     # rule first fails at the first j <= imax with an entry outside
     # forced[:j + 1]; without one, a full distinct choice exists iff
     # imax == nu, and one of cands[:nu - 1] iff imax >= nu - 1, where it
-    # is forced[:nu - 1].
-    forced = [F - n + gens[0] for n in gens]
+    # is forced[:nu - 1].  pinned grows to forced[:imax]; at j = imax,
+    # forced[j] is not in cands[j], so testing it against forced[:j] is
+    # the same test.
+    m = gens[0]
+    forced = [F - n + m for n in gens]
+    pinned = {F}
     imax = 1
     while imax < nu and forced[imax] in cands[imax]:
+        pinned.add(forced[imax])
+        if not cands[imax] <= pinned:
+            return _matching_failure(ctx, forced)
         imax += 1
     if (
         imax == nu
-        or any(cands[j].difference(forced[: j + 1]) for j in range(1, imax + 1))
-        or (imax == nu - 1 and set(ctx.pf) != set(forced[:imax]))
+        or not cands[imax] <= pinned
+        or (imax == nu - 1 and set(ctx.pf) != pinned)
     ):
         return _matching_failure(ctx, forced)
 
-    unpinned = [f for f in ctx.pf if f not in forced[:imax]]
-    # the mask is F bits wide; for nu = 2 every f is pinned and it is never built
-    reach = _reachable(gens[imax:], F + gens[0]) if unpinned else 0
-    for f in unpinned:
-        if not reach >> (F - f + gens[0]) & 1:
+    # An unpinned f needs F - f + m to be a combination of the later
+    # generators.  A multiple of one of them settles it; only the f left
+    # over read the reachability mask, which is F bits wide, built on the
+    # first of them, and for nu = 2 (every f pinned) never.
+    later = gens[imax:]
+    reach = None
+    for f in ctx.pf:
+        if f in pinned:
+            continue
+        v = F - f + m
+        if 0 in map(v.__mod__, later):
+            continue
+        if reach is None:
+            reach = _reachable(later, F + m)
+        if not reach >> v & 1:
             return _fail(
                 ctx, f=f, prefix_length=imax,
                 reason="no factorization over the later generators",

@@ -557,6 +557,26 @@ def set_difference_same2_applies(ctx):
     return False
 
 
+def entry_scan_first_zero_applies(ctx):
+    """Whether FIRST_ZERO applies, with an avoidable f outside {F, g}
+    sought by scanning every avoidable number for each entry g that has a
+    companion position, at each position h0 whose predecessors all hold
+    F."""
+    if not ctx.nearly_gorenstein:
+        return False
+    F = ctx.S.frobenius
+    cands = ctx.candidates
+    for h0 in range(1, len(cands)):
+        if F not in cands[h0 - 1]:
+            break
+        for g in cands[h0]:
+            if ctx.companion(h0, g) is not None and any(
+                f != F and f != g for f in ctx.avoidable
+            ):
+                return True
+    return False
+
+
 def scan_classify_pf(S, entries):
     """classify_pf by a fresh divisibility scan of this one vector: f goes
     to the first class iff f + n_i or n_i + f_i - f > 0 is a multiple of

@@ -155,11 +155,11 @@ def test_bad_ng_index_exit_two(capsys):
     assert code == 2
 
 
-# runs one sgp command under a 300 MB address-space limit and prints the
+# runs one sgp command under a 200 MB address-space limit and prints the
 # seconds main took to stderr
 _TIMED_CHILD = """
 import resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
 from numsgps.cli import main
 start = time.perf_counter()
 code = main(sys.argv[1:])
@@ -214,6 +214,26 @@ def test_ng_vectors_over_the_cap_is_refused_before_listing():
         "count": 439084800,
         "cap": gorenstein.MATRIX_CAP,
     }
+
+
+@pytest.mark.parametrize(
+    "gens", ["6,600000005,600000007", "6,2100000005,2100000007", "20,2147483639,2147483641"]
+)
+def test_verify_of_a_huge_frobenius_number_builds_no_reachability_mask(gens):
+    # <2k, a, a + 2> with a = -1 mod 2k has F about k * a (up to 2.1e10
+    # here); every unpinned f of NGV_PROPS is settled by a multiple of one
+    # later generator, so no F-bit mask is built
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_CHILD, "verify", "--gens", gens],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert float(proc.stderr) < 1.0
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["nearly_gorenstein"]
+    assert [c["status"] for c in payload["claims"] if c["claim"] == "NGV_PROPS"] == ["pass"]
+    assert all(c["status"] != "fail" for c in payload["claims"])
 
 
 def test_ng_vectors_cap_is_inclusive(capsys, monkeypatch):

@@ -221,24 +221,36 @@ def test_claim_context_candidates_stop_at_the_first_empty_set():
     assert 0 < sum(map(is_nearly_gorenstein, wide)) < len(wide)
 
 
-def _assert_candidate_sets_match_full_scan(S, extra):
+def _assert_candidate_sets_match_full_scan(S, extra, above):
     """The candidate sets against the full scan, on S's own
-    pseudo-Frobenius set and on a computed set with F - m and these extra
-    numbers added; True when F - m is a candidate at position 0 of the
-    latter, which only a true set of one number allows."""
+    pseudo-Frobenius set and on three computed ones: with F - m and these
+    extra numbers added, without F, and with the number above F added,
+    so that the largest computed number is not F in the last two.  True
+    when F - m is a candidate at position 0 of the first, which only a
+    true set of one number allows."""
     assert list(_candidate_sets(S)) == full_scan_candidate_sets(S), S.generators
     F, m = S.frobenius, S.multiplicity
-    T = NumericalSemigroup(S.generators)
-    T._pf = tuple(sorted({*S.pseudo_frobenius(), F - m, *extra}))
-    first = full_scan_candidate_sets(T)
-    assert list(_candidate_sets(T)) == first, (S.generators, T._pf)
+    pf = set(S.pseudo_frobenius())
+
+    def scan(computed):
+        T = NumericalSemigroup(S.generators)
+        T._pf = tuple(sorted(computed))
+        full = full_scan_candidate_sets(T)
+        assert list(_candidate_sets(T)) == full, (S.generators, T._pf)
+        return full
+
+    first = scan({*pf, F - m, *extra})
+    if pf - {F}:
+        scan(pf - {F})
+    scan({*pf, above})
     return F - m in first[0]
 
 
 def test_position_zero_shortcut_matches_the_full_scan():
-    # the shortcut keeps only F and F - m at the multiplicity's position,
-    # F the largest computed number, so it must agree with the full scan
-    # on any computed set, a wrong one included
+    # position 0 keeps only F and F - m, F the largest computed number,
+    # and a candidate is kept at the first shifted value above S's own
+    # Frobenius number, so both must agree with the full scan on any
+    # computed set, a wrong one included
     rng = random.Random(577)
     systems = [*census(12)]
     systems += [NumericalSemigroup(random_generators(rng, frobenius_cap=400)) for _ in range(200)]
@@ -246,7 +258,8 @@ def test_position_zero_shortcut_matches_the_full_scan():
     kept = 0
     for S in systems:
         extra = [] if rng.random() < 0.5 else rng.sample(range(S.frobenius + 2), 2)
-        kept += _assert_candidate_sets_match_full_scan(S, extra)
+        above = S.frobenius + rng.randint(1, 2 * S.multiplicity)
+        kept += _assert_candidate_sets_match_full_scan(S, extra, above)
     assert kept > 50  # 99 today
 
 

@@ -36,6 +36,7 @@ from numsgps.verify.claims import (
     NA,
     PASS,
     ClaimResult,
+    claim_first_zero,
     claim_mu_bound,
     claim_ngv_props,
     claim_pf1_bound,
@@ -45,6 +46,7 @@ from numsgps.verify.claims import (
 )
 from numsgps.rf import Witness, classify_pf, max_gap_table
 from oracles import (
+    entry_scan_first_zero_applies,
     every_kept_child_generators,
     gap_scan_pseudo_frobenius,
     gaps_to_generators,
@@ -62,14 +64,17 @@ from oracles import (
     set_difference_same2_applies,
 )
 
-KNOWN_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]
+# the number of numerical semigroups of each genus 0..20 (OEIS A007323)
+KNOWN_COUNTS = [
+    1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693,
+    2857, 4806, 8045, 13467, 22464, 37396,
+]
 
 WORKED = (13, 45, 72, 79, 99)
 
 
 def test_count_by_genus_matches_census():
-    counts = count_by_genus(14)
-    assert [counts[g] for g in range(15)] == KNOWN_COUNTS
+    assert count_by_genus(20) == KNOWN_COUNTS
 
 
 @pytest.mark.parametrize("genus_max", [-1, -3])
@@ -351,6 +356,25 @@ def test_avoidable_matches_the_set_difference_definition():
     assert families > 1000
 
 
+def test_first_zero_count_matches_the_entry_scan():
+    # FIRST_ZERO asks for an avoidable f outside {F, g} by counting; the
+    # oracle scans the avoidable numbers per entry.  Each hand-set family
+    # is also taken with position 0 widened by position 1's values, so
+    # that F itself can be avoidable, which no true family allows
+    contexts = [ClaimContext(S) for S in semigroups_up_to(12)]
+    for S, cands in _hand_set_families(2000, 15):
+        contexts.append(_hand_set_context(S, cands))
+        contexts.append(_hand_set_context(S, [cands[0] | cands[1], *cands[1:]]))
+    applies = Counter()
+    for ctx in contexts:
+        expected = entry_scan_first_zero_applies(ctx)
+        assert (claim_first_zero(ctx).status != NA) == expected, (
+            ctx.S.generators, ctx.candidates,
+        )
+        applies[expected, ctx.S.frobenius in ctx.avoidable] += 1
+    assert len(applies) == 4 and min(applies.values()) > 20, applies
+
+
 def test_same2_pair_lookup_matches_the_set_difference():
     # SAME2 reads whether a vector avoids a pair as a lookup among the
     # two-element candidate sets; the oracle takes all(c - {f, f2})
@@ -402,6 +426,12 @@ NGV_FAILURES = [
     ((4, 6, 7, 9), [{5}, {5}, {3}, {4}], (3, 4, 5),
      {"f": 4, "prefix_length": 1,
       "reason": "no factorization over the later generators"}),
+    # F = 13 and F - f + 5 = 16, 14, 10 over the later generators 7, 9:
+    # 16 = 7 + 9 needs the mask, 14 = 2 * 7 is one multiple, and 10, a
+    # multiple of the pinned generator 5 only, is no combination of them
+    ((5, 7, 9), [{13}, {13}, {13}], (2, 4, 8, 13),
+     {"f": 8, "prefix_length": 1,
+      "reason": "no factorization over the later generators"}),
     ((4, 6, 7, 9), [{5}, {5}, {3}, {2}], None,
      {"h": 3, "entry": 3, "reason": "first entry off F has no companion position"}),
     ((4, 6, 7, 9), [{5}, {3}, {3}, {5}], None,
@@ -411,6 +441,12 @@ NGV_FAILURES = [
      {"vector": [13, 9, 11], "reason": "all entries distinct"}),
     ((5, 6, 7, 8, 9), [{4}, {3}, {1, 4}, {1}, {2}], None,
      {"vector": [4, 3, 1, 1, 2], "position": 3,
+      "reason": "distinct prefix entry off the forced value"}),
+    # position 4 holds 0 besides its forced value 2, before imax = 4;
+    # every later test passes (PF is exactly the forced prefix), so only
+    # that spill finds the distinct prefix 8, 6, 4, 0
+    ((5, 7, 9, 11, 13), [{8}, {6}, {4}, {0, 2}, {6}], None,
+     {"vector": [8, 6, 4, 0, 6], "position": 4,
       "reason": "distinct prefix entry off the forced value"}),
     # two entries without a companion: the payload names the largest
     ((4, 6, 7, 9), [{5}, {5}, {1, 3}, {2}], None,
@@ -518,6 +554,25 @@ def test_hit_cells_match_the_listed_rows():
         assert cells == list_hit_cells(gens, f, cands), (gens, f, cands)
         kinds["all-hit" if cells is None else "cells" if cells else "no hit"] += 1
     assert min(kinds.values()) > 100 and len(kinds) == 3
+
+
+def test_variance_scan_matches_the_listed_hit_cells():
+    # f varies iff its listed hit cells are a nonempty set.  Candidate
+    # sets drawn from the pseudo-Frobenius sets of seeded systems make
+    # many numbers vary (a census makes almost none), so the scan's drop
+    # of an f with a row of f + m meets varying numbers
+    rng = random.Random(16)
+    systems = [NumericalSemigroup(random_generators(rng, frobenius_cap=400)) for _ in range(300)]
+    systems = [S for S in systems if not S.is_full()]
+    varying = 0
+    for _ in range(3000):
+        S = rng.choice(systems)
+        pf = S.pseudo_frobenius()
+        cands = [frozenset(rng.sample(pf, min(len(pf), rng.randint(1, 3)))) for _ in S.generators]
+        expected = tuple(f for f in pf if list_hit_cells(S.generators, f, cands))
+        assert rf.classification_variance(S, cands, pf) == expected, (S.generators, cands)
+        varying += len(expected)
+    assert varying > 500  # 839 today
 
 
 def test_pf_split_varies_with_the_ng_vector():
