@@ -41,11 +41,11 @@ def main():
     vectors = ng_vectors(S)
     print(f"{len(vectors)} NG-vectors:")
     for v in vectors:
-        print(f"  {v.entries}  (h = {v.h}, ell = {v.ell})")
+        print(f"  {v['entries']}  (h = {v['h']}, ell = {v['ell']})")
     print()
 
-    vec = vectors[1]
-    print(f"working with the vector {vec.entries}")
+    vec = vectors[1]["entries"]
+    print(f"working with the vector {vec}")
     print("its entries cover the pseudo-Frobenius numbers 185, 212, 244;")
     print("the remaining one, 59, gets a matrix certificate on both sides.")
     print()
@@ -56,20 +56,20 @@ def main():
               f"generators gives {f}):")
         show_matrix(M)
     print()
-    for M in rf_minus_iter(S, vec.entries, f):
+    for M in rf_minus_iter(S, vec, f):
         print(f"subtractive matrix for {f} (row i gives entry_i - {f}):")
         show_matrix(M)
     print()
 
-    cls = classify_pf(S, vec.entries)
-    print(f"classification outside the vector: pf1 = {list(cls.pf1)}, "
-          f"pf2 = {list(cls.pf2)}")
-    for fval, witnesses in sorted(cls.witnesses.items()):
-        for w in witnesses:
-            if w.side == "plus":
-                print(f"  {fval} + n_{w.i} = {w.lam} * n_{w.j}")
-            else:
-                print(f"  n_{w.i} + entry_{w.i} - {fval} = {w.lam} * n_{w.j}")
+    cls = classify_pf(S, vec)
+    print(f"classification outside the vector: pf1 = {cls['pf1']}, "
+          f"pf2 = {cls['pf2']}")
+    for w in cls["witnesses"]:
+        f, i, j, lam = w["f"], w["i"], w["j"], w["lam"]
+        if w["side"] == "plus":
+            print(f"  {f} + n_{i} = {lam} * n_{j}")
+        else:
+            print(f"  n_{i} + entry_{i} - {f} = {lam} * n_{j}")
     print()
 
     table = max_gap_table(S)

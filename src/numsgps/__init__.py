@@ -22,11 +22,10 @@ _HOME = {
     name: module
     for module, names in (
         ("core", "NumericalSemigroup"),
-        ("gorenstein", "NGVector RelativeIdeal is_symmetric is_almost_symmetric "
+        ("gorenstein", "RelativeIdeal is_symmetric is_almost_symmetric "
                        "is_nearly_gorenstein nearly_gorenstein_via_trace ng_vectors "
                        "is_ng_vector"),
-        ("rf", "rf_plus_iter rf_minus_iter classify_pf PFClassification Witness "
-               "MaxGapTable max_gap_table MuBound"),
+        ("rf", "rf_plus_iter rf_minus_iter classify_pf MaxGapTable max_gap_table MuBound"),
         ("construct", "DuplicationSpec numerical_duplication smallest_odd_generator "
                       "duplication_tower backelin family_dim6 ideal_from_generators"),
         ("errors", "SemigroupError EmptyGeneratorsError GcdNotOneError "
@@ -42,6 +41,9 @@ _HOME = {
 __all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+# the schema_version of every record `sgp` writes and of the verify summary
+SCHEMA_VERSION = "1"
 
 
 def __getattr__(name: str):

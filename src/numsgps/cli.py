@@ -8,7 +8,12 @@ input, verification failures, enumeration over the cap), 2 on usage
 errors including malformed generator lists and gcd != 1.
 
 A handler only builds payloads: it takes (args, emit), passes each
-payload to emit, and returns an exit code (None for 0).  The parser table
+payload to emit, and returns an exit code (None for 0).  A single
+semigroup's answers are the library's own records, emitted unchanged:
+classify-pf emits rf.classify_pf's, ng-vectors lists
+gorenstein.ng_vectors' and verify --gens emits
+harness.check_semigroup's, so their key order is the library's too.
+Every record carries the package's one SCHEMA_VERSION.  The parser table
 (build_parser) names each subcommand's handler and record kind and gives
 every handler --pretty from one parent parser.  main alone binds emit to
 the kind and --pretty, and turns a usage error (argparse's included) or a
@@ -31,6 +36,7 @@ import json
 import sys
 import time
 
+from . import SCHEMA_VERSION
 from .core import NumericalSemigroup
 from .errors import (
     EmptyGeneratorsError,
@@ -51,8 +57,6 @@ from .gorenstein import (
     ng_vectors,
 )
 from .rf import classify_pf, minus_row_lists, plus_row_lists
-
-SCHEMA_VERSION = "1"
 
 # exceptions that are the caller's fault rather than a mathematical state
 _USAGE_ERRORS = (
@@ -162,9 +166,7 @@ def _cmd_ng_vectors(args, emit) -> None:
         "generators": list(S.generators),
         "pf": list(S.pseudo_frobenius()),
         "count": len(vectors),
-        "vectors": [
-            {"entries": list(v.entries), "h": v.h, "ell": v.ell} for v in vectors
-        ],
+        "vectors": vectors,
     })
 
 
@@ -173,8 +175,8 @@ def _cmd_rf(args, emit) -> None:
     if args.kind == "plus":
         rows, tail = plus_row_lists(S, args.f), {}
     else:
-        vec = ng_vector_at(S, args.ng_index).entries
-        rows, tail = minus_row_lists(S, vec, args.f), {"vector": list(vec)}
+        vec = ng_vector_at(S, args.ng_index)["entries"]
+        rows, tail = minus_row_lists(S, vec, args.f), {"vector": vec}
     head = {"f": args.f, "kind": args.kind}
     if args.count:
         counts = [len(r) for r in rows]
@@ -186,20 +188,7 @@ def _cmd_rf(args, emit) -> None:
 
 def _cmd_classify_pf(args, emit) -> None:
     S = NumericalSemigroup(args.generators)
-    vec = ng_vector_at(S, args.ng_index)
-    cls = classify_pf(S, vec.entries)
-    witnesses = [
-        {"f": f, "side": w.side, "i": w.i, "j": w.j, "lam": w.lam}
-        for f in sorted(cls.witnesses)
-        for w in cls.witnesses[f]
-    ]
-    emit({
-        "generators": list(S.generators),
-        "vector": list(vec.entries),
-        "pf1": list(cls.pf1),
-        "pf2": list(cls.pf2),
-        "witnesses": witnesses,
-    })
+    emit(classify_pf(S, ng_vector_at(S, args.ng_index)["entries"]))
 
 
 def _cmd_verify(args, emit) -> int:

@@ -22,7 +22,9 @@ The companion rule of an NG-vector entry is written once, in
 companion_finder, over a dict from each generator to its position.
 The NG-vectors are the product of the candidate sets in vector_axes
 order; ng_vector_at decodes one by its index without listing the
-others.  count_choices counts such a product and capped_product lists
+others.  Both it and ng_vectors return each vector as the plain record
+`sgp ng-vectors` lists ({"entries", "h", "ell"}), built by _ng_record
+alone.  count_choices counts such a product and capped_product lists
 it, for ng_vectors and rf's matrices alike: above MATRIX_CAP it refuses
 with the exact count before building a tuple.
 Nothing here builds a window as wide as the Frobenius number.
@@ -235,22 +237,6 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NGVector:
-    """A nearly Gorenstein vector (f_1, ..., f_nu).
-
-    entries[i] is the pseudo-Frobenius number attached to the (i+1)-th
-    generator.  h is the smallest 1-based position whose entry differs
-    from the Frobenius number (None when all entries equal it), and ell
-    is the smallest 1-based position with f_h = F - n_h + n_ell; both
-    follow the mathematical 1-based indexing of generator positions.
-    """
-
-    entries: tuple[int, ...]
-    h: int | None
-    ell: int | None
-
-
 def companion_finder(gens: tuple[int, ...], F: int) -> Callable[[int, int], int | None]:
     """The companion rule of one semigroup, written once: the returned
     companion(h, g) is, for an NG-vector entry g != F at 0-based position
@@ -279,6 +265,18 @@ def _divergence(
                 )
             return h + 1, ell + 1
     return None, None
+
+
+def _ng_record(
+    S: NumericalSemigroup, companion: Callable[[int, int], int | None], entries: tuple[int, ...]
+) -> dict:
+    """The record of one NG-vector, as `sgp ng-vectors` lists it: the
+    pseudo-Frobenius number attached to each generator, then h, the first
+    1-based position whose entry is not the Frobenius number, and ell,
+    the 1-based companion position of h (f_h = F - n_h + n_ell); both
+    None when every entry is the Frobenius number."""
+    h, ell = _divergence(S, companion, entries)
+    return {"entries": list(entries), "h": h, "ell": ell}
 
 
 def vector_axes(cands: list[frozenset[int]]) -> list[list[int]]:
@@ -317,8 +315,9 @@ def capped_product(choices: list, items: str) -> Iterator[tuple]:
     return itertools.product(*choices)
 
 
-def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
-    """All nearly Gorenstein vectors, in vector_axes order.
+def ng_vectors(S: NumericalSemigroup) -> list[dict]:
+    """The records (_ng_record) of all nearly Gorenstein vectors, in
+    vector_axes order.
 
     Raises NotNearlyGorensteinError when some position admits no entry,
     and EnumerationCapError, before a vector is built, when there are
@@ -326,10 +325,10 @@ def ng_vectors(S: NumericalSemigroup) -> list[NGVector]:
     """
     vectors = capped_product(_ng_axes(S), "NG-vectors")
     companion = companion_finder(S.generators, S.frobenius)
-    return [NGVector(e, *_divergence(S, companion, e)) for e in vectors]
+    return [_ng_record(S, companion, e) for e in vectors]
 
 
-def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
+def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
     """ng_vectors(S)[index] without listing the vectors: the index is
     decoded in mixed radix over the vector_axes lists, the last position
     the least significant digit.  Raises InvalidArgumentError for an index
@@ -344,9 +343,8 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> NGVector:
     for axis in reversed(axes):
         index, digit = divmod(index, len(axis))
         entries.append(axis[digit])
-    entries = tuple(reversed(entries))
     companion = companion_finder(S.generators, S.frobenius)
-    return NGVector(entries, *_divergence(S, companion, entries))
+    return _ng_record(S, companion, tuple(reversed(entries)))
 
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:

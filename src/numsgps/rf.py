@@ -18,16 +18,18 @@ The extremal gaps lambda * n_j - n_i of max_gap_table are found by
 bisection, since the qualifying lambda form an interval.
 
 One hit test, a single-generator row of f + n_i or n_i + f_i - f, splits
-the pseudo-Frobenius numbers outside each NG-vector (classify_vectors;
-classify_pf alone lists the rows as witnesses) and finds those whose
-split changes with the vector (classification_variance); 39 of
-<23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.  The rule is
-written once, in _has_single_generator_row, one scan that stops at the
-first divisor.
+the pseudo-Frobenius numbers outside each NG-vector (classify_vectors)
+and finds those whose split changes with the vector
+(classification_variance); 39 of <23, 25, 26, 27, 37, 40, 43, 55>
+(genus 45) is one.  The rule is written once, in
+_has_single_generator_row, one scan that stops at the first divisor.
+classify_pf alone lists the rows, as witnesses, and returns the plain
+record `sgp classify-pf` emits.
 
 Row and column positions inside a matrix are plain 0-based Python
-indices; the index fields of Witness and the keys of MaxGapTable are
-1-based generator positions, matching the usual n_1 < ... < n_nu notation.
+indices; the i and j of a classify_pf witness and the keys of MaxGapTable
+are 1-based generator positions, matching the usual n_1 < ... < n_nu
+notation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
@@ -150,33 +152,6 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
 # splitting of the pseudo-Frobenius numbers outside a vector
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A single-generator factorization certifying membership in the
-    first class: for side "plus", f + n_i = lam * n_j; for side "minus",
-    n_i + f_i - f = lam * n_j.  Positions i, j are 1-based."""
-
-    side: str
-    i: int
-    j: int
-    lam: int
-
-
-@dataclass(frozen=True)
-class PFClassification:
-    """Split of the pseudo-Frobenius numbers outside the vector entries.
-
-    pf1 holds those with some matrix row carrying nu - 2 zeroes
-    (equivalently: a single-generator factorization witness); pf2 the
-    rest.  All witnesses are recorded per number.
-    """
-
-    entries: tuple[int, ...]
-    pf1: tuple[int, ...]
-    pf2: tuple[int, ...]
-    witnesses: dict[int, tuple[Witness, ...]]
-
-
 def _has_single_generator_row(others: tuple[int, ...], value: int) -> bool:
     """The PF split's one test, with others the generators other than the
     row's own: the row value has a row with nu - 2 zeroes iff it is
@@ -222,9 +197,13 @@ def _hit_cells(
     return cells
 
 
-def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassification:
+def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> dict:
     """Classify every pseudo-Frobenius number outside the vector entries,
-    with the rows of _hit_cells' two values at each position as witnesses.
+    with the rows of _hit_cells' two values at each position as witnesses:
+    the record `sgp classify-pf` emits.  A witness {"f", "side", "i", "j",
+    "lam"} says f + n_i = lam * n_j (side "plus") or
+    n_i + f_i - f = lam * n_j (side "minus"), i and j 1-based; they come f
+    ascending, then by i, then by j, the additive witness first.
 
     A row with nu - 2 zeroes exists iff the row value is an exact multiple
     of a single generator, so the scan is O(nu^2) divisibility checks per
@@ -234,21 +213,30 @@ def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> PFClassificati
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
     gens = S.generators
-    pf1, pf2, witnesses = [], [], {}
+    pf1, pf2, witnesses = [], [], []
     for f in S.pseudo_frobenius():
         if f in entries:
             continue
         found = []
         for i, (n, entry) in enumerate(zip(gens, entries)):
-            plus = _single_generator_rows(gens, i, f + n)
-            minus = _single_generator_rows(gens, i, n + entry - f)
-            cell = [Witness("plus", i + 1, j + 1, lam) for j, lam in plus]
-            cell += [Witness("minus", i + 1, j + 1, lam) for j, lam in minus]
+            cell = [
+                (j, side, lam)
+                for side, value in (("plus", f + n), ("minus", n + entry - f))
+                for j, lam in _single_generator_rows(gens, i, value)
+            ]
             # by generator position, the additive witness first
-            found += sorted(cell, key=attrgetter("j"))
-        witnesses[f] = tuple(found)
+            cell.sort(key=itemgetter(0))
+            for j, side, lam in cell:
+                found.append({"f": f, "side": side, "i": i + 1, "j": j + 1, "lam": lam})
         (pf1 if found else pf2).append(f)
-    return PFClassification(entries, tuple(pf1), tuple(pf2), witnesses)
+        witnesses += found
+    return {
+        "generators": list(gens),
+        "vector": list(entries),
+        "pf1": pf1,
+        "pf2": pf2,
+        "witnesses": witnesses,
+    }
 
 
 def classify_vectors(

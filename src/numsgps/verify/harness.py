@@ -34,6 +34,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
+from .. import SCHEMA_VERSION
 from ..core import NumericalSemigroup
 from ..errors import InvalidArgumentError
 from .claims import (
@@ -44,8 +45,6 @@ from .claims import (
     run_claims,
 )
 from .enumeration import is_int, require_embdim, require_genus_max, semigroups_up_to
-
-SCHEMA_VERSION = "1"
 
 
 @dataclass(frozen=True)

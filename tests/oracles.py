@@ -14,12 +14,7 @@ from math import gcd, prod
 from operator import sub
 
 from numsgps.gorenstein import RelativeIdeal, candidate_prefix, ng_vectors
-from numsgps.rf import (
-    PFClassification,
-    Witness,
-    minus_row_lists,
-    plus_row_lists,
-)
+from numsgps.rf import minus_row_lists, plus_row_lists
 from numsgps.verify.claims import FAIL, NA, PASS, ClaimResult, _fail
 
 
@@ -507,10 +502,9 @@ def literal_classification_variance(S, vectors):
     seen = {}
     for entries in vectors:
         cls = scan_classify_pf(S, entries)
-        for f in cls.pf1:
-            seen.setdefault(f, set()).add("pf1")
-        for f in cls.pf2:
-            seen.setdefault(f, set()).add("pf2")
+        for kind in ("pf1", "pf2"):
+            for f in cls[kind]:
+                seen.setdefault(f, set()).add(kind)
     return [(f, sorted(kinds)) for f, kinds in sorted(seen.items()) if len(kinds) > 1]
 
 
@@ -578,12 +572,12 @@ def entry_scan_first_zero_applies(ctx):
 
 
 def scan_classify_pf(S, entries):
-    """classify_pf by a fresh divisibility scan of this one vector: f goes
-    to the first class iff f + n_i or n_i + f_i - f > 0 is a multiple of
-    another generator n_j, with every such (side, i, j, lambda) recorded
-    in scan order."""
+    """classify_pf's record by a fresh divisibility scan of this one
+    vector: f goes to the first class iff f + n_i or n_i + f_i - f > 0 is
+    a multiple of another generator n_j, with every such (side, i, j,
+    lambda) recorded in scan order."""
     gens = S.generators
-    pf1, pf2, witnesses = [], [], {}
+    pf1, pf2, witnesses = [], [], []
     for f in S.pseudo_frobenius():
         if f in entries:
             continue
@@ -593,18 +587,25 @@ def scan_classify_pf(S, entries):
                 if i == j:
                     continue
                 if (f + ni) % nj == 0:
-                    found.append(Witness("plus", i, j, (f + ni) // nj))
+                    found.append({"f": f, "side": "plus", "i": i, "j": j, "lam": (f + ni) // nj})
                 value = ni + entries[i - 1] - f
                 if value > 0 and value % nj == 0:
-                    found.append(Witness("minus", i, j, value // nj))
-        witnesses[f] = tuple(found)
+                    found.append({"f": f, "side": "minus", "i": i, "j": j, "lam": value // nj})
+        witnesses += found
         (pf1 if found else pf2).append(f)
-    return PFClassification(tuple(entries), tuple(pf1), tuple(pf2), witnesses)
+    return {
+        "generators": list(gens),
+        "vector": list(entries),
+        "pf1": pf1,
+        "pf2": pf2,
+        "witnesses": witnesses,
+    }
 
 
 def _literal_vectors(S, vector_cap):
-    """The NG-vectors of S, [] when S is trivial or not nearly Gorenstein,
-    None when there are more than vector_cap of them."""
+    """The records of the NG-vectors of S (ng_vectors), [] when S is
+    trivial or not nearly Gorenstein, None when there are more than
+    vector_cap of them."""
     if S.embedding_dimension < 2:
         return []
     cands = candidate_prefix(S)
@@ -630,14 +631,14 @@ def literal_coppie(S, vector_cap=256, pair_cap=10**4):
     instances = 0
     for v in vectors:
         for f in S.pseudo_frobenius():
-            if f in v.entries:
+            if f in v["entries"]:
                 continue
             if f not in plus:
                 rows = plus_row_lists(S, f)
                 if prod(map(len, rows)) > pair_cap:
                     return None
                 plus[f] = [off_diagonal_support(A) for A in product(*rows)]
-            rows = minus_row_lists(S, v.entries, f)
+            rows = minus_row_lists(S, v["entries"], f)
             if len(plus[f]) * prod(map(len, rows)) > pair_cap:
                 return None
             minus = [off_diagonal_support(B, transpose=True) for B in product(*rows)]
@@ -682,11 +683,11 @@ def literal_same2(S, vector_cap=256, pair_cap=10**4):
                 if f == f2 or lam_p < lam_q or f not in pf or f2 not in pf:
                     continue
                 for v in vectors:
-                    if f in v.entries or f2 in v.entries:
+                    if f in v["entries"] or f2 in v["entries"]:
                         continue
-                    key = (v.entries, f)
+                    key = (tuple(v["entries"]), f)
                     if key not in minus:
-                        rows = minus_row_lists(S, v.entries, f)
+                        rows = minus_row_lists(S, v["entries"], f)
                         if prod(map(len, rows)) > pair_cap:
                             return None
                         minus[key] = list(product(*rows))
@@ -708,18 +709,18 @@ def literal_first_zero(S, vector_cap=256):
         return None
     instances = 0
     for v in vectors:
-        if v.h is None:
+        if v["h"] is None:
             continue
-        h, ell = v.h - 1, v.ell - 1
+        h, ell = v["h"] - 1, v["ell"] - 1
 
         def off(row):
             return tuple(c for i, c in enumerate(row) if i not in (h, ell))
 
         for f in S.pseudo_frobenius():
-            if f in v.entries:
+            if f in v["entries"]:
                 continue
             instances += 1
-            lists = minus_row_lists(S, v.entries, f)
+            lists = minus_row_lists(S, v["entries"], f)
             if (
                 any(row[ell] != 0 for row in lists[h])
                 or any(row[h] != 0 for row in lists[ell])

@@ -63,7 +63,7 @@ def test_criterion_1_worked_example(capfd):
     if is_almost_symmetric(S):
         failures.append("wrongly recognized as almost symmetric")
 
-    vectors = [v.entries for v in ng_vectors(S)]
+    vectors = [tuple(v["entries"]) for v in ng_vectors(S)]
     if vectors != [(244, 212, 244, 244, 244), (244, 212, 185, 244, 244)]:
         failures.append(f"vectors {vectors}")
 

@@ -17,13 +17,17 @@ with n_ell = g - F + n_h) is written there only.  The walk's bound has one
 rule, and so has its embedding-dimension filter: one function raises
 each refusal.  One function, harness._report,
 builds the per-semigroup record that check_semigroup returns, a
-check_all sink receives and `sgp verify` emits.  Every public name has a
+check_all sink receives and `sgp verify` emits; likewise
+gorenstein._ng_record builds the NG-vector record and rf.classify_pf the
+PF split's, which `sgp ng-vectors` and `sgp classify-pf` emit as built.  Every public name has a
 reader in the package or is listed in README.md's "Public API" section:
 a route that only cross-checks another lives in tests/oracles.py."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import numsgps
 import numsgps.verify
@@ -203,16 +207,30 @@ def test_one_function_refuses_a_walk_bound():
         assert raisers == {f"verify/enumeration.py:{rule}"}
 
 
-def test_one_function_builds_the_report_record():
-    # a record key written as a dict key, a string or a keyword argument
-    builders = {
+def _record_key_writers(key: str) -> set[str]:
+    """Where a record key is written in src/: as a dict key, a string or
+    a keyword argument."""
+    return {
         f"{path.relative_to(PACKAGE)}:{owner}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for owner, node in _with_owner(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant) and node.value == "vector_count"
-        or isinstance(node, ast.keyword) and node.arg == "vector_count"
+        if isinstance(node, ast.Constant) and node.value == key
+        or isinstance(node, ast.keyword) and node.arg == key
     }
-    assert builders == {"verify/harness.py:_report"}
+
+
+def test_one_function_builds_the_report_record():
+    assert _record_key_writers("vector_count") == {"verify/harness.py:_report"}
+
+
+@pytest.mark.parametrize("key, builder", [
+    ("ell", "gorenstein.py:_ng_record"),
+    ("witnesses", "rf.py:classify_pf"),
+])
+def test_one_function_builds_each_single_semigroup_record(key, builder):
+    # the NG-vector record and the PF split's are the library's, and
+    # `sgp` emits them unchanged
+    assert _record_key_writers(key) == {builder}
 
 
 def _kept_for_library_use() -> set[str]:

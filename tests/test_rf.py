@@ -60,10 +60,10 @@ def test_rf_minus_row_equations():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
     f = 59
-    for M in rf_minus_iter(S, vec.entries, f):
+    for M in rf_minus_iter(S, vec["entries"], f):
         for i, row in enumerate(M):
             assert row[i] == -1
-            assert sum(c * n for c, n in zip(row, WORKED)) == vec.entries[i] - f
+            assert sum(c * n for c, n in zip(row, WORKED)) == vec["entries"][i] - f
 
 
 def test_rf_plus_matches_bruteforce_census():
@@ -87,12 +87,12 @@ def test_rf_minus_matches_bruteforce_census():
         pf = S.pseudo_frobenius()
         for vec in ng_vectors(S)[:3]:
             for f in pf:
-                if f in vec.entries:
+                if f in vec["entries"]:
                     continue
-                if count_choices(minus_row_lists(S, vec.entries, f)) > 300:
+                if count_choices(minus_row_lists(S, vec["entries"], f)) > 300:
                     continue
-                got = sorted(rf_minus_iter(S, vec.entries, f))
-                want = sorted(brute_rf_minus(S.generators, vec.entries, f))
+                got = sorted(rf_minus_iter(S, vec["entries"], f))
+                want = sorted(brute_rf_minus(S.generators, vec["entries"], f))
                 assert got == want
                 checked += 1
     assert checked > 30
@@ -103,9 +103,9 @@ def test_counts_match_enumeration():
     vec = ng_vectors(S)[0]
     for f in S.pseudo_frobenius():
         assert count_choices(plus_row_lists(S, f)) == len(list(rf_plus_iter(S, f)))
-        if f not in vec.entries:
-            rows = minus_row_lists(S, vec.entries, f)
-            assert count_choices(rows) == len(list(rf_minus_iter(S, vec.entries, f)))
+        if f not in vec["entries"]:
+            rows = minus_row_lists(S, vec["entries"], f)
+            assert count_choices(rows) == len(list(rf_minus_iter(S, vec["entries"], f)))
 
 
 def test_enumeration_cap(monkeypatch):
@@ -131,7 +131,7 @@ def test_rf_minus_rejects_vector_entry():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[0]
     with pytest.raises(VectorEntryError):
-        rf_minus_iter(S, vec.entries, 244)
+        rf_minus_iter(S, vec["entries"], 244)
 
 
 def test_check_coppie_holds_on_census():
@@ -144,10 +144,10 @@ def test_check_coppie_holds_on_census():
         pf = S.pseudo_frobenius()
         for vec in ng_vectors(S)[:2]:
             for f in pf:
-                if f in vec.entries:
+                if f in vec["entries"]:
                     continue
                 plus = list(rf_plus_iter(S, f))
-                minus = list(rf_minus_iter(S, vec.entries, f))
+                minus = list(rf_minus_iter(S, vec["entries"], f))
                 if len(plus) * len(minus) > 200:
                     continue
                 for A in plus:
@@ -221,20 +221,24 @@ def test_max_gap_table_is_logarithmic_in_the_frobenius_number():
 
 def test_classify_pf_worked_example():
     S = NumericalSemigroup(WORKED)
-    vec = ng_vectors(S)[1]
-    cls = classify_pf(S, vec.entries)
-    assert cls.entries == vec.entries
-    assert cls.pf1 == (59,)
-    assert cls.pf2 == ()
-    for w in cls.witnesses[59]:
-        if w.side == "plus":
-            assert 59 + WORKED[w.i - 1] == w.lam * WORKED[w.j - 1]
+    vec = ng_vectors(S)[1]["entries"]
+    cls = classify_pf(S, vec)
+    # the key order `sgp classify-pf --pretty` prints
+    assert list(cls) == ["generators", "vector", "pf1", "pf2", "witnesses"]
+    assert cls["generators"] == list(WORKED)
+    assert cls["vector"] == vec
+    assert cls["pf1"] == [59]
+    assert cls["pf2"] == []
+    assert cls["witnesses"]
+    for w in cls["witnesses"]:
+        assert list(w) == ["f", "side", "i", "j", "lam"]
+        assert w["f"] == 59
+        i, j, lam = w["i"] - 1, w["j"] - 1, w["lam"]
+        if w["side"] == "plus":
+            assert 59 + WORKED[i] == lam * WORKED[j]
         else:
-            assert (
-                WORKED[w.i - 1] + vec.entries[w.i - 1] - 59
-                == w.lam * WORKED[w.j - 1]
-            )
-        assert w.lam >= 1 and w.i != w.j
+            assert WORKED[i] + vec[i] - 59 == lam * WORKED[j]
+        assert lam >= 1 and i != j
 
 
 def test_classify_pf_rejects_bad_vector():
@@ -253,16 +257,16 @@ def test_classify_pf_matches_row_scan():
             continue
         gens = S.generators
         for vec in ng_vectors(S)[:2]:
-            cls = classify_pf(S, vec.entries)
-            for f in cls.pf1 + cls.pf2:
+            cls = classify_pf(S, vec["entries"])
+            for f in cls["pf1"] + cls["pf2"]:
                 single = False
                 for i, n in enumerate(gens):
                     others = gens[:i] + gens[i + 1 :]
-                    for value in (f + n, vec.entries[i] - f + n):
+                    for value in (f + n, vec["entries"][i] - f + n):
                         for combo in brute_factorizations(others, value):
                             if sum(1 for c in combo if c > 0) == 1:
                                 single = True
-                assert (f in cls.pf1) == single
+                assert (f in cls["pf1"]) == single
                 checked += 1
     assert checked > 20
 
@@ -282,14 +286,14 @@ def test_single_generator_rows_need_a_positive_value_and_another_position():
 def test_mu_values_worked_example():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
-    cls = classify_pf(S, vec.entries)
+    cls = classify_pf(S, vec["entries"])
     table = max_gap_table(S)
-    result = mu_bound(table, cls.pf1)
+    result = mu_bound(table, cls["pf1"])
     assert len(result.mus) == 5
-    pf1 = set(cls.pf1)
+    pf1 = set(cls["pf1"])
     for s in range(1, 6):
         expect = sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)
         assert result.mus[s - 1] == expect
     assert result.bound <= 38
-    assert len(cls.pf1) <= result.bound
+    assert len(cls["pf1"]) <= result.bound
 

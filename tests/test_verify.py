@@ -44,8 +44,10 @@ from numsgps.verify.claims import (
     claim_pf2_two_zeroes,
     claim_same2,
 )
-from numsgps.rf import Witness, classify_pf, max_gap_table
+from numsgps.rf import classify_pf, max_gap_table
 from oracles import (
+    brute_almost_symmetric,
+    brute_nearly_gorenstein,
     entry_scan_first_zero_applies,
     every_kept_child_generators,
     gap_scan_pseudo_frobenius,
@@ -62,6 +64,7 @@ from oracles import (
     random_generators,
     scan_classify_pf,
     set_difference_same2_applies,
+    sieve_invariants,
 )
 
 # the number of numerical semigroups of each genus 0..20 (OEIS A007323)
@@ -95,6 +98,34 @@ def test_enumeration_matches_backtracking_oracle():
     assert {S.multiplicity for S in walked} == set(range(1, 12))
     for S in walked:
         assert S.apery == NumericalSemigroup(S.generators).apery, S.generators
+
+
+def test_census_counts_and_cells_match_the_oracles():
+    # the summary's semigroup count, per-genus counts and (nu, NG, AS)
+    # cells (count and largest type) rebuilt from the backtracking tree,
+    # the coin-problem sieve and the brute quantifier scans alone
+    render = {None: "none", True: "true", False: "false"}
+    by_genus, cells = Counter(), {}
+    for gaps in genus_tree_semigroups(10):
+        gens = gaps_to_generators(gaps)
+        _, frobenius, genus, pf, contains = sieve_invariants(gens)
+        ng = asym = None  # the trivial semigroup's, as in its record
+        if len(gens) > 1:
+            ng = brute_nearly_gorenstein(gens, pf, contains)
+            asym = brute_almost_symmetric(frobenius, contains, pf)
+        by_genus[str(genus)] += 1
+        cell = cells.setdefault(
+            f"nu={len(gens)}|ng={render[ng]}|as={render[asym]}", {"count": 0, "max_type": 0}
+        )
+        cell["count"] += 1
+        cell["max_type"] = max(cell["max_type"], len(pf))
+    summary = check_all(HarnessConfig(genus_max=10))
+    assert summary["semigroups"] == sum(by_genus.values()) == 478
+    # key by key, in the summary's order
+    assert list(summary["by_genus"].items()) == sorted(
+        by_genus.items(), key=lambda item: int(item[0])
+    )
+    assert list(summary["cells"].items()) == sorted(cells.items())
 
 
 def test_enumeration_embdim_filter():
@@ -491,7 +522,7 @@ def _assert_variance_matches_literal_scan(S):
     ctx = ClaimContext(S)
     expected = []
     if ctx.nearly_gorenstein and ctx.vector_count <= LITERAL_VARIANCE_VECTORS:
-        expected = literal_classification_variance(S, (v.entries for v in ng_vectors(S)))
+        expected = literal_classification_variance(S, (v["entries"] for v in ng_vectors(S)))
     assert all(kinds == ["pf1", "pf2"] for _, kinds in expected), S.generators
     assert ctx.varying == tuple(f for f, _ in expected), S.generators
     return ctx.vector_count > LITERAL_VARIANCE_VECTORS
@@ -579,10 +610,13 @@ def test_pf_split_varies_with_the_ng_vector():
     S = NumericalSemigroup(VARYING)
     ctx = ClaimContext(S)
     assert ctx.varying == (39,)
-    first, second = (v.entries for v in ng_vectors(S))
+    first, second = (v["entries"] for v in ng_vectors(S))
     assert literal_classification_variance(S, [first, second]) == [(39, ["pf1", "pf2"])]
-    assert classify_pf(S, first).witnesses[39] == (Witness("minus", 8, 2, 4),)
-    assert classify_pf(S, second).pf2 == (39,)
+    witnesses = classify_pf(S, first)["witnesses"]
+    assert [w for w in witnesses if w["f"] == 39] == [
+        {"f": 39, "side": "minus", "i": 8, "j": 2, "lam": 4}
+    ]
+    assert classify_pf(S, second)["pf2"] == [39]
     note = "classification of 39 varies across NG-vectors: pf1, pf2"
     assert check_semigroup(S)["notes"] == [note]
     agg = harness._empty_aggregate()
@@ -632,10 +666,14 @@ def test_classification_table_matches_per_vector_scan():
         if not ctx.nearly_gorenstein:
             continue
         classes = ctx.classifications
-        assert [entries for entries, _, _ in classes] == [v.entries for v in ng_vectors(S)]
+        assert [list(entries) for entries, _, _ in classes] == [
+            v["entries"] for v in ng_vectors(S)
+        ]
         for entries, pf1, pf2 in classes:
             scan = scan_classify_pf(S, entries)
-            assert (entries, pf1, pf2) == (scan.entries, scan.pf1, scan.pf2), S.generators
+            assert [list(entries), list(pf1), list(pf2)] == [
+                scan["vector"], scan["pf1"], scan["pf2"]
+            ], S.generators
             assert classify_pf(S, entries) == scan, S.generators
             checked += 1
     assert checked > 2000  # 2,097 vectors today
@@ -647,7 +685,7 @@ def test_census_builds_no_witness(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a witness")
 
-    monkeypatch.setattr(rf, "Witness", refuse)
+    monkeypatch.setattr(rf, "_single_generator_rows", refuse)
     assert _digest(check_all(HarnessConfig(genus_max=12))) == GENUS_TWELVE_DIGEST
     with pytest.raises(AssertionError, match="built a witness"):
         classify_pf(NumericalSemigroup(WORKED), (244, 212, 185, 244, 244))
