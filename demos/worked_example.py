@@ -72,11 +72,11 @@ def main():
             print(f"  n_{i} + entry_{i} - {f} = {lam} * n_{j}")
     print()
 
-    table = max_gap_table(S)
+    gap = max_gap_table(S)[(5, 4)]
     print("59 is also the extremal gap between the last two generators:")
     print(f"  2 * {GENS[3]} - {GENS[4]} = {2 * GENS[3] - GENS[4]} "
-          f"(table entry (5, 4): lam = {table.lam[(5, 4)]}, "
-          f"gap = {table.gap[(5, 4)]})")
+          f"(table entry (5, 4): lam = {(gap + GENS[4]) // GENS[3]}, "
+          f"gap = {gap})")
 
 
 if __name__ == "__main__":

@@ -252,21 +252,6 @@ def companion_finder(gens: tuple[int, ...], F: int) -> Callable[[int, int], int 
     return companion
 
 
-def _divergence(
-    S: NumericalSemigroup, companion: Callable[[int, int], int | None], entries: tuple[int, ...]
-) -> tuple[int | None, int | None]:
-    F = S.frobenius
-    for h, f in enumerate(entries):
-        if f != F:
-            ell = companion(h, f)
-            if ell is None:
-                raise RuntimeError(
-                    f"minimum-index property violated for {entries} of {S!r}"
-                )
-            return h + 1, ell + 1
-    return None, None
-
-
 def _ng_record(
     S: NumericalSemigroup, companion: Callable[[int, int], int | None], entries: tuple[int, ...]
 ) -> dict:
@@ -275,7 +260,15 @@ def _ng_record(
     1-based position whose entry is not the Frobenius number, and ell,
     the 1-based companion position of h (f_h = F - n_h + n_ell); both
     None when every entry is the Frobenius number."""
-    h, ell = _divergence(S, companion, entries)
+    F = S.frobenius
+    h = ell = None
+    for pos, f in enumerate(entries):
+        if f != F:
+            ell = companion(pos, f)
+            if ell is None:
+                raise RuntimeError(f"minimum-index property violated for {entries} of {S!r}")
+            h, ell = pos + 1, ell + 1
+            break
     return {"entries": list(entries), "h": h, "ell": ell}
 
 

@@ -27,21 +27,21 @@ classify_pf alone lists the rows, as witnesses, and returns the plain
 record `sgp classify-pf` emits.
 
 Row and column positions inside a matrix are plain 0-based Python
-indices; the i and j of a classify_pf witness and the keys of MaxGapTable
-are 1-based generator positions, matching the usual n_1 < ... < n_nu
-notation.
+indices; the i and j of a classify_pf witness and the keys of a
+max_gap_table dict are 1-based generator positions, matching the usual
+n_1 < ... < n_nu notation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import NumericalSemigroup
-from .errors import MismatchedPairError, NotPseudoFrobeniusError, VectorEntryError
+from .errors import InvalidArgumentError, MismatchedPairError, NotPseudoFrobeniusError
+from .errors import VectorEntryError
 from .gorenstein import _require_proper, capped_product, is_ng_vector, vector_axes
 
 
@@ -56,10 +56,22 @@ def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tu
     return rows
 
 
-def plus_row_lists(S: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]:
-    """Per-position row choices for the additive matrices of f."""
+def _require_pseudo_frobenius(S: NumericalSemigroup, f: int) -> None:
     if f not in S.pseudo_frobenius():
         raise NotPseudoFrobeniusError(f"{f} is not a pseudo-Frobenius number")
+
+
+def _require_ng_vector(S: NumericalSemigroup, entries: Sequence[int]) -> tuple[int, ...]:
+    """The entries as a tuple, refused unless they are an NG-vector of S."""
+    entries = tuple(entries)
+    if not is_ng_vector(S, entries):
+        raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
+    return entries
+
+
+def plus_row_lists(S: NumericalSemigroup, f: int) -> list[list[tuple[int, ...]]]:
+    """Per-position row choices for the additive matrices of f."""
+    _require_pseudo_frobenius(S, f)
     return [
         rows_with_diagonal(S.factorization_tuples(f + n), i)
         for i, n in enumerate(S.generators)
@@ -71,11 +83,8 @@ def minus_row_lists(
 ) -> list[list[tuple[int, ...]]]:
     """Per-position row choices for the subtractive matrices of f and the
     NG-vector with these entries."""
-    entries = tuple(entries)
-    if not is_ng_vector(S, entries):
-        raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
-    if f not in S.pseudo_frobenius():
-        raise NotPseudoFrobeniusError(f"{f} is not a pseudo-Frobenius number")
+    entries = _require_ng_vector(S, entries)
+    _require_pseudo_frobenius(S, f)
     if f in entries:
         raise VectorEntryError(f"{f} occurs in the vector {entries}; no subtractive matrix")
     return [
@@ -84,9 +93,7 @@ def minus_row_lists(
     ]
 
 
-def rf_plus_iter(
-    S: NumericalSemigroup, f: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def rf_plus_iter(S: NumericalSemigroup, f: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The additive matrices of f, streamed by capped_product."""
     return capped_product(plus_row_lists(S, f), "matrices")
 
@@ -103,18 +110,11 @@ def rf_minus_iter(
 # extremal gaps of the form lambda * n_j - n_i
 
 
-@dataclass(frozen=True)
-class MaxGapTable:
-    """For each ordered pair of positions (i, j), i != j, 1-based:
-    lam[(i, j)] is the largest lambda with lambda * n_j - n_i outside S,
-    and gap[(i, j)] = lam[(i, j)] * n_j - n_i."""
-
-    lam: dict[tuple[int, int], int]
-    gap: dict[tuple[int, int], int]
-
-
-def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
-    """Largest non-member of the form lambda * n_j - n_i per pair.
+def max_gap_table(S: NumericalSemigroup) -> dict[tuple[int, int], int]:
+    """Largest non-member of the form lambda * n_j - n_i per pair: the
+    dict {(i, j): lambda* * n_j - n_i} over ordered pairs of 1-based
+    positions i != j, lambda* the largest qualifying lambda, which is
+    (gap + n_i) // n_j.
 
     lambda = 1 always qualifies (n_j - n_i is negative or a non-member,
     as both are minimal generators), and the qualifying lambda form an
@@ -128,7 +128,6 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
     F = S.frobenius
     m = gens[0]
     apery = S.apery
-    lam: dict[tuple[int, int], int] = {}
     gap: dict[tuple[int, int], int] = {}
     for i, ni in enumerate(gens, start=1):
         for j, nj in enumerate(gens, start=1):
@@ -143,9 +142,8 @@ def max_gap_table(S: NumericalSemigroup) -> MaxGapTable:
                     hi = mid
                 else:
                     lo = mid
-            lam[(i, j)] = lo
             gap[(i, j)] = lo * nj - ni
-    return MaxGapTable(lam, gap)
+    return gap
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +207,7 @@ def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> dict:
     of a single generator, so the scan is O(nu^2) divisibility checks per
     number and never enumerates matrices.
     """
-    entries = tuple(entries)
-    if not is_ng_vector(S, entries):
-        raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
+    entries = _require_ng_vector(S, entries)
     gens = S.generators
     pf1, pf2, witnesses = [], [], []
     for f in S.pseudo_frobenius():
@@ -290,23 +286,17 @@ def classification_variance(
     )
 
 
-@dataclass(frozen=True)
-class MuBound:
-    """The per-position counts mu_s = #{i : gap[(i, s)] in pf1} for
-    s = 1..5 (mus[s-1]) and the induced bound on |pf1|."""
-
-    mus: tuple[int, ...]
-    bound: int
-
-
-def mu_bound(table: MaxGapTable, pf1: Iterable[int]) -> MuBound:
-    """Counts of extremal gaps landing in the first class pf1, and the
-    bound 38 - sum(C(mu_s - 1, 2)) they induce, read off the extremal gap
-    table of a five-generated semigroup."""
+def mu_bound(gaps: dict[tuple[int, int], int], pf1: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """(mus, bound): the per-position counts mu_s = #{i : gaps[(i, s)] in
+    pf1} for s = 1..5 (mus[s-1]) of extremal gaps landing in the first
+    class pf1, and the bound 38 - sum(C(mu_s - 1, 2)) they induce on
+    |pf1|, read off the max_gap_table of a five-generated semigroup.
+    Any other table is refused."""
+    if gaps.keys() != set(itertools.permutations(range(1, 6), 2)):
+        raise InvalidArgumentError("mu_bound needs the gap table of a five-generated semigroup")
     pf1 = set(pf1)
     mus = tuple(
-        sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)
+        sum(1 for i in range(1, 6) if i != s and gaps[(i, s)] in pf1)
         for s in range(1, 6)
     )
-    bound = 38 - sum(math.comb(max(mu - 1, 0), 2) for mu in mus)
-    return MuBound(mus, bound)
+    return mus, 38 - sum(math.comb(max(mu - 1, 0), 2) for mu in mus)

@@ -66,7 +66,6 @@ from ..gorenstein import (
     nearly_gorenstein_via_trace,
 )
 from ..rf import (
-    MaxGapTable,
     classification_variance,
     classify_vectors,
     max_gap_table,
@@ -158,7 +157,7 @@ class ClaimContext:
         return classify_vectors(self.S, self.candidates)
 
     @_field
-    def gap_table(self) -> MaxGapTable:
+    def gap_table(self) -> dict[tuple[int, int], int]:
         """max_gap_table; only the five-generated claims read it."""
         return max_gap_table(self.S)
 
@@ -271,8 +270,7 @@ def claim_thm_3distinct(ctx: ClaimContext) -> ClaimResult:
     eligible = [entries for entries, _, _ in ctx.classifications if len(set(entries[:3])) == 3]
     if not eligible:
         return INAPPLICABLE
-    table = ctx.gap_table
-    allowed_tail = {table.gap[(4, 5)], table.gap[(5, 4)]}
+    allowed_tail = {ctx.gap_table[(4, 5)], ctx.gap_table[(5, 4)]}
     for entries in eligible:
         allowed = set(entries[:3]) | allowed_tail
         if len(ctx.pf) > 5 or not set(ctx.pf) <= allowed:
@@ -312,11 +310,9 @@ def claim_mu_bound(ctx: ClaimContext) -> ClaimResult:
     for entries, pf1, _ in ctx.classifications:
         if pf1 not in bounds:
             bounds[pf1] = mu_bound(ctx.gap_table, pf1)
-        mu = bounds[pf1]
-        if len(pf1) > mu.bound:
-            return _fail(
-                ctx, vector=list(entries), pf1=list(pf1), mus=list(mu.mus), bound=mu.bound
-            )
+        mus, bound = bounds[pf1]
+        if len(pf1) > bound:
+            return _fail(ctx, vector=list(entries), pf1=list(pf1), mus=list(mus), bound=bound)
     return PASSED
 
 

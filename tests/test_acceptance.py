@@ -73,7 +73,7 @@ def test_criterion_1_worked_example(capfd):
     distinct = [v for v in vectors if len(set(v[:3])) == 3]
     if distinct != [(244, 212, 185, 244, 244)]:
         failures.append(f"distinct-prefix vectors {distinct}")
-    if 2 * 79 - 99 != 59 or max_gap_table(S).gap[(5, 4)] != 59:
+    if 2 * 79 - 99 != 59 or max_gap_table(S)[(5, 4)] != 59:
         failures.append("59 is not the extremal gap 2*79 - 99")
 
     elapsed = time.perf_counter() - started

@@ -166,7 +166,7 @@ def _looks_up_a_generator(node: ast.AST) -> bool:
 
 def test_each_single_semigroup_rule_has_one_owner():
     products, refusals, cap_raisers, cap_readers = set(), set(), set(), set()
-    generator_lookups = set()
+    generator_lookups, not_pf_raisers, mismatch_raisers = set(), set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for owner, node in _with_owner(ast.parse(path.read_text())):
             where = f"{path.relative_to(PACKAGE)}:{owner}"
@@ -180,6 +180,10 @@ def test_each_single_semigroup_rule_has_one_owner():
                     refusals.add(where)
                 if "EnumerationCapError" in raised:
                     cap_raisers.add(where)
+                if "NotPseudoFrobeniusError" in raised:
+                    not_pf_raisers.add(where)
+                if "MismatchedPairError" in raised:
+                    mismatch_raisers.add(where)
             elif (
                 isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                 and node.id == "MATRIX_CAP"
@@ -193,6 +197,8 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
     assert generator_lookups == {"gorenstein.py:companion_finder"}
+    assert not_pf_raisers == {"rf.py:_require_pseudo_frobenius"}
+    assert mismatch_raisers == {"rf.py:_require_ng_vector"}
 
 
 def test_one_function_refuses_a_walk_bound():

@@ -7,6 +7,7 @@ import pytest
 
 from numsgps import (
     EnumerationCapError,
+    InvalidArgumentError,
     MismatchedPairError,
     NotPseudoFrobeniusError,
     NumericalSemigroup,
@@ -176,16 +177,16 @@ def test_max_gap_table_defining_property():
     systems += [NumericalSemigroup(random_generators(rng)) for _ in range(100)]
     checked = 0
     for S in systems:
-        table = max_gap_table(S)
+        gaps = max_gap_table(S)
         gens = S.generators
         nu = len(gens)
         for i in range(1, nu + 1):
             for j in range(1, nu + 1):
                 if i == j:
                     continue
-                lam = table.lam[(i, j)]
+                lam = (gaps[(i, j)] + gens[i - 1]) // gens[j - 1]
                 value = lam * gens[j - 1] - gens[i - 1]
-                assert table.gap[(i, j)] == value
+                assert gaps[(i, j)] == value
                 assert lam >= 1
                 assert not S.contains(value)
                 top = (S.frobenius + gens[i - 1]) // gens[j - 1] + 2
@@ -200,21 +201,22 @@ def test_max_gap_table_is_logarithmic_in_the_frobenius_number():
     k = 10**8
     S = NumericalSemigroup((6, 6 * k + 1, 6 * k + 2, 6 * k + 3, 6 * k + 5))
     start = time.perf_counter()
-    table = max_gap_table(S)
+    gaps = max_gap_table(S)
     assert time.perf_counter() - start < 1.0
+    gens = S.generators
+    lams = {(i, j): (gap + gens[i - 1]) // gens[j - 1] for (i, j), gap in gaps.items()}
     # only the lambda * 6 - n_i grow with k; the scan gave the same table
     # at k = 10, 100, 1000 and 10**8
     small = {(1, 3): 2, (3, 4): 2, (4, 2): 2, (5, 2): 3, (5, 3): 2}
-    assert table.lam == {
+    assert lams == {
         (i, j): (3 * k if i == 3 else 2 * k) if j == 1 else small.get((i, j), 1)
         for i in range(1, 6)
         for j in range(1, 6)
         if i != j
     }
-    gens = S.generators
-    for (i, j), lam in table.lam.items():
+    for (i, j), lam in lams.items():
         ni, nj = gens[i - 1], gens[j - 1]
-        assert table.gap[(i, j)] == lam * nj - ni
+        assert gaps[(i, j)] == lam * nj - ni
         assert not S.contains(lam * nj - ni)
         assert S.contains((lam + 1) * nj - ni)
 
@@ -287,13 +289,21 @@ def test_mu_values_worked_example():
     S = NumericalSemigroup(WORKED)
     vec = ng_vectors(S)[1]
     cls = classify_pf(S, vec["entries"])
-    table = max_gap_table(S)
-    result = mu_bound(table, cls["pf1"])
-    assert len(result.mus) == 5
+    gaps = max_gap_table(S)
+    mus, bound = mu_bound(gaps, cls["pf1"])
+    assert len(mus) == 5
     pf1 = set(cls["pf1"])
     for s in range(1, 6):
-        expect = sum(1 for i in range(1, 6) if i != s and table.gap[(i, s)] in pf1)
-        assert result.mus[s - 1] == expect
-    assert result.bound <= 38
-    assert len(cls["pf1"]) <= result.bound
+        expect = sum(1 for i in range(1, 6) if i != s and gaps[(i, s)] in pf1)
+        assert mus[s - 1] == expect
+    assert bound <= 38
+    assert len(cls["pf1"]) <= bound
+
+
+@pytest.mark.parametrize("gens", [(3, 5, 7), (6, 7, 8, 9, 10, 11)])
+def test_mu_bound_refuses_a_table_not_of_five_generators(gens):
+    # three generators lack the pair (4, 1); six have pairs with n_6,
+    # which a bound over s = 1..5 would ignore
+    with pytest.raises(InvalidArgumentError, match="five-generated"):
+        mu_bound(max_gap_table(NumericalSemigroup(gens)), [])
 

@@ -798,7 +798,7 @@ def test_pf1_and_pf2_bounds_are_exact():
 def test_mu_bound_is_exact():
     # the extremal gaps gap[(i, 2)] of WORKED are 212, 153, 146 and 126;
     # 153 and 126 are also gap[(i, 5)] for some i
-    extremal = set(max_gap_table(NumericalSemigroup(WORKED)).gap.values())
+    extremal = set(max_gap_table(NumericalSemigroup(WORKED)).values())
     filler = [x for x in range(1, 1000) if x not in extremal]
     three_over_2 = (146, 153, 212)  # mu = (0, 3, 0, 0, 1)
     for gaps, bound in (((), 38), (three_over_2, 37)):
@@ -809,6 +809,21 @@ def test_mu_bound_is_exact():
             assert result.status == status, (gaps, size)
         assert result.payload["bound"] == bound
         assert result.payload["mus"] == ([0, 3, 0, 0, 1] if gaps else [0] * 5)
+
+
+def test_thm_3distinct_failure_names_the_vector_and_the_allowed_numbers():
+    # WORKED's gaps[(4, 5)] and gaps[(5, 4)] are 218 and 59; of its two
+    # vectors only the second has three distinct leading entries
+    vectors = [((244, 212, 244, 244, 244), (), ()), ((244, 212, 185, 244, 244), (), ())]
+    allowed = [59, 185, 212, 218, 244]
+    claim = CLAIM_FUNCTIONS["THM_3DISTINCT"]
+    assert claim(_hand_set(WORKED, classifications=vectors, pf=tuple(allowed))).status == PASS
+    for pf in ((1,), (*allowed, 300)):
+        result = claim(_hand_set(WORKED, classifications=vectors, pf=pf))
+        assert result.status == FAIL, pf
+        assert result.payload["vector"] == [244, 212, 185, 244, 244]
+        assert result.payload["allowed"] == allowed
+        assert result.payload["type"] == len(pf)
 
 
 def test_pf2_two_zeroes_matches_literal_matrices():
