@@ -22,11 +22,10 @@ _HOME = {
     name: module
     for module, names in (
         ("core", "NumericalSemigroup"),
-        ("gorenstein", "RelativeIdeal is_symmetric is_almost_symmetric "
-                       "is_nearly_gorenstein nearly_gorenstein_via_trace ng_vectors "
-                       "is_ng_vector"),
+        ("gorenstein", "is_symmetric is_almost_symmetric is_nearly_gorenstein "
+                       "nearly_gorenstein_via_trace ng_vectors is_ng_vector"),
         ("rf", "rf_plus_iter rf_minus_iter classify_pf max_gap_table"),
-        ("construct", "DuplicationSpec numerical_duplication smallest_odd_generator "
+        ("construct", "RelativeIdeal numerical_duplication smallest_odd_generator "
                       "duplication_tower backelin family_dim6 ideal_from_generators"),
         ("errors", "SemigroupError EmptyGeneratorsError GcdNotOneError "
                    "GeneratorTooLargeError InvalidArgumentError NotAMemberError "

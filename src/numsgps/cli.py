@@ -47,7 +47,6 @@ from .errors import (
     SemigroupError,
 )
 from .gorenstein import (
-    RelativeIdeal,
     capped_product,
     count_choices,
     is_almost_symmetric,
@@ -195,6 +194,8 @@ def _cmd_verify(args, emit) -> int:
     from .verify.claims import CLAIM_NAMES, FAIL
     from .verify.harness import HarnessConfig, check_all, check_semigroup
 
+    # only an absent --claims means every claim; an empty list means none
+    claims = CLAIM_NAMES if args.claims is None else args.claims
     if args.gens is not None:
         # the range flags have no meaning for one semigroup
         given = {"--embdim": args.embdim is not None, "--workers": args.workers != 1,
@@ -202,13 +203,13 @@ def _cmd_verify(args, emit) -> int:
         clashes = [flag for flag, on in given.items() if on]
         if clashes:
             raise InvalidArgumentError(f"--gens does not take {', '.join(clashes)}")
-        report = check_semigroup(args.gens, claims=args.claims or CLAIM_NAMES)
+        report = check_semigroup(args.gens, claims=claims)
         emit(report)
         return 1 if any(claim["status"] == FAIL for claim in report["claims"]) else 0
     cfg = HarnessConfig(
         genus_max=args.genus_max,
         embdim_filter=args.embdim,
-        claims=args.claims or CLAIM_NAMES,
+        claims=claims,
         workers=args.workers,
     )
     start = time.perf_counter()
@@ -251,14 +252,14 @@ def _construct_dim6(args, emit) -> None:
 
 
 def _construct_duplication(args, emit) -> None:
-    from .construct import DuplicationSpec, ideal_from_generators, numerical_duplication
+    from .construct import RelativeIdeal, ideal_from_generators, numerical_duplication
 
     S = NumericalSemigroup(args.gens)
     if args.ideal is None:
         E = RelativeIdeal.maximal_ideal(S)
     else:
         E = ideal_from_generators(S, args.ideal)
-    D = numerical_duplication(DuplicationSpec(S, E, args.b))
+    D = numerical_duplication(S, E, args.b)
     emit(_family_payload(
         "duplication",
         {"base": list(S.generators), "b": args.b,

@@ -3,9 +3,14 @@
 Each property a builder promises is checked once, on the instance it
 returns, by the step that settles it (a docstring proves what follows
 from an earlier check); a violated property raises FamilyPropertyError.
-Ideals are RelativeIdeals (least element per residue class mod the
-multiplicity), and the duplication identity is checked on Apery sets, so
-no builder walks a window as wide as the Frobenius number.
+A family is built by _certified alone: it refuses formula generators
+that are not a minimal system and checks the family's certificate, the
+printed rows of a row-factorization matrix for each promised
+pseudo-Frobenius number, read in the formula's order.  A relative ideal
+is held by its least element in each residue class mod the multiplicity
+m (RelativeIdeal.least), so the maximal ideal costs m Apery lookups, and
+the duplication identity is checked on Apery sets, so no builder walks a
+window as wide as the Frobenius number.
 """
 
 from __future__ import annotations
@@ -26,36 +31,67 @@ from .errors import (
     NotOddError,
     ParameterTooSmallError,
 )
-from .gorenstein import RelativeIdeal, is_almost_symmetric
+from .gorenstein import is_almost_symmetric
 from .rf import plus_row_lists
 
 
 @dataclass(frozen=True)
-class DuplicationSpec:
-    """Input triple for the numerical duplication 2*S union (2*E + b).
+class RelativeIdeal:
+    """A relative ideal of a semigroup of multiplicity m, given by its
+    least element in each residue class mod m: least[r] is congruent to
+    r, and the ideal is the union of the least[r] + mN."""
 
-    base is the semigroup S, ideal an integral ideal E of S (closed under
-    adding elements of S), and b an odd element of S.  Validation happens
-    here so an instance is usable as soon as it exists.
-    """
+    least: tuple[int, ...]
 
-    base: NumericalSemigroup
-    ideal: RelativeIdeal
-    b: int
+    def contains(self, x: int) -> bool:
+        return x >= self.least[x % len(self.least)]
 
-    def __post_init__(self) -> None:
-        if self.b % 2 == 0:
-            raise NotOddError(f"b = {self.b} must be odd")
-        if self.b not in self.base:
-            raise NotAMemberError(f"b = {self.b} does not belong to the semigroup")
-        if not self.ideal.is_ideal_of(self.base):
-            raise NotAnIdealError(
-                "the given set is not an ideal of the semigroup contained in it"
-            )
+    __contains__ = contains
+
+    def is_ideal_of(self, S: NumericalSemigroup) -> bool:
+        """True iff the set is a nonempty ideal contained in S: it is
+        given mod the multiplicity of S, each least element lies in S,
+        and least[r] + n stays in the set for every generator n (adding
+        m never leaves it).  S's own maximal ideal is settled by one
+        comparison before that O(m nu) scan: it is always an ideal of S
+        that lies in S."""
+        if self == self.maximal_ideal(S):
+            return True
+        m = S.multiplicity
+        least = self.least
+        return (
+            len(least) == m
+            and all(e % m == r and S.contains(e) for r, e in enumerate(least))
+            and all(e + n >= least[(e + n) % m] for e in least for n in S.generators)
+        )
+
+    @classmethod
+    def maximal_ideal(cls, S: NumericalSemigroup) -> "RelativeIdeal":
+        """M(S): all nonzero elements, (m, a[1], ..., a[m - 1]) with a
+        the Apery set."""
+        return cls((S.multiplicity, *S.apery[1:]))
 
 
-def numerical_duplication(spec: DuplicationSpec) -> NumericalSemigroup:
-    """The semigroup 2*S union (2*E + b) for S = base, E = ideal.
+def ideal_from_generators(S: NumericalSemigroup, elements) -> RelativeIdeal:
+    """The integral ideal generated by the given elements of S:
+    everything of the form element + member, whose least element in
+    class r mod m is the least e + a[r - e] (a the Apery set, indices
+    mod m)."""
+    elems = set(elements)
+    if not elems:
+        raise EmptyGeneratorsError("an ideal needs at least one generator")
+    m = S.multiplicity
+    a = S.apery
+    least = (min(e + a[(r - e) % m] for e in elems) for r in range(m))
+    return RelativeIdeal(tuple(least))
+
+
+def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> NumericalSemigroup:
+    """The numerical duplication 2*S union (2*E + b).
+
+    E is an integral ideal of S (closed under adding elements of S), and
+    b an odd element of S.  They are checked in that order before
+    anything is built: b odd, then b in S, then E an ideal of S.
 
     The doubled generators of S together with the shifted doubles of the
     ideal generators of E (the least elements e of E with no e - n_i in
@@ -72,7 +108,12 @@ def numerical_duplication(spec: DuplicationSpec) -> NumericalSemigroup:
     assertions: its duplication is two-generated and symmetric, so the
     type law genuinely fails there.
     """
-    S, E, b = spec.base, spec.ideal, spec.b
+    if b % 2 == 0:
+        raise NotOddError(f"b = {b} must be odd")
+    if b not in S:
+        raise NotAMemberError(f"b = {b} does not belong to the semigroup")
+    if not E.is_ideal_of(S):
+        raise NotAnIdealError("the given set is not an ideal of the semigroup contained in it")
     m = S.multiplicity
     gens = S.generators
     raw = {2 * n for n in gens} | {
@@ -137,23 +178,31 @@ def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigr
     chain = [S]
     for _ in range(depth):
         prev = chain[-1]
-        spec = DuplicationSpec(
+        chain.append(numerical_duplication(
             prev, RelativeIdeal.maximal_ideal(prev), smallest_odd_generator(prev)
-        )
-        chain.append(numerical_duplication(spec))
+        ))
     return chain
 
 
-def _require_matrices(S: NumericalSemigroup, cases) -> None:
-    """A family's certificate: for each (lam, target, rows) of cases,
-    target is pseudo-Frobenius and each predicted row is one of its
-    additive rows, and the rows' zero pattern is constant on the interior
-    lambda range (the boundary values turn single entries to zero)."""
+def _certified(raw: tuple[int, ...], cases) -> NumericalSemigroup:
+    """The semigroup a family's formula generators raw build, with its
+    certificate checked: raw is a minimal system, and for each
+    (lam, target, printed) of cases, target is pseudo-Frobenius and each
+    predicted row is one of its additive rows, and the rows' zero pattern
+    is constant on the interior lambda range (the boundary values turn
+    single entries to zero).  The printed rows, and the entries of each,
+    follow the order of raw, which need not be ascending."""
+    S = NumericalSemigroup(raw)
+    if S.generators != tuple(sorted(raw)):
+        raise FamilyPropertyError(f"formula generators {raw} are not a minimal system")
+    # order[p] = index in raw of the generator at ascending position p
+    order = sorted(range(len(raw)), key=raw.__getitem__)
     pf = set(S.pseudo_frobenius())
     patterns = []
-    for lam, target, rows in cases:
+    for lam, target, printed in cases:
         if target not in pf:
             raise FamilyPropertyError(f"lambda = {lam}: {target} is not pseudo-Frobenius")
+        rows = [tuple(printed[i][j] for j in order) for i in order]
         for n, row, choices in zip(S.generators, rows, plus_row_lists(S, target)):
             if row not in choices:
                 raise FamilyPropertyError(
@@ -167,6 +216,7 @@ def _require_matrices(S: NumericalSemigroup, cases) -> None:
             raise FamilyPropertyError(
                 f"zero pattern at interior lambda = {lam} differs from lambda = {interior[0][0]}"
             )
+    return S
 
 
 def backelin(T: int) -> NumericalSemigroup:
@@ -189,11 +239,6 @@ def backelin(T: int) -> NumericalSemigroup:
         raise ParameterTooSmallError(f"family parameter T = {T} must be at least 2")
     s = (3 * T + 2) ** 2 + 3
     gens = (s, s + 3, s + 3 * T + 1, s + 3 * T + 2)
-    S = NumericalSemigroup(gens)
-    if S.generators != gens:
-        raise FamilyPropertyError(
-            f"formula generators {gens} are not a minimal system"
-        )
 
     def rows(lam: int) -> tuple[tuple[int, ...], ...]:
         return (
@@ -204,8 +249,7 @@ def backelin(T: int) -> NumericalSemigroup:
         )
 
     f = (3 * T + 3) * gens[3] - gens[0]
-    _require_matrices(S, ((lam, f - 3 * lam, rows(lam)) for lam in range(1, T + 1)))
-    return S
+    return _certified(gens, ((lam, f - 3 * lam, rows(lam)) for lam in range(1, T + 1)))
 
 
 def dim6_raw_generators(T: int, d: int, k: int) -> tuple[int, ...]:
@@ -223,20 +267,6 @@ def dim6_progression(T: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(f + lam * d for lam in range(T))
 
 
-def ideal_from_generators(S: NumericalSemigroup, elements) -> RelativeIdeal:
-    """The integral ideal generated by the given elements of S:
-    everything of the form element + member, whose least element in
-    class r mod m is the least e + a[r - e] (a the Apery set, indices
-    mod m)."""
-    elems = set(elements)
-    if not elems:
-        raise EmptyGeneratorsError("an ideal needs at least one generator")
-    m = S.multiplicity
-    a = S.apery
-    least = (min(e + a[(r - e) % m] for e in elems) for r in range(m))
-    return RelativeIdeal(tuple(least))
-
-
 def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     """Six-generated family with an arithmetic progression of
     pseudo-Frobenius numbers f, f + d, ..., f + (T-1) d.
@@ -251,9 +281,9 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     Coprime: a common divisor of the six divides n_4 - n_1 = d, so it is
     prime to k and divides T - 1 and T + 4, hence 5, which T not 1 mod 5
     excludes.  Distinct: T >= 2 gives n_1 < n_2 < n_3, and n_j - n_i = d
-    would need k | d, so k = 1 < T.  So the set test alone pins nu = 6.
-    The construction order is not ascending (n_4 < n_3 for small d), so
-    predicted rows are permuted into generator order before checking.
+    would need k | d, so k = 1 < T.  So the minimal-system test alone
+    pins nu = 6.  The construction order is not ascending (n_4 < n_3 for
+    small d), so _certified reads the printed rows in construction order.
     """
     for name, value in (("T", T), ("d", d), ("k", k)):
         if value < 1:
@@ -267,17 +297,8 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     if gcd(d, k) != 1:
         raise FamilyPreconditionError("gcd(d, k) = 1", gcd(d, k))
 
-    raw = dim6_raw_generators(T, d, k)
-    S = NumericalSemigroup(sorted(raw))
-    if set(S.generators) != set(raw):
-        raise FamilyPropertyError(
-            f"formula generators {raw} are not a minimal system"
-        )
-    # order[p] = construction index sitting at ascending position p
-    order = sorted(range(6), key=lambda i: raw[i])
-
-    def rows(lam: int) -> list[tuple[int, ...]]:
-        printed = (
+    def rows(lam: int) -> tuple[tuple[int, ...], ...]:
+        return (
             (-1, T + 1 - lam, 0, 0, lam, 0),
             (0, -1, T - lam, 0, 0, lam),
             (T + 2 - lam, 0, -1, lam, 0, 0),
@@ -285,9 +306,8 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
             (0, 0, T - 1 - lam, 0, -1, lam + 1),
             (T + 1 - lam, 0, 0, lam + 1, 0, -1),
         )
-        return [tuple(printed[order[p]][order[q]] for q in range(6)) for p in range(6)]
 
-    _require_matrices(
-        S, ((lam, target, rows(lam)) for lam, target in enumerate(dim6_progression(T, d, k)))
+    return _certified(
+        dim6_raw_generators(T, d, k),
+        ((lam, target, rows(lam)) for lam, target in enumerate(dim6_progression(T, d, k))),
     )
-    return S

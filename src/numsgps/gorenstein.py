@@ -1,14 +1,11 @@
-"""Relative ideals, symmetry predicates, and nearly Gorenstein vectors.
+"""Symmetry predicates and nearly Gorenstein vectors.
 
-A relative ideal is held by its least element in each residue class mod
-the multiplicity m (RelativeIdeal.least), so the maximal ideal costs m
-Apery lookups.  The trace route reads the max-plus convolution of the
-Apery set with itself (apery_convolution: m**2 steps from scratch, O(m)
-when the genus-tree walk carries it from the parent) and settles most
-generators by one lookup in the Frobenius number's class (m steps for
-the rest, and for the multiplicity), returning at the first generator
-outside the trace.  Almost symmetry is Nari's identity
-2 * genus == frobenius + type.  Symmetry and the candidate sets read
+The trace route reads the max-plus convolution of the Apery set with
+itself (apery_convolution: m**2 steps from scratch, O(m) when the
+genus-tree walk carries it from the parent) and settles most generators
+by one lookup in the Frobenius number's class (m steps for the rest,
+and for the multiplicity), returning at the first generator outside the
+trace.  Almost symmetry is Nari's identity 2 * genus == frobenius + type.  Symmetry and the candidate sets read
 only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
 t the type).  A candidate is tested against the pseudo-Frobenius numbers
 largest first, whose shifted values are the likeliest gaps, dropped at
@@ -41,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from operator import sub
 
 from .core import NumericalSemigroup
@@ -54,43 +50,6 @@ from .errors import (
 
 # the most NG-vectors or matrices capped_product will stream
 MATRIX_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class RelativeIdeal:
-    """A relative ideal of a semigroup of multiplicity m, given by its
-    least element in each residue class mod m: least[r] is congruent to
-    r, and the ideal is the union of the least[r] + mN."""
-
-    least: tuple[int, ...]
-
-    def contains(self, x: int) -> bool:
-        return x >= self.least[x % len(self.least)]
-
-    __contains__ = contains
-
-    def is_ideal_of(self, S: NumericalSemigroup) -> bool:
-        """True iff the set is a nonempty ideal contained in S: it is
-        given mod the multiplicity of S, each least element lies in S,
-        and least[r] + n stays in the set for every generator n (adding
-        m never leaves it).  S's own maximal ideal is settled by one
-        comparison before that O(m nu) scan: it is always an ideal of S
-        that lies in S."""
-        if self == self.maximal_ideal(S):
-            return True
-        m = S.multiplicity
-        least = self.least
-        return (
-            len(least) == m
-            and all(e % m == r and S.contains(e) for r, e in enumerate(least))
-            and all(e + n >= least[(e + n) % m] for e in least for n in S.generators)
-        )
-
-    @classmethod
-    def maximal_ideal(cls, S: NumericalSemigroup) -> "RelativeIdeal":
-        """M(S): all nonzero elements, (m, a[1], ..., a[m - 1]) with a
-        the Apery set."""
-        return cls((S.multiplicity, *S.apery[1:]))
 
 
 def _require_proper(S: NumericalSemigroup) -> None:

@@ -13,7 +13,8 @@ from itertools import product
 from math import gcd, prod
 from operator import sub
 
-from numsgps.gorenstein import RelativeIdeal, candidate_prefix, ng_vectors
+from numsgps.construct import RelativeIdeal
+from numsgps.gorenstein import candidate_prefix, ng_vectors
 from numsgps.rf import minus_row_lists, plus_row_lists
 from numsgps.verify.claims import FAIL, NA, PASS, ClaimResult, _fail
 

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from numsgps import (
-    DuplicationSpec,
     FamilyPreconditionError,
     NumericalSemigroup,
     RelativeIdeal,
@@ -204,7 +203,7 @@ def test_criterion_5_duplication_laws(capfd):
     for S in seeds:
         M = RelativeIdeal.maximal_ideal(S)
         for b in three_smallest_odd(S):
-            D = numerical_duplication(DuplicationSpec(S, M, b))
+            D = numerical_duplication(S, M, b)
             if not is_almost_symmetric(D):
                 failures.append(f"{S.generators} b={b}: lost almost symmetry")
             if D.type != 2 * S.type + 1:

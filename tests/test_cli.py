@@ -286,6 +286,19 @@ def test_verify_gens_emits_the_harness_record(gens, capsys):
     assert json.loads(json.dumps(record)) == record
 
 
+@pytest.mark.parametrize("flag", [",", ""])
+def test_verify_an_empty_claims_list_checks_no_claim(flag, capsys):
+    # only an absent --claims means every claim, as in the library
+    code, lines = run_cli(["verify", "--gens", "3,5", "--claims", flag], capsys)
+    assert code == 0
+    assert [json.loads(line)["payload"] for line in lines] == [
+        check_semigroup((3, 5), claims=())
+    ]
+    code, lines = run_cli(["verify", "--genus-max", "2", "--claims", flag], capsys)
+    assert code == 0
+    assert json.loads(lines[0])["payload"]["claims_checked"] == []
+
+
 def test_verify_reports_are_the_harness_records(capsys):
     records = []
     summary = check_all(HarnessConfig(genus_max=4), sink=records.append)

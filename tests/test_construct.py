@@ -7,7 +7,6 @@ from math import gcd
 import pytest
 
 from numsgps import (
-    DuplicationSpec,
     FamilyPreconditionError,
     FamilyPropertyError,
     GeneratorTooLargeError,
@@ -29,7 +28,7 @@ from numsgps import (
     smallest_odd_generator,
 )
 from numsgps import construct
-from numsgps.construct import _require_matrices, dim6_progression, dim6_raw_generators
+from numsgps.construct import _certified, dim6_progression, dim6_raw_generators
 from numsgps.verify import semigroups_up_to
 from oracles import literal_is_ideal_of
 
@@ -38,9 +37,9 @@ def test_duplication_spec_validation():
     S = NumericalSemigroup((3, 4, 5))
     M = RelativeIdeal.maximal_ideal(S)
     with pytest.raises(NotOddError):
-        DuplicationSpec(S, M, 4)
+        numerical_duplication(S, M, 4)
     with pytest.raises(NotAMemberError):
-        DuplicationSpec(S, M, 1)
+        numerical_duplication(S, M, 1)
     # 1 lies outside S; 4 + 5 = 9 is missing from the classes of 12, 4
     # and 5; 5 sits in the class of 1; an ideal given mod 4 is not one of
     # a semigroup of multiplicity 3
@@ -48,7 +47,7 @@ def test_duplication_spec_validation():
         bad = RelativeIdeal(least)
         assert not bad.is_ideal_of(S)
         with pytest.raises(NotAnIdealError):
-            DuplicationSpec(S, bad, 3)
+            numerical_duplication(S, bad, 3)
 
 
 def test_maximal_ideal_is_settled_by_one_comparison(monkeypatch):
@@ -85,9 +84,7 @@ def test_maximal_ideal_is_settled_by_one_comparison(monkeypatch):
 
 def test_duplication_example():
     S = NumericalSemigroup((3, 4, 5))
-    D = numerical_duplication(
-        DuplicationSpec(S, RelativeIdeal.maximal_ideal(S), 3)
-    )
+    D = numerical_duplication(S, RelativeIdeal.maximal_ideal(S), 3)
     assert D.generators == (6, 8, 9, 10, 11, 13)
     assert D.frobenius == 2 * S.frobenius + 3
     assert D.type == 2 * S.type + 1
@@ -98,7 +95,7 @@ def test_duplication_membership_identity():
     S = NumericalSemigroup((5, 7, 9))
     E = ideal_from_generators(S, (7, 10))
     for b in (5, 7, 19):
-        D = numerical_duplication(DuplicationSpec(S, E, b))
+        D = numerical_duplication(S, E, b)
         for x in range(D.frobenius + D.generators[-1] + 2):
             if x % 2 == 0:
                 assert D.contains(x) == S.contains(x // 2)
@@ -111,7 +108,7 @@ def test_duplication_below_twice_the_multiplicity():
     # the duplication identity is checked through apery_set(6)
     S = NumericalSemigroup((3, 5))
     E = ideal_from_generators(S, [0])
-    D = numerical_duplication(DuplicationSpec(S, E, 5))
+    D = numerical_duplication(S, E, 5)
     assert D.generators == (5, 6)
     for x in range(D.frobenius + 13):
         if x % 2 == 0:
@@ -128,7 +125,7 @@ def test_duplication_frobenius_law():
         # everything from min(elems) + F + 1 on lies in min(elems) + S
         gap_top = max(x for x in range(min(elems) + S.frobenius + 1) if x not in E)
         for b in smallest_b_values(S, 2):
-            D = numerical_duplication(DuplicationSpec(S, E, b))
+            D = numerical_duplication(S, E, b)
             assert D.frobenius == 2 * gap_top + b
 
 
@@ -148,7 +145,7 @@ def test_duplication_type_law_on_almost_symmetric_bases():
         assert is_almost_symmetric(S)
         M = RelativeIdeal.maximal_ideal(S)
         for b in smallest_b_values(S, 2):
-            D = numerical_duplication(DuplicationSpec(S, M, b))
+            D = numerical_duplication(S, M, b)
             assert D.type == 2 * S.type + 1
             assert D.embedding_dimension == 2 * S.embedding_dimension
             assert is_almost_symmetric(D)
@@ -234,7 +231,16 @@ def test_family_certificate_fires_on_each_fault():
         ))
         for lam in range(1, T + 1)
     ]
-    _require_matrices(S, cases)
+    assert _certified(S.generators, cases).generators == S.generators
+    # raw and every printed row in reverse order certify the same
+    # semigroup: the rows are read in raw's order
+    reversed_cases = [
+        (lam, target, tuple(row[::-1] for row in rows[::-1])) for lam, target, rows in cases
+    ]
+    assert _certified(S.generators[::-1], reversed_cases).generators == S.generators
+    # 8 = 4 + 4 is redundant
+    with pytest.raises(FamilyPropertyError, match="not a minimal system"):
+        _certified((4, 6, 8, 9), [])
     lam, target, rows = cases[2]
     assert lam == 3
     broken_row = (rows[2][0] + 1,) + rows[2][1:]
@@ -246,7 +252,7 @@ def test_family_certificate_fires_on_each_fault():
     }
     for words, case in faults.items():
         with pytest.raises(FamilyPropertyError, match="lambda = 3") as exc:
-            _require_matrices(S, cases[:2] + [case] + cases[3:])
+            _certified(S.generators, cases[:2] + [case] + cases[3:])
         assert words in str(exc.value)
 
 
@@ -316,11 +322,9 @@ def test_family_round_trip():
         backelin(3),
         family_dim6(2, 4, 3),
         numerical_duplication(
-            DuplicationSpec(
-                NumericalSemigroup((3, 4, 5)),
-                RelativeIdeal.maximal_ideal(NumericalSemigroup((3, 4, 5))),
-                3,
-            )
+            NumericalSemigroup((3, 4, 5)),
+            RelativeIdeal.maximal_ideal(NumericalSemigroup((3, 4, 5))),
+            3,
         ),
     ):
         T = NumericalSemigroup(S.generators)

@@ -13,7 +13,10 @@ gorenstein.capped_product, reads the listing cap and refuses a listing
 above it, for NG-vectors and matrices alike.  One function,
 gorenstein.companion_finder, looks a value up among the generators: the
 companion rule (an entry g off F at position h has the companion ell < h
-with n_ell = g - F + n_h) is written there only.  The walk's bound has one
+with n_ell = g - F + n_h) is written there only.  The construct layer owns
+its inputs: only construct.py reads an ideal's least elements, and only
+construct._certified refuses a family's formula generators that are not
+a minimal system.  The walk's bound has one
 rule, and so has its embedding-dimension filter: one function raises
 each refusal.  One function, harness._report,
 builds the per-semigroup record that check_semigroup returns, a
@@ -199,6 +202,29 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert generator_lookups == {"gorenstein.py:companion_finder"}
     assert not_pf_raisers == {"rf.py:_require_pseudo_frobenius"}
     assert mismatch_raisers == {"rf.py:_require_ng_vector"}
+
+
+def test_only_construct_reads_an_ideals_least_elements():
+    # the ideal format (least element per residue class) has one owner
+    readers = {
+        path.relative_to(PACKAGE).as_posix()
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "least"
+    }
+    assert readers == {"construct.py"}
+
+
+def test_one_function_refuses_formula_generators():
+    raisers = {
+        f"{path.relative_to(PACKAGE)}:{owner}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _with_owner(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and "FamilyPropertyError" in ast.unparse(node)
+        and "minimal system" in ast.unparse(node)
+    }
+    assert raisers == {"construct.py:_certified"}
 
 
 def test_one_function_refuses_a_walk_bound():
