@@ -30,7 +30,7 @@ _HOME = {
         ("errors", "SemigroupError EmptyGeneratorsError GcdNotOneError "
                    "GeneratorTooLargeError InvalidArgumentError NotAMemberError "
                    "NotPseudoFrobeniusError NotNearlyGorensteinError VectorEntryError "
-                   "MismatchedPairError EmbeddingDimensionError EnumerationCapError "
+                   "MismatchedPairError EnumerationCapError "
                    "NotOddError NotAnIdealError ParameterTooSmallError "
                    "FamilyPreconditionError FamilyPropertyError NotAlmostSymmetricError"),
     )

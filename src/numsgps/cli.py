@@ -129,7 +129,7 @@ def _error_payload(exc: SemigroupError) -> dict:
 
 
 def _semigroup_payload(S: NumericalSemigroup) -> dict:
-    payload = {
+    return {
         "generators": list(S.generators),
         "multiplicity": S.multiplicity,
         "embedding_dimension": S.embedding_dimension,
@@ -137,17 +137,10 @@ def _semigroup_payload(S: NumericalSemigroup) -> dict:
         "genus": S.genus,
         "type": S.type,
         "pf": list(S.pseudo_frobenius()),
+        "symmetric": is_symmetric(S),
+        "almost_symmetric": is_almost_symmetric(S),
+        "nearly_gorenstein": is_nearly_gorenstein(S),
     }
-    if S.is_full():
-        # the trivial semigroup: Gorenstein by every convention
-        payload.update(symmetric=True, almost_symmetric=True, nearly_gorenstein=True)
-    else:
-        payload.update(
-            symmetric=is_symmetric(S),
-            almost_symmetric=is_almost_symmetric(S),
-            nearly_gorenstein=is_nearly_gorenstein(S),
-        )
-    return payload
 
 
 # ----------------------------------------------------------------------

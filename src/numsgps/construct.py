@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import MULTIPLICITY_LIMIT, NumericalSemigroup
+from .core import MULTIPLICITY_LIMIT, NumericalSemigroup, is_int
 from .errors import (
     EmptyGeneratorsError,
     FamilyPreconditionError,
@@ -159,13 +159,17 @@ def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigr
     """Iterated maximal-ideal duplication [S, S_1, ..., S_depth].
 
     Each level S_i duplicates S_{i-1} with E = M(S_{i-1}) and b its
-    smallest odd generator.  Past the seed's check, numerical_duplication
-    settles every level: from a base other than N it asserts almost
-    symmetry, type 2t + 1 and nu' = 2 nu, so t' - 2 nu' = 2 (t - 2 nu) + 1
-    (the excess law, by induction); from N, level 1 is <2, 3>, pinned by
-    the duplication identity.  A level's multiplicity is twice its base's,
-    so m(S) * 2^depth > MULTIPLICITY_LIMIT is refused before level 1.
+    smallest odd generator.  The seed must be almost symmetric, as N is.
+    Past the seed's check, numerical_duplication settles every level:
+    from a base other than N it asserts almost symmetry, type 2t + 1 and
+    nu' = 2 nu, so t' - 2 nu' = 2 (t - 2 nu) + 1 (the excess law, by
+    induction); from N, level 1 is <2, 3>, pinned by the duplication
+    identity.  A level's multiplicity is twice its base's, so
+    m(S) * 2^depth > MULTIPLICITY_LIMIT is refused before level 1, and a
+    depth that is not an integer >= 0 (core.is_int) before that.
     """
+    if not is_int(depth):
+        raise InvalidArgumentError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise InvalidArgumentError(f"depth must be nonnegative, got {depth}")
     if S.multiplicity > MULTIPLICITY_LIMIT >> depth:  # m * 2^depth > limit, exactly
@@ -173,7 +177,7 @@ def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigr
             f"level {depth} would have multiplicity {S.multiplicity} * 2^{depth}, "
             f"above {MULTIPLICITY_LIMIT}"
         )
-    if not (S.is_full() or is_almost_symmetric(S)):
+    if not is_almost_symmetric(S):
         raise NotAlmostSymmetricError(f"{S!r} is not almost symmetric")
     chain = [S]
     for _ in range(depth):

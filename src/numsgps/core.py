@@ -44,6 +44,12 @@ MULTIPLICITY_LIMIT = 2**20
 _INF = float("inf")
 
 
+def is_int(value) -> bool:
+    """An int other than a bool: a bool is an int to Python, but no
+    generator, bound, count, index or depth."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _apery_by_relaxation(modulus: int, generators: Sequence[int]) -> list[int]:
     """Least element of <generators> in each residue class mod `modulus`.
 
@@ -135,7 +141,7 @@ class NumericalSemigroup:
         if not raw:
             raise EmptyGeneratorsError("need at least one generator")
         for g in raw:
-            if not isinstance(g, int) or isinstance(g, bool):
+            if not is_int(g):
                 raise TypeError(f"generator {g!r} is not an integer")
             if g <= 0:
                 raise InvalidArgumentError(f"generator {g} is not positive")

@@ -54,10 +54,6 @@ class MismatchedPairError(SemigroupError):
     Gorenstein vectors."""
 
 
-class EmbeddingDimensionError(SemigroupError):
-    """The operation is restricted to a specific embedding dimension."""
-
-
 class EnumerationCapError(SemigroupError):
     """An enumeration (of matrices, or of NG-vectors) would exceed its cap.
 

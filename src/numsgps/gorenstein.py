@@ -40,21 +40,11 @@ import math
 from collections.abc import Callable, Iterator
 from operator import sub
 
-from .core import NumericalSemigroup
-from .errors import (
-    EmbeddingDimensionError,
-    EnumerationCapError,
-    InvalidArgumentError,
-    NotNearlyGorensteinError,
-)
+from .core import NumericalSemigroup, is_int
+from .errors import EnumerationCapError, InvalidArgumentError, NotNearlyGorensteinError
 
 # the most NG-vectors or matrices capped_product will stream
 MATRIX_CAP = 10**6
-
-
-def _require_proper(S: NumericalSemigroup) -> None:
-    if S.embedding_dimension < 2:
-        raise EmbeddingDimensionError("operation needs a proper semigroup (at least 2 generators)")
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
@@ -93,7 +83,6 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     true one never holds F - m, as F - m + m = F is a gap); at genus 16
     it drops 44,618 of the census's 206,653 (position, candidate)
     tests."""
-    _require_proper(S)
     gens = S.generators
     m = gens[0]
     apery = S.apery
@@ -144,7 +133,6 @@ def is_almost_symmetric(S: NumericalSemigroup) -> bool:
     semigroups", Semigroup Forum 86, 2013).  O(1) once the type is known,
     and it reads no candidate set, so AS_IMPLIES_NG checks a theorem
     against the candidate sets."""
-    _require_proper(S)
     return 2 * S.genus == S.frobenius + S.type
 
 
@@ -179,7 +167,6 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     68,178 generators n != m in the trace, and only a miss scans every
     v.  For n = m the minimum is compared as above.
     """
-    _require_proper(S)
     m = S.generators[0]
     a = S.apery
     c = S.apery_convolution()
@@ -284,7 +271,10 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
     """ng_vectors(S)[index] without listing the vectors: the index is
     decoded in mixed radix over the vector_axes lists, the last position
     the least significant digit.  Raises InvalidArgumentError for an index
-    outside [0, count), and NotNearlyGorensteinError as ng_vectors."""
+    that is not an integer (core.is_int) or lies outside [0, count), and
+    NotNearlyGorensteinError as ng_vectors."""
+    if not is_int(index):
+        raise InvalidArgumentError(f"NG-vector index must be an integer, got {index!r}")
     axes = _ng_axes(S)
     count = count_choices(axes)
     if not 0 <= index < count:
@@ -302,10 +292,8 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
     """Membership test for the defining condition, without enumerating:
     each entry lies in its position's candidate set, read up to the first
-    position that fails.  Properness is checked once: here when the
-    length is wrong, else by the candidate sets, which a vector of
-    nu >= 1 entries always starts."""
+    position that fails.  A tuple of the wrong length is no NG-vector;
+    N's one NG-vector is (-1,)."""
     if len(entries) != S.embedding_dimension:
-        _require_proper(S)
         return False
     return all(g in c for g, c in zip(entries, _candidate_sets(S)))

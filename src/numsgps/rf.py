@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import NumericalSemigroup
 from .errors import InvalidArgumentError, MismatchedPairError, NotPseudoFrobeniusError
 from .errors import VectorEntryError
-from .gorenstein import _require_proper, capped_product, is_ng_vector, vector_axes
+from .gorenstein import capped_product, is_ng_vector, vector_axes
 
 
 def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tuple[int, ...]]:
@@ -123,7 +123,6 @@ def max_gap_table(S: NumericalSemigroup) -> dict[tuple[int, int], int]:
     lambda * n_j - n_i above the Frobenius number, in O(log(F / n_j))
     lookups per pair.
     """
-    _require_proper(S)
     gens = S.generators
     F = S.frobenius
     m = gens[0]

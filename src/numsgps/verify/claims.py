@@ -109,6 +109,10 @@ class ClaimContext:
     vector count, premise, classifications, extremal gap table) at most
     once, on the first access of a claim that reads them.
 
+    The claims' domain is nu >= 2: for N, which the single-semigroup
+    layers answer, the candidates and both verdicts stay None (null in
+    the report), and every claim is inapplicable.
+
     candidate_prefix's sets: nearly_gorenstein is all(candidates), and
     vector_count is 0 unless it holds; every other reader checks
     nearly_gorenstein or avoidable first, so sees full lists only.
@@ -624,7 +628,7 @@ def claim_as_implies_ng(ctx: ClaimContext) -> ClaimResult:
 
 
 def claim_trace_eq(ctx: ClaimContext) -> ClaimResult:
-    """The candidate-set route and the trace-ideal route agree."""
+    """The candidate-set route and the trace-ideal route agree (nu >= 2)."""
     if ctx.nu < 2:
         return INAPPLICABLE
     via_trace = nearly_gorenstein_via_trace(ctx.S)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from ..core import NumericalSemigroup, _apery_convolution
+from ..core import NumericalSemigroup, _apery_convolution, is_int
 from ..errors import InvalidArgumentError
 
 # the cell is [] (not yet resolved; the spine children start so),
@@ -127,12 +127,6 @@ def _resolve(node: Node) -> list:
         pf = (*[f for f in pf if (y := g - f) < a[y % m]], g)
         cell[:] = (c, pf)
     return cell
-
-
-def is_int(value) -> bool:
-    """An int other than a bool: a bool is an int to Python, but no bound,
-    count or index of the walk."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def require_genus_max(genus_max) -> None:

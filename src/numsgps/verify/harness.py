@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .. import SCHEMA_VERSION
-from ..core import NumericalSemigroup
+from ..core import NumericalSemigroup, is_int
 from ..errors import InvalidArgumentError
 from .claims import (
     CLAIM_NAMES,
@@ -44,7 +44,7 @@ from .claims import (
     canonical_claims,
     run_claims,
 )
-from .enumeration import is_int, require_embdim, require_genus_max, semigroups_up_to
+from .enumeration import require_embdim, require_genus_max, semigroups_up_to
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ from math import gcd
 import pytest
 
 from numsgps import (
+    EmptyGeneratorsError,
     FamilyPreconditionError,
     FamilyPropertyError,
     GeneratorTooLargeError,
+    InvalidArgumentError,
     NotAlmostSymmetricError,
     NotAMemberError,
     NotAnIdealError,
@@ -179,6 +181,14 @@ def test_tower_from_trivial_seed():
     assert is_almost_symmetric(chain[2])
 
 
+def test_tower_refuses_a_depth_that_is_not_an_integer():
+    # True would otherwise build one level, and 1.5 fail at the limit's shift
+    S = NumericalSemigroup((3, 4, 5))
+    for depth in (True, 1.5, 1.0):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            duplication_tower(S, depth)
+
+
 def test_tower_depth_past_the_multiplicity_limit_is_refused_up_front():
     # the multiplicity doubles per level, so <3, 5> reaches 3 * 2^19 > 2^20
     # at depth 19; building the levels would take about a day
@@ -256,6 +266,47 @@ def test_family_certificate_fires_on_each_fault():
         assert words in str(exc.value)
 
 
+def test_duplication_checks_fire_on_each_fault():
+    # numerical_duplication's four checks hold on every input, so each is
+    # made to fire by a fault patched into what it reads
+    S = NumericalSemigroup((3, 4, 5))
+    M = RelativeIdeal.maximal_ideal(S)
+    generated = ideal_from_generators(S, (3,))
+    apery_set = NumericalSemigroup.apery_set
+
+    def shifted_apery_set(mp):
+        # the union's least elements mod 2m, each 2m too large
+        mp.setattr(NumericalSemigroup, "apery_set", lambda T, n: [a + n for a in apery_set(T, n)])
+
+    def generated_ideal_taken_for_maximal(mp):
+        mp.setattr(RelativeIdeal, "maximal_ideal", classmethod(lambda cls, T: generated))
+
+    def duplication_not_almost_symmetric(mp):
+        mp.setattr(construct, "is_almost_symmetric", lambda T: T == S)
+
+    def every_type_one(mp):
+        # Nari's identity would refuse the base first, so AS is patched too
+        mp.setattr(NumericalSemigroup, "type", property(lambda T: 1))
+        mp.setattr(construct, "is_almost_symmetric", lambda T: True)
+
+    faults = [
+        (shifted_apery_set, M, "duplication identity fails mod 6: the least element "
+                               "congruent to 0 is 6 instead of 0"),
+        (generated_ideal_taken_for_maximal, generated,
+         "embedding dimension 4 instead of 6 for a maximal-ideal duplication"),
+        (duplication_not_almost_symmetric, M,
+         "duplication of an almost symmetric base lost almost symmetry"),
+        (every_type_one, M, "type 1 instead of 3"),
+    ]
+    for patch, E, message in faults:
+        assert numerical_duplication(S, E, 3).generators
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            with pytest.raises(FamilyPropertyError) as exc:
+                numerical_duplication(S, E, 3)
+        assert str(exc.value) == message
+
+
 def test_dim6_example():
     S = family_dim6(2, 4, 3)
     assert dim6_raw_generators(2, 4, 3) == (30, 33, 51, 34, 37, 55)
@@ -277,6 +328,9 @@ def test_dim6_preconditions():
         family_dim6(6, 37, 6)
     with pytest.raises(FamilyPreconditionError):
         family_dim6(2, 3, 2)
+    with pytest.raises(FamilyPreconditionError) as exc:
+        family_dim6(3, 9, 2)
+    assert (exc.value.condition, exc.value.value) == ("k >= T", 2)
     S = family_dim6(4, 16, 5)
     assert S.embedding_dimension == 6
 
@@ -314,6 +368,8 @@ def test_ideal_from_generators():
             x - 7 >= 0 and S.contains(x - 7)
         )
         assert (x in E) == expected
+    with pytest.raises(EmptyGeneratorsError):
+        ideal_from_generators(S, [])
 
 
 def test_family_round_trip():

@@ -9,6 +9,7 @@ from numsgps import (
     EmptyGeneratorsError,
     GcdNotOneError,
     GeneratorTooLargeError,
+    NotAMemberError,
     NumericalSemigroup,
 )
 from oracles import (
@@ -44,6 +45,19 @@ def test_constructor_rejects_bad_input():
         NumericalSemigroup((2, 2**31 + 1))
     with pytest.raises(GeneratorTooLargeError):
         NumericalSemigroup((3, 2**31))
+    # a bool or a float is no generator (core.is_int)
+    for gens, bad in (((3, 5.0), "5.0"), ((3, True), "True")):
+        with pytest.raises(TypeError, match=f"^generator {bad} is not an integer$"):
+            NumericalSemigroup(gens)
+
+
+def test_equality_and_hash_read_the_minimal_system():
+    S = NumericalSemigroup((4, 6, 9))
+    T = NumericalSemigroup((9, 13, 6, 8, 4))
+    assert S == T and hash(S) == hash(T)
+    assert S != NumericalSemigroup((4, 6, 11))
+    assert S.__eq__((4, 6, 9)) is NotImplemented
+    assert S != (4, 6, 9)
 
 
 def test_trivial_semigroup_conventions():
@@ -77,6 +91,10 @@ def test_apery_set_structure():
         assert S.contains(w)
         assert not S.contains(w - 5)
     assert S.frobenius == max(ap) - 5
+    # only a nonzero element has an Apery set
+    for n in (0, -5, 8):
+        with pytest.raises(NotAMemberError, match=f"^{n} is not a nonzero element"):
+            S.apery_set(n)
 
 
 def test_no_negative_integer_is_a_member():

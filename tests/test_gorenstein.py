@@ -7,11 +7,11 @@ import time
 import pytest
 
 from numsgps import (
-    EmbeddingDimensionError,
     EnumerationCapError,
     InvalidArgumentError,
     NotNearlyGorensteinError,
     NumericalSemigroup,
+    VectorEntryError,
     classify_pf,
     is_almost_symmetric,
     is_nearly_gorenstein,
@@ -20,10 +20,10 @@ from numsgps import (
     max_gap_table,
     nearly_gorenstein_via_trace,
     ng_vectors,
+    rf_minus_iter,
 )
-from numsgps import gorenstein
-from numsgps.gorenstein import _candidate_sets, candidate_prefix, ng_vector_at
-from numsgps.verify import ClaimContext, semigroups_up_to
+from numsgps.gorenstein import _candidate_sets, candidate_prefix, count_choices, ng_vector_at
+from numsgps.verify import ClaimContext, check_semigroup, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
     brute_nearly_gorenstein,
@@ -47,10 +47,6 @@ from oracles import (
 )
 
 WORKED = (13, 45, 72, 79, 99)
-
-
-def _proper_walk(genus_max):
-    return [S for S in semigroups_up_to(genus_max) if not S.is_full()]
 
 
 def census(genus_max):
@@ -89,7 +85,7 @@ def test_symmetric_iff_type_one():
 def test_almost_symmetric_iff_gap_count_identity():
     # is_almost_symmetric decides by 2 * genus == frobenius + type; by
     # definition, S is almost symmetric iff (F, ..., F) is an NG-vector
-    for S in _proper_walk(12):
+    for S in semigroups_up_to(12):
         F = S.frobenius
         assert is_almost_symmetric(S) == is_ng_vector(S, (F,) * S.embedding_dimension)
 
@@ -162,14 +158,14 @@ def test_trace_route_reads_neither_pf_nor_candidate_sets(monkeypatch):
     # afresh; one built by the genus-tree walk carries it from its parent
     rng = random.Random(2718)
     fresh = [*census(10), *(_wide_generators(rng) for _ in range(60))]
-    expected = [is_nearly_gorenstein(S) for S in [*fresh, *_proper_walk(10)]]
+    expected = [is_nearly_gorenstein(S) for S in [*fresh, *semigroups_up_to(10)]]
 
     def refuse(*args):
         raise AssertionError("the trace route read PF or the candidate sets")
 
     monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", refuse)
     monkeypatch.setattr("numsgps.gorenstein._candidate_sets", refuse)
-    systems = [*fresh, *_proper_walk(10)]
+    systems = [*fresh, *semigroups_up_to(10)]
     assert [nearly_gorenstein_via_trace(S) for S in systems] == expected
 
 
@@ -274,20 +270,26 @@ def test_ng_candidates_structure():
     assert tuple(sorted(cands[0])) == (S.frobenius,)
 
 
-def test_ng_candidates_rejects_trivial_semigroup():
+def test_trivial_semigroup_is_answered_by_the_general_rules():
+    # N (F = -1, PF = {-1}) is symmetric, so almost symmetric and nearly
+    # Gorenstein, with the one NG-vector (-1,)
     N = NumericalSemigroup((1,))
-    with pytest.raises(EmbeddingDimensionError):
-        candidate_prefix(N)
-    # every single-semigroup rule that needs two generators refuses N alike,
-    # before it compares a vector's length with the embedding dimension
-    with pytest.raises(EmbeddingDimensionError):
-        is_ng_vector(N, (-1,))
-    with pytest.raises(EmbeddingDimensionError):
-        is_ng_vector(N, ())
-    with pytest.raises(EmbeddingDimensionError):
-        classify_pf(N, (-1,))
-    with pytest.raises(EmbeddingDimensionError):
-        max_gap_table(N)
+    assert list(_candidate_sets(N)) == candidate_prefix(N) == [{-1}]
+    assert ng_vectors(N) == [ng_vector_at(N, 0)] == [{"entries": [-1], "h": None, "ell": None}]
+    assert is_ng_vector(N, (-1,))
+    assert not is_ng_vector(N, ()) and not is_ng_vector(N, (-1, -1))
+    assert is_symmetric(N) and is_almost_symmetric(N) and is_nearly_gorenstein(N)
+    assert nearly_gorenstein_via_trace(N)
+    assert classify_pf(N, (-1,)) == {
+        "generators": [1], "vector": [-1], "pf1": [], "pf2": [], "witnesses": []
+    }
+    assert max_gap_table(N) == {}
+    with pytest.raises(VectorEntryError):
+        rf_minus_iter(N, (-1,), -1)
+    # the claims' domain is nu >= 2: the verify layer leaves N's verdicts null
+    report = check_semigroup((1,))
+    assert report["nearly_gorenstein"] is report["almost_symmetric"] is None
+    assert {claim["status"] for claim in report["claims"]} == {"inapplicable"}
 
 
 def test_ng_vectors_refused_above_the_cap():
@@ -327,7 +329,7 @@ def test_ng_vectors_match_product_filter():
 
 def test_ng_vector_h_ell_minimality():
     for S in census(8):
-        if not is_nearly_gorenstein(S) or S.is_full():
+        if not is_nearly_gorenstein(S):
             continue
         F = S.frobenius
         gens = S.generators
@@ -351,35 +353,6 @@ def test_is_ng_vector():
     assert not is_ng_vector(S, (59, 212, 244, 244, 244))
 
 
-def test_is_ng_vector_checks_properness_once(monkeypatch):
-    calls = []
-    require = gorenstein._require_proper
-
-    def counting(S):
-        calls.append(S.generators)
-        return require(S)
-
-    monkeypatch.setattr(gorenstein, "_require_proper", counting)
-    S = NumericalSemigroup(WORKED)
-    for entries in (
-        (244, 212, 244, 244, 244),
-        (59, 212, 244, 244, 244),
-        (244, 212, 244, 244),
-        (244,) * 6,
-        (),
-    ):
-        calls.clear()
-        is_ng_vector(S, entries)
-        assert calls == [WORKED], entries
-    # N is refused at either length, before any length comparison
-    N = NumericalSemigroup((1,))
-    for entries in ((-1,), ()):
-        calls.clear()
-        with pytest.raises(EmbeddingDimensionError):
-            is_ng_vector(N, entries)
-        assert calls == [(1,)], entries
-
-
 def test_ng_vectors_requires_nearly_gorenstein():
     S = NumericalSemigroup((7, 9, 11, 17))
     assert not is_nearly_gorenstein(S)
@@ -389,7 +362,7 @@ def test_ng_vectors_requires_nearly_gorenstein():
 
 def test_ng_vector_at_decodes_the_listing_order():
     # the index is decoded in mixed radix, never by listing the vectors.
-    # On every proper semigroup of genus <= 9 it agrees with the list at
+    # On every semigroup of genus <= 9, N included, it agrees with the list at
     # every index when there are at most 10**4 vectors, else at the ends
     # and 50 seeded indices; the two lists above 10**5 (<9, ..., 17> and
     # <10, ..., 19>) take seconds to build and are left out.  The
@@ -397,8 +370,6 @@ def test_ng_vector_at_decodes_the_listing_order():
     rng = random.Random(9)
     checked = 0
     for S in semigroups_up_to(9):
-        if S.embedding_dimension < 2:
-            continue
         if not is_nearly_gorenstein(S):
             with pytest.raises(NotNearlyGorensteinError) as listed:
                 ng_vectors(S)
@@ -406,7 +377,7 @@ def test_ng_vector_at_decodes_the_listing_order():
                 ng_vector_at(S, 0)
             assert str(selected.value) == str(listed.value)
             continue
-        count = ClaimContext(S).vector_count
+        count = count_choices(candidate_prefix(S))
         if count > 10**5:
             continue
         vectors = ng_vectors(S)
@@ -423,6 +394,14 @@ def test_ng_vector_at_decodes_the_listing_order():
                 f"NG-vector index {index} out of range (the semigroup has {count})"
             )
     assert checked > 20_000
+
+
+def test_ng_vector_at_refuses_an_index_that_is_not_an_integer():
+    # True would otherwise select vector 1, and 1.0 fail deep in the decoding
+    S = NumericalSemigroup(WORKED)
+    for index in (True, False, 1.0):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            ng_vector_at(S, index)
 
 
 def test_max_embedding_dimension_candidate_sizes():

@@ -7,8 +7,9 @@ environment, so every result is a function of its arguments.  In the
 CLI, handlers only build payloads: main alone writes records, reads
 --pretty and maps errors to exit codes, and the record kinds live in the
 parser table.  A rule of the single-semigroup layers is written once:
-one function takes the product of independent choice counts, and one
-refuses a semigroup with fewer than two generators.  One function,
+one function takes the product of independent choice counts.  Every
+error kind has a raiser: a SemigroupError subclass that no code raises
+would be a documented `error` value no input can produce.  One function,
 gorenstein.capped_product, reads the listing cap and refuses a listing
 above it, for NG-vectors and matrices alike.  One function,
 gorenstein.companion_finder, looks a value up among the generators: the
@@ -168,7 +169,7 @@ def _looks_up_a_generator(node: ast.AST) -> bool:
 
 
 def test_each_single_semigroup_rule_has_one_owner():
-    products, refusals, cap_raisers, cap_readers = set(), set(), set(), set()
+    products, cap_raisers, cap_readers = set(), set(), set()
     generator_lookups, not_pf_raisers, mismatch_raisers = set(), set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for owner, node in _with_owner(ast.parse(path.read_text())):
@@ -179,8 +180,6 @@ def test_each_single_semigroup_rule_has_one_owner():
                 products.add(where)
             elif isinstance(node, ast.Raise):
                 raised = ast.unparse(node)
-                if "EmbeddingDimensionError" in raised:
-                    refusals.add(where)
                 if "EnumerationCapError" in raised:
                     cap_raisers.add(where)
                 if "NotPseudoFrobeniusError" in raised:
@@ -196,12 +195,31 @@ def test_each_single_semigroup_rule_has_one_owner():
             ):
                 cap_readers.add(where)
     assert products == {"gorenstein.py:count_choices"}
-    assert refusals == {"gorenstein.py:_require_proper"}
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
     assert generator_lookups == {"gorenstein.py:companion_finder"}
     assert not_pf_raisers == {"rf.py:_require_pseudo_frobenius"}
     assert mismatch_raisers == {"rf.py:_require_ng_vector"}
+
+
+def test_every_error_kind_has_a_raiser():
+    # the subclasses of SemigroupError defined in errors.py, against the
+    # names every raise statement in src/ raises (X or X(...))
+    kinds = {"SemigroupError"}
+    for stmt in ast.parse((PACKAGE / "errors.py").read_text()).body:
+        if isinstance(stmt, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in kinds for base in stmt.bases
+        ):
+            kinds.add(stmt.name)
+    kinds.remove("SemigroupError")
+    raised = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rpartition(".")[2])
+    assert kinds == {name for name in numsgps.__all__ if name.endswith("Error")} - {"SemigroupError"}
+    assert sorted(kinds - raised) == []
 
 
 def test_only_construct_reads_an_ideals_least_elements():

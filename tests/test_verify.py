@@ -857,6 +857,69 @@ def test_pf2_two_zeroes_matches_literal_matrices():
     }
 
 
+def test_pf2_two_zeroes_fails_on_the_subtractive_side(monkeypatch):
+    # hand-set rows: every additive matrix has two zeroes per row and
+    # column, the subtractive rows at position 1 disagree on their zeroes
+    vector, f = (244, 212, 244, 244, 244), 59
+    ctx = _hand_set(WORKED, classifications=[(vector, (), (f,))])
+    cycle = [tuple(0 if j in ((i + 1) % 5, (i + 2) % 5) else 1 for j in range(5)) for i in range(5)]
+    monkeypatch.setattr(claims, "plus_row_lists", lambda S, f: [[row] for row in cycle])
+    minus = [[row] for row in cycle]
+    minus[0] = [cycle[0], cycle[1]]
+    monkeypatch.setattr(claims, "minus_row_lists", lambda S, entries, f: minus)
+    result = claim_pf2_two_zeroes(ctx)
+    assert result.status == FAIL
+    assert result.payload == {
+        "generators": list(WORKED), "pf": [59, 185, 212, 244], "vector": list(vector),
+        "f": f, "side": "minus", "row": 1, "reason": "zero positions vary across choices",
+    }
+
+
+def test_global_predicate_failure_payloads():
+    # <3, 4, 5> is almost symmetric and nearly Gorenstein (PF = {1, 2});
+    # with an empty second candidate set it is AS but not NG
+    S = NumericalSemigroup((3, 4, 5))
+    ctx = _hand_set_context(S, [frozenset({2}), frozenset()])
+    assert (ctx.almost_symmetric, ctx.nearly_gorenstein) == (True, False)
+    assert CLAIM_FUNCTIONS["AS_IMPLIES_NG"](ctx) == ClaimResult(FAIL, {
+        "generators": [3, 4, 5], "pf": [1, 2],
+        "reason": "almost symmetric but not nearly Gorenstein",
+    })
+    # the candidate-set verdict flipped against the trace route's
+    for gens, pf, trace in (((3, 4, 5), [1, 2], True), ((7, 9, 11, 17), [13, 15, 19], False)):
+        ctx = ClaimContext(NumericalSemigroup(gens))
+        assert ctx.nearly_gorenstein is trace
+        ctx.nearly_gorenstein = not trace
+        assert CLAIM_FUNCTIONS["TRACE_EQ"](ctx) == ClaimResult(FAIL, {
+            "generators": list(gens), "pf": pf, "candidates": not trace, "trace": trace,
+        })
+
+
+def test_question_ms_flags():
+    # WORKED is five-generated and nearly Gorenstein; type and almost
+    # symmetry are set by hand: type 6, or 5 while not AS, is flagged
+    claim = CLAIM_FUNCTIONS["QUESTION_MS"]
+    for t, almost_symmetric, flagged in (
+        (6, False, True), (6, True, True), (5, False, True), (5, True, False), (4, False, False),
+    ):
+        ctx = _hand_set(WORKED, pf=tuple(range(1, t + 1)), almost_symmetric=almost_symmetric)
+        payload = {"generators": list(WORKED), "type": t, "almost_symmetric": almost_symmetric}
+        assert claim(ctx) == ClaimResult(PASS, payload if flagged else None), (t, almost_symmetric)
+
+
+def test_pf_premise_names_a_frobenius_number_in_s():
+    # <3, 4, 5> (F = 2) handed its member 3 as the Frobenius number
+    S = NumericalSemigroup._from_minimal_data(
+        (3, 4, 5), 3, 2, (0, 4, 5), literal_apery_convolution((0, 4, 5)), (1, 2)
+    )
+    ctx = ClaimContext(S)
+    assert ctx.pf_premise == {"f": 3, "reason": "Frobenius number in S"}
+    assert ctx.avoidable == (1,)
+    assert CLAIM_FUNCTIONS["COPPIE"](ctx) == ClaimResult(FAIL, {
+        "generators": [3, 4, 5], "pf": [1, 2], "f": 3, "reason": "Frobenius number in S",
+    })
+
+
 def _non_pf_gap(S):
     pf = S.pseudo_frobenius()
     return next(x for x in range(1, S.frobenius) if x not in S and x not in pf)
