@@ -31,7 +31,7 @@ _HOME = {
                    "GeneratorTooLargeError InvalidArgumentError NotAMemberError "
                    "NotPseudoFrobeniusError NotNearlyGorensteinError VectorEntryError "
                    "MismatchedPairError EnumerationCapError "
-                   "NotOddError NotAnIdealError ParameterTooSmallError "
+                   "NotOddError NotAnIdealError "
                    "FamilyPreconditionError FamilyPropertyError NotAlmostSymmetricError"),
     )
     for name in names.split()

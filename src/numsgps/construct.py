@@ -18,18 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import MULTIPLICITY_LIMIT, NumericalSemigroup, is_int
+from .core import MULTIPLICITY_LIMIT, NumericalSemigroup, require_int
 from .errors import (
     EmptyGeneratorsError,
     FamilyPreconditionError,
     FamilyPropertyError,
     GeneratorTooLargeError,
-    InvalidArgumentError,
     NotAlmostSymmetricError,
     NotAMemberError,
     NotAnIdealError,
     NotOddError,
-    ParameterTooSmallError,
 )
 from .gorenstein import is_almost_symmetric
 from .rf import plus_row_lists
@@ -78,6 +76,8 @@ def ideal_from_generators(S: NumericalSemigroup, elements) -> RelativeIdeal:
     class r mod m is the least e + a[r - e] (a the Apery set, indices
     mod m)."""
     elems = set(elements)
+    for e in elems:
+        require_int("ideal generator", e)
     if not elems:
         raise EmptyGeneratorsError("an ideal needs at least one generator")
     m = S.multiplicity
@@ -91,7 +91,7 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
 
     E is an integral ideal of S (closed under adding elements of S), and
     b an odd element of S.  They are checked in that order before
-    anything is built: b odd, then b in S, then E an ideal of S.
+    anything is built: b an integer, then odd, then in S, then E an ideal of S.
 
     The doubled generators of S together with the shifted doubles of the
     ideal generators of E (the least elements e of E with no e - n_i in
@@ -108,6 +108,7 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
     assertions: its duplication is two-generated and symmetric, so the
     type law genuinely fails there.
     """
+    require_int("b", b)
     if b % 2 == 0:
         raise NotOddError(f"b = {b} must be odd")
     if b not in S:
@@ -166,12 +167,9 @@ def duplication_tower(S: NumericalSemigroup, depth: int) -> list[NumericalSemigr
     induction); from N, level 1 is <2, 3>, pinned by the duplication
     identity.  A level's multiplicity is twice its base's, so
     m(S) * 2^depth > MULTIPLICITY_LIMIT is refused before level 1, and a
-    depth that is not an integer >= 0 (core.is_int) before that.
+    depth that is not an integer >= 0 (core.require_int) before that.
     """
-    if not is_int(depth):
-        raise InvalidArgumentError(f"depth must be an integer, got {depth!r}")
-    if depth < 0:
-        raise InvalidArgumentError(f"depth must be nonnegative, got {depth}")
+    require_int("depth", depth, 0)
     if S.multiplicity > MULTIPLICITY_LIMIT >> depth:  # m * 2^depth > limit, exactly
         raise GeneratorTooLargeError(
             f"level {depth} would have multiplicity {S.multiplicity} * 2^{depth}, "
@@ -239,8 +237,9 @@ def backelin(T: int) -> NumericalSemigroup:
     whose zero pattern is constant on the interior range 2..T-1 (the
     boundary values turn single entries to zero).
     """
+    require_int("T", T)
     if T < 2:
-        raise ParameterTooSmallError(f"family parameter T = {T} must be at least 2")
+        raise FamilyPreconditionError("T >= 2", T)
     s = (3 * T + 2) ** 2 + 3
     gens = (s, s + 3, s + 3 * T + 1, s + 3 * T + 2)
 
@@ -290,6 +289,7 @@ def family_dim6(T: int, d: int, k: int) -> NumericalSemigroup:
     small d), so _certified reads the printed rows in construction order.
     """
     for name, value in (("T", T), ("d", d), ("k", k)):
+        require_int(name, value)
         if value < 1:
             raise FamilyPreconditionError(f"{name} >= 1", value)
     if T % 5 == 1:

@@ -50,6 +50,16 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require_int(name: str, value, least: int | None = None) -> None:
+    """The integer rule of every public argument: value passes is_int and
+    is at least least when given, else InvalidArgumentError naming it."""
+    if not is_int(value):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise InvalidArgumentError(f"{name} must be {bound}, got {value}")
+
+
 def _apery_by_relaxation(modulus: int, generators: Sequence[int]) -> list[int]:
     """Least element of <generators> in each residue class mod `modulus`.
 
@@ -224,8 +234,9 @@ class NumericalSemigroup:
     def apery_set(self, n: int) -> list[int]:
         """The n smallest elements of S, one per residue class mod n.
 
-        Entry r is the least element congruent to r; requires n in S.
+        Entry r is the least element congruent to r; requires an integer n in S.
         """
+        require_int("n", n)
         if n <= 0 or not self.contains(n):
             raise NotAMemberError(f"{n} is not a nonzero element of the semigroup")
         if n == self.generators[0]:

@@ -74,12 +74,9 @@ class NotAnIdealError(SemigroupError):
     """The supplied element set is not an ideal of the semigroup."""
 
 
-class ParameterTooSmallError(SemigroupError):
-    """A family parameter is below its admissible range."""
-
-
 class FamilyPreconditionError(SemigroupError):
-    """A family precondition fails; `condition` names the violated one."""
+    """A family precondition fails, every family bound included (backelin's
+    T >= 2, family_dim6's T >= 1); `condition` names the violated one."""
 
     def __init__(self, condition: str, value: object = None) -> None:
         message = condition if value is None else f"{condition} (got {value})"

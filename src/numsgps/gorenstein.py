@@ -40,7 +40,7 @@ import math
 from collections.abc import Callable, Iterator
 from operator import sub
 
-from .core import NumericalSemigroup, is_int
+from .core import NumericalSemigroup, require_int
 from .errors import EnumerationCapError, InvalidArgumentError, NotNearlyGorensteinError
 
 # the most NG-vectors or matrices capped_product will stream
@@ -271,10 +271,9 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
     """ng_vectors(S)[index] without listing the vectors: the index is
     decoded in mixed radix over the vector_axes lists, the last position
     the least significant digit.  Raises InvalidArgumentError for an index
-    that is not an integer (core.is_int) or lies outside [0, count), and
-    NotNearlyGorensteinError as ng_vectors."""
-    if not is_int(index):
-        raise InvalidArgumentError(f"NG-vector index must be an integer, got {index!r}")
+    that is not an integer (core.require_int) or lies outside [0, count),
+    and NotNearlyGorensteinError as ng_vectors."""
+    require_int("NG-vector index", index)
     axes = _ng_axes(S)
     count = count_choices(axes)
     if not 0 <= index < count:

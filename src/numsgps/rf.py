@@ -39,7 +39,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, require_int
 from .errors import InvalidArgumentError, MismatchedPairError, NotPseudoFrobeniusError
 from .errors import VectorEntryError
 from .gorenstein import capped_product, is_ng_vector, vector_axes
@@ -57,13 +57,16 @@ def rows_with_diagonal(factorizations: list[tuple[int, ...]], i: int) -> list[tu
 
 
 def _require_pseudo_frobenius(S: NumericalSemigroup, f: int) -> None:
+    require_int("f", f)
     if f not in S.pseudo_frobenius():
         raise NotPseudoFrobeniusError(f"{f} is not a pseudo-Frobenius number")
 
 
 def _require_ng_vector(S: NumericalSemigroup, entries: Sequence[int]) -> tuple[int, ...]:
-    """The entries as a tuple, refused unless they are an NG-vector of S."""
+    """The entries as a tuple, refused unless integers forming an NG-vector of S."""
     entries = tuple(entries)
+    for f in entries:
+        require_int("NG-vector entry", f)
     if not is_ng_vector(S, entries):
         raise MismatchedPairError(f"{entries} is not a nearly Gorenstein vector of {S!r}")
     return entries

@@ -52,7 +52,7 @@ cross-checks of the factored ones and of the matrix statements.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -682,8 +682,10 @@ ASSERTED_CLAIMS = tuple(n for n in CLAIM_NAMES if n != "QUESTION_MS")
 
 
 def canonical_claims(names: tuple[str, ...]) -> tuple[str, ...]:
-    """The named claims in CLAIM_NAMES order with duplicates dropped;
-    InvalidArgumentError naming every entry of names that is no claim."""
+    """The named claims in CLAIM_NAMES order with duplicates dropped; InvalidArgumentError
+    for a str or non-iterable names, or naming every entry of names that is no claim."""
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise InvalidArgumentError(f"claims must be a collection of claim names, got {names!r}")
     if not all(map(CLAIM_FUNCTIONS.__contains__, names)):
         unknown = [n for n in names if n not in CLAIM_FUNCTIONS]
         raise InvalidArgumentError(f"unknown claims: {unknown}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from ..core import NumericalSemigroup, _apery_convolution, is_int
+from ..core import NumericalSemigroup, _apery_convolution, is_int, require_int
 from ..errors import InvalidArgumentError
 
 # the cell is [] (not yet resolved; the spine children start so),
@@ -129,15 +129,6 @@ def _resolve(node: Node) -> list:
     return cell
 
 
-def require_genus_max(genus_max) -> None:
-    """The walk's bound is an integer >= 0 (is_int), else
-    InvalidArgumentError; each entry point checks it when it is called."""
-    if not is_int(genus_max):
-        raise InvalidArgumentError(f"genus_max must be an integer, got {genus_max!r}")
-    if genus_max < 0:
-        raise InvalidArgumentError(f"genus_max must be nonnegative, got {genus_max}")
-
-
 def require_embdim(embdim) -> frozenset[int] | None:
     """The walk's embedding-dimension filter as a frozenset: None, or a
     nonempty collection of integers >= 1 (is_int), else
@@ -182,15 +173,15 @@ def semigroups_up_to(
     the visited) semigroups to the given embedding dimensions; the filter
     reads the node's generator count, so a node it drops is never built.
     Of that stream, only every parts-th semigroup from index part is
-    built and yielded, so parts 0..parts - 1 partition it.  embdim passes
-    require_embdim, and part and parts are integers (is_int) with
-    0 <= part < parts, else InvalidArgumentError when called (the walk
-    itself starts at the first next())."""
-    require_genus_max(genus_max)
-    if not (is_int(part) and is_int(parts) and 0 <= part < parts):
-        raise InvalidArgumentError(
-            f"part must be an integer in [0, parts), got part {part!r} of {parts!r}"
-        )
+    built and yielded, so parts 0..parts - 1 partition it.  genus_max,
+    parts and part pass core.require_int (>= 0, >= 1, >= 0), part < parts
+    and embdim passes require_embdim, else InvalidArgumentError when
+    called (the walk itself starts at the first next())."""
+    require_int("genus_max", genus_max, 0)
+    require_int("parts", parts, 1)
+    require_int("part", part, 0)
+    if part >= parts:
+        raise InvalidArgumentError(f"part must be below parts, got part {part} of {parts}")
     wanted = require_embdim(embdim)
     nodes = _nodes(genus_max)
     if wanted is not None:
@@ -200,8 +191,8 @@ def semigroups_up_to(
 
 def count_by_genus(genus_max: int) -> list[int]:
     """Number of semigroups of each genus 0..genus_max (no construction,
-    walk only)."""
-    require_genus_max(genus_max)
+    walk only); genus_max passes core.require_int (>= 0)."""
+    require_int("genus_max", genus_max, 0)
     counts = [0] * (genus_max + 1)
     for node in _nodes(genus_max):
         counts[node[2]] += 1

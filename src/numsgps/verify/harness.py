@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .. import SCHEMA_VERSION
-from ..core import NumericalSemigroup, is_int
+from ..core import NumericalSemigroup, require_int
 from ..errors import InvalidArgumentError
 from .claims import (
     CLAIM_NAMES,
@@ -44,7 +44,7 @@ from .claims import (
     canonical_claims,
     run_claims,
 )
-from .enumeration import require_embdim, require_genus_max, semigroups_up_to
+from .enumeration import require_embdim, semigroups_up_to
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,8 @@ class HarnessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_genus_max(self.genus_max)
-        if not is_int(self.workers):
-            raise InvalidArgumentError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 1:
-            raise InvalidArgumentError(f"workers must be positive, got {self.workers}")
+        require_int("genus_max", self.genus_max, 0)
+        require_int("workers", self.workers, 1)
         object.__setattr__(self, "embdim_filter", require_embdim(self.embdim_filter))
         object.__setattr__(self, "claims", canonical_claims(self.claims))
 

@@ -17,7 +17,6 @@ from numsgps import (
     NotAnIdealError,
     NotOddError,
     NumericalSemigroup,
-    ParameterTooSmallError,
     RelativeIdeal,
     backelin,
     duplication_tower,
@@ -222,8 +221,9 @@ def test_backelin_examples():
     B2 = backelin(2)
     assert B2.embedding_dimension == 4
     assert B2.type < B3.type
-    with pytest.raises(ParameterTooSmallError):
+    with pytest.raises(FamilyPreconditionError) as info:
         backelin(1)
+    assert info.value.condition == "T >= 2"
 
 
 def test_family_certificate_fires_on_each_fault():

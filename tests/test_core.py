@@ -9,9 +9,20 @@ from numsgps import (
     EmptyGeneratorsError,
     GcdNotOneError,
     GeneratorTooLargeError,
+    InvalidArgumentError,
     NotAMemberError,
     NumericalSemigroup,
+    RelativeIdeal,
+    backelin,
+    classify_pf,
+    family_dim6,
+    ideal_from_generators,
+    numerical_duplication,
+    rf_minus_iter,
+    rf_plus_iter,
 )
+from numsgps.core import require_int
+from numsgps.rf import minus_row_lists, plus_row_lists
 from oracles import (
     brute_factorizations,
     gaps,
@@ -49,6 +60,43 @@ def test_constructor_rejects_bad_input():
     for gens, bad in (((3, 5.0), "5.0"), ((3, True), "True")):
         with pytest.raises(TypeError, match=f"^generator {bad} is not an integer$"):
             NumericalSemigroup(gens)
+
+
+BASE = NumericalSemigroup((3, 4, 5))
+W = NumericalSemigroup(WORKED)
+W_VECTOR = (244, 212, 244, 244, 244)
+
+
+@pytest.mark.parametrize("name, valid, call", [
+    ("b", 3, lambda b: numerical_duplication(BASE, RelativeIdeal.maximal_ideal(BASE), b)),
+    ("T", 2, backelin),
+    ("T", 2, lambda T: family_dim6(T, 4, 3)),
+    ("d", 4, lambda d: family_dim6(2, d, 3)),
+    ("k", 3, lambda k: family_dim6(2, 4, k)),
+    ("f", 59, lambda f: plus_row_lists(W, f)),
+    ("f", 59, lambda f: rf_plus_iter(W, f)),
+    ("f", 59, lambda f: minus_row_lists(W, W_VECTOR, f)),
+    ("f", 59, lambda f: rf_minus_iter(W, W_VECTOR, f)),
+    ("NG-vector entry", 244, lambda e: classify_pf(W, (e, *W_VECTOR[1:]))),
+    ("NG-vector entry", 244, lambda e: minus_row_lists(W, (e, *W_VECTOR[1:]), 59)),
+    ("ideal generator", 3, lambda e: ideal_from_generators(BASE, [e])),
+    ("n", 3, BASE.apery_set),
+], ids=lambda value: value if isinstance(value, str) else None)
+@pytest.mark.parametrize("bad", [1.5, True, float], ids=["1.5", "True", "integral float"])
+def test_integer_arguments_refuse_what_is_not_an_int(name, valid, call, bad):
+    # the integer itself is answered; 1.5 and an integral float used to
+    # fail deep inside or be echoed, and True be taken as 1
+    call(valid)
+    bad = float(valid) if bad is float else bad
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("least, word", [(0, "nonnegative"), (1, "positive"), (2, "at least 2")])
+def test_require_int_names_the_bound(least, word):
+    require_int("x", least)
+    with pytest.raises(InvalidArgumentError, match=f"^x must be {word}, got {least - 1}$"):
+        require_int("x", least - 1, least)
 
 
 def test_equality_and_hash_read_the_minimal_system():

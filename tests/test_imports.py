@@ -66,4 +66,4 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         numsgps.no_such_name
     assert not hasattr(numsgps, "__no_such_dunder__")
-    assert len(set(numsgps.__all__)) == len(numsgps.__all__) == 35
+    assert len(set(numsgps.__all__)) == len(numsgps.__all__) == 34

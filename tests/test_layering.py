@@ -17,8 +17,9 @@ companion rule (an entry g off F at position h has the companion ell < h
 with n_ell = g - F + n_h) is written there only.  The construct layer owns
 its inputs: only construct.py reads an ideal's least elements, and only
 construct._certified refuses a family's formula generators that are not
-a minimal system.  The walk's bound has one
-rule, and so has its embedding-dimension filter: one function raises
+a minimal system.  The integer rule of every
+public argument has one owner, core.require_int, and the walk's
+embedding-dimension filter one, require_embdim: one function raises
 each refusal.  One function, harness._report,
 builds the per-semigroup record that check_semigroup returns, a
 check_all sink receives and `sgp verify` emits; likewise
@@ -245,16 +246,23 @@ def test_one_function_refuses_formula_generators():
     assert raisers == {"construct.py:_certified"}
 
 
+def _raisers_saying(text: str) -> set[str]:
+    """Where a raise statement in src/ contains text."""
+    return {
+        f"{path.relative_to(PACKAGE)}:{owner}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _with_owner(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and text in ast.unparse(node)
+    }
+
+
 def test_one_function_refuses_a_walk_bound():
-    # the genus bound and the embedding-dimension filter alike
-    for word, rule in (("genus_max", "require_genus_max"), ("embdim", "require_embdim")):
-        raisers = {
-            f"{path.relative_to(PACKAGE)}:{owner}"
-            for path in sorted(PACKAGE.rglob("*.py"))
-            for owner, node in _with_owner(ast.parse(path.read_text()))
-            if isinstance(node, ast.Raise) and word in ast.unparse(node)
-        }
-        assert raisers == {f"verify/enumeration.py:{rule}"}
+    # the embedding-dimension filter; the genus bound obeys require_int
+    assert _raisers_saying("embdim") == {"verify/enumeration.py:require_embdim"}
+
+
+def test_one_function_refuses_an_argument_that_is_not_an_integer():
+    assert _raisers_saying("must be an integer") == {"core.py:require_int"}
 
 
 def _record_key_writers(key: str) -> set[str]:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -48,6 +49,7 @@ from numsgps.rf import classify_pf, max_gap_table
 from oracles import (
     brute_almost_symmetric,
     brute_nearly_gorenstein,
+    brute_ng_candidates,
     entry_scan_first_zero_applies,
     every_kept_child_generators,
     gap_scan_pseudo_frobenius,
@@ -84,6 +86,49 @@ def test_count_by_genus_matches_census():
 def test_count_by_genus_rejects_negative_genus(genus_max):
     with pytest.raises(ValueError, match="genus_max must be nonnegative"):
         count_by_genus(genus_max)
+
+
+def _frontier_mismatches(S: NumericalSemigroup) -> list[str]:
+    """The fields on which the walk-built S disagrees with S rebuilt from
+    its generators, with the sieve oracle, or with the brute-force NG,
+    AS and NG-vector count (no production count is used)."""
+    gens = S.generators
+    R = NumericalSemigroup(gens)
+    results, ctx = run_claims(S)
+    _, frobenius, genus, pf, contains = sieve_invariants(gens)
+    # the claims' domain is nu >= 2: for N the verdicts are None and the count 0
+    proper = len(gens) >= 2
+    values = {
+        "apery": (S.apery, R.apery),
+        "frobenius": (S.frobenius, R.frobenius, frobenius),
+        "genus": (S.genus, R.genus, genus),
+        "pf": (S.pseudo_frobenius(), R.pseudo_frobenius(), pf),
+        "convolution": (S.apery_convolution(), R.apery_convolution()),
+        "claims": ([r.status for r in results], [r.status for r in run_claims(R)[0]]),
+        "nearly_gorenstein": (
+            ctx.nearly_gorenstein, brute_nearly_gorenstein(gens, pf, contains) if proper else None
+        ),
+        "almost_symmetric": (
+            ctx.almost_symmetric, brute_almost_symmetric(frobenius, contains, pf) if proper else None
+        ),
+        "vector_count": (
+            ctx.vector_count,
+            math.prod(map(len, brute_ng_candidates(gens, pf, contains))) if proper else 0,
+        ),
+    }
+    return [field for field, (first, *rest) in values.items() if any(v != first for v in rest)]
+
+
+def test_frontier_audit_of_the_walk_against_the_oracles():
+    # past genus 12 the walk's carried facts (Apery set, PF, convolution)
+    # are otherwise checked only by digests recorded from the code they
+    # check: every 9th semigroup of genus <= 18, spread over the whole
+    # tree, m up to 19 (the ordinary semigroup of genus 18 is index 18)
+    sampled = list(semigroups_up_to(18, None, 0, 9))
+    assert len(sampled) == len(range(0, sum(KNOWN_COUNTS[:19]), 9))
+    assert max(S.multiplicity for S in sampled) == 19
+    mismatches = [(S.generators, fields) for S in sampled if (fields := _frontier_mismatches(S))]
+    assert mismatches[:3] == []
 
 
 def test_enumeration_matches_backtracking_oracle():
@@ -1109,6 +1154,19 @@ def test_harness_config_validation():
     for embdim in (frozenset(), {0}, {-2, 3}):
         with pytest.raises(InvalidArgumentError, match="embdim values"):
             HarnessConfig(genus_max=3, embdim_filter=embdim)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda claims: HarnessConfig(genus_max=3, claims=claims),
+              lambda claims: check_semigroup((3, 5), claims=claims)],
+    ids=["HarnessConfig", "check_semigroup"],
+)
+@pytest.mark.parametrize("claims", ["HERZOG3", "", None, 3], ids=repr)
+def test_claims_that_are_no_collection_of_names_are_refused(build, claims):
+    # a string was split into one-letter claim names, and None ended in a
+    # bare TypeError
+    with pytest.raises(InvalidArgumentError, match=f"^claims must be a collection .*{claims!r}$"):
+        build(claims)
 
 
 @pytest.mark.parametrize(
