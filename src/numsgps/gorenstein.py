@@ -16,7 +16,10 @@ time, so a
 verdict of "not nearly Gorenstein" stops at the first empty one
 (candidate_prefix), and so does the NG-vector test, which reads them.
 The companion rule of an NG-vector entry is written once, in
-companion_finder, over a dict from each generator to its position.
+companion_finder, a plain function of the generators, the Frobenius
+number, the position and the entry (one search of the generators), and
+companions_complete decides it for every entry of the candidate sets at
+once by one set test.
 The NG-vectors are the product of the candidate sets in vector_axes
 order; ng_vector_at decodes one by its index without listing the
 others.  Both it and ng_vectors return each vector as the plain record
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from operator import sub
 
 from .core import NumericalSemigroup, require_int
@@ -183,24 +186,42 @@ def nearly_gorenstein_via_trace(S: NumericalSemigroup) -> bool:
     return True
 
 
-def companion_finder(gens: tuple[int, ...], F: int) -> Callable[[int, int], int | None]:
-    """The companion rule of one semigroup, written once: the returned
-    companion(h, g) is, for an NG-vector entry g != F at 0-based position
-    h, the one position ell < h with g = F - n_h + n_ell, else None.  The
-    generator positions are a dict built here, once per semigroup, so
-    each entry costs one lookup."""
-    position = {n: i for i, n in enumerate(gens)}
-
-    def companion(h: int, g: int) -> int | None:
-        ell = position.get(g - F + gens[h], h)
-        return ell if ell < h else None
-
-    return companion
+def companion_finder(gens: tuple[int, ...], F: int, h: int, g: int) -> int | None:
+    """The companion rule, written once: for an NG-vector entry g != F at
+    0-based position h, the one position ell < h with g = F - n_h + n_ell,
+    else None."""
+    n = g - F + gens[h]
+    if n in gens:
+        ell = gens.index(n)
+        if ell < h:
+            return ell
+    return None
 
 
-def _ng_record(
-    S: NumericalSemigroup, companion: Callable[[int, int], int | None], entries: tuple[int, ...]
-) -> dict:
+def companions_complete(gens: tuple[int, ...], F: int, cands: list[frozenset[int]]) -> bool:
+    """Whether every entry of every candidate set is F or has a companion
+    position (companion_finder), by one set test over the semigroup:
+    g + n_h lies in {F + n_ell : ell <= h} for every g at position h.
+
+    g = F gives ell = h, and a companion ell < h gives g + n_h = F + n_ell.
+    Conversely g + n_h = F + n_ell with ell <= h gives g = F at ell = h
+    and the companion ell otherwise.  Every true candidate is a
+    pseudo-Frobenius number, a gap, so at most F, and then F + n_ell
+    with ell > h exceeds g + n_h: the test is {g + n_h} <= {F + n} over
+    all generators.  The set grows with h, so the test stays exact for
+    any candidate sets: a g above F whose g + n_h is F + n_ell for some
+    ell > h has no companion, and fails it.
+    """
+    top = set()
+    for n, c in zip(gens, cands):
+        top.add(F + n)
+        for g in c:
+            if g + n not in top:
+                return False
+    return True
+
+
+def _ng_record(S: NumericalSemigroup, entries: tuple[int, ...]) -> dict:
     """The record of one NG-vector, as `sgp ng-vectors` lists it: the
     pseudo-Frobenius number attached to each generator, then h, the first
     1-based position whose entry is not the Frobenius number, and ell,
@@ -210,7 +231,7 @@ def _ng_record(
     h = ell = None
     for pos, f in enumerate(entries):
         if f != F:
-            ell = companion(pos, f)
+            ell = companion_finder(S.generators, F, pos, f)
             if ell is None:
                 raise RuntimeError(f"minimum-index property violated for {entries} of {S!r}")
             h, ell = pos + 1, ell + 1
@@ -262,9 +283,7 @@ def ng_vectors(S: NumericalSemigroup) -> list[dict]:
     and EnumerationCapError, before a vector is built, when there are
     more than MATRIX_CAP.
     """
-    vectors = capped_product(_ng_axes(S), "NG-vectors")
-    companion = companion_finder(S.generators, S.frobenius)
-    return [_ng_record(S, companion, e) for e in vectors]
+    return [_ng_record(S, e) for e in capped_product(_ng_axes(S), "NG-vectors")]
 
 
 def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
@@ -284,8 +303,7 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
     for axis in reversed(axes):
         index, digit = divmod(index, len(axis))
         entries.append(axis[digit])
-    companion = companion_finder(S.generators, S.frobenius)
-    return _ng_record(S, companion, tuple(reversed(entries)))
+    return _ng_record(S, tuple(reversed(entries)))
 
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:

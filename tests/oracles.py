@@ -14,7 +14,7 @@ from math import gcd, prod
 from operator import sub
 
 from numsgps.construct import RelativeIdeal
-from numsgps.gorenstein import candidate_prefix, ng_vectors
+from numsgps.gorenstein import candidate_prefix, companion_finder, ng_vectors
 from numsgps.rf import minus_row_lists, plus_row_lists
 from numsgps.verify.claims import FAIL, NA, PASS, ClaimResult, _fail
 
@@ -565,7 +565,7 @@ def entry_scan_first_zero_applies(ctx):
         if F not in cands[h0 - 1]:
             break
         for g in cands[h0]:
-            if ctx.companion(h0, g) is not None and any(
+            if companion_finder(ctx.S.generators, F, h0, g) is not None and any(
                 f != F and f != g for f in ctx.avoidable
             ):
                 return True

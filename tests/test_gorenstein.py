@@ -22,7 +22,14 @@ from numsgps import (
     ng_vectors,
     rf_minus_iter,
 )
-from numsgps.gorenstein import _candidate_sets, candidate_prefix, count_choices, ng_vector_at
+from numsgps.gorenstein import (
+    _candidate_sets,
+    candidate_prefix,
+    companion_finder,
+    companions_complete,
+    count_choices,
+    ng_vector_at,
+)
 from numsgps.verify import ClaimContext, check_semigroup, semigroups_up_to
 from oracles import (
     brute_almost_symmetric,
@@ -343,6 +350,33 @@ def test_ng_vector_h_ell_minimality():
             assert entries[h - 1] == F - gens[h - 1] + gens[ell - 1]
             for j in range(ell - 1):
                 assert entries[h - 1] != F - gens[h - 1] + gens[j]
+
+
+def test_companion_set_test_matches_the_rule_per_entry():
+    # companions_complete against companion_finder entry by entry, on
+    # every candidate set of genus <= 10 and on each with a value above F
+    # added at position h whose shift F + n_{h+1} is some F + n: no
+    # companion, so the set test must fail there
+    verdicts = set()
+    for S in census(10):
+        gens, F = S.generators, S.frobenius
+        cands = candidate_prefix(S)
+        if len(gens) < 2 or not all(cands):
+            continue
+        families = [cands]
+        families += [
+            [*cands[:h], cands[h] | {F + gens[h + 1] - gens[h]}, *cands[h + 1 :]]
+            for h in range(1, len(gens) - 1)
+        ]
+        for family in families:
+            expected = all(
+                g == F or companion_finder(gens, F, h, g) is not None
+                for h, c in enumerate(family)
+                for g in c
+            )
+            assert companions_complete(gens, F, family) == expected, (gens, family)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_is_ng_vector():

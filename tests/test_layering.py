@@ -14,7 +14,9 @@ gorenstein.capped_product, reads the listing cap and refuses a listing
 above it, for NG-vectors and matrices alike.  One function,
 gorenstein.companion_finder, looks a value up among the generators: the
 companion rule (an entry g off F at position h has the companion ell < h
-with n_ell = g - F + n_h) is written there only.  The construct layer owns
+with n_ell = g - F + n_h) is written there only, as a plain function of
+(gens, F, h, g) that every caller calls per entry; its whole-semigroup
+set test, companions_complete, sits beside it.  The construct layer owns
 its inputs: only construct.py reads an ideal's least elements, and only
 construct._certified refuses a family's formula generators that are not
 a minimal system.  The integer rule of every

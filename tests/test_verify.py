@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import sys
 from collections import Counter
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import pytest
 
 from numsgps import NumericalSemigroup, core, is_nearly_gorenstein, ng_vectors, rf
 from numsgps.errors import InvalidArgumentError
+from numsgps.gorenstein import companions_complete
 from numsgps.verify import (
     ASSERTED_CLAIMS,
     CLAIM_NAMES,
@@ -397,14 +399,34 @@ def _hand_set_context(S, cands):
 
 
 def test_ngv_props_set_tests_match_literal_route_on_hand_set_families():
+    # Each family is also taken with F + n_{h+1} - n_h added at a position
+    # h: above F, it has no companion, yet its shift is some F + n, so
+    # only a set test that grows with h rejects it.  Both sides of
+    # companions_complete, as the claim calls it, occur
     statuses = set()
-    for S, cands in _hand_set_families(2000, 14):
-        ctx = _hand_set_context(S, cands)
-        a = literal_ngv_props(ctx).status
-        b = claim_ngv_props(ctx).status
-        assert a == b, (S.generators, cands)
-        statuses.add(b)
+    settled = Counter()
+
+    def recording(*args):
+        verdict = companions_complete(*args)
+        settled[verdict] += 1
+        return verdict
+
+    rng = random.Random(16)
+    with mock.patch.object(claims, "companions_complete", recording):
+        for S, cands in _hand_set_families(2000, 14):
+            gens, F = S.generators, S.frobenius
+            h = rng.randrange(1, max(2, len(gens) - 1))
+            above = [*cands]
+            if h + 1 < len(gens):
+                above[h] = cands[h] | {F + gens[h + 1] - gens[h]}
+            for family in (cands, above):
+                ctx = _hand_set_context(S, family)
+                a = literal_ngv_props(ctx).status
+                b = claim_ngv_props(ctx).status
+                assert a == b, (S.generators, family)
+                statuses.add(b)
     assert statuses == {PASS, FAIL}
+    assert min(settled[True], settled[False]) > 20, settled
 
 
 def _literal_avoidable(ctx):
@@ -433,7 +455,8 @@ def test_avoidable_matches_the_set_difference_definition():
 
 
 def test_first_zero_count_matches_the_entry_scan():
-    # FIRST_ZERO asks for an avoidable f outside {F, g} by counting; the
+    # FIRST_ZERO asks for an avoidable f outside {F, g} by counting, and
+    # returns before any companion lookup when none is avoidable; the
     # oracle scans the avoidable numbers per entry.  Each hand-set family
     # is also taken with position 0 widened by position 1's values, so
     # that F itself can be avoidable, which no true family allows
@@ -449,6 +472,8 @@ def test_first_zero_count_matches_the_entry_scan():
         )
         applies[expected, ctx.S.frobenius in ctx.avoidable] += 1
     assert len(applies) == 4 and min(applies.values()) > 20, applies
+    exits = [ctx for ctx in contexts if ctx.nearly_gorenstein and not ctx.avoidable]
+    assert len(exits) > 20
 
 
 def test_same2_pair_lookup_matches_the_set_difference():
@@ -1158,14 +1183,20 @@ def test_harness_config_validation():
 
 @pytest.mark.parametrize(
     "build", [lambda claims: HarnessConfig(genus_max=3, claims=claims),
-              lambda claims: check_semigroup((3, 5), claims=claims)],
-    ids=["HarnessConfig", "check_semigroup"],
+              lambda claims: check_semigroup((3, 5), claims=claims),
+              lambda claims: run_claims(NumericalSemigroup((3, 5)), claims)],
+    ids=["HarnessConfig", "check_semigroup", "run_claims"],
 )
-@pytest.mark.parametrize("claims", ["HERZOG3", "", None, 3], ids=repr)
+@pytest.mark.parametrize("claims", ["HERZOG3", "", None, 3, [["HERZOG3"]]], ids=repr)
 def test_claims_that_are_no_collection_of_names_are_refused(build, claims):
-    # a string was split into one-letter claim names, and None ended in a
-    # bare TypeError
-    with pytest.raises(InvalidArgumentError, match=f"^claims must be a collection .*{claims!r}$"):
+    # a string was split into one-letter claim names (run_claims gave no
+    # result for ""), and None and an unhashable entry ended in a bare
+    # TypeError; an entry that is no claim name is named by itself
+    if isinstance(claims, list):
+        message = f"unknown claims: {claims}"
+    else:
+        message = f"claims must be a collection of claim names, got {claims!r}"
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
         build(claims)
 
 
