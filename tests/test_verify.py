@@ -1259,6 +1259,9 @@ def test_embdim_filter_is_kept_as_a_frozenset():
 def test_harness_claims_normalized_to_canonical_order():
     cfg = HarnessConfig(genus_max=2, claims=("TRACE_EQ", "HERZOG3"))
     assert cfg.claims == ("HERZOG3", "TRACE_EQ")
+    # a one-shot iterator is read once (its names were consumed by the
+    # name check, and no claim was left)
+    assert HarnessConfig(genus_max=2, claims=iter(("TRACE_EQ", "HERZOG3"))) == cfg
     summary = check_all(cfg)
     assert summary["claims_checked"] == ["HERZOG3", "TRACE_EQ"]
     assert set(summary["claims"]) == {"HERZOG3", "TRACE_EQ"}
