@@ -45,6 +45,7 @@ from .errors import (
     GeneratorTooLargeError,
     InvalidArgumentError,
     SemigroupError,
+    printable_count,
 )
 from .gorenstein import (
     capped_product,
@@ -123,7 +124,7 @@ def _error_payload(exc: SemigroupError) -> dict:
         "message": str(exc),
     }
     if isinstance(exc, EnumerationCapError):
-        payload["count"] = exc.count
+        payload["count"] = printable_count(exc.count)
         payload["cap"] = exc.cap
     return payload
 

@@ -7,6 +7,9 @@ InvalidArgumentError is both, for arguments outside an operation's domain.
 
 from __future__ import annotations
 
+# the least count of more digits than Python writes in decimal by default
+_COUNT_LIMIT = 10**4300
+
 
 class SemigroupError(Exception):
     """Base class for all domain errors."""
@@ -61,9 +64,23 @@ class EnumerationCapError(SemigroupError):
     """
 
     def __init__(self, count: int, cap: int, items: str = "matrices") -> None:
-        super().__init__(f"enumeration would produce {count} {items}, cap is {cap}")
+        super().__init__(
+            f"enumeration would produce {printable_count(count)} {items}, cap is {cap}"
+        )
         self.count = count
         self.cap = cap
+
+
+def printable_count(count: int) -> int | str:
+    """count while it has at most 4,300 digits, the most Python writes in
+    decimal by default; above that the string "D.DDDDe+E", count rounded
+    to five significant digits (decimal.Decimal, which has no such limit,
+    writes it)."""
+    if count < _COUNT_LIMIT:
+        return count
+    from decimal import Decimal
+
+    return f"{Decimal(count):.4e}"
 
 
 class NotOddError(SemigroupError):

@@ -18,13 +18,12 @@ The extremal gaps lambda * n_j - n_i of max_gap_table are found by
 bisection, since the qualifying lambda form an interval.
 
 One hit test, a single-generator row of f + n_i or n_i + f_i - f, splits
-the pseudo-Frobenius numbers outside each NG-vector (classify_vectors)
-and finds those whose split changes with the vector
-(classification_variance); 39 of <23, 25, 26, 27, 37, 40, 43, 55>
-(genus 45) is one.  The rule is written once, in
-_has_single_generator_row, one scan that stops at the first divisor.
-classify_pf alone lists the rows, as witnesses, and returns the plain
-record `sgp classify-pf` emits.
+the pseudo-Frobenius numbers outside each NG-vector.  hit_table runs it
+once per semigroup, mapping each avoidable f to its hit cells, and
+classify_vectors reads every vector's split off that table.  The row rule
+is written once, in multiple_of_one, one scan that stops at the first
+divisor.  classify_pf alone lists the rows, as witnesses, and returns the
+plain record `sgp classify-pf` emits.
 
 Row and column positions inside a matrix are plain 0-based Python
 indices; the i and j of a classify_pf witness and the keys of a
@@ -152,54 +151,64 @@ def max_gap_table(S: NumericalSemigroup) -> dict[tuple[int, int], int]:
 # splitting of the pseudo-Frobenius numbers outside a vector
 
 
-def _has_single_generator_row(others: tuple[int, ...], value: int) -> bool:
-    """The PF split's one test, with others the generators other than the
-    row's own: the row value has a row with nu - 2 zeroes iff it is
-    positive and a multiple of one of them.  One C-level scan that stops
-    at the first divisor."""
-    return value > 0 and 0 in map(value.__mod__, others)
+def multiple_of_one(numbers: tuple[int, ...], value: int) -> bool:
+    """Whether value is positive and a multiple of one of these numbers:
+    one scan that stops at the first divisor.  It is the PF split's one
+    row rule, with numbers the generators other than the row's own: the
+    row value has a row with nu - 2 zeroes iff it holds."""
+    return value > 0 and 0 in map(value.__mod__, numbers)
 
 
 def _single_generator_rows(gens: tuple[int, ...], i: int, value: int) -> list[tuple[int, int]]:
     """(j, value // n_j) for each 0-based position j != i whose generator
-    alone passes _has_single_generator_row: the rows at i with nu - 2
-    zeroes, which classify_pf lists as witnesses."""
-    return [
-        (j, value // n)
-        for j, n in enumerate(gens)
-        if j != i and _has_single_generator_row((n,), value)
-    ]
+    alone passes multiple_of_one: the rows at i with nu - 2 zeroes, which
+    classify_pf lists as witnesses."""
+    return [(j, value // n) for j, n in enumerate(gens) if j != i and multiple_of_one((n,), value)]
 
 
-def _hit_cells(
-    gens: tuple[int, ...], f: int, candidates: list[frozenset[int]]
-) -> set[tuple[int, int]] | None:
-    """The hits for f as (position, entry) cells over the candidates other
-    than f, or None once a position's are all hits.
+def hit_table(
+    gens: tuple[int, ...], pf: Iterable[int], candidates: list[frozenset[int]]
+) -> dict[int, set[tuple[int, int]] | None]:
+    """{f: cells} for the avoidable f of pf (no candidate set is {f}
+    alone; the caller vouches that none is empty), in pf's order: the hits
+    for f as (position, entry) cells over the candidates other than f, or
+    None once a position's are all hits.
 
-    A candidate g at position i is a hit when f + n_i or n_i + g - f has a
-    single-generator row, and a vector keeping f outside its entries puts
-    f in pf1 iff one of them is a hit.  A row of f + n_i makes a position
-    all hits, so it is tested first.  None thus means that every vector
-    keeping f outside puts f in pf1 (none keeps it when a set is {f}).
-    Each row test stops at its first divisor: no row is listed.
+    g at position i is a hit when f + n_i or n_i + g - f passes
+    multiple_of_one over the other generators, and a vector keeping f
+    outside its entries puts f in pf1 iff one of them is a hit.  Such a
+    vector can miss every hit iff no position is all hits, and meet one
+    iff a hit exists: so None means pf1 for every such vector, and
+    nonempty cells pf1 for one and pf2 for another.  Position 0's
+    additive test, a row of f + m, comes first and settles most f (11,596
+    of 12,444 at genus 16); it is the only test of f + m.  An f outside
+    the entries of a vector e is avoidable (each c_i holds e_i != f), so
+    the table holds every f a vector's split asks about.
     """
-    cells = set()
-    for i, (n, c) in enumerate(zip(gens, candidates)):
-        others = gens[:i] + gens[i + 1 :]
-        if _has_single_generator_row(others, f + n):
-            return None
-        rest = [g for g in c if g != f]
-        hits = [(i, g) for g in rest if _has_single_generator_row(others, n + g - f)]
-        if len(hits) == len(rest):
-            return None
-        cells.update(hits)
-    return cells
+    sole = {f for c in candidates if len(c) == 1 for f in c}
+    table = {}
+    for f in pf:
+        if f in sole:
+            continue
+        cells = set()
+        for i, (n, c) in enumerate(zip(gens, candidates)):
+            others = gens[:i] + gens[i + 1 :]
+            if multiple_of_one(others, f + n):
+                cells = None
+                break
+            rest = [g for g in c if g != f]
+            hits = [(i, g) for g in rest if multiple_of_one(others, n + g - f)]
+            if len(hits) == len(rest):
+                cells = None
+                break
+            cells.update(hits)
+        table[f] = cells
+    return table
 
 
 def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> dict:
     """Classify every pseudo-Frobenius number outside the vector entries,
-    with the rows of _hit_cells' two values at each position as witnesses:
+    with the rows of hit_table's two values at each position as witnesses:
     the record `sgp classify-pf` emits.  A witness {"f", "side", "i", "j",
     "lam"} says f + n_i = lam * n_j (side "plus") or
     n_i + f_i - f = lam * n_j (side "minus"), i and j 1-based; they come f
@@ -238,54 +247,22 @@ def classify_pf(S: NumericalSemigroup, entries: Sequence[int]) -> dict:
 
 
 def classify_vectors(
-    S: NumericalSemigroup, candidates: list[frozenset[int]]
+    candidates: list[frozenset[int]], table: dict[int, set[tuple[int, int]] | None]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """(entries, pf1, pf2) of every vector in the product of the candidate
-    sets, in ng_vectors' order (gorenstein.vector_axes), without witnesses;
-    the caller vouches that the sets are S's own, so no vector is
-    re-validated.  Each f's hits are found once (_hit_cells), and each
-    vector reads its split off them.
-    """
-    pf = S.pseudo_frobenius()
-    hit = {f: _hit_cells(S.generators, f, candidates) for f in pf}
+    sets, in ng_vectors' order (gorenstein.vector_axes), read off their
+    hit_table: f is pf1 iff its cells are None or hold one of the vector's
+    (position, entry) cells.  No hit test runs, no witness is built and no
+    vector is re-validated (the caller vouches for the sets)."""
     out = []
     for entries in itertools.product(*vector_axes(candidates)):
         pf1, pf2 = [], []
-        for f in pf:
+        for f, cells in table.items():
             if f not in entries:
-                cells = hit[f]
-                if cells is None or not cells.isdisjoint(enumerate(entries)):
-                    pf1.append(f)
-                else:
-                    pf2.append(f)
+                hit = cells is None or not cells.isdisjoint(enumerate(entries))
+                (pf1 if hit else pf2).append(f)
         out.append((entries, tuple(pf1), tuple(pf2)))
     return out
-
-
-def classification_variance(
-    S: NumericalSemigroup, candidates: list[frozenset[int]], avoidable: Iterable[int]
-) -> tuple[int, ...]:
-    """The avoidable f (some NG-vector keeps them outside its entries)
-    that are pf1 for one such vector and pf2 for another.
-
-    The vectors avoiding f are the product of the sets c_i - {f}, none
-    empty, and one puts f in pf1 iff one of its entries is a hit.  So f is
-    pf1 for some vector iff some candidate is a hit, and pf2 for some iff
-    no position's candidates are all hits: iff _hit_cells finds cells and
-    no all-hit position.  It enumerates no vector.
-
-    An f with f + m a multiple of another generator is dropped before
-    _hit_cells is called: that is the first test _hit_cells makes (a row
-    of f + m at position 0), on which it returns None.  At genus 16
-    this settles 11,596 of the census's 12,444 avoidable f.
-    """
-    gens = S.generators
-    m, others = gens[0], gens[1:]
-    return tuple(
-        f
-        for f in avoidable
-        if not _has_single_generator_row(others, f + m) and _hit_cells(gens, f, candidates)
-    )
 
 
 def mu_bound(gaps: dict[tuple[int, int], int], pf1: Iterable[int]) -> tuple[tuple[int, ...], int]:

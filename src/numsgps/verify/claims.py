@@ -36,8 +36,8 @@ record reads are built with the context, the others on their first
 access, without a lock), every pass or inapplicable verdict without a
 payload is one shared ClaimResult, and NGV_PROPS asks whether a number
 is a combination of the later generators without enumerating
-factorizations: by one divisor scan over them, and only for the numbers
-none of them divides, through one reachability bitmask.  NGV_PROPS keeps each
+factorizations: by rf.multiple_of_one's divisor scan over them, and only
+for the numbers none of them divides, through one reachability bitmask.  NGV_PROPS keeps each
 position's entries without a companion unsorted and only tests whether
 they exist; a failure payload names the largest, found only then.  The
 candidate prefix, the companion rule (companion_finder, a plain function
@@ -49,8 +49,8 @@ run_claims gives the results in it.
 Vectors are enumerated only for five-generated semigroups, as the
 product of the candidate sets: THM_3DISTINCT, the PF1/PF2/MU bounds and
 PF2_TWO_ZEROES read each vector's (entries, pf1, pf2) from
-ClaimContext.classifications (read off each pseudo-Frobenius number's
-hit cells, with no witness and no vector re-validated).  No explicit
+ClaimContext.classifications, read off the hit table the context builds
+once (rf.hit_table): no hit test, no witness, no vector re-validated.  No explicit
 matrix is built; PF2_TWO_ZEROES reads per-row factorization lists.  The
 literal per-vector and per-matrix routes are kept in the tests as
 cross-checks of the factored ones and of the matrix statements.
@@ -74,10 +74,11 @@ from ..gorenstein import (
     nearly_gorenstein_via_trace,
 )
 from ..rf import (
-    classification_variance,
     classify_vectors,
+    hit_table,
     max_gap_table,
     minus_row_lists,
+    multiple_of_one,
     mu_bound,
     plus_row_lists,
 )
@@ -112,10 +113,10 @@ class ClaimContext:
     """The shared facts of one semigroup.
 
     The facts every record reads (pseudo-Frobenius set, candidate sets,
-    NG and AS verdicts, the avoidable pseudo-Frobenius numbers and the
-    varying ones) are computed with the context; the rest (vector count,
-    premise, classifications, extremal gap table) at most once, on the
-    first access of a claim that reads them.
+    NG and AS verdicts, the hit table, the avoidable pseudo-Frobenius
+    numbers and the varying ones) are computed with the context; the
+    rest (vector count, premise, classifications, extremal gap table) at
+    most once, on the first access of a claim that reads them.
 
     The claims' domain is nu >= 2: for N, which the single-semigroup
     layers answer, the candidates and both verdicts stay None (null in
@@ -128,10 +129,11 @@ class ClaimContext:
     keeps outside its entries: every candidate set has a member other
     than f.  Empty unless the semigroup is proper and nearly Gorenstein;
     then every set is nonempty, so c - {f} is empty iff c == {f}, and the
-    avoidable f are those no set holds alone.  varying is
-    classification_variance: the avoidable f that are pf1 for some
-    NG-vector and pf2 for another, by one hit test per candidate; 39 of
-    <23, 25, 26, 27, 37, 40, 43, 55> (genus 45) is one.
+    avoidable f are those no set holds alone: the keys of hits
+    (rf.hit_table, each f's hit cells), which classifications reads too.
+    varying is the keys with nonempty cells, the f that are pf1 for some
+    NG-vector and pf2 for another; 39 of <23, 25, 26, 27, 37, 40, 43, 55>
+    (genus 45) is one.
     """
 
     def __init__(self, S: NumericalSemigroup):
@@ -139,6 +141,7 @@ class ClaimContext:
         self.nu = len(S.generators)
         self.pf = pf = S.pseudo_frobenius()
         self.candidates = self.nearly_gorenstein = self.almost_symmetric = None
+        self.hits = {}
         self.avoidable = self.varying = ()
         if self.nu < 2:
             return
@@ -146,10 +149,9 @@ class ClaimContext:
         self.nearly_gorenstein = all(cands)
         self.almost_symmetric = is_almost_symmetric(S)
         if self.nearly_gorenstein:
-            sole = {f for c in cands if len(c) == 1 for f in c}
-            self.avoidable = avoidable = tuple(f for f in pf if f not in sole)
-            if avoidable:
-                self.varying = classification_variance(S, cands, avoidable)
+            self.hits = hits = hit_table(S.generators, pf, cands)
+            self.avoidable = tuple(hits)
+            self.varying = tuple(f for f, cells in hits.items() if cells)
 
     @_field
     def vector_count(self) -> int:
@@ -157,9 +159,10 @@ class ClaimContext:
 
     @_field
     def classifications(self) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-        """(entries, pf1, pf2) of every NG-vector, in ng_vectors' order
-        (rf.classify_vectors); only the five-generated claims read it."""
-        return classify_vectors(self.S, self.candidates)
+        """(entries, pf1, pf2) of every NG-vector, in ng_vectors' order,
+        read off hits (rf.classify_vectors); only the five-generated claims
+        read it."""
+        return classify_vectors(self.candidates, self.hits)
 
     @_field
     def gap_table(self) -> dict[tuple[int, int], int]:
@@ -583,7 +586,7 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
         if f in pinned:
             continue
         v = F - f + m
-        if 0 in map(v.__mod__, later):
+        if multiple_of_one(later, v):
             continue
         if reach is None:
             reach = _reachable(later, F + m)

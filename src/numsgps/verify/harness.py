@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .. import SCHEMA_VERSION
 from ..core import NumericalSemigroup, require_int
-from ..errors import InvalidArgumentError
+from ..errors import InvalidArgumentError, printable_count
 from .claims import (
     CLAIM_NAMES,
     FAIL,
@@ -89,7 +89,7 @@ def _report(S: NumericalSemigroup, names: tuple, results: tuple, ctx: ClaimConte
         "type": t,
         "nearly_gorenstein": ctx.nearly_gorenstein,
         "almost_symmetric": ctx.almost_symmetric,
-        "vector_count": ctx.vector_count,
+        "vector_count": printable_count(ctx.vector_count),
         "claims": claims,
         "notes": notes,
     }

@@ -510,7 +510,7 @@ def literal_classification_variance(S, vectors):
 
 
 def list_hit_cells(gens, f, candidates):
-    """The variance scan's hit cells for f with every single-generator row
+    """rf.hit_table's cells for f with every single-generator row
     listed: (position, entry) cells over the candidates other than f, or
     None once a position's are all hits.  A row value has a row with
     nu - 2 zeroes iff the list of positions j != i whose generator divides

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from numsgps import gorenstein
+from numsgps.errors import EnumerationCapError, printable_count
 from numsgps.cli import main
 from numsgps.verify import CLAIM_NAMES, HarnessConfig, check_all, check_semigroup
 from numsgps.verify.claims import CLAIM_FUNCTIONS, FAIL, ClaimResult
@@ -245,6 +246,44 @@ def test_ng_vectors_cap_is_inclusive(capsys, monkeypatch):
     code, lines = run_cli(["ng-vectors", "13,45,72,79,99"], capsys)
     payload = json.loads(lines[0])["payload"]
     assert code == 1 and (payload["count"], payload["cap"]) == (2, 1)
+
+
+# <1559, ..., 3117> has about 3.8e4302 NG-vectors: 4,303 digits, past
+# the 4,300 that Python writes as a string by default
+OVERSIZE = ",".join(map(str, range(1559, 3118)))
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+@pytest.mark.parametrize("argv, code, key", [
+    (["verify", "--gens", OVERSIZE], 0, "vector_count"),
+    (["ng-vectors", OVERSIZE], 1, "count"),
+], ids=["verify", "ng-vectors"])
+def test_an_oversize_count_is_one_record_with_a_string(argv, code, key, pretty, capsys):
+    limit = sys.get_int_max_str_digits()
+    got, lines = run_cli(argv + pretty, capsys)
+    assert got == code
+    assert sys.get_int_max_str_digits() == limit
+    if pretty:
+        assert sum(line.startswith("[") for line in lines) == 1
+        assert f'{key}: "3.7779e+4302"' in lines
+        return
+    assert len(lines) == 1
+    payload = json.loads(lines[0])["payload"]
+    assert payload[key] == "3.7779e+4302"
+    if code:
+        assert payload["error"] == "EnumerationCap"
+        assert payload["message"] == (
+            f"enumeration would produce 3.7779e+4302 NG-vectors, cap is {gorenstein.MATRIX_CAP}"
+        )
+
+
+def test_a_cap_error_carries_an_oversize_count_exactly():
+    exc = EnumerationCapError(10**4400, 10**6)
+    assert str(exc) == "enumeration would produce 1.0000e+4400 matrices, cap is 1000000"
+    assert (exc.count, exc.cap) == (10**4400, 10**6)
+    assert printable_count(10**4300 - 1) == 10**4300 - 1
+    assert printable_count(10**4300) == "1.0000e+4300"
+    assert printable_count(123456 * 10**4400 - 1) == "1.2346e+4405"
 
 
 def test_pretty_mode(capsys):

@@ -16,7 +16,10 @@ gorenstein.companion_finder, looks a value up among the generators: the
 companion rule (an entry g off F at position h has the companion ell < h
 with n_ell = g - F + n_h) is written there only, as a plain function of
 (gens, F, h, g) that every caller calls per entry; its whole-semigroup
-set test, companions_complete, sits beside it.  The construct layer owns
+set test, companions_complete, sits beside it.  One function,
+rf.multiple_of_one, asks whether a value is a positive multiple of one
+of some numbers (the PF split's row rule, and NGV_PROPS's test over the
+later generators).  The construct layer owns
 its inputs: only construct.py reads an ideal's least elements, and only
 construct._certified refuses a family's formula generators that are not
 a minimal system.  The integer rule of every
@@ -171,14 +174,28 @@ def _looks_up_a_generator(node: ast.AST) -> bool:
     return False
 
 
+def _scans_for_a_divisor(node: ast.AST) -> bool:
+    """A scan of numbers for a divisor of a value: map(value.__mod__, ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "map"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "__mod__"
+    )
+
+
 def test_each_single_semigroup_rule_has_one_owner():
     products, cap_raisers, cap_readers = set(), set(), set()
     generator_lookups, not_pf_raisers, mismatch_raisers = set(), set(), set()
+    divisor_scans = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         for owner, node in _with_owner(ast.parse(path.read_text())):
             where = f"{path.relative_to(PACKAGE)}:{owner}"
             if _looks_up_a_generator(node):
                 generator_lookups.add(where)
+            if _scans_for_a_divisor(node):
+                divisor_scans.add(where)
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.prod", "prod"):
                 products.add(where)
             elif isinstance(node, ast.Raise):
@@ -201,6 +218,7 @@ def test_each_single_semigroup_rule_has_one_owner():
     assert cap_raisers == {"gorenstein.py:capped_product"}
     assert cap_readers == {"gorenstein.py:capped_product"}
     assert generator_lookups == {"gorenstein.py:companion_finder"}
+    assert divisor_scans == {"rf.py:multiple_of_one"}
     assert not_pf_raisers == {"rf.py:_require_pseudo_frobenius"}
     assert mismatch_raisers == {"rf.py:_require_ng_vector"}
 

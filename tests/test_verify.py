@@ -429,11 +429,15 @@ def test_ngv_props_set_tests_match_literal_route_on_hand_set_families():
     assert min(settled[True], settled[False]) > 20, settled
 
 
+def _defined_avoidable(pf, cands):
+    # the definition: every set has a member other than f
+    return tuple(f for f in pf if all(c - {f} for c in cands))
+
+
 def _literal_avoidable(ctx):
-    # the definition: some set has a member other than f
     if not ctx.nearly_gorenstein:
         return ()
-    return tuple(f for f in ctx.pf if all(c - {f} for c in ctx.candidates))
+    return _defined_avoidable(ctx.pf, ctx.candidates)
 
 
 def test_avoidable_matches_the_set_difference_definition():
@@ -630,8 +634,8 @@ def _random_hit_cell_inputs(rng, count):
 
 
 def test_hit_cells_match_the_listed_rows():
-    # the variance scan asks each row value for one divisor; the oracle
-    # lists every single-generator row
+    # the table asks each row value for one divisor; the oracle lists
+    # every single-generator row.  Its keys are the avoidable numbers
     rng = random.Random(20)
     contexts = [ClaimContext(S) for S in semigroups_up_to(12) if not S.is_full()]
     contexts += [
@@ -643,25 +647,28 @@ def test_hit_cells_match_the_listed_rows():
         _hand_set_context(S, [frozenset(c) for c in cands]) for cands, _, _ in VARIANCE_CASES
     ]
     inputs = [
-        (ctx.S.generators, f, ctx.candidates)
+        (ctx.S.generators, ctx.pf, ctx.candidates)
         for ctx in contexts
         if ctx.nearly_gorenstein
-        for f in ctx.pf
     ]
-    inputs += _random_hit_cell_inputs(rng, 5000)
+    inputs += [
+        (gens, (f,), cands) for gens, f, cands in _random_hit_cell_inputs(rng, 5000)
+    ]
     kinds = Counter()
-    for gens, f, cands in inputs:
-        cells = rf._hit_cells(gens, f, cands)
-        assert cells == list_hit_cells(gens, f, cands), (gens, f, cands)
-        kinds["all-hit" if cells is None else "cells" if cells else "no hit"] += 1
-    assert min(kinds.values()) > 100 and len(kinds) == 3
+    for gens, pf, cands in inputs:
+        table = rf.hit_table(gens, pf, cands)
+        assert tuple(table) == _defined_avoidable(pf, cands), (gens, pf, cands)
+        for f, cells in table.items():
+            assert cells == list_hit_cells(gens, f, cands), (gens, f, cands)
+            kinds["all-hit" if cells is None else "cells" if cells else "no hit"] += 1
+    assert min(kinds.values()) > 100 and len(kinds) == 3, kinds
 
 
 def test_variance_scan_matches_the_listed_hit_cells():
     # f varies iff its listed hit cells are a nonempty set.  Candidate
     # sets drawn from the pseudo-Frobenius sets of seeded systems make
-    # many numbers vary (a census makes almost none), so the scan's drop
-    # of an f with a row of f + m meets varying numbers
+    # many numbers vary (a census makes almost none), so the table's
+    # first test, a row of f + m, meets varying numbers
     rng = random.Random(16)
     systems = [NumericalSemigroup(random_generators(rng, frobenius_cap=400)) for _ in range(300)]
     systems = [S for S in systems if not S.is_full()]
@@ -671,9 +678,30 @@ def test_variance_scan_matches_the_listed_hit_cells():
         pf = S.pseudo_frobenius()
         cands = [frozenset(rng.sample(pf, min(len(pf), rng.randint(1, 3)))) for _ in S.generators]
         expected = tuple(f for f in pf if list_hit_cells(S.generators, f, cands))
-        assert rf.classification_variance(S, cands, pf) == expected, (S.generators, cands)
+        table = rf.hit_table(S.generators, pf, cands)
+        assert tuple(table) == _defined_avoidable(pf, cands), (S.generators, cands)
+        assert tuple(f for f, cells in table.items() if cells) == expected, (S.generators, cands)
         varying += len(expected)
     assert varying > 500  # 839 today
+
+
+def test_classifications_run_no_hit_test(monkeypatch):
+    # the context runs the row rule while it builds its hit table; the
+    # five-generated classes are read off that table with no rule call
+    calls = Counter()
+    rule = rf.multiple_of_one
+
+    def counted(numbers, value):
+        calls["rule"] += 1
+        return rule(numbers, value)
+
+    monkeypatch.setattr(rf, "multiple_of_one", counted)
+    ctx = ClaimContext(NumericalSemigroup(WORKED))
+    assert ctx.nu == 5 and ctx.nearly_gorenstein and ctx.avoidable
+    built = calls["rule"]
+    assert built > 0
+    assert ctx.classifications
+    assert calls["rule"] == built
 
 
 def test_pf_split_varies_with_the_ng_vector():
