@@ -290,7 +290,9 @@ class NumericalSemigroup:
         The search fixes the largest generators first and solves for the
         smallest by division, which visits far fewer partial sums than the
         ascending order; the result is then sorted into descending order.
+        x obeys require_int with no lower bound.
         """
+        require_int("x", x)
         out: list[tuple[int, ...]] = []
         if x >= 0:
             gens = self.generators

@@ -5,16 +5,17 @@ itself (apery_convolution: m**2 steps from scratch, O(m) when the
 genus-tree walk carries it from the parent) and settles most generators
 by one lookup in the Frobenius number's class (m steps for the rest,
 and for the multiplicity), returning at the first generator outside the
-trace.  Almost symmetry is Nari's identity 2 * genus == frobenius + type.  Symmetry and the candidate sets read
-only the pseudo-Frobenius set and Apery-set lookups (at most nu * t**2,
-t the type).  A candidate is tested against the pseudo-Frobenius numbers
-largest first, whose shifted values are the likeliest gaps, dropped at
-the first gap and kept at the first shifted value above the Frobenius
-number, as every later one is larger; at the multiplicity's position
-only F and F - m can pass.  The candidate sets come one position at a
-time, so a
-verdict of "not nearly Gorenstein" stops at the first empty one
-(candidate_prefix), and so does the NG-vector test, which reads them.
+trace.  Almost symmetry is Nari's identity 2 * genus == frobenius +
+type.  Symmetry and the candidate sets read only the pseudo-Frobenius
+set and Apery-set lookups (at most nu * t**2, t the type).  A candidate
+is tested against the pseudo-Frobenius numbers largest first, whose
+shifted values are the likeliest gaps, dropped at the first gap and
+kept at the first shifted value above the Frobenius number, as every
+later one is larger; at the multiplicity's position only F and F - m
+can pass.  One function, candidate_prefix, builds the candidate sets,
+position by position up to the first empty one, so a verdict of "not
+nearly Gorenstein" pays only for the positions before it; the verdict,
+the NG-vector test and the NG-vector listings read it.
 The companion rule of an NG-vector entry is written once, in
 companion_finder, a plain function of the generators, the Frobenius
 number, the position and the entry (one search of the generators), and
@@ -56,11 +57,14 @@ def is_symmetric(S: NumericalSemigroup) -> bool:
     return S.type == 1
 
 
-def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
-    """Position i's candidate set, yielded in generator order: those
-    pseudo-Frobenius g with n_i + g - f in S for every pseudo-Frobenius f
-    (at most t**2 Apery lookups, t the type).  A caller that stops at the
-    first empty set pays only for the positions up to it.
+def candidate_prefix(S: NumericalSemigroup) -> list[frozenset[int]]:
+    """The candidate sets in generator order, up to and including the
+    first empty one: all of them iff S is nearly Gorenstein.  Position
+    i's set holds those pseudo-Frobenius g with n_i + g - f in S for
+    every pseudo-Frobenius f (at most t**2 Apery lookups, t the type),
+    and the first set is always a subset of {frobenius}.  Built position
+    by position, so a semigroup that is not nearly Gorenstein pays only
+    for the positions up to its first empty set.
 
     Each g is tested against f largest first, F first, and dropped at the
     first shifted value n_i + g - f outside S.  The test is a conjunction
@@ -95,6 +99,7 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
     F = descending[0]
     pools = [pf] * len(gens)
     pools[0] = (F - m, F) if F - m in pf else (F,)
+    out = []
     for n, pool in zip(gens, pools):
         cands = []
         for g in pool:
@@ -108,23 +113,14 @@ def _candidate_sets(S: NumericalSemigroup) -> Iterator[frozenset[int]]:
                     break
             else:
                 cands.append(g)
-        yield frozenset(cands)
-
-
-def candidate_prefix(S: NumericalSemigroup) -> list[frozenset[int]]:
-    """The candidate sets up to and including the first empty one: all of
-    them iff S is nearly Gorenstein.  The first set is always a subset of
-    {frobenius}."""
-    out = []
-    for c in _candidate_sets(S):
-        out.append(c)
-        if not c:
+        out.append(frozenset(cands))
+        if not cands:
             break
     return out
 
 
 def is_nearly_gorenstein(S: NumericalSemigroup) -> bool:
-    return all(_candidate_sets(S))
+    return all(candidate_prefix(S))
 
 
 def is_almost_symmetric(S: NumericalSemigroup) -> bool:
@@ -308,9 +304,10 @@ def ng_vector_at(S: NumericalSemigroup, index: int) -> dict:
 
 def is_ng_vector(S: NumericalSemigroup, entries: tuple[int, ...]) -> bool:
     """Membership test for the defining condition, without enumerating:
-    each entry lies in its position's candidate set, read up to the first
-    position that fails.  A tuple of the wrong length is no NG-vector;
-    N's one NG-vector is (-1,)."""
+    each entry lies in its position's candidate set (candidate_prefix;
+    a prefix cut short ends in an empty set, which no entry is in).  A
+    tuple of the wrong length is no NG-vector; N's one NG-vector is
+    (-1,)."""
     if len(entries) != S.embedding_dimension:
         return False
-    return all(g in c for g, c in zip(entries, _candidate_sets(S)))
+    return all(g in c for g, c in zip(entries, candidate_prefix(S)))

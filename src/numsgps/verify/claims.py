@@ -33,13 +33,16 @@ of enumeration:
 
 Work shared between claims is done once per semigroup (the facts every
 record reads are built with the context, the others on their first
-access, without a lock), every pass or inapplicable verdict without a
-payload is one shared ClaimResult, and NGV_PROPS asks whether a number
-is a combination of the later generators without enumerating
-factorizations: by rf.multiple_of_one's divisor scan over them, and only
-for the numbers none of them divides, through one reachability bitmask.  NGV_PROPS keeps each
-position's entries without a companion unsorted and only tests whether
-they exist; a failure payload names the largest, found only then.  The
+access, as functools.cached_property), every pass or inapplicable
+verdict without a payload is one shared ClaimResult, and NGV_PROPS asks
+whether a number is a combination of the later generators without
+enumerating factorizations: by rf.multiple_of_one's divisor scan over
+them, and only for the numbers none of them divides, through one
+reachability bitmask.  Its test of a second entry off F against the
+first one's generator is the same rule over that one generator.
+NGV_PROPS keeps each position's entries without a companion unsorted
+and only tests whether they exist; a failure payload names the largest,
+found only then.  The
 candidate prefix, the companion rule (companion_finder, a plain function
 of the generators, F, the position and the entry, which FIRST_ZERO and
 NGV_PROPS call per entry) and its set test come from gorenstein;
@@ -98,17 +101,6 @@ PASSED = ClaimResult(PASS)
 INAPPLICABLE = ClaimResult(NA)
 
 
-class _field(cached_property):
-    """cached_property without the RLock Python 3.11 takes on every first
-    access; a context is used by one thread only."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
 class ClaimContext:
     """The shared facts of one semigroup.
 
@@ -116,7 +108,8 @@ class ClaimContext:
     NG and AS verdicts, the hit table, the avoidable pseudo-Frobenius
     numbers and the varying ones) are computed with the context; the
     rest (vector count, premise, classifications, extremal gap table) at
-    most once, on the first access of a claim that reads them.
+    most once, on the first access of a claim that reads them
+    (functools.cached_property).
 
     The claims' domain is nu >= 2: for N, which the single-semigroup
     layers answer, the candidates and both verdicts stay None (null in
@@ -153,23 +146,23 @@ class ClaimContext:
             self.avoidable = tuple(hits)
             self.varying = tuple(f for f, cells in hits.items() if cells)
 
-    @_field
+    @cached_property
     def vector_count(self) -> int:
         return 0 if self.candidates is None else count_choices(self.candidates)
 
-    @_field
+    @cached_property
     def classifications(self) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
         """(entries, pf1, pf2) of every NG-vector, in ng_vectors' order,
         read off hits (rf.classify_vectors); only the five-generated claims
         read it."""
         return classify_vectors(self.candidates, self.hits)
 
-    @_field
+    @cached_property
     def gap_table(self) -> dict[tuple[int, int], int]:
         """max_gap_table; only the five-generated claims read it."""
         return max_gap_table(self.S)
 
-    @_field
+    @cached_property
     def pf_premise(self) -> dict | None:
         """None when the computed pseudo-Frobenius set passes the textbook
         test: the Frobenius number and every f in it lie outside S, and
@@ -625,7 +618,9 @@ def claim_ngv_props(ctx: ClaimContext) -> ClaimResult:
                 # the test skips building an empty list for them)
                 if orphans[h1]:
                     shift = gens[h1] - F
-                    misfits = [gp for gp in orphans[h1] if gp + shift <= 0 or (gp + shift) % n0]
+                    misfits = [
+                        gp for gp in orphans[h1] if not multiple_of_one((n0,), gp + shift)
+                    ]
                     if misfits:
                         return _fail(
                             ctx, h=h0 + 1, h_prime=h1 + 1, entry=max(misfits),

@@ -81,6 +81,7 @@ W_VECTOR = (244, 212, 244, 244, 244)
     ("NG-vector entry", 244, lambda e: minus_row_lists(W, (e, *W_VECTOR[1:]), 59)),
     ("ideal generator", 3, lambda e: ideal_from_generators(BASE, [e])),
     ("n", 3, BASE.apery_set),
+    ("x", 14, NumericalSemigroup((5, 7, 9)).factorization_tuples),
 ], ids=lambda value: value if isinstance(value, str) else None)
 @pytest.mark.parametrize("bad", [1.5, True, float], ids=["1.5", "True", "integral float"])
 def test_integer_arguments_refuse_what_is_not_an_int(name, valid, call, bad):

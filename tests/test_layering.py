@@ -18,8 +18,9 @@ with n_ell = g - F + n_h) is written there only, as a plain function of
 (gens, F, h, g) that every caller calls per entry; its whole-semigroup
 set test, companions_complete, sits beside it.  One function,
 rf.multiple_of_one, asks whether a value is a positive multiple of one
-of some numbers (the PF split's row rule, and NGV_PROPS's test over the
-later generators).  The construct layer owns
+of some numbers (the PF split's row rule, and NGV_PROPS's tests over the
+later generators and of a second entry off F), by a divisor scan or a
+hand-written `v <= 0 or v % n`.  The construct layer owns
 its inputs: only construct.py reads an ideal's least elements, and only
 construct._certified refuses a family's formula generators that are not
 a minimal system.  The integer rule of every
@@ -174,15 +175,39 @@ def _looks_up_a_generator(node: ast.AST) -> bool:
     return False
 
 
+def _tests_a_positive_multiple(node: ast.AST) -> bool:
+    """A hand-written test of a value for a positive multiple: a boolean
+    operation that compares the value with 0 (v <= 0, v > 0) and takes it
+    modulo a number (v % n), as in `v <= 0 or v % n`."""
+    if not isinstance(node, ast.BoolOp):
+        return False
+    signs = {
+        ast.unparse(value.left)
+        for value in node.values
+        if isinstance(value, ast.Compare)
+        and len(value.ops) == 1
+        and isinstance(value.ops[0], (ast.LtE, ast.Gt))
+        and ast.unparse(value.comparators[0]) == "0"
+    }
+    return any(
+        isinstance(sub, ast.BinOp)
+        and isinstance(sub.op, ast.Mod)
+        and ast.unparse(sub.left) in signs
+        for value in node.values
+        for sub in ast.walk(value)
+    )
+
+
 def _scans_for_a_divisor(node: ast.AST) -> bool:
-    """A scan of numbers for a divisor of a value: map(value.__mod__, ...)."""
+    """A scan of numbers for a divisor of a value, map(value.__mod__, ...),
+    or a hand-written positive-multiple test of it."""
     return (
         isinstance(node, ast.Call)
         and ast.unparse(node.func) == "map"
         and bool(node.args)
         and isinstance(node.args[0], ast.Attribute)
         and node.args[0].attr == "__mod__"
-    )
+    ) or _tests_a_positive_multiple(node)
 
 
 def test_each_single_semigroup_rule_has_one_owner():
